@@ -12,22 +12,13 @@ type bfsProps struct {
 // BFS computes hop distances from root (paper Algorithm 2) and returns them;
 // unreachable vertices get -1.
 func BFS(g *graph.Graph, root graph.VID, opts ...flash.Option) ([]int32, error) {
-	e, err := newEngine[bfsProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	out := make([]int32, g.NumVertices())
-	if _, err := e.Run(func() error { return bfsProgram(e, root, out) }); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return run(g, opts, func(e *flash.Engine[bfsProps]) ([]int32, error) {
+		return bfsProgram(e, root), nil
+	})
 }
 
-// bfsProgram is the FLASH driver program proper, run under Engine.Run so
-// transport failures surface as errors (and recovery can replay it).
-func bfsProgram(e *flash.Engine[bfsProps], root graph.VID, out []int32) error {
+// bfsProgram is the FLASH driver program proper.
+func bfsProgram(e *flash.Engine[bfsProps], root graph.VID) []int32 {
 	e.VertexMap(e.All(), nil, func(v flash.Vertex[bfsProps]) bfsProps {
 		if v.ID == root {
 			return bfsProps{Dis: 0}
@@ -42,6 +33,7 @@ func bfsProgram(e *flash.Engine[bfsProps], root graph.VID, out []int32) error {
 			func(d flash.Vertex[bfsProps]) bool { return d.Val.Dis == inf32 },
 			func(t, cur bfsProps) bfsProps { return t })
 	}
+	out := make([]int32, e.NumVertices())
 	e.Gather(func(v graph.VID, val *bfsProps) {
 		if val.Dis == inf32 {
 			out[v] = -1
@@ -49,5 +41,5 @@ func bfsProgram(e *flash.Engine[bfsProps], root graph.VID, out []int32) error {
 			out[v] = val.Dis
 		}
 	})
-	return nil
+	return out
 }

@@ -15,14 +15,7 @@ type ccProps struct {
 // O(diameter) supersteps. Returns the component label (minimum member id)
 // per vertex.
 func CC(g *graph.Graph, opts ...flash.Option) ([]uint32, error) {
-	e, err := newEngine[ccProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	out := make([]uint32, g.NumVertices())
-	if _, err := e.Run(func() error {
+	return run(g, opts, func(e *flash.Engine[ccProps]) ([]uint32, error) {
 		u := e.VertexMap(e.All(), nil, func(v flash.Vertex[ccProps]) ccProps {
 			return ccProps{CC: uint32(v.ID)}
 		})
@@ -33,12 +26,10 @@ func CC(g *graph.Graph, opts ...flash.Option) ([]uint32, error) {
 				nil,
 				func(t, cur ccProps) ccProps { return ccProps{CC: min32(t.CC, cur.CC)} })
 		}
+		out := make([]uint32, g.NumVertices())
 		e.Gather(func(v graph.VID, val *ccProps) { out[v] = val.CC })
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 func min32(a, b uint32) uint32 {

@@ -31,78 +31,74 @@ type CCOptResult struct {
 // unbalanced operations; this implementation follows the same
 // hook-and-jump structure in its cited source's min-label form.
 func CCOpt(g *graph.Graph, opts ...flash.Option) (CCOptResult, error) {
-	e, err := newEngine[ccOptProps](g, opts, flash.WithFullMirrors())
-	if err != nil {
-		return CCOptResult{}, err
-	}
-	defer e.Close()
-
-	// Virtual edge sets over the parent pointers.
-	hookEdges := flash.OutEdges(func(c *flash.Ctx[ccOptProps], u graph.VID) []graph.VID {
-		return []graph.VID{graph.VID(c.Get(u).P)} // join(U, p): u -> u.p
-	})
-	jumpEdges := flash.InEdges(func(c *flash.Ctx[ccOptProps], d graph.VID) []graph.VID {
-		return []graph.VID{graph.VID(c.Get(d).P)} // join(p, V): v.p -> v
-	})
-
-	e.VertexMap(e.All(), nil, func(v flash.Vertex[ccOptProps]) ccOptProps {
-		return ccOptProps{P: uint32(v.ID), Mn: uint32(v.ID), Old: uint32(v.ID)}
-	})
-
-	rounds := 0
-	for {
-		rounds++
-		// Snapshot p for change detection and reset the neighbor minimum.
-		e.VertexMap(e.All(), nil, func(v flash.Vertex[ccOptProps]) ccOptProps {
-			nv := *v.Val
-			nv.Old = nv.P
-			nv.Mn = nv.P
-			return nv
+	return run(g, opts, func(e *flash.Engine[ccOptProps]) (CCOptResult, error) {
+		// Virtual edge sets over the parent pointers.
+		hookEdges := flash.OutEdges(func(c *flash.Ctx[ccOptProps], u graph.VID) []graph.VID {
+			return []graph.VID{graph.VID(c.Get(u).P)} // join(U, p): u -> u.p
 		})
-		// Gather the minimum parent label over real neighbors.
-		e.EdgeMap(e.All(), e.E(),
-			func(s, d flash.Vertex[ccOptProps]) bool { return s.Val.P < d.Val.Mn },
-			func(s, d flash.Vertex[ccOptProps]) ccOptProps {
-				nv := *d.Val
-				nv.Mn = min32(nv.Mn, s.Val.P)
+		jumpEdges := flash.InEdges(func(c *flash.Ctx[ccOptProps], d graph.VID) []graph.VID {
+			return []graph.VID{graph.VID(c.Get(d).P)} // join(p, V): v.p -> v
+		})
+
+		e.VertexMap(e.All(), nil, func(v flash.Vertex[ccOptProps]) ccOptProps {
+			return ccOptProps{P: uint32(v.ID), Mn: uint32(v.ID), Old: uint32(v.ID)}
+		})
+
+		rounds := 0
+		for {
+			rounds++
+			// Snapshot p for change detection and reset the neighbor minimum.
+			e.VertexMap(e.All(), nil, func(v flash.Vertex[ccOptProps]) ccOptProps {
+				nv := *v.Val
+				nv.Old = nv.P
+				nv.Mn = nv.P
 				return nv
-			},
-			nil,
-			func(t, cur ccOptProps) ccOptProps {
-				cur.Mn = min32(cur.Mn, t.Mn)
-				return cur
 			})
-		// Hook: each vertex offers its neighbor-minimum to its tree root.
-		e.EdgeMapSparse(e.All(), hookEdges,
-			func(s, d flash.Vertex[ccOptProps]) bool { return s.Val.Mn < d.Val.P },
-			func(s, d flash.Vertex[ccOptProps]) ccOptProps {
-				nv := *d.Val
-				nv.P = min32(nv.P, s.Val.Mn)
-				return nv
-			},
-			nil,
-			func(t, cur ccOptProps) ccOptProps {
-				cur.P = min32(cur.P, t.P)
-				return cur
-			})
-		// Pointer jumping (twice): p(v) = p(p(v)).
-		for j := 0; j < 2; j++ {
-			e.EdgeMapDense(e.All(), jumpEdges, nil,
+			// Gather the minimum parent label over real neighbors.
+			e.EdgeMap(e.All(), e.E(),
+				func(s, d flash.Vertex[ccOptProps]) bool { return s.Val.P < d.Val.Mn },
 				func(s, d flash.Vertex[ccOptProps]) ccOptProps {
 					nv := *d.Val
-					nv.P = s.Val.P
+					nv.Mn = min32(nv.Mn, s.Val.P)
 					return nv
-				}, nil)
+				},
+				nil,
+				func(t, cur ccOptProps) ccOptProps {
+					cur.Mn = min32(cur.Mn, t.Mn)
+					return cur
+				})
+			// Hook: each vertex offers its neighbor-minimum to its tree root.
+			e.EdgeMapSparse(e.All(), hookEdges,
+				func(s, d flash.Vertex[ccOptProps]) bool { return s.Val.Mn < d.Val.P },
+				func(s, d flash.Vertex[ccOptProps]) ccOptProps {
+					nv := *d.Val
+					nv.P = min32(nv.P, s.Val.Mn)
+					return nv
+				},
+				nil,
+				func(t, cur ccOptProps) ccOptProps {
+					cur.P = min32(cur.P, t.P)
+					return cur
+				})
+			// Pointer jumping (twice): p(v) = p(p(v)).
+			for j := 0; j < 2; j++ {
+				e.EdgeMapDense(e.All(), jumpEdges, nil,
+					func(s, d flash.Vertex[ccOptProps]) ccOptProps {
+						nv := *d.Val
+						nv.P = s.Val.P
+						return nv
+					}, nil)
+			}
+			changed := e.VertexMap(e.All(), func(v flash.Vertex[ccOptProps]) bool {
+				return v.Val.P != v.Val.Old
+			}, nil)
+			if changed.Size() == 0 {
+				break
+			}
 		}
-		changed := e.VertexMap(e.All(), func(v flash.Vertex[ccOptProps]) bool {
-			return v.Val.P != v.Val.Old
-		}, nil)
-		if changed.Size() == 0 {
-			break
-		}
-	}
 
-	res := CCOptResult{Labels: make([]uint32, g.NumVertices()), Rounds: rounds}
-	e.Gather(func(v graph.VID, val *ccOptProps) { res.Labels[v] = val.P })
-	return res, nil
+		res := CCOptResult{Labels: make([]uint32, g.NumVertices()), Rounds: rounds}
+		e.Gather(func(v graph.VID, val *ccOptProps) { res.Labels[v] = val.P })
+		return res, nil
+	}, flash.WithFullMirrors())
 }

@@ -25,40 +25,36 @@ func CL(g *graph.Graph, k int, opts ...flash.Option) (int64, error) {
 	if k == 1 {
 		return int64(g.NumVertices()), nil
 	}
-	e, err := newEngine[clProps](g, opts, flash.WithFullMirrors())
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-
-	u := e.VertexMap(e.All(), nil, func(v flash.Vertex[clProps]) clProps { return clProps{} })
-	// Orient: Out = higher-ranked neighbors.
-	e.EdgeMap(u, e.E(),
-		func(s, d flash.Vertex[clProps]) bool { return rankAbove(s, d) },
-		func(s, d flash.Vertex[clProps]) clProps {
-			nv := *d.Val
-			nv.Out = append(append([]uint32(nil), nv.Out...), uint32(s.ID))
+	return run(g, opts, func(e *flash.Engine[clProps]) (int64, error) {
+		u := e.VertexMap(e.All(), nil, func(v flash.Vertex[clProps]) clProps { return clProps{} })
+		// Orient: Out = higher-ranked neighbors.
+		e.EdgeMap(u, e.E(),
+			func(s, d flash.Vertex[clProps]) bool { return rankAbove(s, d) },
+			func(s, d flash.Vertex[clProps]) clProps {
+				nv := *d.Val
+				nv.Out = append(append([]uint32(nil), nv.Out...), uint32(s.ID))
+				return nv
+			},
+			nil,
+			func(t, cur clProps) clProps {
+				cur.Out = append(cur.Out, t.Out...)
+				return cur
+			})
+		e.VertexMap(u, nil, func(v flash.Vertex[clProps]) clProps {
+			nv := *v.Val
+			sort.Slice(nv.Out, func(i, j int) bool { return nv.Out[i] < nv.Out[j] })
 			return nv
-		},
-		nil,
-		func(t, cur clProps) clProps {
-			cur.Out = append(cur.Out, t.Out...)
-			return cur
 		})
-	e.VertexMap(u, nil, func(v flash.Vertex[clProps]) clProps {
-		nv := *v.Val
-		sort.Slice(nv.Out, func(i, j int) bool { return nv.Out[i] < nv.Out[j] })
-		return nv
-	})
-	// Prune vertices that cannot seed a k-clique, then count recursively.
-	u = e.VertexMap(u, func(v flash.Vertex[clProps]) bool { return len(v.Val.Out) >= k-1 }, nil)
-	e.VertexMapC(u, nil, func(c *flash.Ctx[clProps], v flash.Vertex[clProps]) clProps {
-		nv := *v.Val
-		nv.Count = countCliques(c, nv.Out, 1, k)
-		return nv
-	})
+		// Prune vertices that cannot seed a k-clique, then count recursively.
+		u = e.VertexMap(u, func(v flash.Vertex[clProps]) bool { return len(v.Val.Out) >= k-1 }, nil)
+		e.VertexMapC(u, nil, func(c *flash.Ctx[clProps], v flash.Vertex[clProps]) clProps {
+			nv := *v.Val
+			nv.Count = countCliques(c, nv.Out, 1, k)
+			return nv
+		})
 
-	return e.SumInt64(func(_ graph.VID, val *clProps) int64 { return val.Count }), nil
+		return e.SumInt64(func(_ graph.VID, val *clProps) int64 { return val.Count }), nil
+	}, flash.WithFullMirrors())
 }
 
 // countCliques extends a partial clique of size lev whose common

@@ -35,6 +35,24 @@ func newEngine[V any](g *graph.Graph, opts []flash.Option, extra ...flash.Option
 	return flash.NewEngine[V](g, append(append([]flash.Option{}, opts...), extra...)...)
 }
 
+// run is the one way an algorithm executes: it builds a private engine from
+// opts (then extra), runs body as the driver program under Engine.Run — so a
+// superstep failure that retry and checkpoint recovery cannot absorb, or a
+// racing Close, comes back as a typed error instead of a panic — and closes
+// the engine.
+func run[V, R any](g *graph.Graph, opts []flash.Option, body func(e *flash.Engine[V]) (R, error), extra ...flash.Option) (res R, err error) {
+	e, err := newEngine[V](g, opts, extra...)
+	if err != nil {
+		return res, err
+	}
+	defer e.Close()
+	_, err = e.Run(func() (err error) {
+		res, err = body(e)
+		return err
+	})
+	return res, err
+}
+
 // newTraceCollector allocates a metrics collector for superstep counting in
 // tests and experiments.
 func newTraceCollector() *metrics.Collector { return metrics.New() }

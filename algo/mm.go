@@ -16,37 +16,30 @@ type mmProps struct {
 // (the paper's tie breaking), and mutual proposals become matches. Returns
 // the partner id per vertex (-1 for unmatched).
 func MM(g *graph.Graph, opts ...flash.Option) ([]int32, error) {
-	e, err := newEngine[mmProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
+	return run(g, opts, func(e *flash.Engine[mmProps]) ([]int32, error) {
+		u := e.VertexMap(e.All(), nil, func(v flash.Vertex[mmProps]) mmProps {
+			return mmProps{S: none, P: none}
+		})
+		runBasicMMTraced(e, u, nil)
 
-	u := e.VertexMap(e.All(), nil, func(v flash.Vertex[mmProps]) mmProps {
-		return mmProps{S: none, P: none}
+		out := make([]int32, g.NumVertices())
+		e.Gather(func(v graph.VID, val *mmProps) { out[v] = val.S })
+		return out, nil
 	})
-	runBasicMMTraced(e, u, nil)
-
-	out := make([]int32, g.NumVertices())
-	e.Gather(func(v graph.VID, val *mmProps) { out[v] = val.S })
-	return out, nil
 }
 
 // MMActiveTrace runs MM while recording the frontier size (the set of
 // unmatched vertices recomputed) entering every round; Fig. 4(a) compares
 // this trace against MMOpt's.
 func MMActiveTrace(g *graph.Graph, opts ...flash.Option) ([]int, error) {
-	e, err := newEngine[mmProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	u := e.VertexMap(e.All(), nil, func(v flash.Vertex[mmProps]) mmProps {
-		return mmProps{S: none, P: none}
+	return run(g, opts, func(e *flash.Engine[mmProps]) ([]int, error) {
+		u := e.VertexMap(e.All(), nil, func(v flash.Vertex[mmProps]) mmProps {
+			return mmProps{S: none, P: none}
+		})
+		var trace []int
+		runBasicMMTraced(e, u, func(active int) { trace = append(trace, active) })
+		return trace, nil
 	})
-	var trace []int
-	runBasicMMTraced(e, u, func(active int) { trace = append(trace, active) })
-	return trace, nil
 }
 
 // runBasicMM drives propose-and-marry rounds from frontier u until no

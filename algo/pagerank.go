@@ -16,31 +16,22 @@ type prProps struct {
 // drops below eps or maxIters rounds elapse. Dangling mass is redistributed
 // uniformly, so ranks always sum to 1.
 func PageRank(g *graph.Graph, maxIters int, eps float64, opts ...flash.Option) ([]float64, error) {
-	e, err := newEngine[prProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
 	n := float64(g.NumVertices())
 	const damping = 0.85
-	out := make([]float64, g.NumVertices())
-	if _, err := e.Run(func() error {
+	return run(g, opts, func(e *flash.Engine[prProps]) ([]float64, error) {
 		e.VertexMap(e.All(), nil, func(v flash.Vertex[prProps]) prProps {
 			return prProps{Rank: 1 / n}
 		})
 		if err := prIterate(e, g, maxIters, eps, n, damping); err != nil {
-			return err
+			return nil, err
 		}
-		// Extract inside Run: in cluster mode Gather is a communication round
-		// whose failure must unwind through Run's recovery envelope, not
-		// escape as a panic.
+		// Extract inside the program: in cluster mode Gather is a
+		// communication round whose failure must unwind through Run's
+		// recovery envelope, not escape as a panic.
+		out := make([]float64, g.NumVertices())
 		e.Gather(func(v graph.VID, val *prProps) { out[v] = val.Rank })
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
 // prIterate runs the damped power iteration to convergence.

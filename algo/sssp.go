@@ -16,14 +16,7 @@ type ssspProps struct {
 // EdgeMap relaxes out-edges of vertices whose distance improved).
 // Unreachable vertices get +Inf.
 func SSSP(g *graph.Graph, root graph.VID, opts ...flash.Option) ([]float32, error) {
-	e, err := newEngine[ssspProps](g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-
-	out := make([]float32, g.NumVertices())
-	if _, err := e.Run(func() error {
+	return run(g, opts, func(e *flash.Engine[ssspProps]) ([]float32, error) {
 		winf := float32(math.Inf(1))
 		e.VertexMap(e.All(), nil, func(v flash.Vertex[ssspProps]) ssspProps {
 			if v.ID == root {
@@ -44,10 +37,8 @@ func SSSP(g *graph.Graph, root graph.VID, opts ...flash.Option) ([]float32, erro
 					return cur
 				})
 		}
+		out := make([]float32, g.NumVertices())
 		e.Gather(func(v graph.VID, val *ssspProps) { out[v] = val.Dis })
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return out, nil
+	})
 }

@@ -18,49 +18,45 @@ type tcProps struct {
 // the ranking ensures each triangle is counted exactly once, at the edge
 // joining its two lowest-ranked corners.
 func TC(g *graph.Graph, opts ...flash.Option) (int64, error) {
-	e, err := newEngine[tcProps](g, opts)
-	if err != nil {
-		return 0, err
-	}
-	defer e.Close()
-
-	u := e.VertexMap(e.All(), nil, func(v flash.Vertex[tcProps]) tcProps {
-		return tcProps{}
-	})
-	// Build the ranked out-lists.
-	e.EdgeMap(u, e.E(),
-		func(s, d flash.Vertex[tcProps]) bool { return rankAbove(s, d) },
-		func(s, d flash.Vertex[tcProps]) tcProps {
-			nv := *d.Val
-			nv.Out = append(append([]uint32(nil), nv.Out...), uint32(s.ID))
-			return nv
-		},
-		nil,
-		func(t, cur tcProps) tcProps {
-			cur.Out = append(cur.Out, t.Out...)
-			return cur
+	return run(g, opts, func(e *flash.Engine[tcProps]) (int64, error) {
+		u := e.VertexMap(e.All(), nil, func(v flash.Vertex[tcProps]) tcProps {
+			return tcProps{}
 		})
-	e.VertexMap(u, nil, func(v flash.Vertex[tcProps]) tcProps {
-		nv := *v.Val
-		sort.Slice(nv.Out, func(i, j int) bool { return nv.Out[i] < nv.Out[j] })
-		return nv
-	})
-	// Intersect along each undirected edge once (s.id < d.id).
-	e.EdgeMap(u, e.E(),
-		func(s, d flash.Vertex[tcProps]) bool { return s.ID < d.ID },
-		func(s, d flash.Vertex[tcProps]) tcProps {
-			nv := *d.Val
-			nv.Count += intersectCount(s.Val.Out, d.Val.Out)
+		// Build the ranked out-lists.
+		e.EdgeMap(u, e.E(),
+			func(s, d flash.Vertex[tcProps]) bool { return rankAbove(s, d) },
+			func(s, d flash.Vertex[tcProps]) tcProps {
+				nv := *d.Val
+				nv.Out = append(append([]uint32(nil), nv.Out...), uint32(s.ID))
+				return nv
+			},
+			nil,
+			func(t, cur tcProps) tcProps {
+				cur.Out = append(cur.Out, t.Out...)
+				return cur
+			})
+		e.VertexMap(u, nil, func(v flash.Vertex[tcProps]) tcProps {
+			nv := *v.Val
+			sort.Slice(nv.Out, func(i, j int) bool { return nv.Out[i] < nv.Out[j] })
 			return nv
-		},
-		nil,
-		func(t, cur tcProps) tcProps {
-			cur.Count += t.Count
-			return cur
-		},
-		flash.NoSync()) // Count is extracted driver-side, never read remotely
+		})
+		// Intersect along each undirected edge once (s.id < d.id).
+		e.EdgeMap(u, e.E(),
+			func(s, d flash.Vertex[tcProps]) bool { return s.ID < d.ID },
+			func(s, d flash.Vertex[tcProps]) tcProps {
+				nv := *d.Val
+				nv.Count += intersectCount(s.Val.Out, d.Val.Out)
+				return nv
+			},
+			nil,
+			func(t, cur tcProps) tcProps {
+				cur.Count += t.Count
+				return cur
+			},
+			flash.NoSync()) // Count is extracted driver-side, never read remotely
 
-	return e.SumInt64(func(_ graph.VID, val *tcProps) int64 { return val.Count }), nil
+		return e.SumInt64(func(_ graph.VID, val *tcProps) int64 { return val.Count }), nil
+	})
 }
 
 // intersectCount returns |a ∩ b| for sorted slices.

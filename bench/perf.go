@@ -18,7 +18,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-	"unsafe"
 
 	"flash"
 	"flash/algo"
@@ -53,14 +52,10 @@ type PerfCell struct {
 }
 
 // MemStat is one state-memory entry in BENCH_flash.json: the engine's
-// resident per-worker property state (summed over workers) after a full BFS,
-// next to what the pre-slot O(|V|·Threads) layout held for the same
-// configuration.
+// resident per-worker property state (summed over workers) after a full BFS.
 type MemStat struct {
 	StateBytes          uint64  `json:"state_bytes"`
 	StateBytesPerVertex float64 `json:"state_bytes_per_vertex"`
-	LegacyBytes         uint64  `json:"legacy_bytes"`
-	SavingsPct          float64 `json:"savings_pct"`
 }
 
 // RecoveryStat is one worker-loss entry in BENCH_flash.json: a BFS run on
@@ -158,11 +153,9 @@ func MicroSparse(workers, threads int) testing.BenchmarkResult {
 
 // MeasureStateMemory builds an engine over the fixed RMAT graph, runs a full
 // BFS so any lazily-materialized state (parallel-push accumulator shards) is
-// in place, and reports the resident property-state footprint next to what
-// the pre-slot layout — full |V|-sized current array plus Threads full-size
-// accumulator shards per worker — would have held. Engine.StateBytes is
-// deterministic for a fixed graph and configuration, so the regress guard
-// can hold the per-vertex value to a hard threshold.
+// in place, and reports the resident property-state footprint.
+// Engine.StateBytes is deterministic for a fixed graph and configuration, so
+// the regress guard can hold the per-vertex value to a hard threshold.
 func MeasureStateMemory(workers, threads int) (MemStat, error) {
 	g := graph.GenRMAT(4096, 4096*12, 101)
 	e, err := flash.NewEngine[perfProps](g,
@@ -193,33 +186,10 @@ func MeasureStateMemory(workers, threads int) (MemStat, error) {
 	}
 	n := g.NumVertices()
 	state := e.StateBytes()
-	legacy := legacyStateBytes(n, workers, threads, uint64(unsafe.Sizeof(perfProps{})))
 	return MemStat{
 		StateBytes:          state,
 		StateBytesPerVertex: float64(state) / float64(n),
-		LegacyBytes:         legacy,
-		SavingsPct:          100 * (1 - float64(state)/float64(legacy)),
 	}, nil
-}
-
-// legacyStateBytes models the pre-slot layout's resident footprint: per
-// worker, a |V|-sized cur array, Threads |V|-sized accumulator shards with
-// |V|-bit membership sets, master-sized next/pend buffers and bitsets, and
-// the |V|-bit frontier bitmap.
-func legacyStateBytes(n, workers, threads int, vsz uint64) uint64 {
-	words := func(c int) uint64 { return uint64((c + 63) / 64 * 8) }
-	var total uint64
-	for w := 0; w < workers; w++ {
-		lc := n / workers
-		if w < n%workers {
-			lc++
-		}
-		total += uint64(n) * vsz                              // cur
-		total += uint64(threads) * (uint64(n)*vsz + words(n)) // acc shards
-		total += 2 * uint64(lc) * vsz                         // next + pendVal
-		total += 2*words(lc) + words(n)                       // nextSet + pendSet + frontier
-	}
-	return total
 }
 
 // MeasureRecovery runs the worker-loss scenario on the fixed graph: a
@@ -542,8 +512,8 @@ func PrintPerf(w io.Writer, s *PerfSuite) {
 	sort.Strings(memKeys)
 	for _, k := range memKeys {
 		m := s.Mem[k]
-		fmt.Fprintf(w, "%-28s %12d B state %8.2f B/vertex %8.1f%% saved vs legacy %d B\n",
-			k, m.StateBytes, m.StateBytesPerVertex, m.SavingsPct, m.LegacyBytes)
+		fmt.Fprintf(w, "%-28s %12d B state %8.2f B/vertex\n",
+			k, m.StateBytes, m.StateBytesPerVertex)
 	}
 	recKeys := make([]string, 0, len(s.Recovery))
 	for k := range s.Recovery {

@@ -9,12 +9,15 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"flash"
 	"flash/algo"
 	"flash/graph"
+	"flash/internal/comm"
 	"flash/metrics"
 )
 
@@ -255,12 +258,63 @@ func TestChaosWorkerLossColdRestart(t *testing.T) {
 	}
 }
 
+// elasticSchedule is the elastic-membership acceptance scenario's plan: grow
+// to 8 workers after superstep 2, shrink to 4 after superstep 4.
+var elasticSchedule = flash.SchedulePolicy(map[int]int{2: 8, 4: 4})
+
+// roundClock counts worker 0's completed exchange rounds on the transport it
+// wraps — every worker completes the same rounds, so this is the run's round
+// clock — and forwards Resize, the one optional capability an elastic run
+// needs of its transport.
+type roundClock struct {
+	comm.Transport
+	rounds atomic.Uint32
+}
+
+func (c *roundClock) EndRound(from int) error {
+	if from == 0 {
+		c.rounds.Add(1)
+	}
+	return c.Transport.EndRound(from)
+}
+
+func (c *roundClock) Resize(n int) error { return c.Transport.(comm.Resizer).Resize(n) }
+
+// firstResyncRound runs the elastic scenario fault-free and returns the number
+// of rounds completed when the first resize begins. The fault transport's
+// round counter runs on across a resize, so that is the round number of the
+// mirror resync the restore into the 8-worker membership performs.
+func firstResyncRound(t *testing.T, tcp bool, run func(opts ...flash.Option) error) uint32 {
+	t.Helper()
+	var inner comm.Transport = comm.NewMem(2)
+	if tcp {
+		var err error
+		if inner, err = comm.NewTCP(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock := &roundClock{Transport: inner}
+	var round uint32
+	err := run(flash.WithWorkers(2), flash.WithTransport(clock),
+		flash.WithResizePolicy(func(s flash.StepInfo) int {
+			if s.Superstep == 2 {
+				round = clock.rounds.Load()
+			}
+			return elasticSchedule(s)
+		}))
+	if err != nil {
+		t.Fatalf("fault-free elastic run: %v", err)
+	}
+	return round
+}
+
 // resizeChaosOpts arms the elastic-membership acceptance scenario: a 2-worker
 // engine scheduled to grow to 8 workers after superstep 2 and shrink to 4
-// after superstep 4, with the first migration round interrupted by a hard
-// kill of worker 1. Recovery must roll the resize back to the pre-resize
-// image, cold-restart the victim, and retry the membership change.
-func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool) []flash.Option {
+// after superstep 4, with worker 1 hard-killed in round killRound — the
+// resync round of the first resize, after the membership swap. Recovery must
+// cold-restart the victim inside the 8-worker membership and restore the
+// pre-resize image into it.
+func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool, killRound uint32) []flash.Option {
 	t.Helper()
 	store, err := flash.NewFileCheckpointStore(filepath.Join(t.TempDir(), "ckpt.flash"))
 	if err != nil {
@@ -274,9 +328,9 @@ func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool) []flash.Opt
 		flash.WithMaxRecoveries(6),
 		flash.WithHeartbeatEvery(10 * time.Millisecond),
 		flash.WithDrainTimeout(200 * time.Millisecond),
-		flash.WithResizePolicy(flash.SchedulePolicy(map[int]int{2: 8, 4: 4})),
+		flash.WithResizePolicy(elasticSchedule),
 		flash.WithFaultPlan(flash.FaultPlan{
-			ResizeKills: []flash.ResizeKill{{Worker: 1, Phase: 0}},
+			Kills: []flash.WorkerKill{{Worker: 1, Round: killRound}},
 		}),
 	}
 	if tcp {
@@ -287,7 +341,7 @@ func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool) []flash.Opt
 
 // TestChaosElasticResizeWithMidMigrationKill is the elastic-membership
 // acceptance scenario on the full public stack: a run that scales w2→w8→w4
-// mid-flight, with the first migration hard-killed partway, must finish
+// mid-flight, with a worker hard-killed inside the first resize, must finish
 // byte-identical to a fault-free fixed-4-worker run on both transports.
 // Exact-arithmetic algorithms only: BFS/CC/SSSP reduce by min and k-truss by
 // set peeling, so results are invariant to membership; PageRank's float sum
@@ -310,84 +364,80 @@ func TestChaosElasticResizeWithMidMigrationKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inTruss := make(map[[2]graph.VID]bool, len(wantKT))
+	for _, e := range wantKT {
+		inTruss[e] = true
+	}
+	// Each run returns an error when its result differs from the fixed-w4 one.
+	runs := []struct {
+		name string
+		run  func(opts ...flash.Option) error
+	}{
+		{"bfs", func(opts ...flash.Option) error {
+			got, err := algo.BFS(g, 0, opts...)
+			if err == nil && !slices.Equal(got, wantDis) {
+				err = errors.New("distances differ from the fixed-w4 run")
+			}
+			return err
+		}},
+		{"cc", func(opts ...flash.Option) error {
+			got, err := algo.CC(g, opts...)
+			if err == nil && !slices.Equal(got, wantCC) {
+				err = errors.New("labels differ from the fixed-w4 run")
+			}
+			return err
+		}},
+		{"sssp", func(opts ...flash.Option) error {
+			got, err := algo.SSSP(g, 0, opts...)
+			if err == nil && !slices.Equal(got, wantSP) {
+				err = errors.New("distances differ from the fixed-w4 run")
+			}
+			return err
+		}},
+		// k-truss re-homes variable-length neighbor-list properties — the
+		// codec-heavy corner of a cross-width restore. The surviving edge set
+		// is unique, so compare as a set.
+		{"ktruss", func(opts ...flash.Option) error {
+			got, err := algo.KTruss(g, 3, opts...)
+			if err != nil {
+				return err
+			}
+			if len(got) != len(wantKT) {
+				return fmt.Errorf("%d edges, want %d", len(got), len(wantKT))
+			}
+			for _, e := range got {
+				if !inTruss[e] {
+					return fmt.Errorf("edge %v not in the fixed-w4 truss", e)
+				}
+			}
+			return nil
+		}},
+	}
 	for _, tcp := range []bool{false, true} {
 		name := "mem"
 		if tcp {
 			name = "tcp"
 		}
 		t.Run(name, func(t *testing.T) {
-			checkCol := func(what string, col *metrics.Collector) {
-				t.Helper()
+			for _, r := range runs {
+				col := metrics.New()
+				killRound := firstResyncRound(t, tcp, r.run)
+				if err := r.run(resizeChaosOpts(t, col, tcp, killRound)...); err != nil {
+					t.Fatalf("%s did not survive the elastic run: %v", r.name, err)
+				}
 				if col.Resizes != 2 {
-					t.Errorf("%s: %d resizes completed, want 2 (%v)", what, col.Resizes, col)
+					t.Errorf("%s: %d resizes completed, want 2 (%v)", r.name, col.Resizes, col)
 				}
 				if col.MigratedBytes == 0 {
-					t.Errorf("%s: no migration traffic recorded (%v)", what, col)
+					t.Errorf("%s: no re-homed master state recorded (%v)", r.name, col)
 				}
 				if col.Recoveries == 0 {
-					t.Errorf("%s: the mid-migration kill caused no recovery (%v)", what, col)
+					t.Errorf("%s: the kill inside the resize caused no recovery (%v)", r.name, col)
 				}
 				if col.Restarts == 0 {
-					t.Errorf("%s: the killed worker was never cold-restarted (%v)", what, col)
+					t.Errorf("%s: the killed worker was never cold-restarted (%v)", r.name, col)
 				}
 			}
-
-			colBFS := metrics.New()
-			gotDis, err := algo.BFS(g, 0, resizeChaosOpts(t, colBFS, tcp)...)
-			if err != nil {
-				t.Fatalf("bfs did not survive the elastic run: %v", err)
-			}
-			for v := range wantDis {
-				if gotDis[v] != wantDis[v] {
-					t.Fatalf("bfs dist[%d]=%d want %d", v, gotDis[v], wantDis[v])
-				}
-			}
-			checkCol("bfs", colBFS)
-
-			colCC := metrics.New()
-			gotCC, err := algo.CC(g, resizeChaosOpts(t, colCC, tcp)...)
-			if err != nil {
-				t.Fatalf("cc did not survive the elastic run: %v", err)
-			}
-			for v := range wantCC {
-				if gotCC[v] != wantCC[v] {
-					t.Fatalf("cc label[%d]=%d want %d", v, gotCC[v], wantCC[v])
-				}
-			}
-			checkCol("cc", colCC)
-
-			colSP := metrics.New()
-			gotSP, err := algo.SSSP(g, 0, resizeChaosOpts(t, colSP, tcp)...)
-			if err != nil {
-				t.Fatalf("sssp did not survive the elastic run: %v", err)
-			}
-			for v := range wantSP {
-				if gotSP[v] != wantSP[v] {
-					t.Fatalf("sssp dist[%d]=%v want %v", v, gotSP[v], wantSP[v])
-				}
-			}
-			checkCol("sssp", colSP)
-
-			// k-truss migrates variable-length neighbor-list properties
-			// between partitions — the codec-heavy corner of migration.
-			colKT := metrics.New()
-			gotKT, err := algo.KTruss(g, 3, resizeChaosOpts(t, colKT, tcp)...)
-			if err != nil {
-				t.Fatalf("ktruss did not survive the elastic run: %v", err)
-			}
-			if len(gotKT) != len(wantKT) {
-				t.Fatalf("ktruss: %d edges, want %d", len(gotKT), len(wantKT))
-			}
-			inTruss := make(map[[2]graph.VID]bool, len(wantKT))
-			for _, e := range wantKT {
-				inTruss[e] = true
-			}
-			for _, e := range gotKT {
-				if !inTruss[e] {
-					t.Fatalf("ktruss: edge %v not in fault-free truss", e)
-				}
-			}
-			checkCol("ktruss", colKT)
 		})
 	}
 }

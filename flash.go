@@ -159,18 +159,6 @@ type WorkerKill = comm.WorkerKill
 // exercising the receive-side frame-integrity path.
 type FrameCorrupt = comm.FrameCorrupt
 
-// ResizeKill scripts a permanent worker death inside the Phase-th migration
-// window of a membership resize, exercising mid-migration rollback.
-type ResizeKill = comm.ResizeKill
-
-// ResizeFrameCorrupt scripts a single-bit flip in a migration frame,
-// exercising the FLASHCKP container's CRC rejection during a resize.
-type ResizeFrameCorrupt = comm.ResizeFrameCorrupt
-
-// ResizeFrameDelay holds a worker's migration frames back to the end of the
-// migration round.
-type ResizeFrameDelay = comm.ResizeFrameDelay
-
 // CheckpointStore persists engine checkpoint images; see WithCheckpointStore.
 type CheckpointStore = core.CheckpointStore
 
@@ -304,9 +292,9 @@ type ResizePolicy = core.ResizePolicy
 
 // WithResizePolicy consults policy after every successful superstep and
 // resizes the engine at the barrier when it asks for a different worker
-// count. Combine with WithCheckpointEvery so a failed migration rolls back
-// to a durable image. The default transports support resize; a custom
-// WithTransport must implement comm.Resizer.
+// count. Combine with WithCheckpointEvery so a fault during the change is
+// recovered from a durable image. The default transports support resize; a
+// custom WithTransport must implement comm.Resizer.
 func WithResizePolicy(policy ResizePolicy) Option {
 	return func(c *core.Config) { c.ResizePolicy = policy }
 }
@@ -364,12 +352,13 @@ func (e *Engine[V]) Graph() *graph.Graph { return e.c.Graph() }
 // Workers returns the worker count.
 func (e *Engine[V]) Workers() int { return e.c.Workers() }
 
-// Resize changes the worker count to n at the current superstep barrier,
-// migrating master state between the old and new partitions and rebuilding
-// mirrors. Output is byte-identical to a run that used n workers throughout.
-// With checkpointing enabled the resize is crash-safe: a failure
-// mid-migration rolls back to the pre-resize image and retries under the
-// MaxRecoveries budget. VertexSubsets held across a resize remain valid.
+// Resize changes the worker count to n at the current superstep barrier: the
+// barrier's checkpoint image is restored into an n-worker membership, which
+// re-homes master state and rebuilds mirrors. Output is byte-identical to a
+// run that used n workers throughout. With checkpointing enabled the resize
+// is crash-safe: a failure after the membership swap is recovered from the
+// stored image into the new membership under the MaxRecoveries budget.
+// VertexSubsets held across a resize remain valid.
 func (e *Engine[V]) Resize(n int) error { return e.c.Resize(n) }
 
 // Metrics returns the runtime metrics collector.

@@ -137,12 +137,3 @@ type Reviver interface {
 type Resizer interface {
 	Resize(n int) error
 }
-
-// ResizePhaser is implemented by fault-injecting transports (the Faulty
-// wrapper): the engine brackets a resize's migration exchange with
-// ResizePhase(true)/ResizePhase(false), so resize-scoped faults (kills,
-// corrupt or delayed migration frames) fire exactly inside the window they
-// script. Each armed window advances the phase ordinal the scripts key on.
-type ResizePhaser interface {
-	ResizePhase(active bool)
-}

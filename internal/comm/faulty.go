@@ -55,17 +55,6 @@ type FaultPlan struct {
 	CorruptProb float64
 	// MaxCorrupts caps the probabilistic corruptions (0 = unlimited).
 	MaxCorrupts int
-	// ResizeKills hard-kills workers during a membership-resize migration
-	// phase (the engine brackets each migration exchange with ResizePhase),
-	// exercising mid-migration rollback to the pre-resize image.
-	ResizeKills []ResizeKill
-	// ResizeCorrupts flips one seeded bit in a migration frame, exercising
-	// the FLASHCKP container's CRC rejection on the receive side.
-	ResizeCorrupts []ResizeFrameCorrupt
-	// ResizeDelays holds a worker's migration frames back until its
-	// end-of-round marker, delivering them late (and reordered under
-	// Reorder) without violating the round boundary.
-	ResizeDelays []ResizeFrameDelay
 }
 
 // ConnDrop scripts a transient drop of the From→To direction starting at the
@@ -93,7 +82,8 @@ type WorkerCrash struct {
 // WorkerKill scripts the permanent death of worker Worker at its first
 // transport operation at or after round Round (rounds are counted on the
 // current incarnation: Reset restarts the counter, so a Kill scripted after
-// a recovery fires against the replayed rounds).
+// a recovery fires against the replayed rounds; a Resize does not, so the
+// sync round that follows a membership swap has the next round number).
 type WorkerKill struct {
 	Worker int
 	Round  uint32
@@ -104,30 +94,6 @@ type WorkerKill struct {
 type FrameCorrupt struct {
 	From, To int
 	Round    uint32
-}
-
-// ResizeKill scripts the permanent death of worker Worker at its first
-// transport operation (send, end-of-round or heartbeat) inside the Phase-th
-// migration window (0-indexed). Each ResizePhase(true) bracket counts as one
-// phase, so a resize retried after a rollback advances the ordinal — the
-// one-shot script does not re-fire against the retry.
-type ResizeKill struct {
-	Worker int
-	Phase  int
-}
-
-// ResizeFrameCorrupt scripts one single-bit flip in the next migration frame
-// sent From→To inside the Phase-th migration window.
-type ResizeFrameCorrupt struct {
-	From, To int
-	Phase    int
-}
-
-// ResizeFrameDelay holds every migration frame Worker sends inside the
-// Phase-th migration window back until its end-of-round marker.
-type ResizeFrameDelay struct {
-	Worker int
-	Phase  int
 }
 
 // FaultCounts reports how many faults a Faulty transport has injected.
@@ -151,7 +117,7 @@ type Faulty struct {
 
 	mu       sync.Mutex
 	rng      []*rand.Rand
-	round    []uint32      // per-sender round counter, mirrors inner's rounds
+	round    []uint32      // per-sender rounds since the last Reset
 	held     [][]heldFrame // per-sender frames delayed to EndRound
 	drops    []ConnDrop
 	stalls   []WorkerStall
@@ -160,15 +126,6 @@ type Faulty struct {
 	corrupts []FrameCorrupt
 	killed   []bool // permanent death flags; survive Reset, cleared by Revive
 	counts   FaultCounts
-
-	// Resize-scoped fault state: inResize is armed by ResizePhase and
-	// resizePhase counts the migration windows seen so far (-1 before the
-	// first), keying the one-shot resize scripts.
-	inResize       bool
-	resizePhase    int
-	resizeKills    []ResizeKill
-	resizeCorrupts []ResizeFrameCorrupt
-	resizeDelays   []ResizeFrameDelay
 }
 
 // heldFrame is a delayed frame awaiting delivery at its sender's EndRound.
@@ -201,10 +158,6 @@ func NewFaulty(inner Transport, plan FaultPlan) *Faulty {
 	f.kills = append([]WorkerKill(nil), plan.Kills...)
 	f.corrupts = append([]FrameCorrupt(nil), plan.Corrupts...)
 	f.killed = make([]bool, m)
-	f.resizePhase = -1
-	f.resizeKills = append([]ResizeKill(nil), plan.ResizeKills...)
-	f.resizeCorrupts = append([]ResizeFrameCorrupt(nil), plan.ResizeCorrupts...)
-	f.resizeDelays = append([]ResizeFrameDelay(nil), plan.ResizeDelays...)
 	return f
 }
 
@@ -240,29 +193,15 @@ func (f *Faulty) killLocked(from int, r uint32) error {
 	for i, k := range f.kills {
 		if k.Worker == from && r >= k.Round {
 			f.kills = append(f.kills[:i], f.kills[i+1:]...)
-			return f.fireKillLocked(from)
-		}
-	}
-	if f.inResize {
-		for i, k := range f.resizeKills {
-			if k.Worker == from && k.Phase == f.resizePhase {
-				f.resizeKills = append(f.resizeKills[:i], f.resizeKills[i+1:]...)
-				return f.fireKillLocked(from)
+			f.killed[from] = true
+			f.counts.Kills++
+			if ec, ok := f.inner.(EndpointCloser); ok {
+				ec.CloseEndpoint(from, &KillError{Worker: from})
 			}
+			return &KillError{Worker: from}
 		}
 	}
 	return nil
-}
-
-// fireKillLocked marks from permanently dead and tears its receive endpoint
-// down for real when the inner transport supports it.
-func (f *Faulty) fireKillLocked(from int) error {
-	f.killed[from] = true
-	f.counts.Kills++
-	if ec, ok := f.inner.(EndpointCloser); ok {
-		ec.CloseEndpoint(from, &KillError{Worker: from})
-	}
-	return &KillError{Worker: from}
 }
 
 // corruptLocked applies a scripted or probabilistic single-bit flip to data.
@@ -276,15 +215,6 @@ func (f *Faulty) corruptLocked(from, to int, r uint32, data []byte) {
 			f.corrupts = append(f.corrupts[:i], f.corrupts[i+1:]...)
 			hit = true
 			break
-		}
-	}
-	if !hit && f.inResize {
-		for i, c := range f.resizeCorrupts {
-			if c.From == from && c.To == to && c.Phase == f.resizePhase {
-				f.resizeCorrupts = append(f.resizeCorrupts[:i], f.resizeCorrupts[i+1:]...)
-				hit = true
-				break
-			}
 		}
 	}
 	if !hit && f.plan.CorruptProb > 0 &&
@@ -331,16 +261,6 @@ func (f *Faulty) Send(from, to int, data []byte) error {
 		return Transient(ErrConnDropped)
 	}
 	f.corruptLocked(from, to, r, data)
-	if f.inResize {
-		for _, d := range f.resizeDelays {
-			if d.Worker == from && d.Phase == f.resizePhase {
-				f.counts.Delays++
-				f.held[from] = append(f.held[from], heldFrame{to: to, data: data})
-				f.mu.Unlock()
-				return nil // delivered at EndRound
-			}
-		}
-	}
 	if p := f.plan.DelayProb; p > 0 && rng.Float64() < p {
 		f.counts.Delays++
 		f.held[from] = append(f.held[from], heldFrame{to: to, data: data})
@@ -418,27 +338,12 @@ func (f *Faulty) Revive(w int) {
 	f.mu.Unlock()
 }
 
-// ResizePhase brackets a membership-resize migration exchange. Arming a
-// window advances the phase ordinal the resize-scoped scripts key on, so a
-// retried resize runs under the next ordinal and a consumed one-shot fault
-// cannot re-fire against the retry.
-func (f *Faulty) ResizePhase(active bool) {
-	f.mu.Lock()
-	if active && !f.inResize {
-		f.resizePhase++
-	}
-	f.inResize = active
-	f.mu.Unlock()
-	if rp, ok := f.inner.(ResizePhaser); ok {
-		rp.ResizePhase(active)
-	}
-}
-
 // Resize grows or shrinks the wrapper's per-worker fault state alongside the
 // inner transport. Joining workers get fresh PRNGs seeded Seed+i, so fault
 // schedules stay deterministic across membership changes; surviving workers'
-// killed flags persist (only Revive clears a death) and round counters
-// restart at 0, mirroring the inner transport's fresh epoch.
+// killed flags persist (only Revive clears a death). The round counter runs on
+// — every worker stands at the same round at a barrier, and joiners adopt it
+// — so round-keyed scripts can address the rounds after a membership swap.
 func (f *Faulty) Resize(n int) error {
 	rz, ok := f.inner.(Resizer)
 	if !ok {
@@ -456,7 +361,11 @@ func (f *Faulty) Resize(n int) error {
 		}
 	}
 	f.rng, f.killed = rng, killed
-	f.round = make([]uint32, n)
+	round := make([]uint32, n)
+	for i := range round {
+		round[i] = f.round[0]
+	}
+	f.round = round
 	f.held = make([][]heldFrame, n)
 	f.mu.Unlock()
 	return rz.Resize(n)

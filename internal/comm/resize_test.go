@@ -76,97 +76,25 @@ func TestMemResizeClearsAbortPoison(t *testing.T) {
 	runRounds(t, tr, 3, 1)
 }
 
-// TestFaultyResizeKillFiresOnlyInItsPhase: a ResizeKill must stay dormant
-// outside migration windows, fire exactly once inside its scripted phase,
-// and stay consumed for the retry phase.
-func TestFaultyResizeKillFiresOnlyInItsPhase(t *testing.T) {
-	tr := NewFaulty(NewMem(3), FaultPlan{ResizeKills: []ResizeKill{{Worker: 1, Phase: 0}}})
+// TestFaultyResizeKeepsRoundCounter: the fault round counter runs on across
+// Resize (joiners adopt the barrier's round), so a round-keyed kill addresses
+// the round that follows a membership swap — for a survivor and a joiner.
+func TestFaultyResizeKeepsRoundCounter(t *testing.T) {
+	tr := NewFaulty(NewMem(2), FaultPlan{Kills: []WorkerKill{{Worker: 1, Round: 3}, {Worker: 2, Round: 3}}})
 	defer tr.Close()
-	// Outside any migration window the kill is dormant.
-	if err := tr.Send(1, 0, []byte("x")); err != nil {
-		t.Fatalf("send outside resize window: %v", err)
+	runRounds(t, tr, 2, 2)
+	if err := tr.Resize(3); err != nil {
+		t.Fatal(err)
 	}
-	tr.ResizePhase(true) // phase 0 arms
+	runRounds(t, tr, 3, 1) // round 2: both kills still dormant
 	var ke *KillError
-	if err := tr.Send(1, 0, []byte("x")); !errors.As(err, &ke) || ke.Worker != 1 {
-		t.Fatalf("send in phase 0: err=%v, want KillError{Worker: 1}", err)
-	}
-	// Dead stays dead within the window.
-	if err := tr.EndRound(1); !errors.As(err, &ke) {
-		t.Fatalf("endround after kill: %v", err)
-	}
-	tr.ResizePhase(false)
-	tr.Revive(1)
-	tr.Reset()
-	tr.ResizePhase(true) // phase 1: script consumed, retry must run clean
-	if err := tr.Send(1, 0, []byte("x")); err != nil {
-		t.Fatalf("send in retry phase: %v", err)
-	}
-	tr.ResizePhase(false)
-	if c := tr.Counts(); c.Kills != 1 {
-		t.Fatalf("kills=%d want 1", c.Kills)
-	}
-}
-
-// TestFaultyResizeCorruptFlipsMigrationFrame: the scripted flip must hit a
-// frame sent inside the migration window and leave later phases clean.
-func TestFaultyResizeCorruptFlipsMigrationFrame(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{Seed: 11, ResizeCorrupts: []ResizeFrameCorrupt{{From: 0, To: 1, Phase: 0}}})
-	defer tr.Close()
-	orig := []byte{0xAA, 0xBB, 0xCC, 0xDD}
-	tr.ResizePhase(true)
-	payload := append([]byte(nil), orig...)
-	if err := tr.Send(0, 1, payload); err != nil {
-		t.Fatal(err)
-	}
-	tr.ResizePhase(false)
-	tr.EndRound(0)
-	tr.EndRound(1)
-	var got []byte
-	tr.Drain(1, func(from int, data []byte) { got = append([]byte(nil), data...) })
-	tr.Drain(0, func(int, []byte) {})
-	diff := 0
-	for i := range orig {
-		if got[i] != orig[i] {
-			diff++
+	for _, w := range []int{1, 2} {
+		if err := tr.EndRound(w); !errors.As(err, &ke) || ke.Worker != w {
+			t.Fatalf("worker %d in round 3: err=%v, want KillError", w, err)
 		}
 	}
-	if diff != 1 {
-		t.Fatalf("corrupt frame differs in %d bytes, want exactly 1 (got=%x orig=%x)", diff, got, orig)
-	}
-	if c := tr.Counts(); c.Corrupts != 1 {
-		t.Fatalf("corrupts=%d want 1", c.Corrupts)
-	}
-}
-
-// TestFaultyResizeDelayHoldsUntilEndRound: delayed migration frames must
-// still arrive within the round (flushed before the end-of-round marker).
-func TestFaultyResizeDelayHoldsUntilEndRound(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{ResizeDelays: []ResizeFrameDelay{{Worker: 0, Phase: 0}}})
-	defer tr.Close()
-	tr.ResizePhase(true)
-	for i := 0; i < 3; i++ {
-		if err := tr.Send(0, 1, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.EndRound(0); err != nil {
-		t.Fatal(err)
-	}
-	tr.ResizePhase(false)
-	if err := tr.EndRound(1); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[byte]bool{}
-	if err := tr.Drain(1, func(from int, data []byte) { seen[data[0]] = true }); err != nil {
-		t.Fatal(err)
-	}
-	tr.Drain(0, func(int, []byte) {})
-	if len(seen) != 3 {
-		t.Fatalf("got %d distinct frames, want 3", len(seen))
-	}
-	if c := tr.Counts(); c.Delays != 3 {
-		t.Fatalf("delays=%d want 3", c.Delays)
+	if c := tr.Counts(); c.Kills != 2 {
+		t.Fatalf("kills=%d want 2", c.Kills)
 	}
 }
 

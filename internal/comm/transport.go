@@ -424,19 +424,22 @@ func (t *Mem) Resize(n int) error {
 	t.marks = make([][]bool, n)
 	alive := make([]atomic.Int64, n)
 	hbOn := make([]atomic.Bool, n)
+	// Heartbeat arming carries over (like Reset), to joiners too: an engine
+	// heartbeats for all of its workers or none, so once any old member has
+	// announced liveness, a member of the new set that falls silent must be
+	// classifiable as dead even if it dies before its first heartbeat of the
+	// new epoch.
+	armed := false
+	for i := 0; i < old; i++ {
+		armed = armed || t.hbOn[i].Load()
+	}
 	for i := range t.boxes {
 		t.boxes[i] = newMailbox()
 		t.marks[i] = make([]bool, n)
 		// Fresh liveness slate: every member of the new set gets a full
 		// timeout window before it can be declared dead.
 		alive[i].Store(now)
-		// Heartbeat arming carries over for surviving workers (like Reset):
-		// a worker that announced liveness in the old epoch and then falls
-		// silent in the new one must still be classifiable as dead, even if
-		// it dies before its first heartbeat of the new epoch.
-		if i < old {
-			hbOn[i].Store(t.hbOn[i].Load())
-		}
+		hbOn[i].Store(armed)
 	}
 	t.alive = alive
 	t.hbOn = hbOn

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"time"
 
+	"flash/graph"
 	"flash/metrics"
 )
 
@@ -55,9 +56,10 @@ type RunResult struct {
 	Restarts        uint64
 	CheckpointBytes uint64
 	RecoveryTime    time.Duration
-	// Resizes counts completed membership changes, MigratedBytes the master
-	// state shipped between partitions during their migration rounds, and
-	// ResizeTime the wall time the run spent paused at resize barriers.
+	// Resizes counts completed membership changes, MigratedBytes the encoded
+	// master state re-homed by restores of an image taken at another worker
+	// count, and ResizeTime the wall time the run spent paused at resize
+	// barriers.
 	Resizes       uint64
 	MigratedBytes uint64
 	ResizeTime    time.Duration
@@ -177,21 +179,11 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 	}
 	e.met.Step(frontier)
 	out := e.newSubset()
-	err := exec(out)
-	for err != nil {
-		if !e.canRecover(err) {
+	if err := exec(out); err != nil {
+		if out, err = e.recoverStep(err, exec); err != nil {
 			e.failed = err
 			panic(runtimeFailure{err})
 		}
-		e.recoveries++
-		e.met.AddRecoveries(1)
-		rstart := time.Now()
-		if victim, lost := killedWorker(err); lost {
-			e.coldRestart(victim)
-		}
-		out = e.newSubset()
-		err = e.rollbackReplay(exec, out)
-		e.met.AddRecoveryTime(time.Since(rstart))
 	}
 	out.recount()
 	if ckptOn {
@@ -223,6 +215,32 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 		}
 	}
 	return out
+}
+
+// recoverStep absorbs a failed round whose cause is err: while the failure is
+// recoverable it cold-restarts any permanently lost worker, rolls back to the
+// stored checkpoint, replays the logged supersteps and re-executes exec,
+// whose output subset it returns. The error that exhausts the budget (or was
+// never recoverable) comes back unchanged. Resize shares it with execStep: a
+// fault after a membership swap is a failed round like any other.
+func (e *Engine[V]) recoverStep(err error, exec replayStep[V]) (*Subset, error) {
+	for {
+		if !e.canRecover(err) {
+			return nil, err
+		}
+		e.recoveries++
+		e.met.AddRecoveries(1)
+		rstart := time.Now()
+		if victim, lost := killedWorker(err); lost {
+			e.coldRestart(victim)
+		}
+		out := e.newSubset()
+		err = e.rollbackReplay(exec, out)
+		e.met.AddRecoveryTime(time.Since(rstart))
+		if err == nil {
+			return out, nil
+		}
+	}
 }
 
 // canRecover reports whether err is worth a rollback: checkpointing must be
@@ -274,9 +292,11 @@ func (e *Engine[V]) rollbackReplay(failed replayStep[V], out *Subset) error {
 //	fwords   uvarint
 //	frontier fwords × u64 little-endian
 //
-// The counts are validated against the live worker on restore, so an image
-// taken under a different partitioning or graph is rejected instead of
-// silently misapplied.
+// Masters sit at slots [0, LocalCount) in local-index order and mirrors
+// follow, so an image can be read without the partition it was taken under:
+// its section count is its width, and placement is a pure function of
+// (|V|, width, flavor). The counts are validated on restore, so an image
+// taken over a different graph is rejected instead of silently misapplied.
 
 // encodeWorkerSection serializes worker w's checkpointable state.
 func (e *Engine[V]) encodeWorkerSection(w *worker[V]) []byte {
@@ -293,51 +313,108 @@ func (e *Engine[V]) encodeWorkerSection(w *worker[V]) []byte {
 	return buf
 }
 
-// decodeWorkerSection rehydrates worker w from an encoded section, fully
-// validating counts before touching live state.
-func (e *Engine[V]) decodeWorkerSection(w *worker[V], sect []byte) error {
-	slots, k := binary.Uvarint(sect)
-	if k <= 0 || slots != uint64(len(w.cur)) {
-		return fmt.Errorf("core: checkpoint section for worker %d has %d slots, want %d",
-			w.id, slots, len(w.cur))
+// walkSection parses worker wid's encoded section: the slot count must lie in
+// [minSlots, maxSlots], slot(i, src) decodes slot i from the head of src and
+// reports its encoded size, and the frontier tail must hold exactly fwords
+// words, which are returned still encoded.
+func (e *Engine[V]) walkSection(wid int, sect []byte, minSlots, maxSlots, fwords int, slot func(i int, src []byte) (int, error)) ([]byte, error) {
+	slots, off := binary.Uvarint(sect)
+	if off <= 0 || slots < uint64(minSlots) || slots > uint64(maxSlots) {
+		return nil, fmt.Errorf("core: checkpoint section for worker %d has %d slots, want %d..%d",
+			wid, slots, minSlots, maxSlots)
 	}
-	off := k
-	for i := range w.cur {
-		n, err := e.codec.Decode(sect[off:], &w.cur[i])
+	for i := 0; i < int(slots); i++ {
+		n, err := slot(i, sect[off:])
 		if err != nil {
-			return fmt.Errorf("core: checkpoint section for worker %d: slot %d: %w", w.id, i, err)
+			return nil, fmt.Errorf("core: checkpoint section for worker %d: slot %d: %w", wid, i, err)
 		}
 		off += n
 	}
-	fwords, k := binary.Uvarint(sect[off:])
+	got, k := binary.Uvarint(sect[off:])
 	if k <= 0 {
-		return fmt.Errorf("core: checkpoint section for worker %d: frontier length missing", w.id)
+		return nil, fmt.Errorf("core: checkpoint section for worker %d: frontier length missing", wid)
 	}
 	off += k
+	if got != uint64(fwords) || len(sect[off:]) != 8*fwords {
+		return nil, fmt.Errorf("core: checkpoint section for worker %d has %d frontier words, want %d",
+			wid, got, fwords)
+	}
+	return sect[off:], nil
+}
+
+// decodeWorkerSection rehydrates worker w from a section encoded by a worker
+// of the same membership: every slot and the frontier, with the counts
+// validated before live state is touched.
+func (e *Engine[V]) decodeWorkerSection(w *worker[V], sect []byte) error {
 	words := w.frontier.Words()
-	if fwords != uint64(len(words)) || len(sect[off:]) != 8*len(words) {
-		return fmt.Errorf("core: checkpoint section for worker %d has %d frontier words, want %d",
-			w.id, fwords, len(words))
+	tail, err := e.walkSection(w.id, sect, len(w.cur), len(w.cur), len(words),
+		func(i int, src []byte) (int, error) { return e.codec.Decode(src, &w.cur[i]) })
+	if err != nil {
+		return err
 	}
 	scratch := make([]uint64, len(words))
 	for i := range scratch {
-		scratch[i] = binary.LittleEndian.Uint64(sect[off+8*i:])
+		scratch[i] = binary.LittleEndian.Uint64(tail[8*i:])
 	}
 	w.frontier.SetWords(scratch)
 	return nil
 }
 
-// takeCheckpoint encodes every worker's cur array and frontier bitmap into a
-// CheckpointImage, saves it to the store, snapshots the driver hook state,
-// and truncates the replay log: everything before the snapshot can never be
-// replayed again.
-func (e *Engine[V]) takeCheckpoint() error {
-	e.ckptSeq++
-	img := &CheckpointImage{Seq: e.ckptSeq, Sections: make([][]byte, len(e.workers))}
-	var total uint64
+// decodeMasters reads an image taken at another worker count into one value
+// per vertex, indexed by gid: section p's first LocalCount(p) slots are the
+// masters the image's own placement assigned to p. Mirror slots are decoded
+// only to find the section's end (they are derivable), and the frontier is
+// per-superstep scratch that EdgeMap rebuilds. The whole image is validated
+// before anything is returned, so a bad one touches no live worker state.
+// The second result is the encoded size of the master values.
+func (e *Engine[V]) decodeMasters(img *CheckpointImage) ([]V, uint64, error) {
+	n, width := e.g.NumVertices(), len(img.Sections)
+	if width == 0 {
+		return nil, 0, fmt.Errorf("core: checkpoint image has no sections")
+	}
+	old := newPlacement(e.cfg.UseHashPlacement, n, width)
+	fwords := len(e.workers[0].frontier.Words())
+	masters := make([]V, n)
+	var mirror V
+	var rehomed uint64
+	for p, sect := range img.Sections {
+		owned := old.LocalCount(p)
+		_, err := e.walkSection(p, sect, owned, n, fwords, func(i int, src []byte) (int, error) {
+			if i >= owned {
+				return e.codec.Decode(src, &mirror)
+			}
+			k, err := e.codec.Decode(src, &masters[old.GlobalID(p, i)])
+			rehomed += uint64(k)
+			return k, err
+		})
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: image of width %d: %w", width, err)
+		}
+	}
+	return masters, rehomed, nil
+}
+
+// encodeImage snapshots every worker's cur array and frontier bitmap.
+func (e *Engine[V]) encodeImage() *CheckpointImage {
+	img := &CheckpointImage{Sections: make([][]byte, len(e.workers))}
 	for i, w := range e.workers {
 		img.Sections[i] = e.encodeWorkerSection(w)
-		total += uint64(len(img.Sections[i]))
+	}
+	return img
+}
+
+// takeCheckpoint snapshots the engine into the store.
+func (e *Engine[V]) takeCheckpoint() error { return e.saveCheckpoint(e.encodeImage()) }
+
+// saveCheckpoint stamps img with the next sequence number, saves it to the
+// store, snapshots the driver hook state, and truncates the replay log:
+// everything before the snapshot can never be replayed again.
+func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
+	e.ckptSeq++
+	img.Seq = e.ckptSeq
+	var total uint64
+	for _, sect := range img.Sections {
+		total += uint64(len(sect))
 	}
 	if err := e.store.Save(img); err != nil {
 		return fmt.Errorf("core: checkpoint %d: %w", e.ckptSeq, err)
@@ -354,11 +431,9 @@ func (e *Engine[V]) takeCheckpoint() error {
 	return nil
 }
 
-// restoreCheckpoint loads the stored image, rehydrates every worker from its
-// section, and clears per-superstep scratch state so replay starts from a
-// barrier-clean slate. Restore is all-or-nothing per worker section: a
-// mismatched or corrupt section fails before live state for later workers is
-// touched, and the store itself already rejects torn or bit-flipped files.
+// restoreCheckpoint loads the stored image, restores it into the current
+// membership, and rewinds the driver hook state. The store itself already
+// rejects torn or bit-flipped files.
 func (e *Engine[V]) restoreCheckpoint() error {
 	img, err := e.store.Load()
 	if err != nil {
@@ -367,14 +442,42 @@ func (e *Engine[V]) restoreCheckpoint() error {
 	if img == nil {
 		return fmt.Errorf("core: checkpoint restore: store has no image")
 	}
-	if len(img.Sections) != len(e.workers) {
-		return fmt.Errorf("core: checkpoint image has %d sections, want %d",
-			len(img.Sections), len(e.workers))
+	if err := e.restoreImage(img); err != nil {
+		return err
 	}
-	for i, w := range e.workers {
-		if err := e.decodeWorkerSection(w, img.Sections[i]); err != nil {
+	if e.ckptHasDrv && e.ckptRestore != nil {
+		e.ckptRestore(e.ckptDrv)
+	}
+	return nil
+}
+
+// restoreImage rehydrates every worker from img and clears per-superstep
+// scratch state so execution resumes from a barrier-clean slate. An image as
+// wide as the current membership is decoded section by section (all-or-
+// nothing per worker: a mismatched or corrupt section fails before live state
+// for later workers is touched). An image taken at any other width — which is
+// all a resize is — has its masters re-homed through the current placement
+// and the mirrors rebuilt by one sync round.
+func (e *Engine[V]) restoreImage(img *CheckpointImage) error {
+	sameWidth := len(img.Sections) == len(e.workers)
+	if sameWidth {
+		for i, w := range e.workers {
+			if err := e.decodeWorkerSection(w, img.Sections[i]); err != nil {
+				return err
+			}
+		}
+	} else {
+		masters, rehomed, err := e.decodeMasters(img)
+		if err != nil {
 			return err
 		}
+		for i := range masters {
+			gid := graph.VID(i)
+			e.workers[e.place.Owner(gid)].cur[e.place.LocalIndex(gid)] = masters[i]
+		}
+		e.met.AddMigratedBytes(rehomed)
+	}
+	for _, w := range e.workers {
 		w.nextSet.Reset()
 		for t := range w.acc {
 			if w.acc[t].set != nil {
@@ -384,8 +487,8 @@ func (e *Engine[V]) restoreCheckpoint() error {
 		w.pendSet.Reset()
 		w.discardEnc() // unshipped frames back to the pool, delta bases reset
 	}
-	if e.ckptHasDrv && e.ckptRestore != nil {
-		e.ckptRestore(e.ckptDrv)
+	if sameWidth {
+		return nil
 	}
-	return nil
+	return e.resyncMirrors()
 }

@@ -121,7 +121,7 @@ type Config struct {
 	// ResizePolicy, when non-nil, is consulted after every successful
 	// superstep; returning a worker count different from the current one
 	// triggers an automatic Engine.Resize at the barrier. Requires a transport
-	// that implements comm.Resizer and checkpointing for crash-safe migration.
+	// that implements comm.Resizer; checkpointing makes the change crash-safe.
 	ResizePolicy ResizePolicy
 	// Shared, when non-nil, supplies the immutable half of the engine — the
 	// graph and a cached read-only partition — so concurrent engines over one
@@ -338,8 +338,8 @@ type Engine[V any] struct {
 	// and memberEpoch indexes the current one. Subsets are stamped with the
 	// epoch they were built under; checkSubset lazily remaps a stale subset's
 	// bits through the recorded placement into the current one, so driver-held
-	// handles survive a resize. The history only grows (a rollback re-installs
-	// the old placement under a fresh epoch), so a stamp is always resolvable.
+	// handles survive a resize. The history only grows, so a stamp is always
+	// resolvable.
 	placeHist   []partition.Placement
 	memberEpoch int
 
@@ -487,19 +487,13 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 		part = cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement)
 		partShared = true
 	} else {
-		var place partition.Placement
-		if cfg.UseHashPlacement {
-			place = partition.NewHash(g.NumVertices(), cfg.Workers)
-		} else {
-			place = partition.NewRange(g.NumVertices(), cfg.Workers)
-		}
 		var topo partition.Adjacency = g
 		if cfg.BlockGraph != nil {
 			// Mirror discovery streams the block file through the sequential
 			// MRU instead of touching the (absent) in-memory adjacency.
 			topo = cfg.BlockGraph
 		}
-		part = partition.New(topo, place)
+		part = partition.New(topo, newPlacement(cfg.UseHashPlacement, g.NumVertices(), cfg.Workers))
 	}
 	place := part.Place
 	e := &Engine[V]{
@@ -533,19 +527,12 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 }
 
 // newWorker allocates worker wi's state from the current partition. It is
-// used both at construction and by coldRestart, where the victim's partition
-// entry has just been rebuilt: everything a worker holds must be derivable
-// from the graph, the placement, and (via restoreCheckpoint) the stored
-// image.
+// used at construction, by coldRestart, where the victim's partition entry
+// has just been rebuilt, and by Resize after the membership swap: everything
+// a worker holds must be derivable from the graph, the placement, and (via
+// restoreImage) the stored image.
 func (e *Engine[V]) newWorker(wi int) *worker[V] {
-	return e.newWorkerAt(wi, e.part, e.place, e.cfg.Workers)
-}
-
-// newWorkerAt is newWorker against an explicit membership (partition,
-// placement, worker count), which may not be installed in the engine yet:
-// Resize builds the new membership's workers side by side with the old ones
-// so a failed migration can simply discard them.
-func (e *Engine[V]) newWorkerAt(wi int, part *partition.Partitioned, place partition.Placement, workers int) *worker[V] {
+	part, place, workers := e.part, e.place, e.cfg.Workers
 	cfg, n := e.cfg, e.g.NumVertices()
 	st := part.Parts[wi].Slots
 	if cfg.FullMirrors {
@@ -674,12 +661,7 @@ func (e *Engine[V]) Close() error {
 	}
 	e.opMu.Unlock()
 	e.stopHeartbeaters()
-	for _, w := range e.workers {
-		if w.pool != nil {
-			w.pool.stop()
-			w.pool = nil
-		}
-	}
+	stopPools(e.workers)
 	if e.cfg.RunStats != nil {
 		// Ops have drained and pools are stopped, so the cumulative counters
 		// and StateBytes are a stable final snapshot of this engine's work.

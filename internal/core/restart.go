@@ -83,21 +83,12 @@ func (e *Engine[V]) restartBackoff() time.Duration {
 // startHeartbeaters launches one background heartbeater per worker when
 // HeartbeatEvery is configured.
 func (e *Engine[V]) startHeartbeaters() {
-	e.startHeartbeatersN(len(e.workers))
-}
-
-// startHeartbeatersN launches heartbeaters for workers [0, n). Resize uses an
-// explicit n because migration runs with the transport grown to
-// max(old, new) workers while e.workers still holds the old membership —
-// every endpoint that participates in a round must announce liveness, or the
-// drain deadline would misclassify a joining worker as dead.
-func (e *Engine[V]) startHeartbeatersN(n int) {
 	if e.cfg.HeartbeatEvery <= 0 {
 		return
 	}
-	e.hbStop = make([]chan struct{}, n)
-	e.hbDone = make([]chan struct{}, n)
-	for w := 0; w < n; w++ {
+	e.hbStop = make([]chan struct{}, len(e.workers))
+	e.hbDone = make([]chan struct{}, len(e.workers))
+	for w := range e.workers {
 		if e.resident >= 0 && w != e.resident {
 			continue // cluster shell: the owning process heartbeats for it
 		}

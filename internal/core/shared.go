@@ -16,10 +16,10 @@
 // mutable (cur/next/pendVal/accumulator shards/checkpoints) stays per-engine.
 //
 // Mutation discipline: a shared partition is read-only to every borrower.
-// The only writes the runtime ever performs on a Partitioned are
-// Rebuild calls during cold restart and resize rollback; engines with a
-// borrowed partition fork it first (copy-on-write, see privatizePart), so
-// one job's recovery can never race another job's reads.
+// The only writes the runtime ever performs on a Partitioned are Rebuild
+// calls during cold restart; engines with a borrowed partition fork it first
+// (copy-on-write, see privatizePart), so one job's recovery can never race
+// another job's reads.
 package core
 
 import (
@@ -78,17 +78,11 @@ func (s *SharedGraph) Partition(workers int, hashPlacement bool) *partition.Part
 	if p, ok := s.parts[key]; ok {
 		return p
 	}
-	var place partition.Placement
-	if hashPlacement {
-		place = partition.NewHash(s.g.NumVertices(), workers)
-	} else {
-		place = partition.NewRange(s.g.NumVertices(), workers)
-	}
 	var topo partition.Adjacency = s.g
 	if s.bg != nil {
 		topo = s.bg
 	}
-	p := partition.New(topo, place)
+	p := partition.New(topo, newPlacement(hashPlacement, s.g.NumVertices(), workers))
 	s.parts[key] = p
 	return p
 }
@@ -101,8 +95,8 @@ func (s *SharedGraph) Partitions() int {
 }
 
 // privatizePart forks a catalog-shared partition into an engine-private copy
-// before the engine's first in-place mutation (Rebuild during cold restart or
-// resize rollback). The fork is shallow — the surviving workers' *Part
+// before the engine's first in-place mutation (Rebuild during cold restart).
+// The fork is shallow — the surviving workers' *Part
 // entries stay shared — but replacing the rebuilt entry no longer reaches
 // other engines borrowing the same partition. No-op for engines that built
 // their partition privately.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"flash"
+	"flash/internal/comm"
 )
 
 // Golden service equivalence: every algorithm served by flashd must return
@@ -201,5 +203,32 @@ func TestServiceEquivalenceHTTP(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEveryRegistryAlgoReturnsErrorOnUnrecoveredFault: a job whose engine
+// loses a worker with no checkpointing to absorb it must end as a failed job
+// with an error — for every name the registry serves, not only the
+// cluster-safe four — never as a panic that takes the daemon down.
+func TestEveryRegistryAlgoReturnsErrorOnUnrecoveredFault(t *testing.T) {
+	g, err := BuildGraph(GraphSpec{Name: "wer", Gen: "er", N: 48, M: 180, Seed: 5, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := uint64(0)
+	for _, name := range Algos() {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			_, err := RunAlgo(name, g, JobParams{Root: &root}, flash.WithWorkers(2),
+				flash.WithFaultPlan(flash.FaultPlan{Crashes: []flash.WorkerCrash{{Worker: 1, Round: 1}}}))
+			var crash *comm.CrashError
+			if !errors.As(err, &crash) {
+				t.Fatalf("err=%v, want the unrecovered worker crash", err)
+			}
+		})
 	}
 }

@@ -67,10 +67,10 @@ type Collector struct {
 	CheckpointBytes uint64
 	RecoveryTime    time.Duration
 	// Elasticity counters: Resizes counts completed membership changes,
-	// MigratedBytes the master-state payload shipped between partitions during
-	// migration rounds, and ResizeTime the wall time runs spent paused at
-	// resize barriers (quiesce through resume, including failed attempts that
-	// rolled back).
+	// MigratedBytes the encoded master state that restores of an image taken
+	// at another worker count re-homed, and ResizeTime the wall time runs
+	// spent paused at resize barriers (image through resume, including any
+	// recovery inside the resize).
 	Resizes       uint64
 	MigratedBytes uint64
 	ResizeTime    time.Duration
@@ -169,7 +169,8 @@ func (col *Collector) AddResizes(n uint64) {
 	col.mu.Unlock()
 }
 
-// AddMigratedBytes records n bytes of master state shipped during migration.
+// AddMigratedBytes records n bytes of master state re-homed by a cross-width
+// restore.
 func (col *Collector) AddMigratedBytes(n uint64) {
 	col.mu.Lock()
 	col.MigratedBytes += n
