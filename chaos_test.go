@@ -264,8 +264,7 @@ var elasticSchedule = flash.SchedulePolicy(map[int]int{2: 8, 4: 4})
 
 // roundClock counts worker 0's completed exchange rounds on the transport it
 // wraps — every worker completes the same rounds, so this is the run's round
-// clock — and forwards Resize, the one optional capability an elastic run
-// needs of its transport.
+// clock.
 type roundClock struct {
 	comm.Transport
 	rounds atomic.Uint32
@@ -278,12 +277,11 @@ func (c *roundClock) EndRound(from int) error {
 	return c.Transport.EndRound(from)
 }
 
-func (c *roundClock) Resize(n int) error { return c.Transport.(comm.Resizer).Resize(n) }
-
-// firstResyncRound runs the elastic scenario fault-free and returns the number
-// of rounds completed when the first resize begins. The fault transport's
-// round counter runs on across a resize, so that is the round number of the
-// mirror resync the restore into the 8-worker membership performs.
+// firstResyncRound runs the elastic scenario fault-free and returns the round
+// address of the mirror resync the restore into the 8-worker membership
+// performs. The fault transport's addresses run on across a resize,
+// restarting one past the rounds completed when it begins, so a fault keyed
+// here can only land after the membership swap.
 func firstResyncRound(t *testing.T, tcp bool, run func(opts ...flash.Option) error) uint32 {
 	t.Helper()
 	var inner comm.Transport = comm.NewMem(2)
@@ -298,7 +296,7 @@ func firstResyncRound(t *testing.T, tcp bool, run func(opts ...flash.Option) err
 	err := run(flash.WithWorkers(2), flash.WithTransport(clock),
 		flash.WithResizePolicy(func(s flash.StepInfo) int {
 			if s.Superstep == 2 {
-				round = clock.rounds.Load()
+				round = clock.rounds.Load() + 1
 			}
 			return elasticSchedule(s)
 		}))
@@ -312,7 +310,7 @@ func firstResyncRound(t *testing.T, tcp bool, run func(opts ...flash.Option) err
 // engine scheduled to grow to 8 workers after superstep 2 and shrink to 4
 // after superstep 4, with worker 1 hard-killed in round killRound — the
 // resync round of the first resize, after the membership swap. Recovery must
-// cold-restart the victim inside the 8-worker membership and restore the
+// start a fresh incarnation of the 8-worker membership and restore the
 // pre-resize image into it.
 func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool, killRound uint32) []flash.Option {
 	t.Helper()

@@ -47,25 +47,6 @@ func (d *DSU) Union(a, b VID) bool {
 	return true
 }
 
-// Snapshot returns a deep copy of the DSU state, shaped for
-// Engine.OnCheckpoint: register d.Snapshot/d.Restore so checkpoint recovery
-// rewinds driver-side union-find state together with engine state.
-func (d *DSU) Snapshot() any {
-	return &DSU{
-		parent: append([]int32(nil), d.parent...),
-		rank:   append([]int8(nil), d.rank...),
-		sets:   d.sets,
-	}
-}
-
-// Restore overwrites d with a state previously returned by Snapshot.
-func (d *DSU) Restore(s any) {
-	snap := s.(*DSU)
-	copy(d.parent, snap.parent)
-	copy(d.rank, snap.rank)
-	d.sets = snap.sets
-}
-
 // Same reports whether a and b are in the same set.
 func (d *DSU) Same(a, b VID) bool { return d.Find(a) == d.Find(b) }
 

@@ -293,8 +293,8 @@ type ResizePolicy = core.ResizePolicy
 // WithResizePolicy consults policy after every successful superstep and
 // resizes the engine at the barrier when it asks for a different worker
 // count. Combine with WithCheckpointEvery so a fault during the change is
-// recovered from a durable image. The default transports support resize; a
-// custom WithTransport must implement comm.Resizer.
+// recovered from a durable image. Every transport supports it: Resize is part
+// of the transport interface.
 func WithResizePolicy(policy ResizePolicy) Option {
 	return func(c *core.Config) { c.ResizePolicy = policy }
 }
@@ -395,11 +395,3 @@ func (e *Engine[V]) Run(program func() error) (RunResult, error) { return e.c.Ru
 // Err returns the first unrecovered superstep failure, or nil. Once failed,
 // the engine refuses further supersteps.
 func (e *Engine[V]) Err() error { return e.c.Err() }
-
-// OnCheckpoint registers hooks for driver-side state (e.g. a DSU) that must
-// be rewound together with engine state on checkpoint recovery: save is
-// called at each checkpoint, and its value is handed back to restore on
-// rollback.
-func (e *Engine[V]) OnCheckpoint(save func() any, restore func(any)) {
-	e.c.OnCheckpoint(save, restore)
-}

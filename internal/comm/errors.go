@@ -103,9 +103,9 @@ func (e *CrashError) Error() string {
 // KillError is returned to a hard-killed worker's own transport calls: after
 // a KillWorker fault fires, the victim is permanently dead — its mailbox is
 // poisoned and every Send/EndRound/Drain/Heartbeat it attempts fails with
-// this error until the transport is Revived. Unlike CrashError it models a
-// process loss, not a transient hiccup: the worker's in-memory state is gone
-// and only a cold restart from a durable checkpoint brings it back.
+// this error until the next Resize. Unlike CrashError it models a process
+// loss, not a transient hiccup: the worker's in-memory state is gone and only
+// a fresh incarnation restored from a stored checkpoint brings it back.
 type KillError struct{ Worker int }
 
 func (e *KillError) Error() string {
@@ -114,26 +114,8 @@ func (e *KillError) Error() string {
 
 // EndpointCloser is implemented by transports that can tear down one
 // worker's receive endpoint for real (hard-kill support): pending and future
-// receives on that worker fail with err until the next Reset re-registers
-// the mailbox.
+// receives on that worker fail with err until the next Resize replaces the
+// mailbox.
 type EndpointCloser interface {
 	CloseEndpoint(w int, err error)
-}
-
-// Reviver is implemented by transports (the Faulty wrapper) that can clear a
-// worker's killed state so a cold-restarted incarnation may use the
-// transport again.
-type Reviver interface {
-	Revive(w int)
-}
-
-// Resizer is implemented by transports that support planned membership
-// changes. Resize reconfigures the transport for n workers under a fresh
-// membership epoch: queues, stashes, round counters and any abort poison are
-// reset, and endpoints are created or retired to match the new count. The
-// caller must have quiesced every worker first (no transport call in
-// flight); stale frames of the old membership that surface later are
-// discarded by Drain's epoch check.
-type Resizer interface {
-	Resize(n int) error
 }

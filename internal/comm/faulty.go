@@ -1,8 +1,8 @@
 package comm
 
 import (
-	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -43,9 +43,9 @@ type FaultPlan struct {
 	// Kills hard-kills a worker at its first transport operation (Send,
 	// EndRound or Heartbeat) at or after the given round: its receive
 	// endpoint is closed for real and every transport call it makes fails
-	// with KillError until Revive. Unlike Crashes, the death is permanent —
-	// the engine must detect the loss through the liveness layer and
-	// cold-restart the worker from a durable checkpoint.
+	// with KillError for the rest of the incarnation. Unlike Crashes, the
+	// death outlasts the round: the engine must detect the loss through the
+	// liveness layer and start a fresh incarnation (Resize) from a checkpoint.
 	Kills []WorkerKill
 	// Corrupts scripts single-bit payload flips (seeded position) on the
 	// given edge, exercising the receive-side integrity/decode hardening.
@@ -80,10 +80,9 @@ type WorkerCrash struct {
 }
 
 // WorkerKill scripts the permanent death of worker Worker at its first
-// transport operation at or after round Round (rounds are counted on the
-// current incarnation: Reset restarts the counter, so a Kill scripted after
-// a recovery fires against the replayed rounds; a Resize does not, so the
-// sync round that follows a membership swap has the next round number).
+// transport operation at or after round Round. Rounds are numbered across
+// incarnations (see Faulty.Resize), so a Kill scripted for a round after a
+// recovery or a membership swap fires at that absolute round.
 type WorkerKill struct {
 	Worker int
 	Round  uint32
@@ -117,14 +116,14 @@ type Faulty struct {
 
 	mu       sync.Mutex
 	rng      []*rand.Rand
-	round    []uint32      // per-sender rounds since the last Reset
+	round    []uint32      // per-sender round address; runs on across Resize
 	held     [][]heldFrame // per-sender frames delayed to EndRound
 	drops    []ConnDrop
 	stalls   []WorkerStall
 	crashes  []WorkerCrash
 	kills    []WorkerKill
 	corrupts []FrameCorrupt
-	killed   []bool // permanent death flags; survive Reset, cleared by Revive
+	killed   []bool // death flags of this incarnation; cleared by Resize
 	counts   FaultCounts
 }
 
@@ -329,61 +328,42 @@ func (f *Faulty) Heartbeat(from int) error {
 	return f.inner.Heartbeat(from)
 }
 
-// Revive clears worker w's killed flag so a cold-restarted incarnation can
-// use the transport again (the poisoned mailbox is cleared by the Reset that
-// follows restart).
-func (f *Faulty) Revive(w int) {
-	f.mu.Lock()
-	f.killed[w] = false
-	f.mu.Unlock()
-}
-
-// Resize grows or shrinks the wrapper's per-worker fault state alongside the
-// inner transport. Joining workers get fresh PRNGs seeded Seed+i, so fault
-// schedules stay deterministic across membership changes; surviving workers'
-// killed flags persist (only Revive clears a death). The round counter runs on
-// — every worker stands at the same round at a barrier, and joiners adopt it
-// — so round-keyed scripts can address the rounds after a membership swap.
+// Resize starts the wrapper's next incarnation alongside the inner
+// transport's: killed flags are cleared (a dead worker comes back), held
+// frames are dropped, and joining workers get fresh PRNGs seeded Seed+i so
+// fault schedules stay deterministic across membership changes. Scripted
+// events stay consumed and surviving PRNGs keep their state: a replay must
+// not re-fire the fault that triggered it.
+//
+// Round addresses run on, one rule for every incarnation: all workers restart
+// one past the lowest counter. The lowest counter is the round the old
+// incarnation stopped in — the worker that failed a round never completes it,
+// while peers may or may not have moved on before the abort reached them —
+// so the next address is deterministic and no round of a run is addressed
+// twice. (At a barrier all counters are equal and one address goes unused.)
 func (f *Faulty) Resize(n int) error {
-	rz, ok := f.inner.(Resizer)
-	if !ok {
-		return fmt.Errorf("comm: wrapped transport %T does not support resize", f.inner)
-	}
 	f.mu.Lock()
-	old := len(f.rng)
+	next := slices.Min(f.round) + 1
 	rng := make([]*rand.Rand, n)
-	killed := make([]bool, n)
-	for i := 0; i < n; i++ {
-		if i < old {
-			rng[i], killed[i] = f.rng[i], f.killed[i]
+	for i := range rng {
+		if i < len(f.rng) {
+			rng[i] = f.rng[i]
 		} else {
 			rng[i] = rand.New(rand.NewSource(f.plan.Seed + int64(i)))
 		}
 	}
-	f.rng, f.killed = rng, killed
-	round := make([]uint32, n)
-	for i := range round {
-		round[i] = f.round[0]
+	f.rng = rng
+	f.killed = make([]bool, n)
+	f.round = make([]uint32, n)
+	for i := range f.round {
+		f.round[i] = next
 	}
-	f.round = round
 	f.held = make([][]heldFrame, n)
 	f.mu.Unlock()
-	return rz.Resize(n)
+	return f.inner.Resize(n)
 }
 
 func (f *Faulty) Abort(err error) { f.inner.Abort(err) }
-
-func (f *Faulty) Reset() {
-	f.mu.Lock()
-	for i := range f.round {
-		f.round[i] = 0
-		f.held[i] = nil
-	}
-	// Scripted events stay consumed and PRNG state advances monotonically:
-	// a post-recovery replay must not re-fire the fault that triggered it.
-	f.mu.Unlock()
-	f.inner.Reset()
-}
 
 func (f *Faulty) SetDrainTimeout(d time.Duration) { f.inner.SetDrainTimeout(d) }
 

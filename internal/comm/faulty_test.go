@@ -61,7 +61,7 @@ func TestFaultySendFailIsTransient(t *testing.T) {
 	}
 }
 
-func TestFaultyDropIsOneShotAcrossReset(t *testing.T) {
+func TestFaultyDropIsOneShotAcrossResize(t *testing.T) {
 	tr := NewFaulty(NewMem(2), FaultPlan{Drops: []ConnDrop{{From: 0, To: 1, Round: 0, Count: 2}}})
 	for i := 0; i < 2; i++ {
 		err := tr.Send(0, 1, []byte("x"))
@@ -72,10 +72,12 @@ func TestFaultyDropIsOneShotAcrossReset(t *testing.T) {
 	if err := tr.Send(0, 1, []byte("x")); err != nil {
 		t.Fatalf("send after drop budget: %v", err)
 	}
-	// A recovery replay (Reset) must not re-arm consumed drops.
-	tr.Reset()
+	// A recovery's fresh incarnation must not re-arm consumed drops.
+	if err := tr.Resize(2); err != nil {
+		t.Fatal(err)
+	}
 	if err := tr.Send(0, 1, []byte("x")); err != nil {
-		t.Fatalf("send after reset: %v", err)
+		t.Fatalf("send after resize: %v", err)
 	}
 	if c := tr.Counts(); c.Drops != 2 {
 		t.Fatalf("drops=%d want 2", c.Drops)

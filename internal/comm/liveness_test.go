@@ -80,12 +80,14 @@ func TestMemNoHeartbeatKeepsStalled(t *testing.T) {
 }
 
 // TestMemEpochDiscardsStaleFrames verifies membership epochs: a frame sent
-// under a pre-Reset incarnation that surfaces afterwards is silently dropped
+// under an earlier incarnation that surfaces afterwards is silently dropped
 // by Drain instead of being delivered into the replayed round.
 func TestMemEpochDiscardsStaleFrames(t *testing.T) {
 	tr := NewMem(2)
 	defer tr.Close()
-	tr.Reset() // epoch 0 -> 1
+	if err := tr.Resize(2); err != nil { // epoch 0 -> 1
+		t.Fatal(err)
+	}
 	// A zombie frame from epoch 0 surfaces late (e.g. a killed worker's
 	// buffered send).
 	tr.boxes[1].push(frame{from: 0, round: 0, epoch: 0, data: []byte("stale")})
@@ -158,27 +160,11 @@ func TestFaultyKillWorker(t *testing.T) {
 	if err := f.Send(0, 1, []byte("y")); err != nil {
 		t.Fatalf("survivor send: %v", err)
 	}
-	// Cold restart: revive the victim and reset the transport.
-	f.Revive(1)
-	f.Reset()
+	// A fresh incarnation at the same width brings the victim back.
+	if err := f.Resize(2); err != nil {
+		t.Fatal(err)
+	}
 	runRounds(t, f, 2, 2)
-}
-
-// TestFaultyKillPersistsAcrossReset verifies that, unlike every transient
-// fault, a death survives Reset: only an explicit Revive brings the worker
-// back, so checkpoint replay alone cannot resurrect a dead worker.
-func TestFaultyKillPersistsAcrossReset(t *testing.T) {
-	inner := NewMem(2)
-	f := NewFaulty(inner, FaultPlan{Kills: []WorkerKill{{Worker: 0, Round: 0}}})
-	defer f.Close()
-	var ke *KillError
-	if err := f.EndRound(0); !errors.As(err, &ke) {
-		t.Fatalf("endround: err=%v, want KillError", err)
-	}
-	f.Reset()
-	if err := f.EndRound(0); !errors.As(err, &ke) {
-		t.Fatalf("endround after Reset: err=%v, want KillError (death must persist)", err)
-	}
 }
 
 // TestFaultyCorruptFrame verifies the scripted corrupt-frame mode: the

@@ -3,7 +3,6 @@ package comm
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 // TestMemResizeExchange grows and shrinks a Mem transport and verifies the
@@ -77,20 +76,21 @@ func TestMemResizeClearsAbortPoison(t *testing.T) {
 }
 
 // TestFaultyResizeKeepsRoundCounter: the fault round counter runs on across
-// Resize (joiners adopt the barrier's round), so a round-keyed kill addresses
-// the round that follows a membership swap — for a survivor and a joiner.
+// Resize (joiners adopt it), so a round-keyed kill addresses a round after a
+// membership swap — for a survivor and a joiner. Two rounds ran, so the swap
+// restarts everyone at address 3 (one past the lowest counter).
 func TestFaultyResizeKeepsRoundCounter(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{Kills: []WorkerKill{{Worker: 1, Round: 3}, {Worker: 2, Round: 3}}})
+	tr := NewFaulty(NewMem(2), FaultPlan{Kills: []WorkerKill{{Worker: 1, Round: 4}, {Worker: 2, Round: 4}}})
 	defer tr.Close()
 	runRounds(t, tr, 2, 2)
 	if err := tr.Resize(3); err != nil {
 		t.Fatal(err)
 	}
-	runRounds(t, tr, 3, 1) // round 2: both kills still dormant
+	runRounds(t, tr, 3, 1) // round 3: both kills still dormant
 	var ke *KillError
 	for _, w := range []int{1, 2} {
 		if err := tr.EndRound(w); !errors.As(err, &ke) || ke.Worker != w {
-			t.Fatalf("worker %d in round 3: err=%v, want KillError", w, err)
+			t.Fatalf("worker %d in round 4: err=%v, want KillError", w, err)
 		}
 	}
 	if c := tr.Counts(); c.Kills != 2 {
@@ -98,50 +98,48 @@ func TestFaultyResizeKeepsRoundCounter(t *testing.T) {
 	}
 }
 
-// TestFaultyResizeGrowsFaultState: after Faulty.Resize the wrapper's
-// per-worker state covers the new members and survivors keep their flags.
-func TestFaultyResizeGrowsFaultState(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{Kills: []WorkerKill{{Worker: 1, Round: 0}}})
+// TestFaultyResizeSameWidthIsAFreshIncarnation pins what recovery relies on
+// when it resizes to the width it already has: a death is cleared, one-shot
+// faults stay consumed, and round addresses run on — the failed round's
+// address is retired, and a fault scripted for a later round fires at that
+// absolute round of the new incarnation.
+func TestFaultyResizeSameWidthIsAFreshIncarnation(t *testing.T) {
+	tr := NewFaulty(NewMem(2), FaultPlan{
+		Drops:   []ConnDrop{{From: 0, To: 1, Round: 0}},
+		Crashes: []WorkerCrash{{Worker: 0, Round: 1}, {Worker: 0, Round: 4}},
+		Kills:   []WorkerKill{{Worker: 1, Round: 1}},
+	})
 	defer tr.Close()
-	var ke *KillError
-	if err := tr.Send(1, 0, []byte("x")); !errors.As(err, &ke) {
-		t.Fatalf("scripted kill did not fire: %v", err)
+	if err := tr.Send(0, 1, []byte("x")); !errors.Is(err, ErrConnDropped) {
+		t.Fatalf("scripted drop: err=%v", err)
 	}
-	if err := tr.Resize(4); err != nil {
+	runRounds(t, tr, 2, 1) // round 0
+	// Round 1 fails: worker 0 crashes in it and worker 1 dies in it. Worker 1
+	// never completes the round; its counter stays at 1 whatever worker 0 did.
+	var ce *CrashError
+	var ke *KillError
+	if err := tr.EndRound(0); !errors.As(err, &ce) {
+		t.Fatalf("scripted crash: err=%v", err)
+	}
+	if err := tr.EndRound(1); !errors.As(err, &ke) {
+		t.Fatalf("scripted kill: err=%v", err)
+	}
+	if err := tr.Drain(1, func(int, []byte) {}); !errors.As(err, &ke) {
+		t.Fatalf("drain on dead endpoint: err=%v, want KillError", err)
+	}
+
+	if err := tr.Resize(2); err != nil {
 		t.Fatal(err)
 	}
-	// Worker 1's death survives the resize; new workers are alive.
-	if err := tr.Send(1, 0, []byte("x")); !errors.As(err, &ke) {
-		t.Fatalf("killed flag lost across resize: %v", err)
+	// The dead worker is back and nothing consumed re-fires: rounds 2 and 3
+	// (the replay) run clean, drop edge included.
+	runRounds(t, tr, 2, 2)
+	if c := tr.Counts(); c.Drops != 1 || c.Crashes != 1 || c.Kills != 1 {
+		t.Fatalf("after replay: %+v, want one drop, one crash, one kill", c)
 	}
-	if err := tr.Send(3, 2, []byte("x")); err != nil {
-		t.Fatalf("new worker send: %v", err)
-	}
-	tr.Revive(1)
-	tr.Reset()
-	runRounds(t, tr, 4, 1)
-}
-
-// TestFaultyResizeUnsupportedInner: a wrapped transport without Resize
-// support must surface a terminal error, not panic.
-func TestFaultyResizeUnsupportedInner(t *testing.T) {
-	tr := NewFaulty(fixedTransport{NewMem(2)}, FaultPlan{})
-	if err := tr.Resize(3); err == nil {
-		t.Fatal("Resize over non-Resizer inner succeeded")
+	// The crash scripted for round 4 fires in round 4 — the third round of
+	// this incarnation, the fifth address of the run — not before.
+	if err := tr.EndRound(0); !errors.As(err, &ce) {
+		t.Fatalf("round 4: err=%v, want the second scripted crash", err)
 	}
 }
-
-// fixedTransport hides Mem's Resize method, modeling a transport that cannot
-// change membership.
-type fixedTransport struct{ m *Mem }
-
-func (f fixedTransport) Workers() int                                 { return f.m.Workers() }
-func (f fixedTransport) Send(from, to int, data []byte) error         { return f.m.Send(from, to, data) }
-func (f fixedTransport) EndRound(from int) error                      { return f.m.EndRound(from) }
-func (f fixedTransport) Drain(to int, h func(int, []byte)) error      { return f.m.Drain(to, h) }
-func (f fixedTransport) Heartbeat(from int) error                     { return f.m.Heartbeat(from) }
-func (f fixedTransport) Abort(err error)                              { f.m.Abort(err) }
-func (f fixedTransport) Reset()                                       { f.m.Reset() }
-func (f fixedTransport) SetDrainTimeout(d time.Duration)              { f.m.SetDrainTimeout(d) }
-func (f fixedTransport) Stats() Stats                                 { return f.m.Stats() }
-func (f fixedTransport) Close() error                                 { return f.m.Close() }

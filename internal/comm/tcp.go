@@ -135,8 +135,8 @@ type TCP struct {
 	dial atomic.Pointer[dialFunc]
 
 	// helloEpoch is stamped into outgoing hellos and required of incoming
-	// ones. It tracks the hub's membership epoch: Reset and Resize advance
-	// it, and a cluster endpoint pins it to the coordinator-assigned epoch,
+	// ones. It tracks the hub's membership epoch: Resize advances it, and a
+	// cluster endpoint pins it to the coordinator-assigned epoch,
 	// so sockets from a previous incarnation are rejected at handshake.
 	helloEpoch atomic.Uint32
 
@@ -260,7 +260,7 @@ func (t *TCP) SetDial(d func(network, addr string) (net.Conn, error)) {
 }
 
 // hello builds the handshake frame identifying worker me at the current
-// epoch. Built at write time, not cached: Reset bumps the epoch mid-run and
+// epoch. Built at write time, not cached: Resize bumps the epoch mid-run and
 // reconnects must carry the live value.
 func (t *TCP) hello(me int) []byte {
 	return EncodeHello(me, t.helloEpoch.Load())
@@ -628,22 +628,13 @@ func (t *TCP) Drain(to int, h func(from int, data []byte)) error { return t.hub.
 
 func (t *TCP) Abort(err error) { t.hub.Abort(err) }
 
-// Reset restores the shared hub state (queues, stashes, rounds, abort) and
-// advances the handshake epoch alongside the hub's frame epoch, so sockets
-// redialed after the reset identify under the new incarnation. It is only
-// safe when no frames are in flight on the wire, which holds after a
-// superstep has fully aborted: every worker has stopped sending and the
-// buffered writers were flushed or their sockets replaced.
-func (t *TCP) Reset() {
-	t.hub.Reset()
-	t.helloEpoch.Store(t.hub.epoch.Load())
-}
-
 // Resize tears the current mesh down and rebuilds a full loopback mesh for n
 // workers under a fresh membership epoch: joining workers get listeners and
 // sockets, departing workers' endpoints are retired with their connections.
-// The caller must have quiesced every worker (no send, drain or heartbeat in
-// flight). Cumulative stats survive the rebuild.
+// At an unchanged width the rebuild is what guarantees a recovered run a
+// clean wire: whatever a failed round left buffered or half-written dies with
+// its socket. The caller must have quiesced every worker (no send, drain or
+// heartbeat in flight).
 func (t *TCP) Resize(n int) error {
 	if t.closed.Load() {
 		return net.ErrClosed

@@ -241,15 +241,17 @@ func TestAbortUnblocksDrain(t *testing.T) {
 	}
 }
 
-// TestMemResetAfterAbort verifies Reset restores a poisoned transport to a
-// working pristine state (the recovery path depends on this).
-func TestMemResetAfterAbort(t *testing.T) {
+// TestMemResizeAfterAbort verifies a same-width Resize restores a poisoned
+// transport to a working pristine state (the recovery path depends on this).
+func TestMemResizeAfterAbort(t *testing.T) {
 	tr := NewMem(2)
 	tr.Send(0, 1, []byte("stale"))
 	tr.Abort(errors.New("boom"))
 	if err := tr.Send(0, 1, []byte("x")); err == nil {
 		t.Fatal("send succeeded on aborted transport")
 	}
-	tr.Reset()
+	if err := tr.Resize(2); err != nil {
+		t.Fatal(err)
+	}
 	runRounds(t, tr, 2, 2)
 }

@@ -23,8 +23,9 @@ import (
 // Failure surface: Send, EndRound and Drain return an error instead of
 // panicking. Errors wrapped in TransientError are worth retrying with
 // backoff; everything else aborts the round. Abort unblocks every worker
-// stuck in a transport call; Reset restores the transport to a pristine
-// between-rounds state so a recovered run can replay from a checkpoint.
+// stuck in a transport call; Resize starts a fresh incarnation — at the same
+// worker count so a recovered run can replay from a checkpoint, or at another
+// one for a membership change.
 //
 // Liveness: Heartbeat is an out-of-band control signal ("worker `from` is
 // alive right now") that never counts toward a round. Once a worker has
@@ -35,7 +36,7 @@ import (
 // with a WorkerError wrapping ErrPeerDead naming it.
 //
 // Epochs: every frame is tagged with the transport's membership epoch, and
-// Reset bumps it. Frames from a pre-Reset incarnation that surface later
+// Resize bumps it. Frames from an earlier incarnation that surface later
 // (wire buffers, a killed worker's stale sends) are silently discarded by
 // Drain instead of corrupting the replayed rounds.
 type Transport interface {
@@ -60,13 +61,16 @@ type Transport interface {
 	// concurrent use with the same worker's Send/EndRound/Drain.
 	Heartbeat(from int) error
 	// Abort poisons the transport with err: every blocked or future
-	// Send/EndRound/Drain returns it until Reset. Safe to call from any
+	// Send/EndRound/Drain returns it until Resize. Safe to call from any
 	// goroutine, repeatedly (the first error wins).
 	Abort(err error)
-	// Reset clears all queued frames, stashes, round counters and any abort
-	// error, returning the transport to its initial round state. The caller
-	// must guarantee no worker is inside a transport call.
-	Reset()
+	// Resize starts a fresh incarnation at n workers; n may equal Workers().
+	// It opens a new membership epoch and clears queued frames, stashes, round
+	// counters, any abort error and the liveness clocks, creating or retiring
+	// endpoints to match n. The caller must guarantee no worker is inside a
+	// transport call; frames of the old incarnation that surface later are
+	// discarded by Drain's epoch check. Cumulative Stats survive.
+	Resize(n int) error
 	// SetDrainTimeout bounds how long one Drain waits for the *next* frame
 	// before failing with ErrPeerStalled (0 = wait forever).
 	SetDrainTimeout(d time.Duration)
@@ -129,19 +133,6 @@ func (m *mailbox) poison(err error) {
 	m.wake()
 }
 
-// reset clears the queue and the poison error.
-func (m *mailbox) reset() {
-	m.mu.Lock()
-	m.queue = nil
-	m.err = nil
-	m.mu.Unlock()
-	// Drop a stale wakeup so a future pop doesn't spin once for nothing.
-	select {
-	case <-m.sig:
-	default:
-	}
-}
-
 // pop dequeues the next frame, waiting up to timeout for one to arrive
 // (timeout 0 waits forever). Poisoning takes precedence over queued frames.
 func (m *mailbox) pop(timeout time.Duration) (frame, error) {
@@ -192,7 +183,7 @@ type Mem struct {
 	bytes  atomic.Uint64
 
 	timeout atomic.Int64  // drain stall timeout in nanoseconds; 0 = forever
-	epoch   atomic.Uint32 // membership epoch; bumped by Reset
+	epoch   atomic.Uint32 // membership epoch; bumped by Resize
 
 	// Liveness: alive[w] is the UnixNano of w's last heartbeat; hbOn[w]
 	// arms dead-vs-stalled classification for w once it has heartbeat at
@@ -303,7 +294,7 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 	}
 
 	// First serve stashed frames from earlier overruns. Frames from a stale
-	// epoch (a pre-Reset incarnation) are discarded, payloads recycled.
+	// epoch (an earlier incarnation) are discarded, payloads recycled.
 	if st := t.stash[to]; len(st) > 0 {
 		keep := st[:0]
 		for _, f := range st {
@@ -354,7 +345,7 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 }
 
 // CloseEndpoint hard-closes worker w's receive endpoint: pending and future
-// receives fail with err until Reset re-registers the mailbox. This is the
+// receives fail with err until Resize replaces the mailbox. This is the
 // mem-transport analog of a dead process's sockets going away.
 func (t *Mem) CloseEndpoint(w int, err error) {
 	t.boxes[w].poison(err)
@@ -377,31 +368,9 @@ func (t *Mem) Abort(err error) {
 	t.abortMu.Unlock()
 }
 
-func (t *Mem) Reset() {
-	t.abortMu.Lock()
-	t.abortErr = nil
-	t.abortMu.Unlock()
-	// New membership epoch: any frame of the old incarnation that surfaces
-	// after this point is discarded by Drain.
-	t.epoch.Add(1)
-	now := time.Now().UnixNano()
-	for i, b := range t.boxes {
-		b.reset()
-		t.rounds[i].Store(0)
-		t.recvRd[i] = 0
-		t.stash[i] = nil
-		// Fresh liveness slate: a just-revived worker gets a full timeout
-		// window before it can be declared dead again.
-		t.alive[i].Store(now)
-	}
-}
-
-// Resize reconfigures the transport for n workers: a fresh membership epoch,
-// fresh mailboxes, stashes and round counters sized for the new worker set,
-// and a clean abort/liveness slate. The caller must guarantee no worker is
-// inside a transport call (quiesced at a barrier); any in-flight frame of the
-// old membership that surfaces later is discarded by Drain's epoch check.
-// Cumulative Stats counters survive.
+// Resize starts the incarnation of n workers: a fresh membership epoch,
+// fresh mailboxes (a hard-closed endpoint comes back), stashes and round
+// counters sized for the worker set, and a clean abort/liveness slate.
 func (t *Mem) Resize(n int) error {
 	if n < 1 {
 		return fmt.Errorf("comm: resize to %d workers", n)
@@ -424,11 +393,10 @@ func (t *Mem) Resize(n int) error {
 	t.marks = make([][]bool, n)
 	alive := make([]atomic.Int64, n)
 	hbOn := make([]atomic.Bool, n)
-	// Heartbeat arming carries over (like Reset), to joiners too: an engine
-	// heartbeats for all of its workers or none, so once any old member has
-	// announced liveness, a member of the new set that falls silent must be
-	// classifiable as dead even if it dies before its first heartbeat of the
-	// new epoch.
+	// Heartbeat arming carries over, to joiners too: an engine heartbeats
+	// for all of its workers or none, so once any old member has announced
+	// liveness, a member of the new set that falls silent must be classifiable
+	// as dead even if it dies before its first heartbeat of the new epoch.
 	armed := false
 	for i := 0; i < old; i++ {
 		armed = armed || t.hbOn[i].Load()

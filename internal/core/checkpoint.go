@@ -7,18 +7,17 @@
 // snapshot is encoded into a CheckpointImage and handed to the configured
 // CheckpointStore (in-memory by default, file-backed for durability), so the
 // bytes that survive are independent of any worker's live state. When a
-// superstep fails (transport error, stalled peer, injected worker crash),
-// the engine rolls back to the last stored checkpoint, replays the
-// supersteps since then (FLASH steps are deterministic functions of engine
-// state, so replay reproduces the exact pre-failure state and the exact
-// subsets the driver already holds), and re-executes the failed superstep.
-// A *permanent* worker loss (comm.KillError from the chaos transport, or a
-// peer declared dead by the liveness layer) additionally triggers a cold
-// restart: the victim's partition state is rebuilt from the graph, its
-// transport endpoint revived, and its state rehydrated from the stored
-// image before replay. Scripted faults are one-shot, and real-world
-// transients are by definition unlikely to repeat, so replay normally
-// succeeds; a recovery budget stops a persistent fault from looping forever.
+// superstep fails — transport error, stalled peer, injected crash, or a
+// worker lost for good (comm.KillError, or a peer the liveness layer declares
+// dead) — recovery is one sequence, the one a resize runs at another width:
+// swap in a fresh incarnation of every worker at the current width
+// (swapMembership), restore the stored image into it, replay the supersteps
+// since then (FLASH steps are deterministic functions of engine state, so
+// replay reproduces the exact pre-failure state and the exact subsets the
+// driver already holds), and re-execute the failed superstep. Scripted faults
+// are one-shot, and real-world transients are by definition unlikely to
+// repeat, so replay normally succeeds; a recovery budget stops a persistent
+// fault from looping forever.
 package core
 
 import (
@@ -41,40 +40,10 @@ type runtimeFailure struct{ err error }
 
 func (r runtimeFailure) Error() string { return r.err.Error() }
 
-// RunResult summarizes a completed (or failed) run. Counters are cumulative
-// for the engine's collector.
-type RunResult struct {
-	Supersteps  int
-	Checkpoints uint64
-	Recoveries  uint64
-	Retries     uint64
-	Reconnects  uint64
-	// Restarts counts cold worker restarts after permanent worker losses,
-	// CheckpointBytes the encoded snapshot payload written to the store, and
-	// RecoveryTime the wall time spent inside recovery (rollback, replay,
-	// restart).
-	Restarts        uint64
-	CheckpointBytes uint64
-	RecoveryTime    time.Duration
-	// Resizes counts completed membership changes, MigratedBytes the encoded
-	// master state re-homed by restores of an image taken at another worker
-	// count, and ResizeTime the wall time the run spent paused at resize
-	// barriers.
-	Resizes       uint64
-	MigratedBytes uint64
-	ResizeTime    time.Duration
-	// Out-of-core block backend counters (zero without a BlockGraph):
-	// cache hits/misses/evictions, encoded bytes read from disk split by the
-	// scheduling mode of the superstep that read them, and how many EdgeMap
-	// supersteps ran in each mode.
-	BlockHits        uint64
-	BlockMisses      uint64
-	BlockEvictions   uint64
-	BlockBytesDense  uint64
-	BlockBytesSparse uint64
-	BlockStepsDense  uint64
-	BlockStepsSparse uint64
-}
+// RunResult summarizes a completed (or failed) run: the collector's counters,
+// cumulative for the engine, with the transport's own reconnects folded into
+// Reconnects.
+type RunResult = metrics.Counters
 
 // Run executes a FLASH driver program with the engine's fault-tolerance
 // machinery engaged: a superstep that fails beyond what retry and
@@ -107,39 +76,9 @@ func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
 
 // runResult snapshots the run counters from the collector and transport.
 func (e *Engine[V]) runResult() RunResult {
-	stats := e.tr.Stats()
-	return RunResult{
-		Supersteps:       e.met.Supersteps,
-		Checkpoints:      e.met.Checkpoints,
-		Recoveries:       e.met.Recoveries,
-		Retries:          e.met.Retries,
-		Reconnects:       e.met.Reconnects + stats.Reconnects,
-		Restarts:         e.met.Restarts,
-		CheckpointBytes:  e.met.CheckpointBytes,
-		RecoveryTime:     e.met.RecoveryTime,
-		Resizes:          e.met.Resizes,
-		MigratedBytes:    e.met.MigratedBytes,
-		ResizeTime:       e.met.ResizeTime,
-		BlockHits:        e.met.BlockHits,
-		BlockMisses:      e.met.BlockMisses,
-		BlockEvictions:   e.met.BlockEvictions,
-		BlockBytesDense:  e.met.BlockBytesDense,
-		BlockBytesSparse: e.met.BlockBytesSparse,
-		BlockStepsDense:  e.met.BlockStepsDense,
-		BlockStepsSparse: e.met.BlockStepsSparse,
-	}
-}
-
-// OnCheckpoint registers driver-side state hooks: save is called when a
-// checkpoint is taken and its value is handed back to restore on rollback.
-// Algorithms that keep state outside the engine between supersteps (the
-// paper's driver-side DSU in BCC/MSF, iteration-scoped accumulators, ...)
-// register here so recovery rewinds that state too. Driver state lives next
-// to the store image in driver memory — the driver process is the one
-// component whose loss the engine cannot survive anyway.
-func (e *Engine[V]) OnCheckpoint(save func() any, restore func(any)) {
-	e.ckptSave = save
-	e.ckptRestore = restore
+	res := e.met.Counters
+	res.Reconnects += e.tr.Stats().Reconnects
+	return res
 }
 
 // Err returns the first unrecovered superstep failure, or nil.
@@ -147,11 +86,10 @@ func (e *Engine[V]) Err() error { return e.failed }
 
 // execStep runs one superstep with failure handling. exec must be a
 // deterministic function of engine state that fills out and performs this
-// worker-parallel superstep's exchange rounds. On failure the engine rolls
-// back to the last checkpoint — cold-restarting any permanently lost worker
-// first — replays the logged supersteps and re-executes exec, up to the
-// recovery budget; an unrecovered error marks the engine failed and unwinds
-// to Run.
+// worker-parallel superstep's exchange rounds. On failure the engine swaps in
+// a fresh incarnation, restores the last checkpoint, replays the logged
+// supersteps and re-executes exec, up to the recovery budget; an unrecovered
+// error marks the engine failed and unwinds to Run.
 //
 //flash:amortized once per superstep, not per element
 func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
@@ -217,30 +155,42 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 	return out
 }
 
-// recoverStep absorbs a failed round whose cause is err: while the failure is
-// recoverable it cold-restarts any permanently lost worker, rolls back to the
-// stored checkpoint, replays the logged supersteps and re-executes exec,
-// whose output subset it returns. The error that exhausts the budget (or was
-// never recoverable) comes back unchanged. Resize shares it with execStep: a
-// fault after a membership swap is a failed round like any other.
+// recoverStep absorbs a failed round whose cause is err. While the failure is
+// recoverable it starts a fresh incarnation at the current width, restores the
+// stored checkpoint into it, replays the logged supersteps for their state
+// effects and re-executes exec, whose output subset it returns. A transient
+// fault and a lost worker take the same path; the loss only counts as a
+// restart and backs off, so a worker that keeps dying does not hot-loop. The
+// error that exhausts the budget (or was never recoverable) comes back
+// unchanged. Resize shares it with execStep: a fault after a membership swap
+// is a failed round like any other.
 func (e *Engine[V]) recoverStep(err error, exec replayStep[V]) (*Subset, error) {
-	for {
-		if !e.canRecover(err) {
-			return nil, err
-		}
+	for e.canRecover(err) {
 		e.recoveries++
 		e.met.AddRecoveries(1)
-		rstart := time.Now()
-		if victim, lost := killedWorker(err); lost {
-			e.coldRestart(victim)
+		start := time.Now()
+		if _, lost := killedWorker(err); lost {
+			time.Sleep(e.restartBackoff())
+			e.met.AddRestarts(1)
 		}
 		out := e.newSubset()
-		err = e.rollbackReplay(exec, out)
-		e.met.AddRecoveryTime(time.Since(rstart))
+		if err = e.swapMembership(e.cfg.Workers); err == nil {
+			err = e.restoreCheckpoint()
+		}
+		for i := 0; err == nil && i < len(e.replayLog); i++ {
+			err = e.replayLog[i](e.newSubset())
+		}
+		if err == nil {
+			err = exec(out)
+		}
+		spent := time.Since(start)
+		e.met.Add(metrics.Other, spent)
+		e.met.AddRecoveryTime(spent)
 		if err == nil {
 			return out, nil
 		}
 	}
+	return nil, err
 }
 
 // canRecover reports whether err is worth a rollback: checkpointing must be
@@ -262,27 +212,6 @@ func (e *Engine[V]) canRecover(err error) bool {
 		return false
 	}
 	return e.cfg.CheckpointEvery > 0 && e.hasCkpt && e.recoveries < e.cfg.MaxRecoveries
-}
-
-// rollbackReplay restores the last stored checkpoint, replays the supersteps
-// logged since then for their state effects, and re-executes the failed
-// superstep into out.
-func (e *Engine[V]) rollbackReplay(failed replayStep[V], out *Subset) error {
-	start := time.Now()
-	e.tr.Reset()
-	if err := e.restoreCheckpoint(); err != nil {
-		e.met.Add(metrics.Other, time.Since(start))
-		return err
-	}
-	for _, step := range e.replayLog {
-		if err := step(e.newSubset()); err != nil {
-			e.met.Add(metrics.Other, time.Since(start))
-			return err
-		}
-	}
-	err := failed(out)
-	e.met.Add(metrics.Other, time.Since(start))
-	return err
 }
 
 // Worker checkpoint section format (inside a CheckpointImage section):
@@ -407,8 +336,8 @@ func (e *Engine[V]) encodeImage() *CheckpointImage {
 func (e *Engine[V]) takeCheckpoint() error { return e.saveCheckpoint(e.encodeImage()) }
 
 // saveCheckpoint stamps img with the next sequence number, saves it to the
-// store, snapshots the driver hook state, and truncates the replay log:
-// everything before the snapshot can never be replayed again.
+// store, and truncates the replay log: everything before the snapshot can
+// never be replayed again.
 func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	e.ckptSeq++
 	img.Seq = e.ckptSeq
@@ -419,10 +348,6 @@ func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	if err := e.store.Save(img); err != nil {
 		return fmt.Errorf("core: checkpoint %d: %w", e.ckptSeq, err)
 	}
-	if e.ckptSave != nil {
-		e.ckptDrv = e.ckptSave()
-		e.ckptHasDrv = true
-	}
 	e.hasCkpt = true
 	e.replayLog = e.replayLog[:0]
 	e.stepsSince = 0
@@ -431,9 +356,8 @@ func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	return nil
 }
 
-// restoreCheckpoint loads the stored image, restores it into the current
-// membership, and rewinds the driver hook state. The store itself already
-// rejects torn or bit-flipped files.
+// restoreCheckpoint loads the stored image and restores it into the current
+// membership. The store itself already rejects torn or bit-flipped files.
 func (e *Engine[V]) restoreCheckpoint() error {
 	img, err := e.store.Load()
 	if err != nil {
@@ -442,53 +366,33 @@ func (e *Engine[V]) restoreCheckpoint() error {
 	if img == nil {
 		return fmt.Errorf("core: checkpoint restore: store has no image")
 	}
-	if err := e.restoreImage(img); err != nil {
-		return err
-	}
-	if e.ckptHasDrv && e.ckptRestore != nil {
-		e.ckptRestore(e.ckptDrv)
-	}
-	return nil
+	return e.restoreImage(img)
 }
 
-// restoreImage rehydrates every worker from img and clears per-superstep
-// scratch state so execution resumes from a barrier-clean slate. An image as
-// wide as the current membership is decoded section by section (all-or-
-// nothing per worker: a mismatched or corrupt section fails before live state
-// for later workers is touched). An image taken at any other width — which is
-// all a resize is — has its masters re-homed through the current placement
-// and the mirrors rebuilt by one sync round.
+// restoreImage rehydrates the workers of a fresh incarnation (swapMembership:
+// zeroed state, empty per-superstep scratch) from img. An image as wide as
+// the current membership is decoded section by section (all-or-nothing per
+// worker: a mismatched or corrupt section fails before live state for later
+// workers is touched). An image taken at any other width — which is all a
+// resize is — has its masters re-homed through the current placement and the
+// mirrors rebuilt by one sync round.
 func (e *Engine[V]) restoreImage(img *CheckpointImage) error {
-	sameWidth := len(img.Sections) == len(e.workers)
-	if sameWidth {
+	if len(img.Sections) == len(e.workers) {
 		for i, w := range e.workers {
 			if err := e.decodeWorkerSection(w, img.Sections[i]); err != nil {
 				return err
 			}
 		}
-	} else {
-		masters, rehomed, err := e.decodeMasters(img)
-		if err != nil {
-			return err
-		}
-		for i := range masters {
-			gid := graph.VID(i)
-			e.workers[e.place.Owner(gid)].cur[e.place.LocalIndex(gid)] = masters[i]
-		}
-		e.met.AddMigratedBytes(rehomed)
-	}
-	for _, w := range e.workers {
-		w.nextSet.Reset()
-		for t := range w.acc {
-			if w.acc[t].set != nil {
-				w.acc[t].set.Reset()
-			}
-		}
-		w.pendSet.Reset()
-		w.discardEnc() // unshipped frames back to the pool, delta bases reset
-	}
-	if sameWidth {
 		return nil
 	}
+	masters, rehomed, err := e.decodeMasters(img)
+	if err != nil {
+		return err
+	}
+	for i := range masters {
+		gid := graph.VID(i)
+		e.workers[e.place.Owner(gid)].cur[e.place.LocalIndex(gid)] = masters[i]
+	}
+	e.met.AddMigratedBytes(rehomed)
 	return e.resyncMirrors()
 }

@@ -196,8 +196,13 @@ func (s *WorkerStore) loadImage(seq uint64) (*CheckpointImage, error) {
 }
 
 // appendRecord writes one log record. Records are not fsynced individually —
-// saveImage syncs before any checkpoint can reference them.
+// saveImage syncs before any checkpoint can reference them. A payload replay
+// would refuse is refused here, before any byte is written: a record that can
+// be logged but never read back would fail every later resume.
 func (s *WorkerStore) appendRecord(kind byte, payload []byte) error {
+	if len(payload) > comm.MaxFrameSize {
+		return fmt.Errorf("core: worker store: append log record: %w: %d bytes", comm.ErrFrameTooLarge, len(payload))
+	}
 	hdr := make([]byte, clusterLogHdrSize, clusterLogHdrSize+len(payload))
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(payload)))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -251,5 +252,42 @@ func TestWorkerStoreLog(t *testing.T) {
 	}
 	if _, err := s.replay(9); err == nil {
 		t.Fatal("replay past end succeeded")
+	}
+}
+
+// TestWorkerStoreRejectsOversizeRecord: replay refuses any record above
+// comm.MaxFrameSize, so append must refuse it too — before writing a byte. A
+// record that is logged but can never be read back would let the checkpoint
+// that references it succeed and every later resume fail.
+func TestWorkerStoreRejectsOversizeRecord(t *testing.T) {
+	s, err := OpenWorkerStore(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.appendRecord(logKindStep, []byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		st, err := s.log.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Size()
+	}
+	before := size()
+	err = s.appendRecord(logKindGather, make([]byte, comm.MaxFrameSize+1))
+	if !errors.Is(err, comm.ErrFrameTooLarge) {
+		t.Fatalf("append of MaxFrameSize+1 bytes: err=%v, want ErrFrameTooLarge", err)
+	}
+	if after := size(); after != before || s.records() != 1 {
+		t.Fatalf("rejected append left %d log bytes and %d records, want %d and 1", after, s.records(), before)
+	}
+	// The bound is replay's own: the largest accepted record reads back.
+	if err := s.appendRecord(logKindGather, make([]byte, comm.MaxFrameSize)); err != nil {
+		t.Fatalf("append of exactly MaxFrameSize bytes: %v", err)
+	}
+	if recs, err := s.replay(2); err != nil || len(recs[1].payload) != comm.MaxFrameSize {
+		t.Fatalf("replay of a MaxFrameSize record: %v", err)
 	}
 }

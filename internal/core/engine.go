@@ -120,8 +120,8 @@ type Config struct {
 	FaultPlan *comm.FaultPlan
 	// ResizePolicy, when non-nil, is consulted after every successful
 	// superstep; returning a worker count different from the current one
-	// triggers an automatic Engine.Resize at the barrier. Requires a transport
-	// that implements comm.Resizer; checkpointing makes the change crash-safe.
+	// triggers an automatic Engine.Resize at the barrier. Checkpointing makes
+	// the change crash-safe.
 	ResizePolicy ResizePolicy
 	// Shared, when non-nil, supplies the immutable half of the engine — the
 	// graph and a cached read-only partition — so concurrent engines over one
@@ -319,10 +319,6 @@ type Engine[V any] struct {
 	cfg   Config
 	met   *metrics.Collector
 
-	// partShared marks part as borrowed from Config.Shared's cache: it is
-	// read-only and must be forked (privatizePart) before any Rebuild.
-	partShared bool
-
 	workers []*worker[V]
 
 	// Lifecycle: opMu guards closed and the in-flight operation count; opCond
@@ -344,21 +340,18 @@ type Engine[V any] struct {
 	memberEpoch int
 
 	// Fault-tolerance state (driver-side, single-threaded between steps).
-	failed      error           // first unrecovered superstep failure
-	store       CheckpointStore // snapshot persistence (cfg.Store)
-	ckptSeq     uint64          // sequence number of the last image saved
-	hasCkpt     bool            // a restorable image exists in the store
-	ckptDrv     any             // driver hook state captured with the image
-	ckptHasDrv  bool            // ckptDrv is valid
-	replayLog   []replayStep[V] // supersteps since the last checkpoint
-	stepsSince  int             // supersteps since the last checkpoint
-	recoveries  int             // rollbacks performed so far
-	ckptSave    func() any      // driver-state hook: snapshot (e.g. DSU)
-	ckptRestore func(any)       // driver-state hook: restore
+	failed     error           // first unrecovered superstep failure
+	store      CheckpointStore // snapshot persistence (cfg.Store)
+	ckptSeq    uint64          // sequence number of the last image saved
+	hasCkpt    bool            // a restorable image exists in the store
+	replayLog  []replayStep[V] // supersteps since the last checkpoint
+	stepsSince int             // supersteps since the last checkpoint
+	recoveries int             // rollbacks performed so far
 
-	// Liveness: per-worker background heartbeaters (HeartbeatEvery > 0).
-	hbStop []chan struct{}
-	hbDone []chan struct{}
+	// Liveness: the background heartbeaters of the current incarnation
+	// (HeartbeatEvery > 0); hbStop is nil while none run.
+	hbStop chan struct{}
+	hbDone sync.WaitGroup
 
 	// Cluster mode (Config.Cluster non-nil): resident is the one worker this
 	// process computes (-1 in-process), cstore the durable checkpoint+log
@@ -482,10 +475,8 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 		tr.SetDrainTimeout(cfg.DrainTimeout)
 	}
 	var part *partition.Partitioned
-	partShared := false
 	if cfg.Shared != nil {
 		part = cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement)
-		partShared = true
 	} else {
 		var topo partition.Adjacency = g
 		if cfg.BlockGraph != nil {
@@ -497,14 +488,13 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 	}
 	place := part.Place
 	e := &Engine[V]{
-		g:          g,
-		part:       part,
-		partShared: partShared,
-		place:      place,
-		tr:         tr,
-		codec:      comm.CodecFor[V](),
-		cfg:        cfg,
-		met:        cfg.Collector,
+		g:     g,
+		part:  part,
+		place: place,
+		tr:    tr,
+		codec: comm.CodecFor[V](),
+		cfg:   cfg,
+		met:   cfg.Collector,
 	}
 	e.opCond = sync.NewCond(&e.opMu)
 	e.placeHist = []partition.Placement{place}
@@ -526,11 +516,10 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 	return e, nil
 }
 
-// newWorker allocates worker wi's state from the current partition. It is
-// used at construction, by coldRestart, where the victim's partition entry
-// has just been rebuilt, and by Resize after the membership swap: everything
-// a worker holds must be derivable from the graph, the placement, and (via
-// restoreImage) the stored image.
+// newWorker allocates worker wi's state from the current partition, at
+// construction and in every membership swap: everything a worker holds must
+// be derivable from the graph, the placement, and (via restoreImage) the
+// stored image.
 func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	part, place, workers := e.part, e.place, e.cfg.Workers
 	cfg, n := e.cfg, e.g.NumVertices()

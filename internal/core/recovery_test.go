@@ -183,35 +183,6 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestOnCheckpointHook verifies driver-side state is snapshotted at each
-// checkpoint and handed back on rollback.
-func TestOnCheckpointHook(t *testing.T) {
-	g := graph.GenPath(30)
-	e := mustEngine(t, g, Config{
-		Workers:         2,
-		CheckpointEvery: 2,
-		FaultPlan:       &comm.FaultPlan{Crashes: []comm.WorkerCrash{{Worker: 0, Round: 4}}},
-	})
-	saved, restored := 0, 0
-	var lastSaved, lastRestored int
-	e.OnCheckpoint(
-		func() any { saved++; lastSaved = saved; return lastSaved },
-		func(s any) { restored++; lastRestored = s.(int) },
-	)
-	if _, _, err := runBFSChecked(e, 0); err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	if saved == 0 {
-		t.Fatal("save hook never called")
-	}
-	if restored == 0 {
-		t.Fatal("restore hook never called despite a recovery")
-	}
-	if lastRestored > lastSaved {
-		t.Fatalf("restore got value %d never produced by save (last %d)", lastRestored, lastSaved)
-	}
-}
-
 // TestCheckpointedRunMatchesPlain verifies checkpointing alone (no faults)
 // does not perturb results.
 func TestCheckpointedRunMatchesPlain(t *testing.T) {

@@ -6,19 +6,21 @@
 //
 //  1. Image. The ordinary checkpoint image of this barrier is taken (and,
 //     with checkpointing on, saved to the store like any other).
-//  2. Swap. The transport is resized once and the new placement, partition
-//     and zeroed workers are installed under a fresh subset epoch.
+//  2. Swap. swapMembership starts a fresh incarnation at n workers: the
+//     transport is resized once and the new placement, partition and zeroed
+//     workers are installed under a fresh subset epoch.
 //  3. Restore. The image is restored into the new membership by the same
-//     function rollback and cold restart use: an image says how wide it was
-//     taken, so its masters are re-homed through the new placement and one
-//     sync round rebuilds the mirrors (see restoreImage).
+//     function recovery uses: an image says how wide it was taken, so its
+//     masters are re-homed through the new placement and one sync round
+//     rebuilds the mirrors (see restoreImage).
 //
 // There is nothing to roll back. Until the swap the engine is untouched;
 // after it, a fault is a failed round with an image in hand, which is what
-// recoverStep exists for: cold-restart the victim if one was lost, reset the
-// transport, restore the stored image — into the *new* membership — and
-// carry on. Without checkpointing a failed resize marks the engine failed,
-// like any other failed superstep.
+// recoverStep exists for: swap again at the width the engine now has, restore
+// the stored image — into the *new* membership — and carry on. Recovery from
+// any other failed round is the same two steps at an unchanged width. Without
+// checkpointing a failed resize marks the engine failed, like any other
+// failed superstep.
 package core
 
 import (
@@ -26,15 +28,14 @@ import (
 	"time"
 
 	"flash/internal/bitset"
-	"flash/internal/comm"
 	"flash/internal/partition"
 )
 
 // Resize changes the engine's worker count to n at the current superstep
-// barrier. The transport must implement comm.Resizer. With checkpointing
-// enabled the resize is crash-safe: a failure after the membership swap
-// (including a permanent worker kill) is recovered into the new membership
-// from the stored image under the shared MaxRecoveries budget.
+// barrier. With checkpointing enabled the resize is crash-safe: a failure
+// after the membership swap (including a permanent worker kill) is recovered
+// into the new membership from the stored image under the shared
+// MaxRecoveries budget.
 func (e *Engine[V]) Resize(n int) error {
 	if err := e.beginOp(); err != nil {
 		return err
@@ -54,13 +55,6 @@ func (e *Engine[V]) Resize(n int) error {
 	if n == e.cfg.Workers {
 		return nil
 	}
-	rz, ok := e.tr.(comm.Resizer)
-	if !ok {
-		// Terminal, not recoverable: retrying cannot make the transport grow
-		// the capability.
-		e.failed = fmt.Errorf("core: transport %T does not support membership resize", e.tr)
-		return e.failed
-	}
 	start := time.Now()
 	img := e.encodeImage()
 	if e.cfg.CheckpointEvery > 0 {
@@ -70,32 +64,11 @@ func (e *Engine[V]) Resize(n int) error {
 		}
 	}
 
-	e.stopHeartbeaters()
-	if err := rz.Resize(n); err != nil {
+	if err := e.swapMembership(n); err != nil {
 		// A transport that failed to reconfigure is in no membership at all.
 		e.failed = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
 		return e.failed
 	}
-	stopPools(e.workers)
-	place := newPlacement(e.cfg.UseHashPlacement, e.g.NumVertices(), n)
-	// Built privately (Shell + Rebuild, the cold-restart path), so a
-	// previously catalog-shared engine owns its partition from here on.
-	part := partition.Shell(e.topo(), place)
-	for w := 0; w < n; w++ {
-		part.Rebuild(w)
-	}
-	e.cfg.Workers = n
-	e.part, e.partShared = part, false
-	// The history only grows, so any live subset's stamp stays resolvable.
-	e.placeHist = append(e.placeHist, place)
-	e.memberEpoch = len(e.placeHist) - 1
-	e.place = place
-	e.workers = make([]*worker[V], n)
-	for w := range e.workers {
-		e.workers[w] = e.newWorker(w)
-	}
-	e.startHeartbeaters()
-
 	err := e.restoreImage(img)
 	if err != nil {
 		_, err = e.recoverStep(err, func(*Subset) error { return nil })
@@ -106,6 +79,39 @@ func (e *Engine[V]) Resize(n int) error {
 	}
 	e.met.AddResizes(1)
 	e.met.AddResizeTime(time.Since(start))
+	return nil
+}
+
+// swapMembership starts a fresh incarnation of the engine at n workers: the
+// one way worker state is ever replaced, shared by Resize (n is the new
+// width) and recoverStep (n is the current one). The transport opens a new
+// epoch — clearing abort poison, stale frames and any dead endpoint — and
+// every worker comes back zeroed, to be filled by restoreImage. Placement and
+// partition are pure functions of (graph, n), so they change only when n does:
+// at an unchanged width the current partition, possibly borrowed from a
+// SharedGraph, is reused untouched and subsets keep their epoch. No worker may
+// be inside a transport call.
+func (e *Engine[V]) swapMembership(n int) error {
+	e.stopHeartbeaters()
+	if err := e.tr.Resize(n); err != nil {
+		return err
+	}
+	stopPools(e.workers)
+	if n != e.cfg.Workers {
+		e.cfg.Workers = n
+		e.place = newPlacement(e.cfg.UseHashPlacement, e.g.NumVertices(), n)
+		// Built privately: the catalog's partition cache is keyed by the widths
+		// engines were created at, not the ones they pass through.
+		e.part = partition.New(e.topo(), e.place)
+		// The history only grows, so any live subset's stamp stays resolvable.
+		e.placeHist = append(e.placeHist, e.place)
+		e.memberEpoch = len(e.placeHist) - 1
+	}
+	e.workers = make([]*worker[V], n)
+	for w := range e.workers {
+		e.workers[w] = e.newWorker(w)
+	}
+	e.startHeartbeaters()
 	return nil
 }
 

@@ -146,31 +146,6 @@ func TestResizeRejectsBadCount(t *testing.T) {
 	}
 }
 
-// nonResizer hides the Resize method of a Mem transport.
-type nonResizer struct{ m *comm.Mem }
-
-func (f nonResizer) Workers() int                            { return f.m.Workers() }
-func (f nonResizer) Send(from, to int, data []byte) error    { return f.m.Send(from, to, data) }
-func (f nonResizer) EndRound(from int) error                 { return f.m.EndRound(from) }
-func (f nonResizer) Drain(to int, h func(int, []byte)) error { return f.m.Drain(to, h) }
-func (f nonResizer) Heartbeat(from int) error                { return f.m.Heartbeat(from) }
-func (f nonResizer) Abort(err error)                         { f.m.Abort(err) }
-func (f nonResizer) Reset()                                  { f.m.Reset() }
-func (f nonResizer) SetDrainTimeout(d time.Duration)         { f.m.SetDrainTimeout(d) }
-func (f nonResizer) Stats() comm.Stats                       { return f.m.Stats() }
-func (f nonResizer) Close() error                            { return f.m.Close() }
-
-func TestResizeUnsupportedTransportIsTerminal(t *testing.T) {
-	g := graph.GenPath(8)
-	e := mustEngine(t, g, Config{Workers: 2, Transport: nonResizer{comm.NewMem(2)}})
-	if err := e.Resize(3); err == nil {
-		t.Fatal("Resize over non-Resizer transport succeeded")
-	}
-	if e.Err() == nil {
-		t.Fatal("unsupported resize did not mark the engine failed")
-	}
-}
-
 func TestResizePolicyDrivesAutomaticScaling(t *testing.T) {
 	g := graph.GenErdosRenyi(150, 600, 23)
 	want := seqBFS(g, 0)
@@ -206,12 +181,13 @@ func TestResizePolicyDrivesAutomaticScaling(t *testing.T) {
 
 // countingTransport is a Mem transport that counts worker 0's completed
 // rounds (every worker completes the same rounds, so this is the engine's
-// round clock) and the membership reconfigurations. Embedding keeps Mem's
-// optional capabilities (Resizer, EndpointCloser) visible to the engine and
-// to the Faulty wrapper layered on top by Config.FaultPlan.
+// round clock) and records the width of every incarnation the engine starts.
+// Embedding keeps Mem's optional capability (EndpointCloser) visible to the
+// Faulty wrapper layered on top by Config.FaultPlan.
 type countingTransport struct {
 	*comm.Mem
-	rounds, resizes atomic.Uint32
+	rounds atomic.Uint32
+	widths []int // one entry per Resize, in order (the engine serializes them)
 }
 
 func (c *countingTransport) EndRound(from int) error {
@@ -222,18 +198,18 @@ func (c *countingTransport) EndRound(from int) error {
 }
 
 func (c *countingTransport) Resize(n int) error {
-	c.resizes.Add(1)
+	c.widths = append(c.widths, n)
 	return c.Mem.Resize(n)
 }
 
 // resizeFaultGraph is the graph the post-swap fault tests run BFS over.
 func resizeFaultGraph() *graph.Graph { return graph.GenErdosRenyi(160, 700, 31) }
 
-// resyncRound returns the number of exchange rounds a fault-free w-worker BFS
-// over resizeFaultGraph completes in its first two supersteps. Faulty's round
-// counter runs on across Resize, so that is the round number of the mirror
-// resync a resize after superstep 2 performs: a fault keyed to it lands after
-// the membership swap.
+// resyncRound returns the round address of the mirror resync that a resize
+// after superstep 2 of a fault-free w-worker BFS over resizeFaultGraph
+// performs. Faulty's addresses run on across Resize, restarting one past the
+// rounds completed so far, so a fault keyed to this address can only land
+// after the membership swap — never on a worker idling at the barrier.
 func resyncRound(t *testing.T, workers int) uint32 {
 	t.Helper()
 	tr := &countingTransport{Mem: comm.NewMem(workers)}
@@ -241,7 +217,7 @@ func resyncRound(t *testing.T, workers int) uint32 {
 	var round uint32
 	resizeBFS(t, e, 0, func(step int) {
 		if step == 2 {
-			round = tr.rounds.Load()
+			round = tr.rounds.Load() + 1
 		}
 	})
 	return round
@@ -294,11 +270,16 @@ func TestResizeSurvivesKillAfterSwap(t *testing.T) {
 				t.Fatalf("resizes=%d recoveries=%d restarts=%d; want 1/>0/>0",
 					m.Resizes, m.Recoveries, m.Restarts)
 			}
-			// Recovery restores the stored image into the membership already
+			// Recovery is a fresh incarnation of the membership already
 			// installed; nothing returns the transport to the old width and
 			// back.
-			if n := tr.resizes.Load(); n != 1 {
-				t.Fatalf("transport resized %d times, want 1", n)
+			if len(tr.widths) != 1+int(m.Recoveries) {
+				t.Fatalf("transport started %d incarnations for 1 resize and %d recoveries", len(tr.widths), m.Recoveries)
+			}
+			for _, w := range tr.widths {
+				if w != 5 {
+					t.Fatalf("incarnation widths %v, want every one at the new width 5", tr.widths)
+				}
 			}
 		})
 	}

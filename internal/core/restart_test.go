@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -30,11 +32,11 @@ func coldRestartConfig(t *testing.T, workers int, kills []comm.WorkerKill) Confi
 	}
 }
 
-// TestColdRestartSurvivesWorkerKill is the tentpole end-to-end test: a
+// TestColdRestartSurvivesWorkerKill is the worker-loss end-to-end test: a
 // worker is hard-killed mid-run (endpoint torn down, all its calls failing),
-// the liveness layer detects the loss, the engine rebuilds the worker from
-// the graph and rehydrates it from the file-backed checkpoint store, and the
-// run completes with results identical to a fault-free execution.
+// the liveness layer detects the loss, the engine swaps in a fresh
+// incarnation and rehydrates it from the file-backed checkpoint store, and
+// the run completes with results identical to a fault-free execution.
 func TestColdRestartSurvivesWorkerKill(t *testing.T) {
 	g := graph.GenErdosRenyi(120, 500, 3)
 	want := seqBFS(g, 0)
@@ -86,6 +88,59 @@ func TestColdRestartFromMemStoreAndHash(t *testing.T) {
 	}
 	if res.Restarts < 1 {
 		t.Fatalf("restarts=%d, want >=1", res.Restarts)
+	}
+}
+
+// TestCrashAndKillRecoverThroughOneSwap: a transient crash and a permanent
+// kill are the same event to the engine — a failed round answered by a fresh
+// incarnation at the same width, the stored image and replay. Both leave every
+// worker replaced (the swap, not a repair of the victim), both end byte-
+// identical to the fault-free run on either transport, and only the kill
+// counts as a restart.
+func TestCrashAndKillRecoverThroughOneSwap(t *testing.T) {
+	g := graph.GenErdosRenyi(120, 500, 3)
+	clean, _, err := runBFSChecked(mustEngine(t, g, Config{Workers: 4}), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := map[string]struct {
+		plan     comm.FaultPlan
+		restarts uint64
+	}{
+		"crash": {comm.FaultPlan{Crashes: []comm.WorkerCrash{{Worker: 2, Round: 5}}}, 0},
+		"kill":  {comm.FaultPlan{Kills: []comm.WorkerKill{{Worker: 2, Round: 5}}}, 1},
+	}
+	for name, fault := range faults {
+		for _, tcp := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/tcp=%v", name, tcp), func(t *testing.T) {
+				cfg := coldRestartConfig(t, 4, nil)
+				cfg.FaultPlan, cfg.UseTCP = &fault.plan, tcp
+				e := mustEngine(t, g, cfg)
+				before := append([]*worker[bfsProps](nil), e.workers...)
+				part := e.part
+				got, res, err := runBFSChecked(e, 0)
+				if err != nil {
+					t.Fatalf("run did not survive the %s: %v", name, err)
+				}
+				if !reflect.DeepEqual(got, clean) {
+					t.Fatal("recovered result differs from the fault-free run")
+				}
+				if res.Recoveries != 1 || res.Restarts != fault.restarts {
+					t.Fatalf("recoveries=%d restarts=%d, want 1 and %d", res.Recoveries, res.Restarts, fault.restarts)
+				}
+				for i, w := range e.workers {
+					if w == before[i] {
+						t.Fatalf("worker %d outlived the recovery: the membership was not swapped", i)
+					}
+				}
+				if e.part != part || e.memberEpoch != 0 {
+					t.Fatal("a same-width swap rebuilt the partition or opened a subset epoch")
+				}
+				if err := e.CheckMirrorCoherence(func(a, b bfsProps) bool { return a == b }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }
 

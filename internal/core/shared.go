@@ -15,11 +15,12 @@
 // concurrent jobs over one graph share one CSR and one partition; everything
 // mutable (cur/next/pendVal/accumulator shards/checkpoints) stays per-engine.
 //
-// Mutation discipline: a shared partition is read-only to every borrower.
-// The only writes the runtime ever performs on a Partitioned are Rebuild
-// calls during cold restart; engines with a borrowed partition fork it first
-// (copy-on-write, see privatizePart), so one job's recovery can never race
-// another job's reads.
+// Mutation discipline: a shared partition is read-only to every borrower, and
+// the runtime never writes a Partitioned after building it. Recovery reuses
+// the borrowed partition as it is (a Part is a pure function of graph and
+// placement, so there is nothing to recompute); a resize builds the engine a
+// private one for the new width and drops the borrowed pointer. One job's
+// recovery therefore cannot race another job's reads.
 package core
 
 import (
@@ -70,7 +71,7 @@ func (s *SharedGraph) Block() *graph.BlockGraph { return s.bg }
 // Partition returns the cached partition for the given membership, building
 // it on first use. Concurrent callers asking for the same key block on the
 // single build and then share the one result; the returned value must be
-// treated as read-only (fork before any Rebuild).
+// treated as read-only.
 func (s *SharedGraph) Partition(workers int, hashPlacement bool) *partition.Partitioned {
 	key := partKey{workers: workers, hash: hashPlacement}
 	s.mu.Lock()
@@ -92,21 +93,6 @@ func (s *SharedGraph) Partitions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.parts)
-}
-
-// privatizePart forks a catalog-shared partition into an engine-private copy
-// before the engine's first in-place mutation (Rebuild during cold restart).
-// The fork is shallow — the surviving workers' *Part
-// entries stay shared — but replacing the rebuilt entry no longer reaches
-// other engines borrowing the same partition. No-op for engines that built
-// their partition privately.
-//
-//flash:privatizes
-func (e *Engine[V]) privatizePart() {
-	if e.partShared {
-		e.part = e.part.Fork()
-		e.partShared = false
-	}
 }
 
 // SharedBytes returns the resident footprint of every cached partition's

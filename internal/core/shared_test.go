@@ -2,10 +2,13 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"flash/graph"
+	"flash/internal/comm"
+	"flash/internal/partition"
 )
 
 // TestSharedPartitionPointerIdentity pins the engine split's core guarantee:
@@ -117,41 +120,69 @@ func TestSharedEnginesRunIndependently(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPrivatizePartForks pins the copy-on-write contract: a rebuild inside
-// one engine (cold restart, resize rollback) must not replace any Part the
-// shared cache hands to other engines.
-func TestPrivatizePartForks(t *testing.T) {
+// TestSharedPartitionSurvivesBorrowerRecovery: an engine borrowing a catalog
+// partition recovers from a permanent worker loss while a second engine over
+// the same handle keeps running. Recovery swaps in fresh workers over the
+// partition it already holds, so the cache is not touched, nothing is copied,
+// and both engines still hold the one cached *Partitioned afterwards.
+func TestSharedPartitionSurvivesBorrowerRecovery(t *testing.T) {
 	g := graph.GenErdosRenyi(128, 512, 5)
+	want := seqBFS(g, 0)
 	sh := NewSharedGraph(g)
-	e := mustEngine(t, g, Config{Workers: 3, Shared: sh})
+	cfg := coldRestartConfig(t, 3, []comm.WorkerKill{{Worker: 1, Round: 4}})
+	cfg.Shared = sh
+	victim := mustEngine(t, g, cfg)
+	bystander := mustEngine(t, g, Config{Workers: 3, Shared: sh})
 	shared := sh.Partition(3, false)
-	if e.part != shared {
-		t.Fatal("engine did not borrow the cached partition")
+	parts := append([]*partition.Part(nil), shared.Parts...)
+
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		// The bystander reads the shared partition for as long as the victim's
+		// recovery runs (the race detector watches the overlap).
+		for {
+			got := runBFS(bystander, 0, Auto)
+			for v := range want {
+				if got[v] != want[v] {
+					done <- fmt.Errorf("bystander dist[%d]=%d want %d", v, got[v], want[v])
+					return
+				}
+			}
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+		}
+	}()
+	got, res, err := runBFSChecked(victim, 0)
+	close(stop)
+	if berr := <-done; berr != nil {
+		t.Fatal(berr)
 	}
-	before := shared.Parts[1]
-	e.privatizePart()
-	if e.partShared {
-		t.Fatal("partShared still set after privatizePart")
+	if err != nil {
+		t.Fatalf("borrower did not survive the kill: %v", err)
 	}
-	if e.part == shared {
-		t.Fatal("privatizePart did not fork")
+	for v := range want {
+		if got[v] != want[v] {
+			t.Fatalf("dist[%d]=%d want %d", v, got[v], want[v])
+		}
 	}
-	e.part.Rebuild(1)
-	if shared.Parts[1] != before {
-		t.Fatal("rebuild through the fork reached the shared partition")
+	if res.Restarts < 1 || res.Recoveries < 1 {
+		t.Fatalf("restarts=%d recoveries=%d, want a recovered worker loss", res.Restarts, res.Recoveries)
 	}
-	if e.part.Parts[1] == before {
-		t.Fatal("fork still aliases the rebuilt entry")
+	if sh.Partitions() != 1 {
+		t.Fatalf("cache holds %d partitions after the recovery, want 1", sh.Partitions())
 	}
-	// The rebuilt view must be equivalent — Rebuild is a pure function.
-	if err := e.part.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if victim.part != shared || bystander.part != shared {
+		t.Fatal("an engine no longer holds the cached partition after the recovery")
 	}
-	// privatizePart is idempotent.
-	forked := e.part
-	e.privatizePart()
-	if e.part != forked {
-		t.Fatal("second privatizePart forked again")
+	for w, p := range shared.Parts {
+		if p != parts[w] {
+			t.Fatalf("recovery replaced Part %d of the shared partition", w)
+		}
 	}
 }
 

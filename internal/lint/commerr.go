@@ -39,7 +39,6 @@ var commErrReceivers = map[string]bool{
 	"CheckpointStore": true, // core.CheckpointStore interface
 	"MemStore":        true, // core.MemStore
 	"FileStore":       true, // core.FileStore
-	"Resizer":         true, // comm.Resizer interface (membership changes)
 	"Catalog":         true, // serve.Catalog (graph load/evict surface)
 	"Server":          true, // serve.Server (job admission surface)
 	"Scheduler":       true, // serve.Scheduler (job admission surface)

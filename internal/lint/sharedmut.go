@@ -15,14 +15,19 @@ import (
 //
 //   - construction: writes whose root holds locally constructed memory
 //     (composite literal, new, or a fresh-returning call such as
-//     partition.New / Shell / Fork) are private until published;
-//   - //flash:mutator functions own their writes (Rebuild repopulates one
-//     worker's Part in place); call *sites* of a mutator are then checked
-//     against the same sanction rules — this is where the interprocedural
-//     summaries bite, because the mutation is visible across packages;
-//   - a //flash:privatizes call (core's privatizePart, which Forks the
-//     copy-on-write partition) earlier in the body sanctions later mutator
-//     calls rooted at the same object.
+//     partition.New) are private until published;
+//   - //flash:mutator functions own their writes (one that repopulates a
+//     single worker's Part in place, say); call *sites* of a mutator are
+//     then checked against the same sanction rules — this is where the
+//     interprocedural summaries bite, because the mutation is visible
+//     across packages;
+//   - a //flash:privatizes call (one that swaps a copy-on-write fork in for
+//     the shared object) earlier in the body sanctions later mutator calls
+//     rooted at the same object.
+//
+// The runtime itself uses neither marker — it builds a Partitioned once and
+// never writes it again — so the last two rules are exercised by the fixtures
+// only and guard against an in-place mutator being introduced.
 //
 // This is GraphLab's consistency-model enforcement done statically: the
 // engine never takes a lock on topology because the analyzer proves nobody
@@ -57,7 +62,7 @@ func checkSharedMut(p *Pass, f *Func) {
 	fresh := freshLocals(p.Mod, f)
 
 	// privatized[obj] = position of the earliest //flash:privatizes call
-	// rooted at obj (e.privatizePart() sanctions a later e.part.Rebuild(w)).
+	// rooted at obj (e.fork() sanctions a later e.part.Rebuild(w)).
 	privatized := map[types.Object]token.Pos{}
 	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)

@@ -10,16 +10,12 @@ type Transport struct{}
 func (t *Transport) Send(from, to int, data []byte) error    { return nil }
 func (t *Transport) EndRound(from int) error                 { return nil }
 func (t *Transport) Drain(to int, h func(int, []byte)) error { return nil }
+func (t *Transport) Resize(n int) error                      { return nil }
 
 type Engine struct{}
 
 func (e *Engine) Run(p func() error) (int, error) { return 0, nil }
 func (e *Engine) Resize(n int) error              { return nil }
-
-// Resizer stands in for comm.Resizer, the membership-change fault surface.
-type Resizer interface {
-	Resize(n int) error
-}
 
 // Image stands in for core.CheckpointImage; the store stubs mirror the
 // runtime's CheckpointStore fault surface.
@@ -48,14 +44,14 @@ func bad(tr *Transport, e *Engine, fs *FileStore, ms *MemStore) {
 	defer fs.Save(nil)    // want `FileStore.Save error discarded by defer`
 }
 
-func badResize(e *Engine, rz Resizer) {
+func badResize(e *Engine, tr *Transport) {
 	e.Resize(8)      // want `Engine.Resize error discarded`
-	_ = rz.Resize(4) // want `Resizer.Resize error assigned to _`
+	_ = tr.Resize(4) // want `Transport.Resize error assigned to _`
 	go e.Resize(2)   // want `Engine.Resize error discarded by go statement`
 }
 
-func goodResize(e *Engine, rz Resizer) error {
-	if err := rz.Resize(8); err != nil {
+func goodResize(e *Engine, tr *Transport) error {
+	if err := tr.Resize(8); err != nil {
 		return err
 	}
 	e.Resize(4) //flash:ignore-err shrink back is best-effort during shutdown

@@ -140,8 +140,7 @@ type Part struct {
 }
 
 // Partitioned bundles the adjacency source, placement, and per-worker parts.
-// Once published (installed in a catalog or handed to an engine) it is
-// read-only; Rebuild must only run on a Fork-private copy.
+// It is complete when New returns and read-only from then on.
 //
 //flash:immutable
 type Partitioned struct {
@@ -201,96 +200,8 @@ func New(g Adjacency, place Placement) *Partitioned {
 	return p
 }
 
-// Shell returns an empty Partitioned for place with no Parts built. It is
-// the membership-resize entry point: the engine fills each slot with
-// Rebuild(w), reusing the cold-restart path to construct every worker's view
-// of the new partitioning one at a time instead of New's whole-graph passes.
-func Shell(g Adjacency, place Placement) *Partitioned {
-	return &Partitioned{
-		G:      g,
-		Place:  place,
-		Parts:  make([]*Part, place.Workers()),
-		nTotal: g.NumVertices(),
-	}
-}
-
-// Rebuild reconstructs worker w's Part from scratch — mirror set, per-master
-// mirror-worker lists, and slot table — as if New had just run, and installs
-// it in p. It exists for cold worker restart: a permanently lost worker's
-// partition view is recomputed from the graph and placement alone, which is
-// possible precisely because every Part is a pure function of (g, place).
-// The result is identical to the Part New produced, so the restarted
-// worker's slot-indexed state lines up with the checkpoint image byte for
-// byte.
-//
-//flash:mutator
-func (p *Partitioned) Rebuild(w int) *Part {
-	g, place, n := p.G, p.Place, p.nTotal
-	part := &Part{
-		Worker:        w,
-		Mirrors:       bitset.New(n),
-		MirrorWorkers: make([][]int, place.LocalCount(w)),
-	}
-	// Mirror set: remote endpoints of the local masters' edges, both
-	// directions (pass 1 of New restricted to w).
-	for l := 0; l < place.LocalCount(w); l++ {
-		v := place.GlobalID(w, l)
-		for _, u := range g.OutNeighbors(v) {
-			if place.Owner(u) != w {
-				part.Mirrors.Set(int(u))
-			}
-		}
-		for _, u := range g.InNeighbors(v) {
-			if place.Owner(u) != w {
-				part.Mirrors.Set(int(u))
-			}
-		}
-	}
-	// Mirror-worker lists for w's masters: worker u mirrors master v exactly
-	// when some master of u has an edge touching v, i.e. when v has an in- or
-	// out-neighbor owned by u. New's pass 2 appends in ascending worker
-	// order, so collect owner flags and emit them sorted the same way.
-	seen := make([]bool, place.Workers())
-	for l := range part.MirrorWorkers {
-		v := place.GlobalID(w, l)
-		for _, u := range g.OutNeighbors(v) {
-			seen[place.Owner(u)] = true
-		}
-		for _, u := range g.InNeighbors(v) {
-			seen[place.Owner(u)] = true
-		}
-		seen[w] = false
-		var ws []int
-		for ow, hit := range seen {
-			if hit {
-				ws = append(ws, ow)
-				seen[ow] = false
-			}
-		}
-		part.MirrorWorkers[l] = ws
-	}
-	part.Slots = NewSlotTable(place, w, part.Mirrors)
-	p.Parts[w] = part
-	return part
-}
-
 // Workers returns the number of workers.
 func (p *Partitioned) Workers() int { return p.Place.Workers() }
-
-// Fork returns a shallow copy of p whose Parts slice is private: the *Part
-// entries are shared (they are read-only in steady state) but replacing one —
-// which is all Rebuild does — no longer reaches other holders of the
-// original. Engines running over a catalog-shared partition fork it before
-// the first Rebuild (cold restart, resize rollback), so a job recovering from
-// a worker loss can never race another job reading the shared layout.
-func (p *Partitioned) Fork() *Partitioned {
-	return &Partitioned{
-		G:      p.G,
-		Place:  p.Place,
-		Parts:  append([]*Part(nil), p.Parts...),
-		nTotal: p.nTotal,
-	}
-}
 
 // SharedBytes returns the resident footprint of the partition's derived
 // structures: per-worker mirror bitsets, mirror-worker lists, and slot-table
@@ -300,17 +211,12 @@ func (p *Partitioned) Fork() *Partitioned {
 func (p *Partitioned) SharedBytes() uint64 {
 	var total uint64
 	for _, part := range p.Parts {
-		if part == nil {
-			continue
-		}
 		total += uint64(len(part.Mirrors.Words())) * 8
 		total += uint64(cap(part.MirrorWorkers)) * 24 // slice headers
 		for _, ws := range part.MirrorWorkers {
 			total += uint64(cap(ws)) * 8
 		}
-		if part.Slots != nil {
-			total += part.Slots.AuxBytes()
-		}
+		total += part.Slots.AuxBytes()
 	}
 	return total
 }

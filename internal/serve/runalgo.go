@@ -11,7 +11,8 @@ import (
 // clusterAlgos are the algorithms whose drivers are cluster-safe: decisions
 // branch only on subset sizes and Gather/Fold results (both replicated
 // deterministically across worker processes), no driver-side Get of remote
-// masters, no OnCheckpoint hooks, no FullMirrors requirement.
+// masters, no driver-side state carried between supersteps (BCC's and MSF's
+// DSU), no FullMirrors requirement.
 var clusterAlgos = map[string]bool{
 	"bfs":      true,
 	"cc":       true,

@@ -37,17 +37,13 @@ func (c Category) String() string {
 	return fmt.Sprintf("category(%d)", int(c))
 }
 
-// Collector accumulates measurements for one run. Worker threads record into
-// private shards; Merge folds shards together. The zero value is unusable;
-// call New.
-type Collector struct {
-	mu         sync.Mutex
-	durations  [numCategories]time.Duration
+// Counters is the plain counter set of a run. It is embedded in Collector, so
+// every counter is a field of the collector too, and it is what a finished
+// run hands back (flash.RunResult).
+type Counters struct {
 	Supersteps int
 	Messages   uint64
 	Bytes      uint64
-	// Frontier[i] is the number of active vertices entering superstep i.
-	Frontier []int
 
 	// Robustness counters (fault-tolerant runtime).
 	//
@@ -59,10 +55,10 @@ type Collector struct {
 	Reconnects  uint64
 	Recoveries  uint64
 	Checkpoints uint64
-	// Restarts counts cold worker restarts after a permanent worker loss;
+	// Restarts counts recoveries caused by a permanent worker loss;
 	// CheckpointBytes is the total encoded checkpoint payload handed to the
-	// store; RecoveryTime is the wall time spent inside recovery (rollback,
-	// replay, and cold restarts).
+	// store; RecoveryTime is the wall time spent inside recovery (membership
+	// swap, restore, replay).
 	Restarts        uint64
 	CheckpointBytes uint64
 	RecoveryTime    time.Duration
@@ -86,6 +82,41 @@ type Collector struct {
 	BlockBytesSparse uint64
 	BlockStepsDense  uint64
 	BlockStepsSparse uint64
+}
+
+// add folds o into c: the one place that knows every counter is a sum.
+func (c *Counters) add(o Counters) {
+	c.Supersteps += o.Supersteps
+	c.Messages += o.Messages
+	c.Bytes += o.Bytes
+	c.Retries += o.Retries
+	c.Reconnects += o.Reconnects
+	c.Recoveries += o.Recoveries
+	c.Checkpoints += o.Checkpoints
+	c.Restarts += o.Restarts
+	c.CheckpointBytes += o.CheckpointBytes
+	c.RecoveryTime += o.RecoveryTime
+	c.Resizes += o.Resizes
+	c.MigratedBytes += o.MigratedBytes
+	c.ResizeTime += o.ResizeTime
+	c.BlockHits += o.BlockHits
+	c.BlockMisses += o.BlockMisses
+	c.BlockEvictions += o.BlockEvictions
+	c.BlockBytesDense += o.BlockBytesDense
+	c.BlockBytesSparse += o.BlockBytesSparse
+	c.BlockStepsDense += o.BlockStepsDense
+	c.BlockStepsSparse += o.BlockStepsSparse
+}
+
+// Collector accumulates measurements for one run. Worker threads record into
+// private shards; Merge folds shards together. The zero value is unusable;
+// call New.
+type Collector struct {
+	mu        sync.Mutex
+	durations [numCategories]time.Duration
+	Counters
+	// Frontier[i] is the number of active vertices entering superstep i.
+	Frontier []int
 }
 
 // New returns an empty collector.
@@ -141,7 +172,7 @@ func (col *Collector) AddCheckpoints(n uint64) {
 	col.mu.Unlock()
 }
 
-// AddRestarts records n cold worker restarts.
+// AddRestarts records n recoveries from a permanent worker loss.
 func (col *Collector) AddRestarts(n uint64) {
 	col.mu.Lock()
 	col.Restarts += n
@@ -253,44 +284,16 @@ func (col *Collector) Breakdown() [4]float64 {
 // Merge folds other into col.
 func (col *Collector) Merge(other *Collector) {
 	other.mu.Lock()
-	durs := other.durations
-	msgs, bytes := other.Messages, other.Bytes
-	steps := other.Supersteps
+	durs, counters := other.durations, other.Counters
 	frontier := append([]int(nil), other.Frontier...)
-	retries, reconnects := other.Retries, other.Reconnects
-	recoveries, checkpoints := other.Recoveries, other.Checkpoints
-	restarts, ckptBytes, recTime := other.Restarts, other.CheckpointBytes, other.RecoveryTime
-	resizes, migBytes, rszTime := other.Resizes, other.MigratedBytes, other.ResizeTime
-	bHits, bMiss, bEvict := other.BlockHits, other.BlockMisses, other.BlockEvictions
-	bDense, bSparse := other.BlockBytesDense, other.BlockBytesSparse
-	bStepsD, bStepsS := other.BlockStepsDense, other.BlockStepsSparse
 	other.mu.Unlock()
 
 	col.mu.Lock()
 	for i := range durs {
 		col.durations[i] += durs[i]
 	}
-	col.Messages += msgs
-	col.Bytes += bytes
-	col.Supersteps += steps
+	col.Counters.add(counters)
 	col.Frontier = append(col.Frontier, frontier...)
-	col.Retries += retries
-	col.Reconnects += reconnects
-	col.Recoveries += recoveries
-	col.Checkpoints += checkpoints
-	col.Restarts += restarts
-	col.CheckpointBytes += ckptBytes
-	col.RecoveryTime += recTime
-	col.Resizes += resizes
-	col.MigratedBytes += migBytes
-	col.ResizeTime += rszTime
-	col.BlockHits += bHits
-	col.BlockMisses += bMiss
-	col.BlockEvictions += bEvict
-	col.BlockBytesDense += bDense
-	col.BlockBytesSparse += bSparse
-	col.BlockStepsDense += bStepsD
-	col.BlockStepsSparse += bStepsS
 	col.mu.Unlock()
 }
 
@@ -298,27 +301,8 @@ func (col *Collector) Merge(other *Collector) {
 func (col *Collector) Reset() {
 	col.mu.Lock()
 	col.durations = [numCategories]time.Duration{}
-	col.Supersteps = 0
-	col.Messages = 0
-	col.Bytes = 0
+	col.Counters = Counters{}
 	col.Frontier = col.Frontier[:0]
-	col.Retries = 0
-	col.Reconnects = 0
-	col.Recoveries = 0
-	col.Checkpoints = 0
-	col.Restarts = 0
-	col.CheckpointBytes = 0
-	col.RecoveryTime = 0
-	col.Resizes = 0
-	col.MigratedBytes = 0
-	col.ResizeTime = 0
-	col.BlockHits = 0
-	col.BlockMisses = 0
-	col.BlockEvictions = 0
-	col.BlockBytesDense = 0
-	col.BlockBytesSparse = 0
-	col.BlockStepsDense = 0
-	col.BlockStepsSparse = 0
 	col.mu.Unlock()
 }
 
