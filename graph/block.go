@@ -101,6 +101,10 @@ type DecodedBlock struct {
 	adj   []VID
 	ws    []float32 // nil when unweighted
 	enc   int       // encoded size on disk (stats)
+
+	// d and idx are the block's stored direction and block-table index: the
+	// cache slot a Release unpins.
+	d, idx int
 }
 
 // First returns the first vertex the block covers.
@@ -124,9 +128,18 @@ func (b *DecodedBlock) Adj(v VID) ([]VID, []float32) {
 	return b.adj[lo:hi], b.ws[lo:hi]
 }
 
-// Bytes returns the decoded resident footprint, the unit of cache accounting.
-func (b *DecodedBlock) Bytes() int64 {
-	return int64(cap(b.adj))*4 + int64(cap(b.ws))*4 + 64
+// Bytes returns the decoded resident footprint by arena capacity (a recycled
+// arena can be larger than the block in it), the unit of cache accounting.
+func (b *DecodedBlock) Bytes() int64 { return arenaBytes(cap(b.adj), b.ws != nil) }
+
+// arenaBytes is the footprint of a block whose arenas hold edges entries: the
+// two arenas are always allocated at the same capacity.
+func arenaBytes(edges int, weighted bool) int64 {
+	per := int64(4)
+	if weighted {
+		per = 8
+	}
+	return int64(edges)*per + 64
 }
 
 // EncLen returns the block's encoded size on disk.
@@ -220,77 +233,129 @@ func (bg *BlockGraph) dirOff(d int) []int64 {
 	return bg.inOff
 }
 
-// ReadBlock reads, CRC-verifies, and decodes one block. Every call allocates
-// a fresh DecodedBlock; callers wanting reuse go through a BlockCache.
+// ReadBlock reads, CRC-verifies, and decodes one block into memory no one
+// else holds: every call allocates a fresh DecodedBlock the caller owns
+// outright, valid for as long as it is referenced. Engine hot paths go
+// through a BlockCache instead, whose blocks live in recycled arenas and are
+// valid only between Get and Release.
 func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
 	d := bg.mapDir(dir)
 	if idx < 0 || idx >= len(bg.blocks[d]) {
 		return nil, fmt.Errorf("graph: block %d/%d out of range", d, idx)
 	}
-	mt := bg.blocks[d][idx]
-	buf := make([]byte, mt.encLen)
-	if _, err := bg.r.ReadAt(buf, bg.payloadStart+int64(mt.off)); err != nil {
-		return nil, fmt.Errorf("graph: block %d/%d read: %w", d, idx, err)
+	b := new(DecodedBlock)
+	b.alloc(int(bg.blocks[d][idx].edges), bg.weighted)
+	if _, err := bg.readBlock(d, idx, b, nil); err != nil {
+		return nil, err
 	}
-	if crc32.Checksum(buf, blkCRCTable) != mt.crc {
-		return nil, fmt.Errorf("graph: block %d/%d crc mismatch", d, idx)
-	}
-	return bg.decodeBlock(d, mt, buf)
+	return b, nil
 }
 
-// decodeBlock expands one verified block payload into CSR form, validating
-// varint framing, vid bounds, and the exact byte budget.
-func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte) (*DecodedBlock, error) {
+// alloc gives a new block adjacency arenas of exactly edges entries.
+func (b *DecodedBlock) alloc(edges int, weighted bool) {
+	b.adj = make([]VID, edges)
+	if weighted {
+		b.ws = make([]float32, edges)
+	}
+}
+
+// readBlock reads block d/idx (both already validated) through the encoded-
+// bytes buffer enc, CRC-verifies it, and decodes it into b's arenas, which
+// must hold the block's edge count. The buffer is returned for reuse, grown
+// if the block needed more than it had. On error b's contents are undefined
+// but its arenas remain usable.
+//
+//flash:hotpath
+//flash:blockowner the decode path fills the block it is handed
+func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte, error) {
+	mt := bg.blocks[d][idx]
+	if cap(enc) < int(mt.encLen) {
+		enc = make([]byte, mt.encLen)
+	}
+	enc = enc[:mt.encLen]
+	if _, err := bg.r.ReadAt(enc, bg.payloadStart+int64(mt.off)); err != nil {
+		return enc, fmt.Errorf("graph: block %d/%d read: %w", d, idx, err)
+	}
+	if crc32.Checksum(enc, blkCRCTable) != mt.crc {
+		return enc, fmt.Errorf("graph: block %d/%d crc mismatch", d, idx)
+	}
+	b.d, b.idx = d, idx
+	return enc, bg.decodeBlock(d, mt, enc, b)
+}
+
+// decodeBlock expands one verified block payload into CSR form inside b's
+// arenas (capacity at least mt.edges), validating varint framing, vid bounds,
+// and the exact byte budget.
+//
+// Gaps between sorted neighbors are nearly always one or two bytes long, so
+// that case is decided arithmetically from the next two bytes — c is the
+// first byte's continuation bit, the second byte is masked in only when c is
+// set, and pos advances by 1+c — keeping the serial dependency on pos to a
+// load, a shift and an add. Everything else (a gap of three bytes or more,
+// each vertex's absolute first neighbor, the buffer's last byte) goes through
+// encoding/binary's uvarint reader, so what is accepted and rejected is
+// exactly what that reader accepts and rejects, overlong encodings included.
+//
+//flash:hotpath
+//flash:blockowner the decode path fills the block it is handed
+func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock) error {
 	off := bg.dirOff(d)
-	adj := make([]VID, mt.edges)
+	first, end := int(mt.first), int(mt.first)+int(mt.nv)
+	adj := b.adj[:mt.edges]
 	var ws []float32
 	if bg.weighted {
-		ws = make([]float32, mt.edges)
+		ws = b.ws[:mt.edges]
 	}
-	pos, k := 0, 0
-	for v := int(mt.first); v < int(mt.first)+int(mt.nv); v++ {
+	n := uint64(bg.n)
+	pos, k, last := 0, 0, len(data)-1
+	for v := first; v < end; v++ {
 		deg := int(off[v+1] - off[v])
+		row := adj[k : k+deg]
 		prev := uint64(0)
-		for i := 0; i < deg; i++ {
-			x, sz := binary.Uvarint(data[pos:])
-			if sz <= 0 {
-				return nil, fmt.Errorf("graph: block truncated decoding vertex %d", v)
-			}
-			pos += sz
-			if i == 0 {
-				prev = x
+		for i := range row {
+			var x uint64
+			if i > 0 && pos < last && data[pos]&data[pos+1]&0x80 == 0 {
+				b0, b1 := uint64(data[pos]), uint64(data[pos+1])
+				c := b0 >> 7
+				x = b0&0x7f | (b1<<7)&-c
+				pos += 1 + int(c)
 			} else {
-				prev += x
+				var sz int
+				x, sz = binary.Uvarint(data[pos:])
+				if sz <= 0 {
+					return fmt.Errorf("graph: block truncated decoding vertex %d", v)
+				}
+				pos += sz
 			}
-			if prev >= uint64(bg.n) {
-				return nil, fmt.Errorf("graph: block vid %d out of range at vertex %d", prev, v)
+			prev += x
+			if prev >= n {
+				return fmt.Errorf("graph: block vid %d out of range at vertex %d", prev, v)
 			}
-			adj[k] = VID(prev)
-			k++
+			row[i] = VID(prev)
 		}
+		k += deg
 		if bg.weighted {
 			need := 4 * deg
 			if pos+need > len(data) {
-				return nil, fmt.Errorf("graph: block truncated in weights of vertex %d", v)
+				return fmt.Errorf("graph: block truncated in weights of vertex %d", v)
 			}
-			for i := 0; i < deg; i++ {
-				ws[k-deg+i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
+			wrow := ws[k-deg : k]
+			for i := range wrow {
+				wrow[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
 			}
 			pos += need
 		}
 	}
 	if pos != len(data) {
-		return nil, fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
+		return fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
 	}
-	return &DecodedBlock{
-		first: mt.first,
-		nv:    int(mt.nv),
-		base:  off[mt.first],
-		off:   off[mt.first : int(mt.first)+int(mt.nv)+1],
-		adj:   adj,
-		ws:    ws,
-		enc:   len(data),
-	}, nil
+	b.first = mt.first
+	b.nv = int(mt.nv)
+	b.base = off[first]
+	b.off = off[first : end+1]
+	b.adj, b.ws = adj, ws
+	b.enc = len(data)
+	return nil
 }
 
 // seqAdj serves the sequential-scan accessors through a one-block-per-

@@ -202,6 +202,18 @@ func TestSkeletonPanicsOnAdjacency(t *testing.T) {
 	sk.OutNeighbors(3)
 }
 
+// getRelease is one Get with its matching Release — the cursor-less access
+// pattern — returning the block only for inspection before the next Get.
+func getRelease(t *testing.T, c *BlockCache, dir, idx int) *DecodedBlock {
+	t.Helper()
+	dec, err := c.Get(dir, idx)
+	if err != nil {
+		t.Fatalf("Get(%d, %d): %v", dir, idx, err)
+	}
+	c.Release(dec)
+	return dec
+}
+
 func TestBlockCacheEviction(t *testing.T) {
 	g := GenRMAT(512, 4096, 21)
 	bg := openBlockBytes(t, g, 512) // many small blocks
@@ -225,6 +237,10 @@ func TestBlockCacheEviction(t *testing.T) {
 		if !dec.Contains(dec.First()) {
 			t.Fatalf("bad block %d", i)
 		}
+		if adj, _ := dec.Adj(dec.First()); !equalVIDs(adj, g.OutNeighbors(dec.First())) {
+			t.Fatalf("block %d decoded into a recycled arena reads %v, want %v", i, adj, g.OutNeighbors(dec.First()))
+		}
+		c.Release(dec)
 	}
 	st := c.Stats()
 	if st.Misses != uint64(nb) || st.Hits != 0 {
@@ -245,15 +261,75 @@ func TestBlockCacheEviction(t *testing.T) {
 	c2.BeginDense()
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < nb; i++ {
-			if _, err := c2.Get(BlockOut, i); err != nil {
-				t.Fatalf("Get: %v", err)
-			}
+			getRelease(t, c2, BlockOut, i)
 		}
 	}
 	st2 := c2.Stats()
 	if st2.Hits != uint64(nb) || st2.Misses != uint64(nb) || st2.Evictions != 0 {
 		t.Fatalf("warm scan: %+v", st2)
 	}
+}
+
+// TestBlockCacheGetOutOfRange: an index outside the block table is the same
+// error from the cache as from BlockGraph.ReadBlock, not an index panic.
+func TestBlockCacheGetOutOfRange(t *testing.T) {
+	bg := openBlockBytes(t, GenRMAT(512, 4096, 21), 512)
+	c := NewBlockCache(bg, 1<<20)
+	for _, idx := range []int{-1, bg.NumBlocks(BlockOut), bg.NumBlocks(BlockOut) + 7} {
+		_, wantErr := bg.ReadBlock(BlockOut, idx)
+		dec, err := c.Get(BlockOut, idx)
+		if err == nil || dec != nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("Get(%d) = %v, %v; want ReadBlock's error %v", idx, dec, err, wantErr)
+		}
+	}
+	if st := c.Stats(); st.Misses != 0 || st.Hits != 0 {
+		t.Fatalf("out-of-range Gets were counted: %+v", st)
+	}
+}
+
+// TestBlockCacheAllPinnedOvercommits: pins are never broken, so with every
+// resident block pinned a further Get over-commits the budget and returns —
+// it neither evicts a block in use nor waits for a Release — and the cache
+// is back under budget once the pins are dropped and the next miss sweeps.
+func TestBlockCacheAllPinnedOvercommits(t *testing.T) {
+	bg := openBlockBytes(t, GenRMAT(512, 4096, 21), 512)
+	one, err := bg.ReadBlock(BlockOut, 0)
+	if err != nil {
+		t.Fatalf("ReadBlock: %v", err)
+	}
+	c := NewBlockCache(bg, 2*one.Bytes())
+	c.BeginDense()
+	var pinned []*DecodedBlock
+	for i := 0; i < 6; i++ {
+		dec, err := c.Get(BlockOut, i)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", i, err)
+		}
+		pinned = append(pinned, dec)
+	}
+	if st := c.Stats(); st.Evictions != 0 {
+		t.Fatalf("evicted %d pinned blocks", st.Evictions)
+	}
+	if c.Bytes() <= c.Budget() {
+		t.Fatalf("six pinned blocks fit a two-block budget: %d <= %d", c.Bytes(), c.Budget())
+	}
+	for i, dec := range pinned {
+		if !dec.Contains(dec.First()) || dec != getRelease(t, c, BlockOut, i) {
+			t.Fatalf("pinned block %d did not stay resident", i)
+		}
+		c.Release(dec)
+	}
+	getRelease(t, c, BlockOut, 7)
+	if st := c.Stats(); st.Evictions == 0 || c.Bytes() > c.Budget() {
+		t.Fatalf("after dropping the pins: %d evictions, %d bytes held of %d", st.Evictions, c.Bytes(), c.Budget())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Release of an unpinned block did not panic")
+		}
+	}()
+	c.Release(pinned[0])
 }
 
 func TestBlockCacheSparsePlan(t *testing.T) {
@@ -265,12 +341,8 @@ func TestBlockCacheSparsePlan(t *testing.T) {
 	plan := bitset.New(nb)
 	plan.Set(0)
 	c.BeginSparse(plan, nil)
-	if _, err := c.Get(BlockOut, 0); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
-	if _, err := c.Get(BlockOut, nb-1); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	getRelease(t, c, BlockOut, 0)
+	getRelease(t, c, BlockOut, nb-1)
 	st := c.Stats()
 	if st.BytesSparse == 0 || st.BytesDense != 0 {
 		t.Fatalf("sparse byte accounting wrong: %+v", st)
@@ -304,12 +376,8 @@ func TestBlockCacheOversizeBlockCachedAlone(t *testing.T) {
 	}
 	c := NewBlockCache(bg, hub.Bytes()/2)
 	c.BeginDense()
-	if _, err := c.Get(BlockOut, 1); err != nil { // a small resident victim
-		t.Fatalf("Get: %v", err)
-	}
-	if _, err := c.Get(BlockOut, bg.OutBlockOf(0)); err != nil {
-		t.Fatalf("Get: %v", err)
-	}
+	getRelease(t, c, BlockOut, 1) // a small resident victim
+	getRelease(t, c, BlockOut, bg.OutBlockOf(0))
 	if c.Bytes() != hub.Bytes() {
 		t.Fatalf("oversize block not resident alone: %d bytes, want %d", c.Bytes(), hub.Bytes())
 	}
@@ -320,6 +388,7 @@ func TestBlockCacheOversizeBlockCachedAlone(t *testing.T) {
 	if adj, _ := dec.Adj(0); len(adj) != 999 {
 		t.Fatalf("hub degree %d, want 999", len(adj))
 	}
+	c.Release(dec)
 	if st := c.Stats(); st.Hits != 1 || st.Evictions != 1 {
 		t.Fatalf("oversize residency stats: %+v (want 1 hit, 1 eviction)", st)
 	}

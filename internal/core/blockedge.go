@@ -25,16 +25,35 @@ import (
 )
 
 // blockEdges is E served from the FLASHBLK backend. Zero-sized: all state
-// lives on the worker (cache) and the engine config (block graph).
+// lives on the worker (cache), the calling thread's Ctx (cursor) and the
+// engine config (block graph).
 type blockEdges[V any] struct{}
 
-// getBlock fetches a decoded block through the worker's cache; an I/O or
-// corruption error panics, which parallelWorkers converts into a clean
+// blockCursor is one thread's current block in one direction, kept pinned in
+// the worker's cache between calls: consecutive vertices nearly always share
+// a block, so the per-vertex path is a range test, and the cache's mutex and
+// the block-table search are paid once per block change.
+type blockCursor struct {
+	blk *graph.DecodedBlock // pinned; nil before the first call and after a flush
+	// depth counts the calls in progress through this cursor. A nested call
+	// from inside a yield (JoinEE(E, E) calls Out from Out's own loop) sees it
+	// nonzero and must leave blk pinned for the loop still running over it.
+	depth int
+	hits  uint64 // vertices served from blk without going to the cache
+}
+
+// getBlock fetches a pinned decoded block through the worker's cache; an I/O
+// or corruption error panics, which parallelWorkers converts into a clean
 // non-recoverable superstep failure (replaying a read against a corrupt file
 // would fail identically).
 //
 //flash:hotpath
-func getBlock[V any](c *Ctx[V], dir, idx int) *graph.DecodedBlock {
+func getBlock[V any](c *Ctx[V], dir int, v graph.VID) *graph.DecodedBlock {
+	bg := c.w.eng.cfg.BlockGraph
+	idx := bg.OutBlockOf(v)
+	if dir == graph.BlockIn {
+		idx = bg.InBlockOf(v)
+	}
 	dec, err := c.w.bcache.Get(dir, idx)
 	if err != nil {
 		panic(fmt.Errorf("core: out-of-core edge read: %w", err))
@@ -42,36 +61,52 @@ func getBlock[V any](c *Ctx[V], dir, idx int) *graph.DecodedBlock {
 	return dec
 }
 
+// iterate yields v's adjacency in the given direction from the thread's
+// cursor, moving the cursor to v's block first when it is elsewhere and no
+// loop further up the stack is still reading it; a nested call that needs
+// another block pins that block just for its own loop.
+//
 //flash:hotpath
-func (blockEdges[V]) Out(c *Ctx[V], u graph.VID, yield func(graph.VID, float32) bool) {
-	bg := c.w.eng.cfg.BlockGraph
-	dec := getBlock(c, graph.BlockOut, bg.OutBlockOf(u))
-	adj, ws := dec.Adj(u)
+//flash:blockowner the per-thread cursor keeps its block pinned until it moves on or the superstep ends
+func (c *Ctx[V]) iterate(dir int, v graph.VID, yield func(graph.VID, float32) bool) {
+	cur := &c.blk[dir]
+	blk := cur.blk
+	switch {
+	case blk != nil && blk.Contains(v):
+		cur.hits++
+	case cur.depth == 0:
+		if blk != nil {
+			cur.blk = nil
+			c.w.bcache.Release(blk)
+		}
+		blk = getBlock(c, dir, v)
+		cur.blk = blk
+	default:
+		blk = getBlock(c, dir, v)
+		defer c.w.bcache.Release(blk)
+	}
+	cur.depth++
+	adj, ws := blk.Adj(v)
 	for i, d := range adj {
 		var w float32
 		if ws != nil {
 			w = ws[i]
 		}
 		if !yield(d, w) {
-			return
+			break
 		}
 	}
+	cur.depth--
+}
+
+//flash:hotpath
+func (blockEdges[V]) Out(c *Ctx[V], u graph.VID, yield func(graph.VID, float32) bool) {
+	c.iterate(graph.BlockOut, u, yield)
 }
 
 //flash:hotpath
 func (blockEdges[V]) In(c *Ctx[V], d graph.VID, yield func(graph.VID, float32) bool) {
-	bg := c.w.eng.cfg.BlockGraph
-	dec := getBlock(c, graph.BlockIn, bg.InBlockOf(d))
-	adj, ws := dec.Adj(d)
-	for i, s := range adj {
-		var w float32
-		if ws != nil {
-			w = ws[i]
-		}
-		if !yield(s, w) {
-			return
-		}
-	}
+	c.iterate(graph.BlockIn, d, yield)
 }
 
 func (blockEdges[V]) SupportsIn() bool  { return true }
@@ -137,14 +172,30 @@ func (w *worker[V]) planSparseBlocks(membership *bitset.Bitset) {
 	w.bcache.BeginSparse(w.resOut, w.resIn)
 }
 
-// flushBlockStats drains the cache's counter delta into the worker's metric
-// shard; parallelWorkers folds the shards into the engine collector at the
-// superstep barrier, so RunResult and the bench suite see per-step-accurate
-// totals.
+// flushBlockStats ends the worker's out-of-core superstep: every thread's
+// cursors are released (no block stays pinned across a superstep boundary,
+// and a step that failed mid-iteration leaves no depth behind), and the
+// cache's counter delta plus the cursors' hit counts — a hit is a vertex
+// served from a resident block, wherever it was noticed — drain into the
+// worker's metric shard; parallelWorkers folds the shards into the engine
+// collector at the superstep barrier, so RunResult and the bench suite see
+// per-step-accurate totals.
+//
+//flash:blockowner
 func (w *worker[V]) flushBlockStats() {
 	if w.bcache == nil {
 		return
 	}
 	d := w.bcache.TakeDelta()
+	for t := range w.ctxs {
+		for dir := range w.ctxs[t].blk {
+			cur := &w.ctxs[t].blk[dir]
+			if cur.blk != nil {
+				w.bcache.Release(cur.blk)
+			}
+			d.Hits += cur.hits
+			cur.blk, cur.depth, cur.hits = nil, 0, 0
+		}
+	}
 	w.met.AddBlockCache(d.Hits, d.Misses, d.Evictions, d.BytesDense, d.BytesSparse)
 }

@@ -73,7 +73,7 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 	for _, w := range e.workers {
 		w := w
 		U.local[w.id].Range(func(l int) bool {
-			sum += H.OutDegreeHint(&w.ctx, e.place.GlobalID(w.id, l))
+			sum += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
 			return sum <= budget
 		})
 		if sum > budget {
@@ -123,7 +123,8 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// source loop (one allocation per chunk, not per source).
 			w.acc[0].set.Reset()
 			w.timeBlock(metrics.Compute, func() {
-				visitor := func(a *accShard[V]) func(l int) {
+				visitor := func(thread int) func(l int) {
+					a, c := &w.acc[thread], &w.ctxs[thread]
 					var uv Vtx[V]
 					push := func(d graph.VID, wt float32) bool {
 						ds := w.st.Slot(d)
@@ -145,7 +146,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 					return func(l int) {
 						u := e.place.GlobalID(w.id, l)
 						uv = w.vtxMaster(u, l)
-						H.Out(&w.ctx, u, push)
+						H.Out(c, u, push)
 					}
 				}
 				// Density rule as in forEachMember, plus an edge-work floor:
@@ -161,13 +162,13 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 					floor := w.st.SlotCount()
 					work := 0
 					membership.Range(func(l int) bool {
-						work += H.OutDegreeHint(&w.ctx, e.place.GlobalID(w.id, l))
+						work += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
 						return work < floor
 					})
 					parallel = work >= floor
 				}
 				if !parallel {
-					f := visitor(&w.acc[0])
+					f := visitor(0)
 					membership.Range(func(l int) bool {
 						f(l)
 						return true
@@ -175,7 +176,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				} else {
 					w.ensureAccShards()
 					w.parforT(membership.Cap(), func(t, lo, hi int) {
-						f := visitor(&w.acc[t])
+						f := visitor(t)
 						for l := lo; l < hi; l++ {
 							if membership.Test(l) {
 								f(l)
@@ -353,7 +354,8 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 			updated := w.nextSet
 			updated.Reset()
 			w.timeBlock(metrics.Compute, func() {
-				w.parfor(e.place.LocalCount(w.id), func(lo, hi int) {
+				w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
+					c := &w.ctxs[t]
 					// The pull closure is hoisted out of the target loop and
 					// mutates chunk-local state: one allocation per chunk
 					// instead of one per local master.
@@ -380,7 +382,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 						work = w.cur[l]
 						dv = w.vtxAt(gid, &work)
 						applied = false
-						H.In(&w.ctx, gid, pull)
+						H.In(c, gid, pull)
 						if applied {
 							w.next[l] = work
 							updated.Set(l)

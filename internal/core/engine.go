@@ -430,7 +430,11 @@ type worker[V any] struct {
 	resOut, resIn *bitset.Bitset
 
 	met *metrics.Collector
-	ctx Ctx[V]
+
+	// ctxs holds one Ctx per parfor thread (index = parforT's chunk index t;
+	// driver-side and sequential code uses ctxs[0]): a Ctx carries the
+	// thread's out-of-core block cursor, which must not be shared.
+	ctxs []Ctx[V]
 }
 
 // accShard is one thread's private phase-1 accumulator.
@@ -533,7 +537,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		// is kept; every state slice stays nil so any accidental local use
 		// fails loudly instead of silently diverging from the real owner.
 		w := &worker[V]{id: wi, eng: e, part: part.Parts[wi], st: st, met: metrics.New()}
-		w.ctx = Ctx[V]{G: e.g, w: w}
+		w.initCtxs()
 		return w
 	}
 	w := &worker[V]{
@@ -576,8 +580,16 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 			}
 		}
 	}
-	w.ctx = Ctx[V]{G: e.g, w: w}
+	w.initCtxs()
 	return w
+}
+
+// initCtxs builds the worker's per-thread callback contexts.
+func (w *worker[V]) initCtxs() {
+	w.ctxs = make([]Ctx[V], w.eng.cfg.Threads)
+	for t := range w.ctxs {
+		w.ctxs[t] = Ctx[V]{G: w.eng.g, w: w}
+	}
 }
 
 // Graph returns the underlying topology.
@@ -910,21 +922,22 @@ func (w *worker[V]) ensureAccShards() {
 
 // forEachMember visits the local indices in membership, choosing between a
 // thread-parallel full scan (dense frontiers) and a sequential bit-walk
-// (sparse frontiers, avoiding the O(localCount) scan).
+// (sparse frontiers, avoiding the O(localCount) scan). f also receives the
+// index t of the thread it runs on, for per-thread scratch such as w.ctxs[t].
 //
 //flash:amortized one parallel region per frontier sweep
-func (w *worker[V]) forEachMember(membership *bitset.Bitset, count int, f func(l int)) {
+func (w *worker[V]) forEachMember(membership *bitset.Bitset, count int, f func(t, l int)) {
 	if count*16 < membership.Cap() || w.eng.cfg.Threads == 1 {
 		membership.Range(func(l int) bool {
-			f(l)
+			f(0, l)
 			return true
 		})
 		return
 	}
-	w.parfor(membership.Cap(), func(lo, hi int) {
+	w.parforT(membership.Cap(), func(t, lo, hi int) {
 		for l := lo; l < hi; l++ {
 			if membership.Test(l) {
-				f(l)
+				f(t, l)
 			}
 		}
 	})
@@ -971,10 +984,15 @@ func (w *worker[V]) vtxAt(v graph.VID, val *V) Vtx[V] {
 	}
 }
 
-// Ctx gives EdgeSet implementations read access to current states.
+// Ctx gives EdgeSet implementations read access to current states. Each
+// parfor thread of a worker has its own, so a Ctx is never used concurrently.
 type Ctx[V any] struct {
 	G *graph.Graph
 	w *worker[V]
+
+	// blk is the thread's out-of-core block cursor per logical direction
+	// (blockedge.go); unused over an in-memory graph.
+	blk [2]blockCursor
 }
 
 // Get returns a read-only pointer to v's current state as seen by this

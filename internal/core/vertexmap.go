@@ -31,7 +31,7 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 			updated := w.nextSet
 			updated.Reset()
 			w.timeBlock(metrics.Compute, func() {
-				w.forEachMember(membership, U.Size(), func(l int) {
+				w.forEachMember(membership, U.Size(), func(_, l int) {
 					gid := e.place.GlobalID(w.id, l)
 					v := w.vtxMaster(gid, l)
 					if F != nil && !F(v) {
@@ -68,15 +68,19 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			outBits := out.local[w.id]
 			updated := w.nextSet
 			updated.Reset()
+			// A callback may iterate an out-of-core edge set through its Ctx;
+			// the cursors that leaves pinned are released however the step ends.
+			defer w.flushBlockStats()
 			w.timeBlock(metrics.Compute, func() {
-				w.forEachMember(membership, U.Size(), func(l int) {
+				w.forEachMember(membership, U.Size(), func(t, l int) {
+					c := &w.ctxs[t]
 					gid := e.place.GlobalID(w.id, l)
 					v := w.vtxMaster(gid, l)
-					if F != nil && !F(&w.ctx, v) {
+					if F != nil && !F(c, v) {
 						return
 					}
 					if M != nil {
-						w.next[l] = M(&w.ctx, v)
+						w.next[l] = M(c, v)
 						updated.Set(l)
 					}
 					outBits.Set(l)

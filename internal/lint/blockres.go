@@ -5,12 +5,14 @@ import (
 	"go/types"
 )
 
-// BlockRes is the static twin of PR 8's bounded-residency contract: a
-// *DecodedBlock handed out by graph.ReadBlock or a BlockCache lookup is valid
-// only until the clock hand evicts it, so no alias of its memory may outlive
-// the superstep scope that fetched it. FlashGraph enforces the same page-cache
-// ownership discipline at runtime; here a retained block is a diagnostic, not
-// a heisenbug over recycled memory.
+// BlockRes is the static twin of the block cache's residency contract: a
+// *DecodedBlock handed out by BlockCache.Get lives in a recycled arena and is
+// valid only while it is pinned — until its Release, which the engine's
+// cursor issues when it moves on and at the end of the superstep — so no
+// alias of its memory may outlive the scope that fetched it. FlashGraph
+// enforces the same page-cache ownership discipline at runtime (as does the
+// flashdebug arena poison here); statically, a retained block is a
+// diagnostic, not a heisenbug over recycled memory.
 //
 // Tainted values are (a) anything of type DecodedBlock (so the taint crosses
 // function boundaries by construction — returning the block itself is fine,
@@ -21,8 +23,9 @@ import (
 // Violations are the sinks that outlive the scope: stores to fields, globals,
 // maps, or slices; channel sends; go/defer captures; returning an adjacency
 // alias; and passing tainted memory to a module function whose summary says
-// it retains its argument. The cache's own bookkeeping is the sanctioned
-// owner and is marked //flash:blockowner.
+// it retains its argument. The sanctioned owners — the cache's bookkeeping
+// and free list, the decoder that fills an arena, and the cursor that keeps a
+// block pinned between calls — are marked //flash:blockowner.
 var BlockRes = &Analyzer{
 	Name: "blockres",
 	Doc:  "decoded block memory may not outlive its superstep scope (eviction recycles it)",

@@ -97,3 +97,19 @@ func insertPath(s *source) {
 	dec, _ := s.ReadBlock(1)
 	s.remember(dec) // no diagnostic: callee is //flash:blockowner
 }
+
+// cursor models the engine's per-thread block cursor: it keeps a pinned block
+// across calls, which only a marked owner may do — an unmarked holder would
+// read an arena the cache has since recycled.
+type cursor struct{ blk *DecodedBlock }
+
+func (c *cursor) moveUnmarked(s *source) {
+	dec, _ := s.ReadBlock(0)
+	c.blk = dec // want `decoded block memory stored through c\.blk`
+}
+
+//flash:blockowner the cursor keeps its block pinned until it moves on or the superstep ends
+func (c *cursor) move(s *source) {
+	dec, _ := s.ReadBlock(0)
+	c.blk = dec // no diagnostic: the marked owner releases what it stores
+}

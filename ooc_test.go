@@ -1,7 +1,9 @@
 package flash_test
 
 import (
+	"math"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"flash"
@@ -170,5 +172,90 @@ func TestBlockHandleAdoption(t *testing.T) {
 	}
 	if st.Result.BlockMisses == 0 {
 		t.Fatalf("handle run did not go through the block backend")
+	}
+}
+
+// TestBlockRecycledArenasMatchCSR runs over recycled block memory as hard as
+// the engine can: the cache holds one decoded block per worker, so every
+// block change evicts the previous block into the free list and decodes the
+// next into its arena, while four threads per worker each keep a cursor
+// pinned and RC's JoinEE(E, E) re-enters the edge set from inside its own
+// loop. BFS, CC, PageRank and RC must still be byte-identical to the CSR runs
+// at the same width. Under -race a reader of a recycled arena is a reported
+// race; under -tags flashdebug it reads the ^VID(0) poison, and a pin that
+// survives a superstep fails the cache's boundary assertion.
+func TestBlockRecycledArenasMatchCSR(t *testing.T) {
+	g := graph.GenRMAT(2048, 2048*12, 77)
+	bg := openXLBlock(t, g, 4<<10)
+	sk := bg.Skeleton()
+
+	var oneBlock int64
+	for i := 0; i < bg.NumBlocks(graph.BlockOut); i++ {
+		dec, err := bg.ReadBlock(graph.BlockOut, i)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", i, err)
+		}
+		if dec.Bytes() > oneBlock {
+			oneBlock = dec.Bytes()
+		}
+	}
+	const workers = 2
+	width := []flash.Option{flash.WithWorkers(workers), flash.WithThreads(4)}
+	var evictions uint64
+	block := append([]flash.Option{
+		flash.WithBlockBackend(bg),
+		flash.WithBlockCacheBytes(workers * oneBlock),
+		flash.WithRunStats(func(s flash.RunStats) { evictions += s.Result.BlockEvictions }),
+	}, width...)
+
+	wantBFS, err := algo.BFS(g, 0, width...)
+	if err != nil {
+		t.Fatalf("CSR BFS: %v", err)
+	}
+	gotBFS, err := algo.BFS(sk, 0, block...)
+	if err != nil {
+		t.Fatalf("block BFS: %v", err)
+	}
+	wantCC, err := algo.CC(g, width...)
+	if err != nil {
+		t.Fatalf("CSR CC: %v", err)
+	}
+	gotCC, err := algo.CC(sk, block...)
+	if err != nil {
+		t.Fatalf("block CC: %v", err)
+	}
+	wantPR, err := algo.PageRank(g, 5, 0, width...)
+	if err != nil {
+		t.Fatalf("CSR PageRank: %v", err)
+	}
+	gotPR, err := algo.PageRank(sk, 5, 0, block...)
+	if err != nil {
+		t.Fatalf("block PageRank: %v", err)
+	}
+	wantRC, err := algo.RC(g, width...)
+	if err != nil {
+		t.Fatalf("CSR RC: %v", err)
+	}
+	gotRC, err := algo.RC(sk, block...)
+	if err != nil {
+		t.Fatalf("block RC: %v", err)
+	}
+
+	if !reflect.DeepEqual(gotBFS, wantBFS) {
+		t.Errorf("BFS over recycled blocks differs from CSR")
+	}
+	if !reflect.DeepEqual(gotCC, wantCC) {
+		t.Errorf("CC over recycled blocks differs from CSR")
+	}
+	for i := range wantPR {
+		if math.Float64bits(gotPR[i]) != math.Float64bits(wantPR[i]) {
+			t.Fatalf("PageRank[%d] = %v over recycled blocks, %v over CSR", i, gotPR[i], wantPR[i])
+		}
+	}
+	if gotRC != wantRC || wantRC == 0 {
+		t.Errorf("RC = %d over recycled blocks, %d over CSR (want equal and nonzero)", gotRC, wantRC)
+	}
+	if evictions == 0 {
+		t.Errorf("a one-block cache recorded no evictions: nothing was recycled")
 	}
 }
