@@ -59,8 +59,8 @@ func (e *Engine[V]) IDs(U *VertexSubset) []VID { return e.c.IDs(U) }
 // ---- edge sets ----
 
 // E returns the graph's own edge set: the in-memory CSR iterator, or the
-// block-backed iterator when the engine was configured with an out-of-core
-// backend (WithBlockBackend / a block-graph handle).
+// block-backed iterator when the engine borrows a block-graph handle
+// (WithGraphHandle(NewBlockGraphHandle(bg))).
 func (e *Engine[V]) E() EdgeSet[V] { return e.c.E() }
 
 // Reverse returns the reversal of h (the paper's reverse(E)).

@@ -8,8 +8,14 @@ import (
 
 	"flash"
 	"flash/algo"
+	"flash/internal/core"
 	"flash/metrics"
 )
+
+// The switches only Fig. 3 and the §IV-C ablation flip (forced Mode,
+// BatchBytes, DisableNecessaryMirrors, UseHashPlacement) are core.Config
+// fields without a public flash option: the figures set them with Option
+// literals.
 
 // Fig3 compares BFS under forced push, forced pull, and the adaptive dual
 // mode on the paper's three Fig. 3 datasets (TW, US, UK analogs).
@@ -26,7 +32,7 @@ func Fig3(w io.Writer, opt Options) {
 			if _, err := algo.BFS(g, 0,
 				flash.WithWorkers(opt.Run.Workers),
 				flash.WithThreads(opt.Run.Threads),
-				flash.WithMode(mode)); err != nil {
+				func(c *core.Config) { c.Mode = mode }); err != nil {
 				fmt.Fprintf(tw, "\tERR")
 				continue
 			}
@@ -178,16 +184,15 @@ func Ablation(w io.Writer, opt Options) error {
 	fmt.Fprintln(tw, "configuration\tseconds")
 	for _, cfg := range []struct {
 		name string
-		opts []flash.Option
+		opt  flash.Option
 	}{
-		{"baseline (all optimizations)", []flash.Option{flash.WithBatchBytes(1 << 16)}},
-		{"broadcast sync (no necessary mirrors)", []flash.Option{flash.WithBatchBytes(1 << 16), flash.WithoutNecessaryMirrors()}},
-		{"no comm/compute overlap", nil},
-		{"hash placement", []flash.Option{flash.WithBatchBytes(1 << 16), flash.WithHashPlacement()}},
+		{"baseline (all optimizations)", func(c *core.Config) { c.BatchBytes = 1 << 16 }},
+		{"broadcast sync (no necessary mirrors)", func(c *core.Config) { c.BatchBytes, c.DisableNecessaryMirrors = 1<<16, true }},
+		{"no comm/compute overlap", func(c *core.Config) {}},
+		{"hash placement", func(c *core.Config) { c.BatchBytes, c.UseHashPlacement = 1<<16, true }},
 	} {
-		opts := append([]flash.Option{flash.WithWorkers(opt.Run.Workers), flash.WithThreads(opt.Run.Threads)}, cfg.opts...)
 		start := time.Now()
-		if _, err := algo.CC(g, opts...); err != nil {
+		if _, err := algo.CC(g, flash.WithWorkers(opt.Run.Workers), flash.WithThreads(opt.Run.Threads), cfg.opt); err != nil {
 			return err
 		}
 		fmt.Fprintf(tw, "%s\t%.4f\n", cfg.name, time.Since(start).Seconds())

@@ -138,7 +138,7 @@ func MeasureOOC(g *graph.Graph, budget int64, reps int) (map[string]OOCStat, err
 			memNs, memSum = append(memNs, ns), sum
 
 			opts := []flash.Option{
-				flash.WithBlockBackend(bg),
+				flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
 				flash.WithBlockCacheBytes(budget),
 			}
 			ns, sum, res, err := timedRun(a, sk, opts)

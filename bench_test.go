@@ -14,6 +14,7 @@ import (
 	"flash/algo"
 	"flash/bench"
 	"flash/graph"
+	"flash/internal/core"
 	"flash/metrics"
 )
 
@@ -103,6 +104,10 @@ func BenchmarkFig1(b *testing.B) {
 	}
 }
 
+// withMode forces every EdgeMap into one propagation mode: a core.Config
+// field with no public option (bench.Fig3 sets it the same way).
+func withMode(m flash.Mode) flash.Option { return func(c *core.Config) { c.Mode = m } }
+
 // BenchmarkFig3_BFSModes measures BFS under forced sparse, forced dense and
 // the adaptive dual mode on the Fig. 3 datasets.
 func BenchmarkFig3_BFSModes(b *testing.B) {
@@ -114,7 +119,7 @@ func BenchmarkFig3_BFSModes(b *testing.B) {
 		}{{"sparse", flash.Push}, {"dense", flash.Pull}, {"dual", flash.Auto}} {
 			b.Run(abbr+"/"+m.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := algo.BFS(g, 0, flash.WithWorkers(4), flash.WithMode(m.mode)); err != nil {
+					if _, err := algo.BFS(g, 0, flash.WithWorkers(4), withMode(m.mode)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -199,14 +204,15 @@ func BenchmarkTimeBreakdown(b *testing.B) {
 // BenchmarkAblation measures the §IV-C optimization toggles on CC.
 func BenchmarkAblation(b *testing.B) {
 	g := getGraph(b, "OR")
+	overlap := flash.Option(func(c *core.Config) { c.BatchBytes = 1 << 16 })
 	cases := []struct {
 		name string
 		opts []flash.Option
 	}{
-		{"baseline", []flash.Option{flash.WithBatchBytes(1 << 16)}},
-		{"broadcast-sync", []flash.Option{flash.WithBatchBytes(1 << 16), flash.WithoutNecessaryMirrors()}},
+		{"baseline", []flash.Option{overlap}},
+		{"broadcast-sync", []flash.Option{overlap, func(c *core.Config) { c.DisableNecessaryMirrors = true }}},
 		{"no-overlap", nil},
-		{"hash-placement", []flash.Option{flash.WithBatchBytes(1 << 16), flash.WithHashPlacement()}},
+		{"hash-placement", []flash.Option{overlap, func(c *core.Config) { c.UseHashPlacement = true }}},
 	}
 	for _, c := range cases {
 		opts := append([]flash.Option{flash.WithWorkers(4)}, c.opts...)

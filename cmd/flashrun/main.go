@@ -47,10 +47,8 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 0, "per-round peer stall timeout (0 selects the 30s default, negative waits forever)")
 		hbEvery      = flag.Duration("heartbeat-every", 0, "liveness heartbeat interval (0 disables heartbeats; required to classify a dead peer)")
 		maxRecover   = flag.Int("max-recoveries", 0, "rollback/restart budget (0 keeps the default)")
-		sendRetries  = flag.Int("send-retries", 0, "transient send retries (0 keeps the default of 4)")
-		chaos        = flag.Bool("chaos", false, "inject seeded transport faults (send failures, delays, reordering)")
+		chaos        = flag.Bool("chaos", false, "inject seeded transport faults (delays, reordering)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "fault-injection seed")
-		failProb     = flag.Float64("send-fail-prob", 0.01, "chaos: per-frame transient send-failure probability")
 		delayProb    = flag.Float64("delay-prob", 0.05, "chaos: per-frame delay-to-end-of-round probability")
 		killWorker   = flag.Int("kill-worker", -1, "hard-kill this worker permanently mid-run (cold restart needs -checkpoint-every and -heartbeat-every)")
 		killRound    = flag.Int("kill-round", 3, "transport round at which -kill-worker dies")
@@ -95,13 +93,9 @@ func main() {
 	if *maxRecover > 0 {
 		opts = append(opts, flash.WithMaxRecoveries(*maxRecover))
 	}
-	if *sendRetries != 0 {
-		opts = append(opts, flash.WithSendRetries(*sendRetries))
-	}
 	plan := flash.FaultPlan{Seed: *chaosSeed}
 	usePlan := false
 	if *chaos {
-		plan.SendFailProb = *failProb
 		plan.DelayProb = *delayProb
 		plan.Reorder = true
 		usePlan = true

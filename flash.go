@@ -84,53 +84,20 @@ func WithTransport(t comm.Transport) Option { return func(c *core.Config) { c.Tr
 // path.
 func WithTCP() Option { return func(c *core.Config) { c.UseTCP = true } }
 
-// WithMode forces all EdgeMaps into one propagation mode (for the Fig. 3
-// push/pull/dual comparison).
-func WithMode(m Mode) Option { return func(c *core.Config) { c.Mode = m } }
-
-// WithDenseThreshold sets the density denominator of the auto switch
-// (default 20: dense when |U|+outDeg(U) > |E|/20).
-func WithDenseThreshold(k int) Option { return func(c *core.Config) { c.DenseThreshold = k } }
-
 // WithFullMirrors replicates every vertex on every worker. Required by
 // algorithms using virtual edge sets or arbitrary cross-vertex reads
 // (communication beyond neighborhood).
 func WithFullMirrors() Option { return func(c *core.Config) { c.FullMirrors = true } }
-
-// WithHashPlacement assigns vertices to workers by id modulo instead of
-// contiguous ranges.
-func WithHashPlacement() Option { return func(c *core.Config) { c.UseHashPlacement = true } }
-
-// WithBatchBytes enables eager buffer flushing above the given size so
-// communication overlaps computation (0 disables the overlap).
-func WithBatchBytes(n int) Option { return func(c *core.Config) { c.BatchBytes = n } }
-
-// WithoutNecessaryMirrors broadcasts every synchronization to all workers
-// (ablation of the necessary-mirrors optimization).
-func WithoutNecessaryMirrors() Option {
-	return func(c *core.Config) { c.DisableNecessaryMirrors = true }
-}
 
 // WithCollector directs runtime metrics into col.
 func WithCollector(col *metrics.Collector) Option { return func(c *core.Config) { c.Collector = col } }
 
 // ---- out-of-core block backend ----
 
-// WithBlockBackend routes the engine's base edge set E through an
-// out-of-core FLASHBLK block graph: edge iteration reads varint-delta
-// compressed, CRC-checked blocks through a bounded per-worker cache instead
-// of in-memory CSR rows, so graphs larger than RAM run unchanged. The graph
-// passed to NewEngine must be bg.Skeleton(). Dense supersteps stream the
-// worker's blocks sequentially; sparse supersteps read only blocks containing
-// active sources (per-block frontier-residency bitmaps).
-func WithBlockBackend(bg *graph.BlockGraph) Option {
-	return func(c *core.Config) { c.BlockGraph = bg }
-}
-
 // WithBlockCacheBytes bounds the decoded-block cache budget shared evenly by
 // the engine's workers (default: 25% of the graph's decoded edge bytes,
-// minimum 1 MiB). Only meaningful with WithBlockBackend or a block-graph
-// handle.
+// minimum 1 MiB). Only meaningful when the engine runs out-of-core, i.e. with
+// WithGraphHandle(NewBlockGraphHandle(bg)).
 func WithBlockCacheBytes(n int64) Option {
 	return func(c *core.Config) { c.BlockCacheBytes = n }
 }
@@ -140,9 +107,6 @@ func WithBlockCacheBytes(n int64) Option {
 // FaultPlan scripts deterministic fault injection (chaos testing); see
 // WithFaultPlan. Zero value = no faults.
 type FaultPlan = comm.FaultPlan
-
-// ConnDrop scripts a transient connection drop in a FaultPlan.
-type ConnDrop = comm.ConnDrop
 
 // WorkerStall scripts a worker stall in a FaultPlan.
 type WorkerStall = comm.WorkerStall
@@ -198,14 +162,14 @@ func NewFileCheckpointStore(path string) (CheckpointStore, error) {
 }
 
 // RunResult summarizes a Run: supersteps executed plus the fault-tolerance
-// counters (checkpoints taken, recoveries performed, sends retried,
-// connections re-established).
+// counters (checkpoints taken, recoveries performed, connections the
+// transport re-established).
 type RunResult = core.RunResult
 
 // WithCheckpointEvery snapshots all worker state every n successful
 // supersteps at the BSP barrier and enables rollback+replay recovery from
-// transport failures (stalls, drops, injected crashes). 0 (the default)
-// disables checkpointing: failures then abort the run.
+// transport failures (stalls, lost connections, injected crashes). 0 (the
+// default) disables checkpointing: failures then abort the run.
 func WithCheckpointEvery(n int) Option { return func(c *core.Config) { c.CheckpointEvery = n } }
 
 // WithDrainTimeout bounds how long a worker waits for a peer's next frame
@@ -235,20 +199,11 @@ func WithCheckpointStore(store CheckpointStore) Option {
 // persistent fault cannot loop forever.
 func WithMaxRecoveries(n int) Option { return func(c *core.Config) { c.MaxRecoveries = n } }
 
-// WithSendRetries sets how many times a transient send failure is retried
-// with exponential backoff before the superstep fails (default 4; negative
-// disables retries).
-func WithSendRetries(n int) Option { return func(c *core.Config) { c.SendRetries = n } }
-
-// WithRetryBackoff sets the initial send-retry backoff (default 500µs),
-// doubling per attempt.
-func WithRetryBackoff(d time.Duration) Option { return func(c *core.Config) { c.RetryBackoff = d } }
-
 // WithFaultPlan wraps the engine's transport with deterministic seeded fault
-// injection: probabilistic send failures and frame delays, within-round
-// reordering, and scripted connection drops, worker stalls, and worker
-// crashes. Combine with WithCheckpointEvery and WithDrainTimeout to exercise
-// the recovery machinery.
+// injection: probabilistic frame delays and corruption, within-round
+// reordering, and scripted worker stalls, crashes and kills. Combine with
+// WithCheckpointEvery and WithDrainTimeout to exercise the recovery
+// machinery.
 func WithFaultPlan(p FaultPlan) Option { return func(c *core.Config) { c.FaultPlan = &p } }
 
 // ---- cluster (multi-process) mode ----
@@ -385,7 +340,7 @@ func (e *Engine[V]) CheckMirrorCoherence(eq func(a, b V) bool) error {
 func (e *Engine[V]) NumVertices() int { return e.c.Graph().NumVertices() }
 
 // Run executes a FLASH driver program with fault handling engaged: a
-// superstep failure that retry and checkpoint recovery cannot absorb is
+// superstep failure that checkpoint recovery cannot absorb is
 // returned as an error (with all worker goroutines joined and the transport
 // aborted) instead of panicking, along with the run's fault-tolerance
 // counters. Programming errors (mixed-engine subsets, nil reduce in push

@@ -63,14 +63,28 @@ func TestPublicBFS(t *testing.T) {
 func TestOptionsApplied(t *testing.T) {
 	g := graph.GenPath(10)
 	e, err := NewEngine[dis](g,
-		WithWorkers(2), WithThreads(2), WithMode(Push), WithDenseThreshold(5),
-		WithHashPlacement(), WithBatchBytes(128), WithoutNecessaryMirrors())
+		WithWorkers(2), WithThreads(2), WithFullMirrors())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	if e.Workers() != 2 || e.NumVertices() != 10 {
 		t.Fatal("accessor mismatch")
+	}
+}
+
+// TestDensityPolicyBands pins the three bands: scale out at a frontier of
+// ≥ 1/8 of the vertices, scale in at ≤ 1/64, hold (0) in between.
+func TestDensityPolicyBands(t *testing.T) {
+	policy := DensityPolicy(2, 8)
+	for _, tc := range []struct{ frontier, want int }{
+		{6400, 8}, {800, 8}, // dense, and exactly 1/8
+		{799, 0}, {101, 0}, // the hysteresis band
+		{100, 2}, {0, 2}, // exactly 1/64, and empty
+	} {
+		if got := policy(StepInfo{Superstep: 3, Frontier: tc.frontier, Workers: 4, Vertices: 6400}); got != tc.want {
+			t.Errorf("frontier %d of 6400: policy asks for %d workers, want %d", tc.frontier, got, tc.want)
+		}
 	}
 }
 

@@ -100,7 +100,6 @@ type DecodedBlock struct {
 	off   []int64 // global offsets, off[i] is vertex first+i (len nv+1)
 	adj   []VID
 	ws    []float32 // nil when unweighted
-	enc   int       // encoded size on disk (stats)
 
 	// d and idx are the block's stored direction and block-table index: the
 	// cache slot a Release unpins.
@@ -141,9 +140,6 @@ func arenaBytes(edges int, weighted bool) int64 {
 	}
 	return int64(edges)*per + 64
 }
-
-// EncLen returns the block's encoded size on disk.
-func (b *DecodedBlock) EncLen() int { return b.enc }
 
 // BlockGraph is an out-of-core graph: the topology skeleton (degrees and
 // offsets) in memory, the adjacency in FLASHBLK blocks behind an io.ReaderAt.
@@ -354,7 +350,6 @@ func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBl
 	b.base = off[first]
 	b.off = off[first : end+1]
 	b.adj, b.ws = adj, ws
-	b.enc = len(data)
 	return nil
 }
 

@@ -24,15 +24,6 @@ type BlockCacheStats struct {
 	Unplanned uint64
 }
 
-func (s *BlockCacheStats) add(o BlockCacheStats) {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Evictions += o.Evictions
-	s.BytesDense += o.BytesDense
-	s.BytesSparse += o.BytesSparse
-	s.Unplanned += o.Unplanned
-}
-
 func (s BlockCacheStats) sub(o BlockCacheStats) BlockCacheStats {
 	return BlockCacheStats{
 		Hits:        s.Hits - o.Hits,

@@ -24,11 +24,14 @@ func NewGraphHandle(g *graph.Graph) *GraphHandle {
 	return &GraphHandle{s: core.NewSharedGraph(g)}
 }
 
-// NewBlockGraphHandle wraps an out-of-core FLASHBLK block graph for sharing:
-// Graph() returns the in-memory skeleton, partitions are discovered by
-// streaming the block file, and every engine constructed with WithGraphHandle
-// adopts the block backend automatically — jobs over a catalog-served block
-// graph run out-of-core with no per-job plumbing.
+// NewBlockGraphHandle wraps an out-of-core FLASHBLK block graph — the one way
+// to run an engine out-of-core: Graph() returns the in-memory skeleton,
+// partitions are discovered by streaming the block file, and every engine
+// constructed with WithGraphHandle iterates its base edge set E through
+// varint-delta compressed, CRC-checked blocks in a bounded per-worker cache
+// instead of CSR rows, so graphs larger than RAM run unchanged. Dense
+// supersteps stream a worker's blocks sequentially; sparse supersteps read
+// only blocks containing active sources.
 func NewBlockGraphHandle(bg *graph.BlockGraph) *GraphHandle {
 	return &GraphHandle{s: core.NewSharedBlockGraph(bg)}
 }
@@ -61,9 +64,9 @@ func (h *GraphHandle) GraphBytes() uint64 { return h.s.Graph().MemBytes() }
 
 // WithGraphHandle makes the engine borrow h's graph-derived immutable state
 // (partition, slot tables) instead of building its own. The graph passed to
-// NewEngine must be h.Graph(). The borrowed partition is copy-on-write: an
-// engine that must rebuild a worker's view (cold restart, resize rollback)
-// forks it first, so recovery in one job never races another.
+// NewEngine must be h.Graph(). The borrowed partition is read-only to the
+// engine: recovery reuses it untouched and a resize builds a private one for
+// the new width, so one job never races another.
 func WithGraphHandle(h *GraphHandle) Option {
 	return func(c *core.Config) { c.Shared = h.s }
 }

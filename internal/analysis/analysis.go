@@ -85,25 +85,3 @@ func (r Report) AnyCritical() bool {
 	}
 	return false
 }
-
-// StepShape describes an engine step for whole-value synchronization
-// decisions when no per-property records exist: the conservative default is
-// that the step's updates are critical exactly when a later step could read
-// them remotely. The engine uses these helpers to decide sync necessity
-// per step kind.
-type StepShape int
-
-const (
-	StepVertexMap StepShape = iota
-	StepEdgeMapDense
-	StepEdgeMapSparse
-)
-
-// UpdatesVisibleRemotely reports whether a step of this shape produces
-// master updates that remote workers may read afterwards, assuming the
-// program may run any step next. VertexMap and dense updates are read as
-// dense-sources or sparse-targets of later steps, so all shapes answer true;
-// the distinction the engine can actually exploit without per-property
-// records is the *scope* of synchronization (necessary mirrors vs broadcast),
-// not whether to sync.
-func UpdatesVisibleRemotely(StepShape) bool { return true }

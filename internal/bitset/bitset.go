@@ -175,15 +175,6 @@ func (b *Bitset) Range(f func(i int) bool) {
 	}
 }
 
-// Members appends all members in ascending order to dst and returns it.
-func (b *Bitset) Members(dst []int) []int {
-	b.Range(func(i int) bool {
-		dst = append(dst, i)
-		return true
-	})
-	return dst
-}
-
 // Words exposes the backing words for bulk transfer (e.g. frontier
 // broadcast). The slice must not be resized by callers.
 func (b *Bitset) Words() []uint64 { return b.words }

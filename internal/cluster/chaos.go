@@ -100,14 +100,3 @@ func maxCheckpointSeq(storeDir string, worker int) uint64 {
 	}
 	return maxSeq
 }
-
-// Interrupt sends SIGTERM to one worker of the current fleet — exposed so
-// tests can exercise the drain exit path without stopping the whole job.
-func (c *Coordinator) Interrupt(worker int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if worker < 0 || worker >= len(c.procs) || c.procs[worker] == nil {
-		return fmt.Errorf("cluster: no process for worker %d", worker)
-	}
-	return c.procs[worker].cmd.Process.Signal(syscall.SIGTERM)
-}

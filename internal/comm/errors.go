@@ -7,8 +7,8 @@ import (
 
 // The error taxonomy of the transport layer. Transports never panic on wire
 // conditions: every runtime failure is returned (or delivered through Drain)
-// as one of the errors below so the engine can retry, recover from a
-// checkpoint, or abort the run cleanly.
+// as one of the errors below so the engine can recover from a checkpoint or
+// abort the run cleanly.
 var (
 	// ErrPeerStalled reports that Drain waited longer than the configured
 	// drain timeout for the next frame of the current round. It usually means
@@ -20,8 +20,8 @@ var (
 	// failure: the root cause is the error that triggered the abort.
 	ErrAborted = errors.New("comm: round aborted")
 
-	// ErrConnDropped marks a send failure caused by a dropped connection.
-	// It is transient: a retry may reconnect.
+	// ErrConnDropped marks a send failure caused by a dropped connection that
+	// the transport's own redial did not heal.
 	ErrConnDropped = errors.New("comm: connection dropped")
 
 	// ErrFrameTooLarge reports a frame whose length prefix exceeds
@@ -45,26 +45,6 @@ var (
 	// bit flips, torn writes). Corruption is a round failure, never a panic.
 	ErrCorrupt = errors.New("comm: corrupt frame")
 )
-
-// TransientError wraps a failure that is worth retrying with backoff.
-type TransientError struct{ Err error }
-
-func (e *TransientError) Error() string { return "comm: transient: " + e.Err.Error() }
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient marks err as retryable. A nil err stays nil.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) is retryable.
-func IsTransient(err error) bool {
-	var t *TransientError
-	return errors.As(err, &t)
-}
 
 // WorkerError attributes a transport failure to one worker.
 type WorkerError struct {
@@ -91,9 +71,8 @@ func (e *HandshakeError) Error() string {
 }
 
 // CrashError is surfaced by the Faulty transport when an injected worker
-// failure fires. It is not transient (retrying the send cannot help) but it
-// is recoverable: rolling back to a checkpoint and replaying succeeds because
-// injected crashes are one-shot.
+// failure fires. It is recoverable: rolling back to a checkpoint and replaying
+// succeeds because injected crashes are one-shot.
 type CrashError struct{ Worker int }
 
 func (e *CrashError) Error() string {

@@ -10,19 +10,13 @@ import (
 // FaultPlan scripts deterministic fault injection for a Faulty transport.
 // Probabilistic faults draw from per-sender PRNGs seeded with Seed+sender,
 // so a plan replays identically for a fixed per-worker send sequence no
-// matter how worker goroutines interleave. Scripted events (Drops, Stalls,
-// Crashes) are one-shot: once fired they are consumed, which is what makes
-// faults *transient* — a retry or a checkpoint replay runs fault-free.
+// matter how worker goroutines interleave. Scripted events (Stalls, Crashes,
+// Kills, Corrupts) are one-shot: once fired they are consumed, which is what
+// makes faults *transient* — a checkpoint replay runs fault-free. A failed
+// Send fails the round, so a lost frame is scripted as a Crash at that round.
 type FaultPlan struct {
 	// Seed seeds the per-sender PRNGs for probabilistic faults.
 	Seed int64
-	// SendFailProb is the per-frame probability of a transient send failure
-	// on cross-worker frames (the frame is not delivered; the caller should
-	// retry).
-	SendFailProb float64
-	// MaxSendFails caps the total number of injected probabilistic send
-	// failures (0 = unlimited).
-	MaxSendFails int
 	// DelayProb is the per-frame probability that a cross-worker frame is
 	// held back and delivered at the sender's EndRound instead — delaying it
 	// to the end of the round without violating BSP round boundaries.
@@ -31,9 +25,6 @@ type FaultPlan struct {
 	// (sender, round) batch. BSP rounds are order-insensitive across a round,
 	// so a correct engine must tolerate this.
 	Reorder bool
-	// Drops injects transient connection drops: sends on the given edge fail
-	// with ErrConnDropped until Count failures have been served.
-	Drops []ConnDrop
 	// Stalls makes a worker sleep inside EndRound of the given round,
 	// exercising peers' drain-timeout stall detection.
 	Stalls []WorkerStall
@@ -55,14 +46,6 @@ type FaultPlan struct {
 	CorruptProb float64
 	// MaxCorrupts caps the probabilistic corruptions (0 = unlimited).
 	MaxCorrupts int
-}
-
-// ConnDrop scripts a transient drop of the From→To direction starting at the
-// sender's round Round; the next Count sends fail (Count 0 means 1).
-type ConnDrop struct {
-	From, To int
-	Round    uint32
-	Count    int
 }
 
 // WorkerStall scripts worker Worker sleeping Delay inside EndRound of round
@@ -97,18 +80,16 @@ type FrameCorrupt struct {
 
 // FaultCounts reports how many faults a Faulty transport has injected.
 type FaultCounts struct {
-	SendFails int
-	Delays    int
-	Drops     int
-	Stalls    int
-	Crashes   int
-	Kills     int
-	Corrupts  int
+	Delays   int
+	Stalls   int
+	Crashes  int
+	Kills    int
+	Corrupts int
 }
 
 // Faulty wraps any Transport and injects the faults of a FaultPlan. It is
 // the runtime's test double for a lossy, laggy, crashy wire: every
-// robustness behavior (retry, stall detection, checkpoint recovery) can be
+// robustness behavior (stall detection, liveness, checkpoint recovery) can be
 // exercised deterministically in-process.
 type Faulty struct {
 	inner Transport
@@ -118,7 +99,6 @@ type Faulty struct {
 	rng      []*rand.Rand
 	round    []uint32      // per-sender round address; runs on across Resize
 	held     [][]heldFrame // per-sender frames delayed to EndRound
-	drops    []ConnDrop
 	stalls   []WorkerStall
 	crashes  []WorkerCrash
 	kills    []WorkerKill
@@ -145,12 +125,6 @@ func NewFaulty(inner Transport, plan FaultPlan) *Faulty {
 	}
 	for i := range f.rng {
 		f.rng[i] = rand.New(rand.NewSource(plan.Seed + int64(i)))
-	}
-	f.drops = append([]ConnDrop(nil), plan.Drops...)
-	for i := range f.drops {
-		if f.drops[i].Count == 0 {
-			f.drops[i].Count = 1
-		}
 	}
 	f.stalls = append([]WorkerStall(nil), plan.Stalls...)
 	f.crashes = append([]WorkerCrash(nil), plan.Crashes...)
@@ -243,24 +217,8 @@ func (f *Faulty) Send(from, to int, data []byte) error {
 		f.mu.Unlock()
 		return err
 	}
-	for i := range f.drops {
-		d := &f.drops[i]
-		if d.From == from && d.To == to && r >= d.Round && d.Count > 0 {
-			d.Count--
-			f.counts.Drops++
-			f.mu.Unlock()
-			return Transient(ErrConnDropped)
-		}
-	}
-	rng := f.rng[from]
-	if p := f.plan.SendFailProb; p > 0 && rng.Float64() < p &&
-		(f.plan.MaxSendFails == 0 || f.counts.SendFails < f.plan.MaxSendFails) {
-		f.counts.SendFails++
-		f.mu.Unlock()
-		return Transient(ErrConnDropped)
-	}
 	f.corruptLocked(from, to, r, data)
-	if p := f.plan.DelayProb; p > 0 && rng.Float64() < p {
+	if p := f.plan.DelayProb; p > 0 && f.rng[from].Float64() < p {
 		f.counts.Delays++
 		f.held[from] = append(f.held[from], heldFrame{to: to, data: data})
 		f.mu.Unlock()

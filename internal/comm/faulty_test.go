@@ -43,47 +43,6 @@ func TestFaultyDelayReorderDeliversAll(t *testing.T) {
 	}
 }
 
-func TestFaultySendFailIsTransient(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{Seed: 1, SendFailProb: 1, MaxSendFails: 2})
-	var failed int
-	for {
-		err := tr.Send(0, 1, []byte("x"))
-		if err == nil {
-			break
-		}
-		if !IsTransient(err) {
-			t.Fatalf("injected send failure not transient: %v", err)
-		}
-		failed++
-	}
-	if failed != 2 {
-		t.Fatalf("failed %d times, want 2 (MaxSendFails)", failed)
-	}
-}
-
-func TestFaultyDropIsOneShotAcrossResize(t *testing.T) {
-	tr := NewFaulty(NewMem(2), FaultPlan{Drops: []ConnDrop{{From: 0, To: 1, Round: 0, Count: 2}}})
-	for i := 0; i < 2; i++ {
-		err := tr.Send(0, 1, []byte("x"))
-		if !errors.Is(err, ErrConnDropped) || !IsTransient(err) {
-			t.Fatalf("drop %d: err=%v", i, err)
-		}
-	}
-	if err := tr.Send(0, 1, []byte("x")); err != nil {
-		t.Fatalf("send after drop budget: %v", err)
-	}
-	// A recovery's fresh incarnation must not re-arm consumed drops.
-	if err := tr.Resize(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Send(0, 1, []byte("x")); err != nil {
-		t.Fatalf("send after resize: %v", err)
-	}
-	if c := tr.Counts(); c.Drops != 2 {
-		t.Fatalf("drops=%d want 2", c.Drops)
-	}
-}
-
 func TestFaultyStallTriggersDrainTimeout(t *testing.T) {
 	tr := NewFaulty(NewMem(2), FaultPlan{Stalls: []WorkerStall{{Worker: 0, Round: 0, Delay: 300 * time.Millisecond}}})
 	tr.SetDrainTimeout(30 * time.Millisecond)
@@ -110,15 +69,12 @@ func TestFaultyStallTriggersDrainTimeout(t *testing.T) {
 	}
 }
 
-func TestFaultyCrashIsNotTransient(t *testing.T) {
+func TestFaultyCrashIsOneShot(t *testing.T) {
 	tr := NewFaulty(NewMem(2), FaultPlan{Crashes: []WorkerCrash{{Worker: 0, Round: 0}}})
 	err := tr.EndRound(0)
 	var ce *CrashError
 	if !errors.As(err, &ce) || ce.Worker != 0 {
 		t.Fatalf("err=%v, want CrashError{Worker: 0}", err)
-	}
-	if IsTransient(err) {
-		t.Fatal("crash must not be transient (it needs checkpoint recovery, not a retry)")
 	}
 	// One-shot: the next round passes.
 	if err := tr.EndRound(0); err != nil {
@@ -128,7 +84,7 @@ func TestFaultyCrashIsNotTransient(t *testing.T) {
 
 func TestFaultyDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) FaultCounts {
-		tr := NewFaulty(NewMem(2), FaultPlan{Seed: seed, SendFailProb: 0.3, DelayProb: 0.3})
+		tr := NewFaulty(NewMem(2), FaultPlan{Seed: seed, CorruptProb: 0.3, DelayProb: 0.3})
 		for r := 0; r < 10; r++ {
 			for i := 0; i < 20; i++ {
 				tr.Send(0, 1, []byte(fmt.Sprintf("%d", i)))
@@ -145,7 +101,7 @@ func TestFaultyDeterministicPerSeed(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	if a.SendFails == 0 || a.Delays == 0 {
+	if a.Corrupts == 0 || a.Delays == 0 {
 		t.Fatalf("seed 42 injected nothing: %+v", a)
 	}
 }

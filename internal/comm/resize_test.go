@@ -105,19 +105,18 @@ func TestFaultyResizeKeepsRoundCounter(t *testing.T) {
 // absolute round of the new incarnation.
 func TestFaultyResizeSameWidthIsAFreshIncarnation(t *testing.T) {
 	tr := NewFaulty(NewMem(2), FaultPlan{
-		Drops:   []ConnDrop{{From: 0, To: 1, Round: 0}},
-		Crashes: []WorkerCrash{{Worker: 0, Round: 1}, {Worker: 0, Round: 4}},
+		Crashes: []WorkerCrash{{Worker: 0, Round: 0}, {Worker: 0, Round: 1}, {Worker: 0, Round: 4}},
 		Kills:   []WorkerKill{{Worker: 1, Round: 1}},
 	})
 	defer tr.Close()
-	if err := tr.Send(0, 1, []byte("x")); !errors.Is(err, ErrConnDropped) {
-		t.Fatalf("scripted drop: err=%v", err)
+	var ce *CrashError
+	var ke *KillError
+	if err := tr.Send(0, 1, []byte("x")); !errors.As(err, &ce) {
+		t.Fatalf("scripted crash in a send: err=%v", err)
 	}
 	runRounds(t, tr, 2, 1) // round 0
 	// Round 1 fails: worker 0 crashes in it and worker 1 dies in it. Worker 1
 	// never completes the round; its counter stays at 1 whatever worker 0 did.
-	var ce *CrashError
-	var ke *KillError
 	if err := tr.EndRound(0); !errors.As(err, &ce) {
 		t.Fatalf("scripted crash: err=%v", err)
 	}
@@ -132,10 +131,10 @@ func TestFaultyResizeSameWidthIsAFreshIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The dead worker is back and nothing consumed re-fires: rounds 2 and 3
-	// (the replay) run clean, drop edge included.
+	// (the replay) run clean, the edge whose send crashed included.
 	runRounds(t, tr, 2, 2)
-	if c := tr.Counts(); c.Drops != 1 || c.Crashes != 1 || c.Kills != 1 {
-		t.Fatalf("after replay: %+v, want one drop, one crash, one kill", c)
+	if c := tr.Counts(); c.Crashes != 2 || c.Kills != 1 {
+		t.Fatalf("after replay: %+v, want two crashes, one kill", c)
 	}
 	// The crash scripted for round 4 fires in round 4 — the third round of
 	// this incarnation, the fifth address of the run — not before.

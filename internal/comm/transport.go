@@ -21,17 +21,18 @@ import (
 // frames are stashed).
 //
 // Failure surface: Send, EndRound and Drain return an error instead of
-// panicking. Errors wrapped in TransientError are worth retrying with
-// backoff; everything else aborts the round. Abort unblocks every worker
-// stuck in a transport call; Resize starts a fresh incarnation — at the same
-// worker count so a recovered run can replay from a checkpoint, or at another
-// one for a membership change.
+// panicking. A transport retries inside Send if retrying can help (TCP
+// redials a dropped socket with backoff, Mem has nothing to retry); an error
+// from Send fails the round. Abort unblocks every worker stuck in a transport
+// call; Resize starts a fresh incarnation — at the same worker count so a
+// recovered run can replay from a checkpoint, or at another one for a
+// membership change.
 //
 // Liveness: Heartbeat is an out-of-band control signal ("worker `from` is
 // alive right now") that never counts toward a round. Once a worker has
 // heartbeat at least once, a Drain that times out waiting for that worker's
 // end-of-round marker classifies it: heartbeats still arriving means the
-// peer is slow (ErrPeerStalled, retry-worthy); heartbeats silent beyond the
+// peer is slow (ErrPeerStalled); heartbeats silent beyond the
 // drain-timeout window means the peer is presumed lost and the drain fails
 // with a WorkerError wrapping ErrPeerDead naming it.
 //

@@ -49,7 +49,7 @@ type blockCursor struct {
 //
 //flash:hotpath
 func getBlock[V any](c *Ctx[V], dir int, v graph.VID) *graph.DecodedBlock {
-	bg := c.w.eng.cfg.BlockGraph
+	bg := c.w.eng.bg
 	idx := bg.OutBlockOf(v)
 	if dir == graph.BlockIn {
 		idx = bg.InBlockOf(v)
@@ -123,7 +123,7 @@ func (blockEdges[V]) OutDegreeHint(c *Ctx[V], u graph.VID) int {
 // engine runs out-of-core, the in-memory CSR iterator otherwise. Derived
 // sets (ReverseE, JoinEU, ...) compose over either transparently.
 func (e *Engine[V]) E() EdgeSet[V] {
-	if e.cfg.BlockGraph != nil {
+	if e.bg != nil {
 		return blockEdges[V]{}
 	}
 	return BaseE[V]()
@@ -132,8 +132,8 @@ func (e *Engine[V]) E() EdgeSet[V] {
 // topo returns the adjacency source partition construction reads: the block
 // graph when the engine is out-of-core, else the in-memory CSR.
 func (e *Engine[V]) topo() partition.Adjacency {
-	if e.cfg.BlockGraph != nil {
-		return e.cfg.BlockGraph
+	if e.bg != nil {
+		return e.bg
 	}
 	return e.g
 }
@@ -159,7 +159,7 @@ func (w *worker[V]) planSparseBlocks(membership *bitset.Bitset) {
 	if w.bcache == nil {
 		return
 	}
-	bg := w.eng.cfg.BlockGraph
+	bg := w.eng.bg
 	place := w.eng.place
 	w.resOut.Reset()
 	w.resIn.Reset()

@@ -272,7 +272,8 @@ func (e *Engine[V]) decodeStepRecord(payload []byte, out *Subset) error {
 	off := 0
 	for wi := 0; wi < e.cfg.Workers; wi++ {
 		n, k := binary.Uvarint(payload[off:])
-		if k <= 0 || off+k+int(n) > len(payload) {
+		// Compared in uint64: a hostile length must not wrap int and slip past.
+		if k <= 0 || n > uint64(len(payload)-off-k) {
 			return fmt.Errorf("core: cluster step record truncated at worker %d", wi)
 		}
 		off += k

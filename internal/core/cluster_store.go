@@ -97,9 +97,6 @@ func OpenWorkerStore(dir string, w int) (*WorkerStore, error) {
 	return &WorkerStore{dir: sub, log: f}, nil
 }
 
-// Dir returns the store's directory.
-func (s *WorkerStore) Dir() string { return s.dir }
-
 // Close releases the log file. Images already saved stay on disk.
 func (s *WorkerStore) Close() error { return s.log.Close() }
 
@@ -152,24 +149,8 @@ func (s *WorkerStore) saveImage(img *CheckpointImage) error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("core: worker store: sync log: %w", err)
 	}
-	path := s.ckptPath(img.Seq)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: worker store: %w", err)
-	}
-	_, werr := f.Write(EncodeCheckpointFile(img))
-	serr := f.Sync()
-	cerr := f.Close()
-	for _, err := range []error{werr, serr, cerr} {
-		if err != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("core: worker store: write image: %w", err)
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: worker store: %w", err)
+	if err := writeFileAtomic(s.ckptPath(img.Seq), EncodeCheckpointFile(img)); err != nil {
+		return fmt.Errorf("core: worker store: write image: %w", err)
 	}
 	seqs := s.ckptSeqs()
 	for len(seqs) > 2 {
@@ -227,7 +208,9 @@ func (s *WorkerStore) replay(n uint64) ([]clusterLogRecord, error) {
 	if _, err := s.log.Seek(int64(len(clusterLogMagic)), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("core: worker store: %w", err)
 	}
-	recs := make([]clusterLogRecord, 0, n)
+	// Grown by append: n comes from a checkpoint image's metadata, and a
+	// hostile count must run into the end of the log, not into makeslice.
+	var recs []clusterLogRecord
 	off := int64(len(clusterLogMagic))
 	hdr := make([]byte, clusterLogHdrSize)
 	for uint64(len(recs)) < n {

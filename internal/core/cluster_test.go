@@ -1,8 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -244,14 +248,45 @@ func TestWorkerStoreLog(t *testing.T) {
 	if recs[3].kind != logKindGather || string(recs[3].payload) != "tail" {
 		t.Fatalf("replayed tail record = %+v", recs[3])
 	}
-	// Asking for more records than the log holds is an error, not a hang.
-	s.Close()
-	s, err = OpenWorkerStore(dir, 0)
-	if err != nil {
-		t.Fatal(err)
+	// Asking for more records than the log holds is an error, not a hang —
+	// and not a makeslice panic when the count (taken from a checkpoint
+	// image's metadata) is absurd.
+	for _, n := range []uint64{9, 1 << 62} {
+		s.Close()
+		s, err = OpenWorkerStore(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.replay(n); !errors.Is(err, io.EOF) {
+			t.Fatalf("replay(%d) past the end of the log: err=%v, want io.EOF", n, err)
+		}
 	}
-	if _, err := s.replay(9); err == nil {
-		t.Fatal("replay past end succeeded")
+}
+
+// TestDecodeStepRecordRejectsHostileLengths feeds decodeStepRecord payloads
+// whose per-worker length varints lie. A logged record is CRC-valid bytes
+// from disk, so every lie must come back as an error; 1<<63 in particular
+// used to wrap int negative, pass the bounds check and panic in the slice.
+func TestDecodeStepRecordRejectsHostileLengths(t *testing.T) {
+	e := mustEngine(t, graph.GenPath(40), Config{Workers: 2})
+	good := e.encodeStepRecord(e.All())
+	if err := e.decodeStepRecord(good, e.newSubset()); err != nil {
+		t.Fatalf("round trip of a valid record: %v", err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"length 1<<63", binary.AppendUvarint(nil, 1<<63)},
+		{"length MaxUint64", binary.AppendUvarint(nil, math.MaxUint64)},
+		{"length one past the payload", append(binary.AppendUvarint(nil, 3), 1, 2)},
+		{"unterminated length varint", []byte{0x80}},
+		{"second worker missing", binary.AppendUvarint(nil, 0)},
+		{"trailing bytes", append(slices.Clone(good), 0)},
+	} {
+		if err := e.decodeStepRecord(tc.payload, e.newSubset()); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

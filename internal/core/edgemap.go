@@ -59,13 +59,17 @@ func (e *Engine[V]) EdgeMap(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V], C E
 	return e.EdgeMapSparse(U, H, F, M, C, R, opts)
 }
 
-// isDense applies Ligra's density rule: |U| + outDegree(U) > |E|/threshold.
+// denseThreshold is Ligra's density denominator, the value the paper and both
+// baseline engines use.
+const denseThreshold = 20
+
+// isDense applies Ligra's density rule: |U| + outDegree(U) > |E|/20.
 // The degree sum runs driver-side and early-exits the moment the running sum
 // crosses the budget: small frontiers cost O(|U|) O(1) hint calls and no
 // worker fan-out, and even the worst case stops after at most budget+1 hint
 // visits instead of always touching every member on every Auto-mode EdgeMap.
 func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
-	budget := e.g.NumEdges() / e.cfg.DenseThreshold
+	budget := e.g.NumEdges() / denseThreshold
 	if U.Size() > budget {
 		return true
 	}
@@ -102,7 +106,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 	if !H.Physical() && !e.cfg.FullMirrors {
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
-	if e.cfg.BlockGraph != nil {
+	if e.bg != nil {
 		e.met.AddBlockSteps(0, 1)
 	}
 	return e.execStep(U.Size(), func(out *Subset) error {
@@ -154,7 +158,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				// and pays an O(SlotCount) merge scan per shard, so it only
 				// engages when this worker's pushed-edge work amortizes that
 				// cost. Auto-mode sparse frontiers carry at most
-				// |E|/DenseThreshold edges (bigger ones go dense), so on most
+				// |E|/denseThreshold edges (bigger ones go dense), so on most
 				// graphs only forced-push workloads ever materialize the
 				// extra shards.
 				parallel := false
@@ -336,7 +340,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 	if !H.Physical() && !e.cfg.FullMirrors {
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
-	if e.cfg.BlockGraph != nil {
+	if e.bg != nil {
 		e.met.AddBlockSteps(1, 0)
 	}
 	return e.execStep(U.Size(), func(out *Subset) error {

@@ -65,9 +65,6 @@ type Config struct {
 	UseHashPlacement bool
 	// Mode forces a propagation mode for all EdgeMaps (default Auto).
 	Mode Mode
-	// DenseThreshold is Ligra's density denominator: a frontier is dense
-	// when |U| + outDegree(U) > |E|/DenseThreshold. Default 20.
-	DenseThreshold int
 	// FullMirrors replicates every vertex on every worker and broadcasts all
 	// master updates. Required by algorithms that communicate beyond the
 	// neighborhood (virtual edge sets, arbitrary get), per §IV-C.
@@ -108,13 +105,6 @@ type Config struct {
 	// checkpointing is enabled); the budget stops a persistent fault from
 	// looping forever.
 	MaxRecoveries int
-	// SendRetries is how many times a transient send failure is retried with
-	// exponential backoff before the superstep fails (default 4; negative
-	// disables retries).
-	SendRetries int
-	// RetryBackoff is the initial retry backoff, doubling per attempt and
-	// capped at 100x (default 500µs).
-	RetryBackoff time.Duration
 	// FaultPlan, when non-nil, wraps the transport with comm.NewFaulty for
 	// deterministic fault injection (chaos testing).
 	FaultPlan *comm.FaultPlan
@@ -126,17 +116,14 @@ type Config struct {
 	// Shared, when non-nil, supplies the immutable half of the engine — the
 	// graph and a cached read-only partition — so concurrent engines over one
 	// catalog graph share a single CSR and partition instead of rebuilding
-	// them per run. The graph passed to NewEngine must be Shared's graph.
+	// them per run. The graph passed to NewEngine must be Shared's graph. A
+	// share built by NewSharedBlockGraph also selects the out-of-core edge
+	// backend: the engine's base edge set iterates FLASHBLK blocks through a
+	// bounded per-worker cache instead of in-memory CSR rows.
 	Shared *SharedGraph
-	// BlockGraph selects the out-of-core block edge backend: the engine's base
-	// edge set iterates FLASHBLK blocks through a bounded per-worker cache
-	// instead of in-memory CSR rows. The graph passed to NewEngine must be
-	// BlockGraph.Skeleton() (degrees and offsets resident, adjacency on disk).
-	// When Shared wraps a block graph, this field is adopted from it.
-	BlockGraph *graph.BlockGraph
 	// BlockCacheBytes bounds the total decoded-block cache budget, split
-	// evenly across workers. 0 with a BlockGraph selects 25% of the graph's
-	// decoded edge bytes (minimum 1 MiB). Ignored without a BlockGraph.
+	// evenly across workers. 0 with a block-backed Shared selects 25% of the
+	// graph's decoded edge bytes (minimum 1 MiB). Ignored otherwise.
 	BlockCacheBytes int64
 	// RunStats, when non-nil, receives the engine's final summary (RunResult
 	// counters plus the private state footprint) when the engine closes. A
@@ -214,23 +201,14 @@ func (c *Config) fillDefaults() {
 	if c.Threads == 0 {
 		c.Threads = 1
 	}
-	if c.DenseThreshold == 0 {
-		c.DenseThreshold = 20
-	}
 	if c.Collector == nil {
 		c.Collector = metrics.New()
 	}
 	if c.MaxRecoveries == 0 {
 		c.MaxRecoveries = 3
 	}
-	if c.SendRetries == 0 {
-		c.SendRetries = 4
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 500 * time.Microsecond
-	}
-	if c.BlockGraph != nil && c.BlockCacheBytes == 0 {
-		c.BlockCacheBytes = int64(c.BlockGraph.EdgeBytes() / 4)
+	if c.Shared != nil && c.Shared.bg != nil && c.BlockCacheBytes == 0 {
+		c.BlockCacheBytes = int64(c.Shared.bg.EdgeBytes() / 4)
 		if c.BlockCacheBytes < 1<<20 {
 			c.BlockCacheBytes = 1 << 20
 		}
@@ -247,9 +225,6 @@ func (c *Config) validate() error {
 	if c.Transport != nil && c.Transport.Workers() != c.Workers {
 		return &ConfigError{"Transport", fmt.Sprintf("has %d workers, config has %d",
 			c.Transport.Workers(), c.Workers)}
-	}
-	if c.DenseThreshold < 1 {
-		return &ConfigError{"DenseThreshold", fmt.Sprintf("must be >= 1, got %d", c.DenseThreshold)}
 	}
 	if c.BatchBytes < 0 {
 		return &ConfigError{"BatchBytes", fmt.Sprintf("must be >= 0, got %d", c.BatchBytes)}
@@ -283,9 +258,6 @@ func (c *Config) validate() error {
 		if c.Shared != nil {
 			return &ConfigError{"Shared", "unsupported in cluster mode"}
 		}
-		if c.BlockGraph != nil {
-			return &ConfigError{"BlockGraph", "unsupported in cluster mode"}
-		}
 	}
 	// A heartbeat interval at or beyond the drain deadline makes every living
 	// peer look heartbeat-silent, so any stall would be misclassified as a
@@ -312,6 +284,7 @@ type Vtx[V any] struct {
 // workers, each holding property state for its masters and mirrors.
 type Engine[V any] struct {
 	g     *graph.Graph
+	bg    *graph.BlockGraph // out-of-core edge backend of g (cfg.Shared's); nil in memory
 	part  *partition.Partitioned
 	place partition.Placement
 	tr    comm.Transport
@@ -445,20 +418,12 @@ type accShard[V any] struct {
 
 // NewEngine partitions g and allocates per-worker state.
 func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
-	if cfg.Shared != nil && cfg.BlockGraph == nil {
-		// A shared block graph carries the backend with it, so every borrowing
-		// engine runs out-of-core without per-job plumbing.
-		cfg.BlockGraph = cfg.Shared.Block()
-	}
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	if cfg.Shared != nil && cfg.Shared.Graph() != g {
 		return nil, &ConfigError{"Shared", "wraps a different graph than the one passed to NewEngine"}
-	}
-	if cfg.BlockGraph != nil && cfg.BlockGraph.Skeleton() != g {
-		return nil, &ConfigError{"BlockGraph", "is not the backend of the graph passed to NewEngine (use BlockGraph.Skeleton())"}
 	}
 	tr := cfg.Transport
 	if tr == nil {
@@ -479,20 +444,19 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 		tr.SetDrainTimeout(cfg.DrainTimeout)
 	}
 	var part *partition.Partitioned
+	var bg *graph.BlockGraph
 	if cfg.Shared != nil {
+		// A shared block graph carries the backend with it, so every borrowing
+		// engine runs out-of-core without per-job plumbing.
 		part = cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement)
+		bg = cfg.Shared.Block()
 	} else {
-		var topo partition.Adjacency = g
-		if cfg.BlockGraph != nil {
-			// Mirror discovery streams the block file through the sequential
-			// MRU instead of touching the (absent) in-memory adjacency.
-			topo = cfg.BlockGraph
-		}
-		part = partition.New(topo, newPlacement(cfg.UseHashPlacement, g.NumVertices(), cfg.Workers))
+		part = partition.New(g, newPlacement(cfg.UseHashPlacement, g.NumVertices(), cfg.Workers))
 	}
 	place := part.Place
 	e := &Engine[V]{
 		g:     g,
+		bg:    bg,
 		part:  part,
 		place: place,
 		tr:    tr,
@@ -558,7 +522,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	// Shard 0 serves the sequential push path and the fold target of
 	// mergeAcc; the per-thread shards 1.. are lazy (ensureAccShards).
 	w.acc[0] = accShard[V]{val: make([]V, st.SlotCount()), set: bitset.New(st.SlotCount())}
-	if bg := cfg.BlockGraph; bg != nil {
+	if bg := e.bg; bg != nil {
 		budget := cfg.BlockCacheBytes / int64(workers)
 		if budget < 1 {
 			budget = 1
@@ -747,39 +711,18 @@ func (p *workerPanic) Error() string {
 	return fmt.Sprintf("core: worker %d panicked: %v\n%s", p.worker, p.value, p.stack)
 }
 
-// send ships one frame with retry: transient failures back off exponentially
-// (capped) up to cfg.SendRetries attempts, counting retries — and, after a
-// dropped connection heals, reconnects — into the worker's metric shard.
-// Payload bytes are counted on the first successful send, so the collector's
-// Bytes reflects delivered traffic, not retry amplification.
+// send ships one frame and counts its payload bytes into the worker's metric
+// shard. A transport retries inside Send where retrying can help, so an error
+// here fails the round.
 //
 //flash:hotpath
 //flash:phase(ship,sync)
 func (w *worker[V]) send(to int, data []byte) error {
-	e := w.eng
-	backoff := e.cfg.RetryBackoff
-	sawDrop := false
-	for attempt := 0; ; attempt++ {
-		err := e.tr.Send(w.id, to, data)
-		if err == nil {
-			if sawDrop {
-				w.met.AddReconnects(1)
-			}
-			w.met.AddTraffic(0, uint64(len(data)))
-			return nil
-		}
-		if !comm.IsTransient(err) || attempt >= e.cfg.SendRetries {
-			return err
-		}
-		if errors.Is(err, comm.ErrConnDropped) {
-			sawDrop = true
-		}
-		w.met.AddRetries(1)
-		time.Sleep(backoff)
-		if backoff < 100*e.cfg.RetryBackoff {
-			backoff *= 2
-		}
+	if err := w.eng.tr.Send(w.id, to, data); err != nil {
+		return err
 	}
+	w.met.AddTraffic(0, uint64(len(data)))
+	return nil
 }
 
 // threadPool is a worker's persistent set of parfor helper goroutines.

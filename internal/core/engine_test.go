@@ -319,7 +319,6 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{Config{Workers: -1}, "Workers"},
 		{Config{Threads: -2}, "Threads"},
-		{Config{DenseThreshold: -5}, "DenseThreshold"},
 		{Config{BatchBytes: -1}, "BatchBytes"},
 		{Config{Workers: 2, Transport: comm.NewMem(3)}, "Transport"},
 		{Config{CheckpointEvery: -1}, "CheckpointEvery"},

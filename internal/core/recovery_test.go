@@ -133,33 +133,6 @@ func TestCheckpointRecoveryFromStall(t *testing.T) {
 	}
 }
 
-// TestSendRetryAbsorbsTransientFailures verifies probabilistic transient send
-// failures are retried inside the superstep — no recovery needed, results
-// exact.
-func TestSendRetryAbsorbsTransientFailures(t *testing.T) {
-	g := graph.GenErdosRenyi(150, 700, 3)
-	want := seqBFS(g, 0)
-	e := mustEngine(t, g, Config{
-		Workers:   4,
-		FaultPlan: &comm.FaultPlan{Seed: 11, SendFailProb: 0.05, MaxSendFails: 25},
-	})
-	got, res, err := runBFSChecked(e, 0)
-	if err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	for v := range want {
-		if got[v] != want[v] {
-			t.Fatalf("dist[%d]=%d want %d", v, got[v], want[v])
-		}
-	}
-	if res.Retries == 0 {
-		t.Fatalf("retries=0, expected injected failures to be retried (res=%+v)", res)
-	}
-	if res.Recoveries != 0 {
-		t.Fatalf("recoveries=%d, want 0 (retries should absorb transients)", res.Recoveries)
-	}
-}
-
 // TestRecoveryBudgetExhausted verifies a persistent fault stops looping: with
 // more scripted crashes than MaxRecoveries, Run returns an error.
 func TestRecoveryBudgetExhausted(t *testing.T) {

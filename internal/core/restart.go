@@ -34,18 +34,21 @@ func killedWorker(err error) (int, bool) {
 	return 0, false
 }
 
-// restartBackoff scales the configured retry backoff exponentially with the
-// recovery count (the first restart is immediate), capped like send retry.
+// restartBackoffBase is the pause before the second restart of a run.
+const restartBackoffBase = 500 * time.Microsecond
+
+// restartBackoff doubles restartBackoffBase with every recovery after the
+// second (the first restart is immediate), capped at 100x the base.
 func (e *Engine[V]) restartBackoff() time.Duration {
 	if e.recoveries <= 1 {
 		return 0
 	}
-	backoff := e.cfg.RetryBackoff
-	for i := 2; i < e.recoveries && backoff < 100*e.cfg.RetryBackoff; i++ {
+	backoff := restartBackoffBase
+	for i := 2; i < e.recoveries && backoff < 100*restartBackoffBase; i++ {
 		backoff *= 2
 	}
-	if backoff > 100*e.cfg.RetryBackoff {
-		backoff = 100 * e.cfg.RetryBackoff
+	if backoff > 100*restartBackoffBase {
+		backoff = 100 * restartBackoffBase
 	}
 	return backoff
 }

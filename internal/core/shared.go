@@ -56,7 +56,7 @@ func NewSharedGraph(g *graph.Graph) *SharedGraph {
 // NewSharedBlockGraph wraps an out-of-core FLASHBLK block graph for sharing:
 // the skeleton is the shared topology, partitions are discovered by streaming
 // the block file, and engines borrowing the share adopt the block backend
-// automatically (NewEngine copies it into Config.BlockGraph).
+// automatically.
 func NewSharedBlockGraph(bg *graph.BlockGraph) *SharedGraph {
 	return &SharedGraph{g: bg.Skeleton(), bg: bg, parts: make(map[partKey]*partition.Partitioned)}
 }

@@ -179,36 +179,37 @@ func NewFileStore(path string) (*FileStore, error) {
 	return &FileStore{path: path}, nil
 }
 
-// Path returns the backing file's path.
-func (s *FileStore) Path() string { return s.path }
-
 // Save atomically replaces the stored image.
 func (s *FileStore) Save(img *CheckpointImage) error {
-	buf := EncodeCheckpointFile(img)
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint save: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint save: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint save: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint save: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(s.path, EncodeCheckpointFile(img)); err != nil {
 		return fmt.Errorf("core: checkpoint save: %w", err)
 	}
 	return nil
+}
+
+// writeFileAtomic replaces path with buf through a synced temp file in the
+// same directory and a rename, so path always holds a complete old or new
+// file. The temp file is removed on any failure.
+func writeFileAtomic(path string, buf []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(buf)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // Load reads and verifies the stored image; nil when no file exists yet.

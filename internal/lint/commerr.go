@@ -22,7 +22,7 @@ import (
 // channels. The remaining analyzers do check test files in the self-check.
 var CommErr = &Analyzer{
 	Name: "commerr",
-	Doc:  "transport Send/EndRound/Drain/Resize/ConnectPeers, Engine.Run/Resize, Coordinator.Run/Interrupt, serve Submit/Load/Add/Evict, and block I/O (ReadBlock/WriteBlockFile) errors must be checked or //flash:ignore-err annotated",
+	Doc:  "transport Send/EndRound/Drain/Resize/ConnectPeers, Engine.Run/Resize, Coordinator.Run, serve Submit/Load/Add/Evict, and block I/O (ReadBlock/WriteBlockFile) errors must be checked or //flash:ignore-err annotated",
 	Run:  runCommErr,
 }
 
@@ -62,10 +62,8 @@ var commErrMethods = map[string]bool{
 	// a job over a half-connected mesh that deadlocks at the first barrier;
 	// a dropped Coordinator.Run error loses the worker verdict (which worker
 	// died, why, and whether the restart budget ran out) along with the job
-	// result; a dropped Interrupt error leaves a worker the test believed it
-	// had drained still computing.
+	// result.
 	"ConnectPeers": true,
-	"Interrupt":    true,
 }
 
 // commErrPkgFuncs are package-level fault-surface functions, matched by

@@ -166,23 +166,21 @@ func goodBlockIO(bg *BlockGraph, cat *Catalog) error {
 
 // TCP stands in for comm.TCP in cluster mode (ConnectPeers forms the
 // cross-process mesh); Coordinator for cluster.Coordinator (Run returns the
-// job verdict, Interrupt delivers a drain signal to one worker).
+// job verdict).
 type TCP struct{}
 
 func (t *TCP) ConnectPeers(addrs []string, timeoutNs int64) error { return nil }
 
 type Coordinator struct{}
 
-func (c *Coordinator) Run() ([]byte, error)  { return nil, nil }
-func (c *Coordinator) Interrupt(w int) error { return nil }
-func (c *Coordinator) Restarts() int         { return 0 }
+func (c *Coordinator) Run() ([]byte, error) { return nil, nil }
+func (c *Coordinator) Restarts() int        { return 0 }
 
 func badCluster(ep *TCP, co *Coordinator) {
 	ep.ConnectPeers(nil, 0)     // want `TCP.ConnectPeers error discarded`
 	_ = ep.ConnectPeers(nil, 1) // want `TCP.ConnectPeers error assigned to _`
 	co.Run()                    // want `Coordinator.Run error discarded`
 	_, _ = co.Run()             // want `Coordinator.Run error assigned to _`
-	co.Interrupt(1)             // want `Coordinator.Interrupt error discarded`
 	go co.Run()                 // want `Coordinator.Run error discarded by go statement`
 }
 
@@ -191,6 +189,5 @@ func goodCluster(ep *TCP, co *Coordinator) ([]byte, error) {
 		return nil, err
 	}
 	_ = co.Restarts() // not a fault surface: plain counter read
-	co.Interrupt(0)   //flash:ignore-err drain signal to an already-dead worker is fine
 	return co.Run()
 }

@@ -2,9 +2,18 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
+
+// maxFinishedJobs is how many finished jobs the scheduler remembers (each
+// holds its full result). Past it the oldest finished job is forgotten and
+// its id answers UnknownJobError; queued and running jobs are never dropped.
+// Not smaller: on short jobs a few hundred results are so little live heap
+// that the collector runs every handful of jobs (flashmark serve-mix: +13%
+// op time at 256, +4% at 1024, against never forgetting).
+const maxFinishedJobs = 1024
 
 // SchedulerConfig bounds the scheduler. Zero values select the defaults.
 type SchedulerConfig struct {
@@ -51,6 +60,7 @@ type Scheduler struct {
 	mu        sync.Mutex
 	jobs      map[string]*Job
 	order     []string // submission order, for List
+	finished  int      // jobs in `jobs` that reached a terminal state
 	pending   []*Job
 	running   int
 	perTenant map[string]int
@@ -144,6 +154,10 @@ func (s *Scheduler) run(job *Job) {
 		s.met.finished(err == nil, time.Since(start))
 
 		s.mu.Lock()
+		s.finished++
+		if s.finished > maxFinishedJobs {
+			s.forgetOldestFinished()
+		}
 		s.perTenant[job.Tenant]--
 		if s.perTenant[job.Tenant] == 0 {
 			delete(s.perTenant, job.Tenant)
@@ -161,6 +175,22 @@ func (s *Scheduler) run(job *Job) {
 	}
 }
 
+// forgetOldestFinished drops the earliest-submitted finished job. Caller
+// holds s.mu and has counted at least one finished job.
+func (s *Scheduler) forgetOldestFinished() {
+	i := slices.IndexFunc(s.order, func(id string) bool {
+		select {
+		case <-s.jobs[id].done:
+			return true
+		default:
+			return false
+		}
+	})
+	delete(s.jobs, s.order[i])
+	s.order = slices.Delete(s.order, i, i+1)
+	s.finished--
+}
+
 // Get returns the job with the given id.
 func (s *Scheduler) Get(id string) (*Job, error) {
 	s.mu.Lock()
@@ -172,7 +202,7 @@ func (s *Scheduler) Get(id string) (*Job, error) {
 	return job, nil
 }
 
-// List returns all known jobs in submission order.
+// List returns the jobs the scheduler still remembers, in submission order.
 func (s *Scheduler) List() []*Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -47,11 +47,10 @@ type Counters struct {
 
 	// Robustness counters (fault-tolerant runtime).
 	//
-	// Retries counts transient send failures that were retried with backoff;
-	// Reconnects counts connections re-established after a drop; Recoveries
-	// counts checkpoint rollbacks + replays; Checkpoints counts snapshots
-	// taken at superstep barriers.
-	Retries     uint64
+	// Reconnects counts connections the transport re-established after a drop
+	// (a run's result takes it from the transport's Stats; the engine never
+	// counts one itself); Recoveries counts checkpoint rollbacks + replays;
+	// Checkpoints counts snapshots taken at superstep barriers.
 	Reconnects  uint64
 	Recoveries  uint64
 	Checkpoints uint64
@@ -89,7 +88,6 @@ func (c *Counters) add(o Counters) {
 	c.Supersteps += o.Supersteps
 	c.Messages += o.Messages
 	c.Bytes += o.Bytes
-	c.Retries += o.Retries
 	c.Reconnects += o.Reconnects
 	c.Recoveries += o.Recoveries
 	c.Checkpoints += o.Checkpoints
@@ -141,20 +139,6 @@ func (col *Collector) AddTraffic(messages, bytes uint64) {
 	col.mu.Lock()
 	col.Messages += messages
 	col.Bytes += bytes
-	col.mu.Unlock()
-}
-
-// AddRetries records n retried transient send failures.
-func (col *Collector) AddRetries(n uint64) {
-	col.mu.Lock()
-	col.Retries += n
-	col.mu.Unlock()
-}
-
-// AddReconnects records n re-established connections.
-func (col *Collector) AddReconnects(n uint64) {
-	col.mu.Lock()
-	col.Reconnects += n
 	col.mu.Unlock()
 }
 
@@ -315,9 +299,8 @@ func (col *Collector) String() string {
 	for c := Category(0); c < numCategories; c++ {
 		fmt.Fprintf(&sb, " %s=%s", c, col.durations[c].Round(time.Microsecond))
 	}
-	if col.Retries+col.Reconnects+col.Recoveries+col.Checkpoints > 0 {
-		fmt.Fprintf(&sb, " retries=%d reconnects=%d recoveries=%d checkpoints=%d",
-			col.Retries, col.Reconnects, col.Recoveries, col.Checkpoints)
+	if col.Recoveries+col.Checkpoints > 0 {
+		fmt.Fprintf(&sb, " recoveries=%d checkpoints=%d", col.Recoveries, col.Checkpoints)
 	}
 	if col.Restarts+col.CheckpointBytes > 0 || col.RecoveryTime > 0 {
 		fmt.Fprintf(&sb, " restarts=%d ckpt_bytes=%d recovery_time=%s",

@@ -63,7 +63,7 @@ func TestBlockBackendMatchesCSR(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var stats []flash.RunStats
 			opts := append([]flash.Option{
-				flash.WithBlockBackend(bg),
+				flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
 				flash.WithBlockCacheBytes(budget),
 				flash.WithRunStats(func(s flash.RunStats) { stats = append(stats, s) }),
 			}, tc.opts...)
@@ -127,7 +127,7 @@ func TestBlockBackendTinyCache(t *testing.T) {
 	}
 	var st flash.RunStats
 	got, err := algo.CC(sk,
-		flash.WithBlockBackend(bg),
+		flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
 		flash.WithBlockCacheBytes(64<<10), // a handful of decoded blocks
 		flash.WithWorkers(2),
 		flash.WithRunStats(func(s flash.RunStats) { st = s }))
@@ -203,7 +203,7 @@ func TestBlockRecycledArenasMatchCSR(t *testing.T) {
 	width := []flash.Option{flash.WithWorkers(workers), flash.WithThreads(4)}
 	var evictions uint64
 	block := append([]flash.Option{
-		flash.WithBlockBackend(bg),
+		flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
 		flash.WithBlockCacheBytes(workers * oneBlock),
 		flash.WithRunStats(func(s flash.RunStats) { evictions += s.Result.BlockEvictions }),
 	}, width...)

@@ -23,12 +23,12 @@ func TestThreadsRaceSoak(t *testing.T) {
 	}{{"push", flash.Push}, {"pull", flash.Pull}, {"auto", flash.Auto}} {
 		for _, w := range []int{2, 4} {
 			t.Run(fmt.Sprintf("bfs/%s/w%d", mode.name, w), func(t *testing.T) {
-				want, err := algo.BFS(g, 0, flash.WithWorkers(w), flash.WithMode(mode.m))
+				want, err := algo.BFS(g, 0, flash.WithWorkers(w), withMode(mode.m))
 				if err != nil {
 					t.Fatal(err)
 				}
 				got, err := algo.BFS(g, 0,
-					flash.WithWorkers(w), flash.WithThreads(4), flash.WithMode(mode.m))
+					flash.WithWorkers(w), flash.WithThreads(4), withMode(mode.m))
 				if err != nil {
 					t.Fatal(err)
 				}
