@@ -9,8 +9,9 @@ import (
 // paper-shaped positional signature.
 type StepOption func(*core.StepOpts)
 
-// NoSync marks a step's updates as master-local: the Table II analysis
-// found no critical property, so mirror synchronization is skipped.
+// NoSync marks a step's updates as master-local: by the paper's Table II
+// rule the step writes no critical property, so mirror synchronization is
+// skipped.
 func NoSync() StepOption { return func(o *core.StepOpts) { o.NoSync = true } }
 
 // ForceMode overrides the propagation mode for one EdgeMap.

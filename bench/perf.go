@@ -223,7 +223,6 @@ func MeasureRecovery(transport string) (RecoveryStat, error) {
 		flash.WithCheckpointEvery(2),
 		flash.WithCheckpointStore(store),
 		flash.WithMaxRecoveries(6),
-		flash.WithHeartbeatEvery(10*time.Millisecond),
 		flash.WithDrainTimeout(150*time.Millisecond),
 		flash.WithFaultPlan(flash.FaultPlan{
 			Kills: []flash.WorkerKill{{Worker: 3, Round: 3}},

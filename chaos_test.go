@@ -98,8 +98,8 @@ func TestChaosBFSAndCCMatchFaultFree(t *testing.T) {
 }
 
 // lossOpts arms worker-loss survival: a durable file-backed checkpoint store,
-// heartbeats feeding the liveness layer, a short drain deadline so a dead
-// peer is detected quickly, and one scripted hard kill of the last worker.
+// a short drain deadline so a dead peer is detected quickly, and one
+// scripted hard kill of the last worker.
 func lossOpts(t *testing.T, w int, col *metrics.Collector, tcp bool) []flash.Option {
 	t.Helper()
 	store, err := flash.NewFileCheckpointStore(filepath.Join(t.TempDir(), "ckpt.flash"))
@@ -112,7 +112,6 @@ func lossOpts(t *testing.T, w int, col *metrics.Collector, tcp bool) []flash.Opt
 		flash.WithCheckpointEvery(2),
 		flash.WithCheckpointStore(store),
 		flash.WithMaxRecoveries(6),
-		flash.WithHeartbeatEvery(10 * time.Millisecond),
 		flash.WithDrainTimeout(150 * time.Millisecond),
 		flash.WithFaultPlan(flash.FaultPlan{
 			Kills: []flash.WorkerKill{{Worker: w - 1, Round: 3}},
@@ -126,8 +125,8 @@ func lossOpts(t *testing.T, w int, col *metrics.Collector, tcp bool) []flash.Opt
 
 // TestChaosWorkerLossColdRestart is the worker-loss acceptance scenario on
 // the full public stack: a worker is hard-killed mid-run (every transport
-// call of its fails permanently), the survivors' liveness deadline names it
-// dead, the engine cold-restarts it from the graph and the file-backed
+// call of its fails permanently), the survivors' drain deadline fails the
+// round, the engine cold-restarts it from the graph and the file-backed
 // checkpoint store, and BFS/CC/PageRank finish byte-identical to fault-free
 // runs — on both the in-memory and the loopback-TCP transport.
 func TestChaosWorkerLossColdRestart(t *testing.T) {
@@ -314,7 +313,6 @@ func resizeChaosOpts(t *testing.T, col *metrics.Collector, tcp bool, killRound u
 		flash.WithCheckpointEvery(1),
 		flash.WithCheckpointStore(store),
 		flash.WithMaxRecoveries(6),
-		flash.WithHeartbeatEvery(10 * time.Millisecond),
 		flash.WithDrainTimeout(200 * time.Millisecond),
 		flash.WithResizePolicy(elasticSchedule),
 		flash.WithFaultPlan(flash.FaultPlan{

@@ -45,12 +45,11 @@ func main() {
 		ckptEvery    = flag.Int("checkpoint-every", 0, "checkpoint all worker state every n supersteps (0 disables recovery)")
 		ckptFile     = flag.String("ckpt-file", "", "durable checkpoint file (default: in-memory store)")
 		drainTimeout = flag.Duration("drain-timeout", 0, "per-round peer stall timeout (0 selects the 30s default, negative waits forever)")
-		hbEvery      = flag.Duration("heartbeat-every", 0, "liveness heartbeat interval (0 disables heartbeats; required to classify a dead peer)")
 		maxRecover   = flag.Int("max-recoveries", 0, "rollback/restart budget (0 keeps the default)")
 		chaos        = flag.Bool("chaos", false, "inject seeded transport faults (delays, reordering)")
 		chaosSeed    = flag.Int64("chaos-seed", 1, "fault-injection seed")
 		delayProb    = flag.Float64("delay-prob", 0.05, "chaos: per-frame delay-to-end-of-round probability")
-		killWorker   = flag.Int("kill-worker", -1, "hard-kill this worker permanently mid-run (cold restart needs -checkpoint-every and -heartbeat-every)")
+		killWorker   = flag.Int("kill-worker", -1, "hard-kill this worker permanently mid-run (detected at -drain-timeout; recovery needs -checkpoint-every)")
 		killRound    = flag.Int("kill-round", 3, "transport round at which -kill-worker dies")
 		resizeAt     = flag.Int("resize-at", 0, "superstep after which the engine resizes to -resize-to workers (0 disables)")
 		resizeTo     = flag.Int("resize-to", 0, "target worker count for -resize-at")
@@ -86,9 +85,6 @@ func main() {
 	}
 	if *drainTimeout != 0 {
 		opts = append(opts, flash.WithDrainTimeout(*drainTimeout))
-	}
-	if *hbEvery > 0 {
-		opts = append(opts, flash.WithHeartbeatEvery(*hbEvery))
 	}
 	if *maxRecover > 0 {
 		opts = append(opts, flash.WithMaxRecoveries(*maxRecover))

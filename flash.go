@@ -133,12 +133,9 @@ type CheckpointImage = core.CheckpointImage
 // Liveness and integrity errors surfaced by failed runs (match with
 // errors.Is).
 var (
-	// ErrPeerStalled: a peer missed the superstep deadline but its
-	// heartbeats are current (slow, not dead).
+	// ErrPeerStalled: a peer missed the superstep deadline, whether slow or
+	// gone — the drain deadline is the only liveness clock.
 	ErrPeerStalled = comm.ErrPeerStalled
-	// ErrPeerDead: a peer missed the superstep deadline and its heartbeats
-	// have stopped — the liveness layer declared it permanently lost.
-	ErrPeerDead = comm.ErrPeerDead
 	// ErrCorrupt: a frame failed its integrity check (CRC mismatch or
 	// undecodable payload).
 	ErrCorrupt = comm.ErrCorrupt
@@ -173,19 +170,11 @@ type RunResult = core.RunResult
 func WithCheckpointEvery(n int) Option { return func(c *core.Config) { c.CheckpointEvery = n } }
 
 // WithDrainTimeout bounds how long a worker waits for a peer's next frame
-// within one exchange round before the superstep fails (stall detection,
-// upgraded to ErrPeerDead when the peer's heartbeats have also stopped).
+// within one exchange round before the superstep fails with ErrPeerStalled.
+// It is how a lost worker is detected too: a dead peer is a stalled round.
 // 0 (the default) selects core.DefaultDrainTimeout (30s); negative waits
 // forever.
 func WithDrainTimeout(d time.Duration) Option { return func(c *core.Config) { c.DrainTimeout = d } }
-
-// WithHeartbeatEvery runs a background heartbeater per worker at the given
-// interval, feeding the transports' liveness clocks so a dead worker is
-// classified as ErrPeerDead (triggering cold restart under checkpointing)
-// rather than a generic stall. 0 (the default) disables heartbeats.
-func WithHeartbeatEvery(d time.Duration) Option {
-	return func(c *core.Config) { c.HeartbeatEvery = d }
-}
 
 // WithCheckpointStore directs checkpoint images into store — pass
 // NewFileCheckpointStore for durability across permanent worker loss. The

@@ -17,7 +17,7 @@ const (
 	// hardest loss the coordinator must survive.
 	FaultKill FaultKind = "kill"
 	// FaultStall SIGSTOPs the victim: the process stays in the table but
-	// stops heartbeating and draining, so peers see a stall and the
+	// stops sending and draining, so peers see a stall and the
 	// coordinator's /proc monitor sees state 'T'.
 	FaultStall FaultKind = "stall"
 	// FaultPartition makes the victim drop every mesh socket (the worker

@@ -31,10 +31,9 @@ type Config struct {
 	StoreDir        string // durable worker-store root ("" disables checkpoint/resume)
 	CheckpointEvery int    // superstep cadence passed to workers (0 = off)
 
-	MaxRestarts    int           // fleet respawn budget after retryable failures
-	StartTimeout   time.Duration // registration deadline per epoch (default 30s)
-	DrainTimeout   time.Duration // worker drain budget (default 5s)
-	HeartbeatEvery time.Duration // worker engine heartbeat interval (0 = engine default)
+	MaxRestarts  int           // fleet respawn budget after retryable failures
+	StartTimeout time.Duration // registration deadline per epoch (default 30s)
+	DrainTimeout time.Duration // worker drain budget (default 5s)
 
 	Chaos  *ChaosPlan // optional test-only fault injection
 	Stderr io.Writer  // workers' stderr sink (default os.Stderr)
@@ -193,9 +192,6 @@ func (c *Coordinator) runEpoch(epoch uint32) ([]byte, *WorkerError) {
 		}
 		if c.cfg.CheckpointEvery > 0 {
 			args = append(args, "-checkpoint-every", strconv.Itoa(c.cfg.CheckpointEvery))
-		}
-		if c.cfg.HeartbeatEvery > 0 {
-			args = append(args, "-heartbeat-every", c.cfg.HeartbeatEvery.String())
 		}
 		cmd := exec.Command(c.cfg.BinPath, args...)
 		cmd.Stderr = c.cfg.Stderr
@@ -406,8 +402,8 @@ func readWorker(p *workerProc, stdout io.Reader, events chan<- event) {
 }
 
 // monitorStalls watches /proc/<pid>/stat for the 'T' (stopped) state — the
-// signature of a SIGSTOPed worker, which never exits and never heartbeats,
-// so the process table is the only place the truth is visible.
+// signature of a SIGSTOPed worker, which never exits and never drains, so
+// the process table is the only place the truth is visible.
 func (c *Coordinator) monitorStalls(procs []*workerProc, events chan<- event, done <-chan struct{}) {
 	reported := make([]bool, len(procs))
 	tick := time.NewTicker(100 * time.Millisecond)

@@ -15,13 +15,12 @@ import (
 )
 
 // Worker process exit codes. The coordinator maps these onto restart
-// decisions: mesh-failure codes (peer-dead, peer-stalled, protocol) and
-// signal deaths are retryable under the restart budget; config and run
-// errors are deterministic and terminate the job immediately.
+// decisions: mesh-failure codes (peer-stalled, protocol) and signal deaths
+// are retryable under the restart budget; config and run errors are
+// deterministic and terminate the job immediately. Code 3 is retired.
 const (
 	ExitOK          = 0 // result delivered, clean shutdown
 	ExitConfig      = 2 // bad flags, graph spec, algo, or store — retry cannot help
-	ExitPeerDead    = 3 // a peer missed its liveness window (comm.ErrPeerDead)
 	ExitPeerStalled = 4 // a peer went silent past the drain timeout (comm.ErrPeerStalled)
 	ExitDrained     = 5 // SIGTERM received, drained, and shut down on request
 	ExitRunError    = 6 // the algorithm itself failed — deterministic, no retry
@@ -101,7 +100,7 @@ func (e *ProtocolError) Error() string { return "cluster: protocol: " + e.Reason
 type WorkerError struct {
 	Worker   int
 	ExitCode int
-	Verdict  string // "killed", "stalled", "peer-dead", "peer-stalled", "config", "run-error", "protocol", "drained", "diverged", "register-timeout"
+	Verdict  string // "killed", "stalled", "peer-stalled", "config", "run-error", "protocol", "drained", "diverged", "register-timeout"
 	Err      error
 }
 
@@ -121,7 +120,6 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 const (
 	VerdictKilled          = "killed"       // died by signal (SIGKILL chaos, OOM)
 	VerdictStalled         = "stalled"      // process alive but stopped (SIGSTOP: /proc state T)
-	VerdictPeerDead        = "peer-dead"    // worker reported a dead peer
 	VerdictPeerStalled     = "peer-stalled" // worker reported a stalled peer
 	VerdictConfig          = "config"       // bad configuration — permanent
 	VerdictRunError        = "run-error"    // algorithm failure — permanent
@@ -136,7 +134,7 @@ const (
 // would fail identically on every retry; a drain is a requested shutdown.
 func retryableVerdict(v string) bool {
 	switch v {
-	case VerdictKilled, VerdictStalled, VerdictPeerDead, VerdictPeerStalled,
+	case VerdictKilled, VerdictStalled, VerdictPeerStalled,
 		VerdictProtocol, VerdictRegisterTimeout:
 		return true
 	}
@@ -148,8 +146,6 @@ func verdictForExit(code int) string {
 	switch code {
 	case ExitConfig:
 		return VerdictConfig
-	case ExitPeerDead:
-		return VerdictPeerDead
 	case ExitPeerStalled:
 		return VerdictPeerStalled
 	case ExitDrained:

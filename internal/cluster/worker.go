@@ -29,7 +29,6 @@ type workerConfig struct {
 	checkpointEvery int
 	connectTimeout  time.Duration
 	drainTimeout    time.Duration
-	heartbeatEvery  time.Duration
 }
 
 // WorkerMain is the entry point of the `flashd worker` subcommand: one
@@ -54,7 +53,6 @@ func WorkerMain(args []string) int {
 	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 0, "checkpoint cadence in supersteps (0 = off)")
 	fs.DurationVar(&cfg.connectTimeout, "connect-timeout", 10*time.Second, "mesh connect deadline")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 5*time.Second, "engine drain timeout and SIGTERM drain budget")
-	fs.DurationVar(&cfg.heartbeatEvery, "heartbeat-every", 0, "engine heartbeat interval (0 = engine default)")
 	if err := fs.Parse(args); err != nil {
 		return ExitConfig
 	}
@@ -170,9 +168,6 @@ func runWorker(cfg workerConfig, ctrlIn *os.File, ctrlOut *os.File) int {
 	if cfg.checkpointEvery > 0 {
 		opts = append(opts, flash.WithCheckpointEvery(cfg.checkpointEvery))
 	}
-	if cfg.heartbeatEvery > 0 {
-		opts = append(opts, flash.WithHeartbeatEvery(cfg.heartbeatEvery))
-	}
 
 	type outcome struct {
 		payload []byte
@@ -223,18 +218,14 @@ func runWorker(cfg workerConfig, ctrlIn *os.File, ctrlOut *os.File) int {
 }
 
 // exitForRunError maps an engine failure onto the worker exit-code
-// vocabulary: mesh liveness verdicts keep their identity so the coordinator
-// can distinguish "my peer died" (retryable) from "the algorithm is broken"
-// (permanent).
+// vocabulary: a stalled peer keeps its identity so the coordinator can
+// distinguish "my peer is slow or gone" (retryable) from "the algorithm is
+// broken" (permanent).
 func exitForRunError(err error) int {
-	switch {
-	case errors.Is(err, comm.ErrPeerDead):
-		return ExitPeerDead
-	case errors.Is(err, comm.ErrPeerStalled):
+	if errors.Is(err, comm.ErrPeerStalled) {
 		return ExitPeerStalled
-	default:
-		return ExitRunError
 	}
+	return ExitRunError
 }
 
 // emit writes one control message as a single line on w.

@@ -11,8 +11,8 @@ import (
 // abort the run cleanly.
 var (
 	// ErrPeerStalled reports that Drain waited longer than the configured
-	// drain timeout for the next frame of the current round. It usually means
-	// a peer worker is hung (or an injected stall outlived the timeout).
+	// drain timeout for the next frame of the current round: a peer worker is
+	// hung or gone (or an injected stall outlived the timeout).
 	ErrPeerStalled = errors.New("comm: peer stalled (no frame within drain timeout)")
 
 	// ErrAborted is delivered to workers blocked in transport calls when the
@@ -31,14 +31,6 @@ var (
 	// ErrTruncated reports a connection torn down in the middle of a frame
 	// (as opposed to a clean close at a frame boundary).
 	ErrTruncated = errors.New("comm: connection closed mid-frame")
-
-	// ErrPeerDead is the liveness watchdog's verdict: a peer missed both its
-	// end-of-round marker and its heartbeat window, so it is presumed
-	// permanently lost (as opposed to ErrPeerStalled, where the peer's
-	// heartbeats still arrive). Delivered wrapped in a WorkerError naming the
-	// dead peer, it is the engine's signal to cold-restart that worker from
-	// the durable checkpoint store.
-	ErrPeerDead = errors.New("comm: peer dead (no heartbeat within liveness window)")
 
 	// ErrCorrupt reports a frame that failed an integrity check: a CRC
 	// mismatch on the TCP wire, or a payload that no longer decodes (injected
@@ -81,7 +73,7 @@ func (e *CrashError) Error() string {
 
 // KillError is returned to a hard-killed worker's own transport calls: after
 // a KillWorker fault fires, the victim is permanently dead — its mailbox is
-// poisoned and every Send/EndRound/Drain/Heartbeat it attempts fails with
+// poisoned and every Send/EndRound/Drain it attempts fails with
 // this error until the next Resize. Unlike CrashError it models a process
 // loss, not a transient hiccup: the worker's in-memory state is gone and only
 // a fresh incarnation restored from a stored checkpoint brings it back.

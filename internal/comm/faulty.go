@@ -31,12 +31,12 @@ type FaultPlan struct {
 	// Crashes makes a worker's EndRound (or Send) of the given round fail
 	// with CrashError, simulating a mid-superstep worker failure.
 	Crashes []WorkerCrash
-	// Kills hard-kills a worker at its first transport operation (Send,
-	// EndRound or Heartbeat) at or after the given round: its receive
-	// endpoint is closed for real and every transport call it makes fails
-	// with KillError for the rest of the incarnation. Unlike Crashes, the
-	// death outlasts the round: the engine must detect the loss through the
-	// liveness layer and start a fresh incarnation (Resize) from a checkpoint.
+	// Kills hard-kills a worker at its first transport operation (Send or
+	// EndRound) at or after the given round: its receive endpoint is closed
+	// for real and every transport call it makes fails with KillError for the
+	// rest of the incarnation. Unlike Crashes, the death outlasts the round:
+	// peers see it as a drain deadline that expires, and the engine starts a
+	// fresh incarnation (Resize) from a checkpoint.
 	Kills []WorkerKill
 	// Corrupts scripts single-bit payload flips (seeded position) on the
 	// given edge, exercising the receive-side integrity/decode hardening.
@@ -89,7 +89,7 @@ type FaultCounts struct {
 
 // Faulty wraps any Transport and injects the faults of a FaultPlan. It is
 // the runtime's test double for a lossy, laggy, crashy wire: every
-// robustness behavior (stall detection, liveness, checkpoint recovery) can be
+// robustness behavior (stall detection, worker loss, checkpoint recovery) can be
 // exercised deterministically in-process.
 type Faulty struct {
 	inner Transport
@@ -270,20 +270,6 @@ func (f *Faulty) EndRound(from int) error {
 
 func (f *Faulty) Drain(to int, h func(from int, data []byte)) error {
 	return f.inner.Drain(to, h)
-}
-
-// Heartbeat intercepts the liveness path: a dead worker's heartbeats stop
-// (its heartbeater sees KillError and exits), which is exactly the signal
-// peers' drain classification turns into ErrPeerDead. A scripted kill can
-// also fire here, so a worker idling between supersteps still dies on time.
-func (f *Faulty) Heartbeat(from int) error {
-	f.mu.Lock()
-	if err := f.killLocked(from, f.round[from]); err != nil {
-		f.mu.Unlock()
-		return err
-	}
-	f.mu.Unlock()
-	return f.inner.Heartbeat(from)
 }
 
 // Resize starts the wrapper's next incarnation alongside the inner

@@ -2,79 +2,25 @@ package comm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 )
 
-// TestMemDeadPeerClassification verifies the liveness upgrade: once a peer
-// has heartbeat at least once and then gone silent past the drain-timeout
-// window, a timed-out Drain names it with ErrPeerDead instead of the generic
-// stall.
-func TestMemDeadPeerClassification(t *testing.T) {
-	tr := NewMem(2)
-	defer tr.Close()
-	tr.SetDrainTimeout(40 * time.Millisecond)
-	if err := tr.Heartbeat(1); err != nil { // arm classification, then fall silent
-		t.Fatal(err)
-	}
-	time.Sleep(60 * time.Millisecond)
-	if err := tr.EndRound(0); err != nil {
-		t.Fatal(err)
-	}
-	err := tr.Drain(0, func(int, []byte) {})
-	if !errors.Is(err, ErrPeerDead) {
-		t.Fatalf("drain: err=%v, want ErrPeerDead", err)
-	}
-	var we *WorkerError
-	if !errors.As(err, &we) || we.Worker != 1 {
-		t.Fatalf("drain: err=%v, want WorkerError naming worker 1", err)
-	}
-}
-
-// TestMemStalledPeerStillBeating verifies the other side of the
-// classification: a peer that misses the round deadline but keeps
-// heartbeating is reported as stalled (retry-worthy), never dead.
-func TestMemStalledPeerStillBeating(t *testing.T) {
-	tr := NewMem(2)
-	defer tr.Close()
-	tr.SetDrainTimeout(50 * time.Millisecond)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		ticker := time.NewTicker(5 * time.Millisecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				tr.Heartbeat(1)
-			}
-		}
-	}()
-	defer func() { close(stop); <-done }()
-	if err := tr.EndRound(0); err != nil {
-		t.Fatal(err)
-	}
-	err := tr.Drain(0, func(int, []byte) {})
-	if !errors.Is(err, ErrPeerStalled) || errors.Is(err, ErrPeerDead) {
-		t.Fatalf("drain: err=%v, want plain ErrPeerStalled", err)
-	}
-}
-
-// TestMemNoHeartbeatKeepsStalled verifies engines that never heartbeat keep
-// the pre-liveness behavior: a timeout is always ErrPeerStalled.
-func TestMemNoHeartbeatKeepsStalled(t *testing.T) {
+// TestMemSilentPeerIsStalled verifies the drain deadline is the only
+// liveness clock: a peer whose end-of-round marker never arrives fails the
+// drain with plain ErrPeerStalled, whether it is slow or gone.
+func TestMemSilentPeerIsStalled(t *testing.T) {
 	tr := NewMem(2)
 	defer tr.Close()
 	tr.SetDrainTimeout(30 * time.Millisecond)
 	if err := tr.EndRound(0); err != nil {
 		t.Fatal(err)
 	}
-	err := tr.Drain(0, func(int, []byte) {})
-	if !errors.Is(err, ErrPeerStalled) || errors.Is(err, ErrPeerDead) {
+	if err := tr.Drain(0, func(int, []byte) {}); err != ErrPeerStalled {
 		t.Fatalf("drain: err=%v, want plain ErrPeerStalled", err)
 	}
 }
@@ -145,9 +91,6 @@ func TestFaultyKillWorker(t *testing.T) {
 	}
 	if err := f.EndRound(1); !errors.As(err, &ke) {
 		t.Fatalf("endround after death: err=%v, want KillError", err)
-	}
-	if err := f.Heartbeat(1); !errors.As(err, &ke) {
-		t.Fatalf("heartbeat after death: err=%v, want KillError", err)
 	}
 	// The victim's receive endpoint is gone for real, not just flagged.
 	if err := f.Drain(1, func(int, []byte) {}); !errors.As(err, &ke) {
@@ -236,52 +179,40 @@ func TestTCPCorruptFrameCRC(t *testing.T) {
 	}
 }
 
-// TestTCPHeartbeatReachesPeers verifies heartbeat control frames travel the
-// real wire and stamp the shared liveness clock on arrival.
-func TestTCPHeartbeatReachesPeers(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if err := tr.Heartbeat(1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !tr.hub.hbOn[1].Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never armed worker 1's liveness clock")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestTCPDeadPeerClassification runs the full liveness protocol over real
-// sockets: worker 1 heartbeats, dies silently, and worker 0's next drain
-// deadline names it dead.
-func TestTCPDeadPeerClassification(t *testing.T) {
-	tr, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.SetDrainTimeout(60 * time.Millisecond)
-	if err := tr.Heartbeat(1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for !tr.hub.hbOn[1].Load() {
-		if time.Now().After(deadline) {
-			t.Fatal("heartbeat never arrived")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(80 * time.Millisecond) // silence beyond the window
-	if err := tr.EndRound(0); err != nil {
-		t.Fatal(err)
-	}
-	drainErr := tr.Drain(0, func(int, []byte) {})
-	if !errors.Is(drainErr, ErrPeerDead) {
-		t.Fatalf("drain: err=%v, want ErrPeerDead", drainErr)
+// TestTCPUnknownFlagIsCorrupt verifies the wire accepts only data and
+// end-of-round frames: a CRC-valid frame with any other flag (2 was the
+// retired heartbeat) poisons the receiver with a typed ErrCorrupt instead of
+// being delivered as data.
+func TestTCPUnknownFlagIsCorrupt(t *testing.T) {
+	for _, flag := range []byte{2, 7} {
+		t.Run(fmt.Sprintf("flag%d", flag), func(t *testing.T) {
+			tr, err := NewTCP(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			c := hostileConn(t, tr, 0, 1)
+			defer c.Close()
+			payload := []byte("abc")
+			hdr := rawHeader(0, 0, flag, uint32(len(payload)))
+			crc := crc32.Update(crc32.Checksum(hdr[:13], castagnoli), castagnoli, payload)
+			binary.LittleEndian.PutUint32(hdr[13:17], crc)
+			frames := append(append(hdr, payload...), rawHeader(0, 0, tcpFlagEndRound, 0)...)
+			if _, err := c.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.EndRound(0); err != nil {
+				t.Fatal(err)
+			}
+			tr.SetDrainTimeout(2 * time.Second)
+			drainErr := tr.Drain(0, func(_ int, data []byte) { t.Errorf("delivered %q", data) })
+			if !errors.Is(drainErr, ErrCorrupt) {
+				t.Fatalf("drain: err=%v, want ErrCorrupt", drainErr)
+			}
+			var we *WorkerError
+			if !errors.As(drainErr, &we) || we.Worker != 1 {
+				t.Fatalf("drain: err=%v, want WorkerError naming worker 1", drainErr)
+			}
+		})
 	}
 }

@@ -37,11 +37,10 @@ var defaultDial dialFunc = net.Dial
 // iSCSI and ext4 use; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// TCP wire frame flags.
+// TCP wire frame flags; any other flag is a corrupt frame.
 const (
-	tcpFlagData      = 0 // data frame: payload follows
-	tcpFlagEndRound  = 1 // end-of-round marker (no payload)
-	tcpFlagHeartbeat = 2 // liveness control frame (no payload, no round)
+	tcpFlagData     = 0 // data frame: payload follows
+	tcpFlagEndRound = 1 // end-of-round marker (no payload)
 )
 
 // tcpHdrSize is the frame header length:
@@ -62,7 +61,7 @@ const tcpHdrSize = 17
 // socket closed — it can never poison a live round.
 const (
 	helloMagic   = "FLSH"
-	helloVersion = 2
+	helloVersion = 3
 	helloSize    = 17
 )
 
@@ -110,7 +109,7 @@ func ParseHello(b []byte) (worker int, epoch uint32, err error) {
 // worker's sockets.
 //
 // Wire format per frame: round uint32 | epoch uint32 | flag byte (0 data,
-// 1 end-of-round, 2 heartbeat) | length uint32 | crc32c uint32 | payload.
+// 1 end-of-round) | length uint32 | crc32c uint32 | payload.
 // The sender id is implicit per connection (established by the hello
 // handshake); the CRC32-C spans the first 13 header bytes and the payload.
 //
@@ -187,7 +186,7 @@ func (tc *tcpConn) writeFrame(round, epoch uint32, flag byte, data []byte) error
 		return err
 	}
 	if flag != tcpFlagData {
-		return tc.w.Flush() // round boundaries and heartbeats always flush
+		return tc.w.Flush() // round boundaries always flush
 	}
 	return nil
 }
@@ -469,21 +468,23 @@ func (t *TCP) readLoop(me, peer int, c net.Conn) {
 		}
 		crc := crc32.Checksum(hdr[:13], castagnoli)
 		crc = crc32.Update(crc, castagnoli, data)
+		bad := ""
 		if crc != wantCRC {
+			bad = "crc mismatch"
+		} else if flag != tcpFlagData && flag != tcpFlagEndRound {
+			bad = fmt.Sprintf("unknown flag %d", flag)
+		}
+		if bad != "" {
 			// Integrity failure: fail the receiver's round with a typed
 			// ErrCorrupt (checkpoint recovery replays it) and drop the
 			// connection — the sender's next write fails transiently and the
 			// retry path redials a clean socket.
 			PutBuf(data)
-			err := &WorkerError{Worker: peer, Err: fmt.Errorf("%w: crc mismatch on frame from worker %d (round %d)", ErrCorrupt, peer, round)}
+			err := &WorkerError{Worker: peer, Err: fmt.Errorf("%w: %s on frame from worker %d (round %d)", ErrCorrupt, bad, peer, round)}
 			t.report(err)
 			t.hub.boxes[me].poison(err)
 			c.Close()
 			return
-		}
-		if flag == tcpFlagHeartbeat {
-			t.hub.markAlive(peer)
-			continue
 		}
 		if flag == tcpFlagEndRound {
 			data = nil
@@ -549,28 +550,6 @@ func (t *TCP) EndRound(from int) error {
 	return nil
 }
 
-// Heartbeat ships a flag-2 control frame to every peer (flushed immediately,
-// bypassing round batching); each peer's read loop stamps the shared liveness
-// clock. Write failures on individual connections are swallowed: a heartbeat
-// is best-effort by design and the next tick retries, while a genuinely dead
-// sender is stopped above this layer (Faulty returns KillError before the
-// wire is reached).
-func (t *TCP) Heartbeat(from int) error {
-	if err := t.hub.aborted(); err != nil {
-		return err
-	}
-	epoch := t.hub.epoch.Load()
-	for to := 0; to < t.m; to++ {
-		if to == from {
-			continue
-		}
-		if tc := t.conns[from][to]; tc != nil {
-			_ = tc.writeFrame(0, epoch, tcpFlagHeartbeat, nil)
-		}
-	}
-	return nil
-}
-
 // CloseEndpoint tears down worker w's receive endpoint (hard-kill support).
 func (t *TCP) CloseEndpoint(w int, err error) { t.hub.CloseEndpoint(w, err) }
 
@@ -633,8 +612,8 @@ func (t *TCP) Abort(err error) { t.hub.Abort(err) }
 // sockets, departing workers' endpoints are retired with their connections.
 // At an unchanged width the rebuild is what guarantees a recovered run a
 // clean wire: whatever a failed round left buffered or half-written dies with
-// its socket. The caller must have quiesced every worker (no send, drain or
-// heartbeat in flight).
+// its socket. The caller must have quiesced every worker (no send or drain in
+// flight).
 func (t *TCP) Resize(n int) error {
 	if t.closed.Load() {
 		return net.ErrClosed

@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -28,13 +27,9 @@ import (
 // recovered run can replay from a checkpoint, or at another one for a
 // membership change.
 //
-// Liveness: Heartbeat is an out-of-band control signal ("worker `from` is
-// alive right now") that never counts toward a round. Once a worker has
-// heartbeat at least once, a Drain that times out waiting for that worker's
-// end-of-round marker classifies it: heartbeats still arriving means the
-// peer is slow (ErrPeerStalled); heartbeats silent beyond the
-// drain-timeout window means the peer is presumed lost and the drain fails
-// with a WorkerError wrapping ErrPeerDead naming it.
+// Liveness: the drain deadline is the only clock. A peer that is slow and a
+// peer that is gone look the same from the outside — no end-of-round marker
+// within the drain timeout — and both fail the Drain with ErrPeerStalled.
 //
 // Epochs: every frame is tagged with the transport's membership epoch, and
 // Resize bumps it. Frames from an earlier incarnation that surface later
@@ -53,21 +48,16 @@ type Transport interface {
 	// are recycled into the frame pool (PutBuf) after h returns, so a Send
 	// caller must hold no references either — a buffer shipped to several
 	// destinations must be cloned per destination. Drain fails with
-	// ErrPeerStalled when no frame arrives within the drain timeout (or a
-	// WorkerError wrapping ErrPeerDead when the missing peer's heartbeats
-	// have also gone silent), and with the abort error after Abort.
+	// ErrPeerStalled when no frame arrives within the drain timeout, and
+	// with the abort error after Abort.
 	Drain(to int, h func(from int, data []byte)) error
-	// Heartbeat announces that worker `from` is alive, outside any round.
-	// Cheap enough to call on a tens-of-milliseconds ticker. Safe for
-	// concurrent use with the same worker's Send/EndRound/Drain.
-	Heartbeat(from int) error
 	// Abort poisons the transport with err: every blocked or future
 	// Send/EndRound/Drain returns it until Resize. Safe to call from any
 	// goroutine, repeatedly (the first error wins).
 	Abort(err error)
 	// Resize starts a fresh incarnation at n workers; n may equal Workers().
 	// It opens a new membership epoch and clears queued frames, stashes, round
-	// counters, any abort error and the liveness clocks, creating or retiring
+	// counters and any abort error, creating or retiring
 	// endpoints to match n. The caller must guarantee no worker is inside a
 	// transport call; frames of the old incarnation that surface later are
 	// discarded by Drain's epoch check. Cumulative Stats survive.
@@ -179,19 +169,11 @@ type Mem struct {
 	rounds []atomic.Uint32 // per-sender current round
 	recvRd []uint32        // per-receiver current round (single-threaded use)
 	stash  [][]frame       // per-receiver frames for future rounds
-	marks  [][]bool        // per-receiver scratch: marker seen per peer this round
 	frames atomic.Uint64
 	bytes  atomic.Uint64
 
 	timeout atomic.Int64  // drain stall timeout in nanoseconds; 0 = forever
 	epoch   atomic.Uint32 // membership epoch; bumped by Resize
-
-	// Liveness: alive[w] is the UnixNano of w's last heartbeat; hbOn[w]
-	// arms dead-vs-stalled classification for w once it has heartbeat at
-	// least once (so engines that never heartbeat keep the plain
-	// ErrPeerStalled behavior).
-	alive []atomic.Int64
-	hbOn  []atomic.Bool
 
 	abortMu  sync.Mutex
 	abortErr error
@@ -205,13 +187,9 @@ func NewMem(m int) *Mem {
 		rounds: make([]atomic.Uint32, m),
 		recvRd: make([]uint32, m),
 		stash:  make([][]frame, m),
-		marks:  make([][]bool, m),
-		alive:  make([]atomic.Int64, m),
-		hbOn:   make([]atomic.Bool, m),
 	}
 	for i := range t.boxes {
 		t.boxes[i] = newMailbox()
-		t.marks[i] = make([]bool, m)
 	}
 	return t
 }
@@ -250,38 +228,6 @@ func (t *Mem) EndRound(from int) error {
 	return nil
 }
 
-// Heartbeat stamps `from`'s liveness clock and arms dead-peer classification
-// for it. Out-of-band: no round or epoch interaction.
-func (t *Mem) Heartbeat(from int) error {
-	if err := t.aborted(); err != nil {
-		return err
-	}
-	t.markAlive(from)
-	return nil
-}
-
-func (t *Mem) markAlive(w int) {
-	t.alive[w].Store(time.Now().UnixNano())
-	t.hbOn[w].Store(true)
-}
-
-// classifyStall upgrades a drain timeout to ErrPeerDead when a peer whose
-// end-of-round marker is still missing has also been heartbeat-silent for
-// longer than the timeout window. Peers that never heartbeat (liveness
-// disabled) and peers still beating stay ErrPeerStalled.
-func (t *Mem) classifyStall(marks []bool) error {
-	now := time.Now().UnixNano()
-	for p, seen := range marks {
-		if seen || !t.hbOn[p].Load() {
-			continue
-		}
-		if now-t.alive[p].Load() > t.timeout.Load() {
-			return &WorkerError{Worker: p, Err: ErrPeerDead}
-		}
-	}
-	return ErrPeerStalled
-}
-
 func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 	if err := t.aborted(); err != nil {
 		return err
@@ -289,10 +235,6 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 	r := t.recvRd[to]
 	ep := t.epoch.Load()
 	pending := t.m // end-of-round markers still expected
-	marks := t.marks[to]
-	for i := range marks {
-		marks[i] = false
-	}
 
 	// First serve stashed frames from earlier overruns. Frames from a stale
 	// epoch (an earlier incarnation) are discarded, payloads recycled.
@@ -305,7 +247,6 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 			case f.round == r:
 				if f.data == nil {
 					pending--
-					marks[f.from] = true
 				} else {
 					h(f.from, f.data)
 					PutBuf(f.data) // delivered exactly once: recycle
@@ -320,9 +261,6 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 	for pending > 0 {
 		f, err := t.boxes[to].pop(timeout)
 		if err != nil {
-			if errors.Is(err, ErrPeerStalled) {
-				return t.classifyStall(marks)
-			}
 			return err
 		}
 		if f.epoch != ep {
@@ -335,7 +273,6 @@ func (t *Mem) Drain(to int, h func(from int, data []byte)) error {
 		}
 		if f.data == nil {
 			pending--
-			marks[f.from] = true
 		} else {
 			h(f.from, f.data)
 			PutBuf(f.data)
@@ -371,7 +308,7 @@ func (t *Mem) Abort(err error) {
 
 // Resize starts the incarnation of n workers: a fresh membership epoch,
 // fresh mailboxes (a hard-closed endpoint comes back), stashes and round
-// counters sized for the worker set, and a clean abort/liveness slate.
+// counters sized for the worker set, and a clean abort slate.
 func (t *Mem) Resize(n int) error {
 	if n < 1 {
 		return fmt.Errorf("comm: resize to %d workers", n)
@@ -384,34 +321,14 @@ func (t *Mem) Resize(n int) error {
 	defer t.abortMu.Unlock()
 	t.abortErr = nil
 	t.epoch.Add(1)
-	now := time.Now().UnixNano()
-	old := t.m
 	t.m = n
 	t.boxes = make([]*mailbox, n)
 	t.rounds = make([]atomic.Uint32, n)
 	t.recvRd = make([]uint32, n)
 	t.stash = make([][]frame, n)
-	t.marks = make([][]bool, n)
-	alive := make([]atomic.Int64, n)
-	hbOn := make([]atomic.Bool, n)
-	// Heartbeat arming carries over, to joiners too: an engine heartbeats
-	// for all of its workers or none, so once any old member has announced
-	// liveness, a member of the new set that falls silent must be classifiable
-	// as dead even if it dies before its first heartbeat of the new epoch.
-	armed := false
-	for i := 0; i < old; i++ {
-		armed = armed || t.hbOn[i].Load()
-	}
 	for i := range t.boxes {
 		t.boxes[i] = newMailbox()
-		t.marks[i] = make([]bool, n)
-		// Fresh liveness slate: every member of the new set gets a full
-		// timeout window before it can be declared dead.
-		alive[i].Store(now)
-		hbOn[i].Store(armed)
 	}
-	t.alive = alive
-	t.hbOn = hbOn
 	return nil
 }
 

@@ -82,16 +82,12 @@ type Config struct {
 
 	// DrainTimeout bounds how long a worker waits for a peer's next frame
 	// within one exchange round before the superstep fails with
-	// comm.ErrPeerStalled (or comm.ErrPeerDead when the liveness layer shows
-	// the peer's heartbeats have stopped). 0 selects DefaultDrainTimeout so a
-	// stalled or dead peer always converts to an error within a bounded
-	// window; negative waits forever (the pre-fault-tolerance behavior).
+	// comm.ErrPeerStalled. It is the engine's only liveness clock: a hung
+	// peer and a dead one both fail the round this way. 0 selects
+	// DefaultDrainTimeout so a stalled or dead peer always converts to an
+	// error within a bounded window; negative waits forever (the
+	// pre-fault-tolerance behavior).
 	DrainTimeout time.Duration
-	// HeartbeatEvery is the interval of each worker's background heartbeat
-	// control frames, which keep the liveness layer's per-peer clocks fresh
-	// so a silent worker death is classified as comm.ErrPeerDead rather than
-	// a generic stall. 0 disables heartbeats.
-	HeartbeatEvery time.Duration
 	// Store receives checkpoint images. Defaults to an in-memory store when
 	// checkpointing is enabled; pass a FileStore to survive the loss of
 	// in-process worker state. The engine never closes the store.
@@ -232,9 +228,6 @@ func (c *Config) validate() error {
 	if c.CheckpointEvery < 0 {
 		return &ConfigError{"CheckpointEvery", fmt.Sprintf("must be >= 0, got %d", c.CheckpointEvery)}
 	}
-	if c.HeartbeatEvery < 0 {
-		return &ConfigError{"HeartbeatEvery", fmt.Sprintf("must be >= 0, got %v", c.HeartbeatEvery)}
-	}
 	if c.BlockCacheBytes < 0 {
 		return &ConfigError{"BlockCacheBytes", fmt.Sprintf("must be >= 0, got %d", c.BlockCacheBytes)}
 	}
@@ -258,14 +251,6 @@ func (c *Config) validate() error {
 		if c.Shared != nil {
 			return &ConfigError{"Shared", "unsupported in cluster mode"}
 		}
-	}
-	// A heartbeat interval at or beyond the drain deadline makes every living
-	// peer look heartbeat-silent, so any stall would be misclassified as a
-	// permanent death (ErrPeerDead) and trigger pointless cold restarts.
-	if c.HeartbeatEvery > 0 && c.DrainTimeout > 0 && c.HeartbeatEvery >= c.DrainTimeout {
-		return &ConfigError{"HeartbeatEvery", fmt.Sprintf(
-			"(%v) must be shorter than the drain timeout (%v), or live peers are declared dead",
-			c.HeartbeatEvery, c.DrainTimeout)}
 	}
 	return nil
 }
@@ -320,11 +305,6 @@ type Engine[V any] struct {
 	replayLog  []replayStep[V] // supersteps since the last checkpoint
 	stepsSince int             // supersteps since the last checkpoint
 	recoveries int             // rollbacks performed so far
-
-	// Liveness: the background heartbeaters of the current incarnation
-	// (HeartbeatEvery > 0); hbStop is nil while none run.
-	hbStop chan struct{}
-	hbDone sync.WaitGroup
 
 	// Cluster mode (Config.Cluster non-nil): resident is the one worker this
 	// process computes (-1 in-process), cstore the durable checkpoint+log
@@ -480,7 +460,6 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 			return nil, err
 		}
 	}
-	e.startHeartbeaters()
 	return e, nil
 }
 
@@ -625,7 +604,6 @@ func (e *Engine[V]) Close() error {
 		}
 	}
 	e.opMu.Unlock()
-	e.stopHeartbeaters()
 	stopPools(e.workers)
 	if e.cfg.RunStats != nil {
 		// Ops have drained and pools are stopped, so the cumulative counters
@@ -642,8 +620,9 @@ func (e *Engine[V]) Close() error {
 // the transport so peers blocked in exchange rounds unblock promptly with
 // comm.ErrAborted, and every worker goroutine is always joined before the
 // call returns — a failing superstep leaks no goroutines. The returned
-// error is the root cause (a non-abort error is preferred over the
-// secondary comm.ErrAborted ones it triggered). Panics inside a worker are
+// error is the root cause: a worker's comm.KillError about itself first (its
+// peers saw only a stalled round), then the first non-abort error, then the
+// secondary comm.ErrAborted ones it triggered. Panics inside a worker are
 // converted to non-recoverable errors so the abort broadcast still runs.
 //
 //flash:amortized one goroutine spawn per worker per superstep
@@ -667,9 +646,8 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 			if err := f(w); err != nil {
 				errs[w.id] = err
 				// A killed worker dies silently: no abort broadcast, so its
-				// peers must detect the loss through the liveness layer
-				// (heartbeats + drain deadline), exactly as a real process
-				// death would surface.
+				// peers detect the loss at their drain deadline, exactly as a
+				// real process death would surface.
 				var ke *comm.KillError
 				if errors.As(err, &ke) && ke.Worker == w.id {
 					return
@@ -683,17 +661,23 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 		e.met.Merge(w.met)
 		w.met.Reset()
 	}
-	var secondary error
+	var first, secondary error
 	for wi, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, comm.ErrAborted) {
+		var ke *comm.KillError
+		switch {
+		case err == nil:
+		case errors.As(err, &ke) && ke.Worker == wi:
 			return fmt.Errorf("core: worker %d: superstep failed: %w", wi, err)
-		}
-		if secondary == nil {
+		case !errors.Is(err, comm.ErrAborted):
+			if first == nil {
+				first = fmt.Errorf("core: worker %d: superstep failed: %w", wi, err)
+			}
+		case secondary == nil:
 			secondary = fmt.Errorf("core: worker %d: superstep aborted: %w", wi, err)
 		}
+	}
+	if first != nil {
+		return first
 	}
 	return secondary
 }

@@ -92,7 +92,6 @@ func (e *Engine[V]) Resize(n int) error {
 // SharedGraph, is reused untouched and subsets keep their epoch. No worker may
 // be inside a transport call.
 func (e *Engine[V]) swapMembership(n int) error {
-	e.stopHeartbeaters()
 	if err := e.tr.Resize(n); err != nil {
 		return err
 	}
@@ -111,7 +110,6 @@ func (e *Engine[V]) swapMembership(n int) error {
 	for w := range e.workers {
 		e.workers[w] = e.newWorker(w)
 	}
-	e.startHeartbeaters()
 	return nil
 }
 

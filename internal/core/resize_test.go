@@ -224,9 +224,9 @@ func resyncRound(t *testing.T, workers int) uint32 {
 }
 
 // runResizeFault runs BFS from a w-worker engine under plan, resizing to n
-// after superstep 2, and checks the result. Short liveness windows make a
-// killed worker convert to ErrPeerDead quickly; checkpointing gives recovery
-// an image.
+// after superstep 2, and checks the result. A short drain deadline turns a
+// killed worker into a failed round quickly; checkpointing gives recovery an
+// image.
 func runResizeFault(t *testing.T, workers, n int, plan comm.FaultPlan) (*Engine[bfsProps], *countingTransport) {
 	t.Helper()
 	g := resizeFaultGraph()
@@ -236,7 +236,6 @@ func runResizeFault(t *testing.T, workers, n int, plan comm.FaultPlan) (*Engine[
 		Transport:       tr,
 		CheckpointEvery: 1,
 		MaxRecoveries:   4,
-		HeartbeatEvery:  10 * time.Millisecond,
 		DrainTimeout:    200 * time.Millisecond,
 		FaultPlan:       &plan,
 	})

@@ -13,8 +13,8 @@ import (
 )
 
 // coldRestartConfig is the canonical worker-loss setup: durable file store,
-// frequent checkpoints, heartbeats arming the liveness layer, and a short
-// drain deadline so a dead peer is detected quickly.
+// frequent checkpoints, and a short drain deadline so a dead peer is
+// detected quickly.
 func coldRestartConfig(t *testing.T, workers int, kills []comm.WorkerKill) Config {
 	t.Helper()
 	store, err := NewFileStore(filepath.Join(t.TempDir(), "ckpt.flash"))
@@ -26,7 +26,6 @@ func coldRestartConfig(t *testing.T, workers int, kills []comm.WorkerKill) Confi
 		CheckpointEvery: 2,
 		MaxRecoveries:   5,
 		Store:           store,
-		HeartbeatEvery:  10 * time.Millisecond,
 		DrainTimeout:    80 * time.Millisecond,
 		FaultPlan:       &comm.FaultPlan{Kills: kills},
 	}
@@ -34,7 +33,7 @@ func coldRestartConfig(t *testing.T, workers int, kills []comm.WorkerKill) Confi
 
 // TestColdRestartSurvivesWorkerKill is the worker-loss end-to-end test: a
 // worker is hard-killed mid-run (endpoint torn down, all its calls failing),
-// the liveness layer detects the loss, the engine swaps in a fresh
+// the survivors' drain deadline fails the round, the engine swaps in a fresh
 // incarnation and rehydrates it from the file-backed checkpoint store, and
 // the run completes with results identical to a fault-free execution.
 func TestColdRestartSurvivesWorkerKill(t *testing.T) {
@@ -150,10 +149,9 @@ func TestCrashAndKillRecoverThroughOneSwap(t *testing.T) {
 func TestWorkerKillWithoutCheckpointingFails(t *testing.T) {
 	g := graph.GenPath(40)
 	e := mustEngine(t, g, Config{
-		Workers:        2,
-		HeartbeatEvery: 10 * time.Millisecond,
-		DrainTimeout:   80 * time.Millisecond,
-		FaultPlan:      &comm.FaultPlan{Kills: []comm.WorkerKill{{Worker: 1, Round: 2}}},
+		Workers:      2,
+		DrainTimeout: 80 * time.Millisecond,
+		FaultPlan:    &comm.FaultPlan{Kills: []comm.WorkerKill{{Worker: 1, Round: 2}}},
 	})
 	start := time.Now()
 	_, _, err := runBFSChecked(e, 0)
@@ -184,15 +182,11 @@ func TestColdRestartBudgetExhausted(t *testing.T) {
 	}
 }
 
-// TestKilledWorkerClassifier pins the two error shapes that identify a
-// permanent loss.
+// TestKilledWorkerClassifier pins the one error shape that identifies a
+// permanent loss: the victim's own KillError. A peer's stall is not one.
 func TestKilledWorkerClassifier(t *testing.T) {
 	if w, ok := killedWorker(&comm.KillError{Worker: 3}); !ok || w != 3 {
 		t.Fatalf("KillError: got (%d,%v)", w, ok)
-	}
-	wrapped := &comm.WorkerError{Worker: 2, Err: comm.ErrPeerDead}
-	if w, ok := killedWorker(wrapped); !ok || w != 2 {
-		t.Fatalf("WorkerError{ErrPeerDead}: got (%d,%v)", w, ok)
 	}
 	if _, ok := killedWorker(&comm.WorkerError{Worker: 2, Err: comm.ErrPeerStalled}); ok {
 		t.Fatal("stalled peer misclassified as dead")
