@@ -37,7 +37,7 @@ func newEngine[V any](g *graph.Graph, opts []flash.Option, extra ...flash.Option
 
 // run is the one way an algorithm executes: it builds a private engine from
 // opts (then extra), runs body as the driver program under Engine.Run — so a
-// superstep failure that retry and checkpoint recovery cannot absorb, or a
+// superstep failure that checkpoint recovery cannot absorb, or a
 // racing Close, comes back as a typed error instead of a panic — and closes
 // the engine.
 func run[V, R any](g *graph.Graph, opts []flash.Option, body func(e *flash.Engine[V]) (R, error), extra ...flash.Option) (res R, err error) {

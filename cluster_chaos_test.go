@@ -128,9 +128,8 @@ func TestClusterChaosMatrix(t *testing.T) {
 				t.Fatalf("%s under %s: cluster result differs from in-process golden\n got %.160s\nwant %.160s",
 					tc.algo, tc.fault, got, want)
 			}
-			if tc.fault != cluster.FaultPartition && c.Restarts() < 1 {
-				// Kill and stall must actually have landed mid-run; a
-				// partition may heal by redial without a restart.
+			if c.Restarts() < 1 {
+				// Every fault must actually have landed mid-run.
 				t.Fatalf("%s fault caused %d restarts, want >= 1", tc.fault, c.Restarts())
 			}
 		})

@@ -159,8 +159,8 @@ func NewFileCheckpointStore(path string) (CheckpointStore, error) {
 }
 
 // RunResult summarizes a Run: supersteps executed plus the fault-tolerance
-// counters (checkpoints taken, recoveries performed, connections the
-// transport re-established).
+// counters (checkpoints taken, recoveries performed, restarts after a lost
+// worker).
 type RunResult = core.RunResult
 
 // WithCheckpointEvery snapshots all worker state every n successful

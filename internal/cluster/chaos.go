@@ -21,8 +21,8 @@ const (
 	// coordinator's /proc monitor sees state 'T'.
 	FaultStall FaultKind = "stall"
 	// FaultPartition makes the victim drop every mesh socket (the worker
-	// calls DropPeers on its transport). Connections either heal by redial
-	// or surface as a peer-stalled failure and a fleet restart.
+	// calls DropPeers on its transport). Nothing redials: the broken links
+	// fail the round on both sides, and the coordinator restarts the fleet.
 	FaultPartition FaultKind = "partition"
 )
 

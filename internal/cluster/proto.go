@@ -21,7 +21,7 @@ import (
 const (
 	ExitOK          = 0 // result delivered, clean shutdown
 	ExitConfig      = 2 // bad flags, graph spec, algo, or store — retry cannot help
-	ExitPeerStalled = 4 // a peer went silent past the drain timeout (comm.ErrPeerStalled)
+	ExitPeerStalled = 4 // a peer went silent past the drain timeout, or the link to it broke
 	ExitDrained     = 5 // SIGTERM received, drained, and shut down on request
 	ExitRunError    = 6 // the algorithm itself failed — deterministic, no retry
 	ExitProtocol    = 7 // coordinator control channel broken or peer mesh unreachable

@@ -218,12 +218,15 @@ func runWorker(cfg workerConfig, ctrlIn *os.File, ctrlOut *os.File) int {
 }
 
 // exitForRunError maps an engine failure onto the worker exit-code
-// vocabulary: a stalled peer keeps its identity so the coordinator can
-// distinguish "my peer is slow or gone" (retryable) from "the algorithm is
-// broken" (permanent).
+// vocabulary, so the coordinator can distinguish "a peer or the link to it
+// is slow or gone" (retryable) from "the algorithm is broken" (permanent).
+// A link counts as gone when a write hits a dropped socket or a read ends
+// mid-frame: bufio may flush part of a frame before the cut.
 func exitForRunError(err error) int {
-	if errors.Is(err, comm.ErrPeerStalled) {
-		return ExitPeerStalled
+	for _, lost := range []error{comm.ErrPeerStalled, comm.ErrConnDropped, comm.ErrTruncated} {
+		if errors.Is(err, lost) {
+			return ExitPeerStalled
+		}
 	}
 	return ExitRunError
 }

@@ -20,8 +20,8 @@ var (
 	// failure: the root cause is the error that triggered the abort.
 	ErrAborted = errors.New("comm: round aborted")
 
-	// ErrConnDropped marks a send failure caused by a dropped connection that
-	// the transport's own redial did not heal.
+	// ErrConnDropped marks a send failure on a broken connection. Nothing
+	// redials it: the round fails and recovery replays it on a fresh mesh.
 	ErrConnDropped = errors.New("comm: connection dropped")
 
 	// ErrFrameTooLarge reports a frame whose length prefix exceeds

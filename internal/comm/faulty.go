@@ -311,6 +311,4 @@ func (f *Faulty) Abort(err error) { f.inner.Abort(err) }
 
 func (f *Faulty) SetDrainTimeout(d time.Duration) { f.inner.SetDrainTimeout(d) }
 
-func (f *Faulty) Stats() Stats { return f.inner.Stats() }
-
 func (f *Faulty) Close() error { return f.inner.Close() }

@@ -16,8 +16,7 @@ import (
 // uvarint. The engine routes vids in ascending order, so consecutive deltas
 // are small and positive and most vids cost one byte instead of four. Every
 // frame restarts at base 0 and is therefore self-contained: frames may be
-// dropped, retried, or reordered (chaos transport) without corrupting
-// neighbors.
+// dropped or reordered (chaos transport) without corrupting neighbors.
 
 // zigzag maps a signed delta to an unsigned value with small absolute values
 // staying small: 0,-1,1,-2,2 ... -> 0,1,2,3,4 ...
@@ -26,6 +25,7 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // AppendVIDDelta appends cur delta-encoded against prev.
+//
 //flash:hotpath
 func AppendVIDDelta(dst []byte, prev, cur uint32) []byte {
 	return binary.AppendUvarint(dst, zigzag(int64(cur)-int64(prev)))
@@ -33,6 +33,7 @@ func AppendVIDDelta(dst []byte, prev, cur uint32) []byte {
 
 // ReadVIDDelta decodes the next vid given the previous one, returning the vid
 // and the bytes consumed.
+//
 //flash:hotpath
 func ReadVIDDelta(src []byte, prev uint32) (uint32, int, error) {
 	u, k := binary.Uvarint(src)
@@ -61,6 +62,7 @@ type KVWriter[V any] struct {
 func (kw *KVWriter[V]) Init(c Codec[V]) { kw.codec = c }
 
 // Append encodes one record.
+//
 //flash:hotpath
 //flash:deterministic
 func (kw *KVWriter[V]) Append(vid uint32, v *V) {
@@ -79,6 +81,7 @@ func (kw *KVWriter[V]) Len() int { return len(kw.buf) }
 // Take returns the pending frame and resets the writer. The returned buffer
 // is pool-backed: whoever consumes it releases it with PutBuf (the transports
 // do this for delivered frames).
+//
 //flash:hotpath
 func (kw *KVWriter[V]) Take() []byte {
 	b := kw.buf
@@ -88,6 +91,7 @@ func (kw *KVWriter[V]) Take() []byte {
 }
 
 // Discard drops the pending frame back into the pool (checkpoint rollback).
+//
 //flash:hotpath
 func (kw *KVWriter[V]) Discard() {
 	if kw.buf != nil {
@@ -101,6 +105,7 @@ func (kw *KVWriter[V]) Discard() {
 // pair to apply. The value pointer is only valid during the call: apply must
 // copy the value (not the pointer) if it outlives the callback, which makes
 // the decode allocation-free for fixed-width property types.
+//
 //flash:hotpath
 func DecodeKV[V any](c Codec[V], data []byte, apply func(vid uint32, v *V)) error {
 	var val V

@@ -18,6 +18,7 @@ var bufPool = sync.Pool{
 
 // GetBuf returns an empty frame buffer from the pool for append-style
 // encoding. Release it with PutBuf once no reader can still hold it.
+//
 //flash:hotpath
 func GetBuf() []byte {
 	return (*(bufPool.Get().(*[]byte)))[:0]
@@ -25,6 +26,7 @@ func GetBuf() []byte {
 
 // GetBufN returns a length-n frame buffer from the pool (for index-style
 // filling, e.g. the TCP read path).
+//
 //flash:hotpath
 func GetBufN(n int) []byte {
 	b := *(bufPool.Get().(*[]byte))
@@ -43,6 +45,7 @@ func GetBufN(n int) []byte {
 // it is always safe to call on a delivered frame regardless of origin. The
 // caller asserts unique ownership: a buffer sent to several destinations must
 // be cloned per destination before Send.
+//
 //flash:hotpath
 func PutBuf(b []byte) {
 	if cap(b) < MinPooledCap {

@@ -19,13 +19,6 @@ import (
 // connection.
 const MaxFrameSize = 1 << 26 // 64 MiB
 
-// Retry policy for transient write failures.
-const (
-	tcpMaxRetries  = 5
-	tcpBackoffBase = time.Millisecond
-	tcpBackoffCap  = 50 * time.Millisecond
-)
-
 // dialFunc matches net.Dial. Each transport carries its own dialer so tests
 // can inject dial failures per instance without racing other transports.
 type dialFunc func(network, addr string) (net.Conn, error)
@@ -113,15 +106,14 @@ func ParseHello(b []byte) (worker int, epoch uint32, err error) {
 // The sender id is implicit per connection (established by the hello
 // handshake); the CRC32-C spans the first 13 header bytes and the payload.
 //
-// Robustness: transient write failures are retried with capped exponential
-// backoff, and a dropped connection is redialed (the peer's accept loop
-// stays alive for the lifetime of the transport, so either side can
-// re-establish the pair). Frames buffered but not yet flushed when a
-// connection dies may be lost — the engine's checkpoint recovery, not the
-// transport, owns exactly-once semantics. Read-side violations (oversized
-// length prefix, mid-frame truncation) poison the receiving worker's
-// mailbox, so its next Drain reports the corrupt connection instead of
-// deadlocking, and are also published on Err for diagnosis.
+// Robustness: there is no redial and no retry. A failed write fails the
+// round with ErrConnDropped, because frames still buffered on a dead socket
+// are gone and a repaired link would finish the round without them; the
+// engine's recovery (a fresh mesh through Resize, or a cluster restart)
+// replays the round instead. Read-side violations (oversized length prefix,
+// mid-frame truncation) poison the receiving worker's mailbox, so its next
+// Drain reports the corrupt connection instead of deadlocking, and are also
+// published on Err for diagnosis.
 type TCP struct {
 	m     int
 	self  int  // resident worker in cluster mode; -1 = in-process full mesh
@@ -129,9 +121,9 @@ type TCP struct {
 	conns [][]*tcpConn
 	lns   []net.Listener
 
-	// dial is this transport's dialer; swapped atomically by tests to
-	// inject dial failures without racing concurrent reconnects.
-	dial atomic.Pointer[dialFunc]
+	// dial is this transport's dialer; tests swap it (SetDial) to inject
+	// dial failures.
+	dial dialFunc
 
 	// helloEpoch is stamped into outgoing hellos and required of incoming
 	// ones. It tracks the hub's membership epoch: Resize advances it, and a
@@ -143,10 +135,9 @@ type TCP struct {
 	// cluster mesh formation (ConnectPeers is the consumer).
 	meshPeers chan int
 
-	reconnects atomic.Uint64
-	errs       chan error
-	setupDone  atomic.Bool
-	closed     atomic.Bool
+	errs      chan error
+	setupDone atomic.Bool
+	closed    atomic.Bool
 
 	// ioWG tracks the current mesh's accept loops, handshake goroutines and
 	// read loops. Resize joins them all after closing the old sockets, so no
@@ -159,10 +150,9 @@ type TCP struct {
 }
 
 type tcpConn struct {
-	mu   sync.Mutex
-	c    net.Conn
-	w    *bufio.Writer
-	addr string // peer's listener address, for reconnects
+	mu sync.Mutex
+	c  net.Conn
+	w  *bufio.Writer
 }
 
 func (tc *tcpConn) writeFrame(round, epoch uint32, flag byte, data []byte) error {
@@ -203,7 +193,7 @@ func (tc *tcpConn) replace(c net.Conn) {
 }
 
 // drop closes the current socket without installing a replacement; the next
-// write fails with ErrConnDropped and the retry path redials.
+// write fails with ErrConnDropped.
 func (tc *tcpConn) drop() {
 	tc.mu.Lock()
 	if tc.c != nil {
@@ -217,7 +207,7 @@ func (tc *tcpConn) drop() {
 // loop calls this on exit: once the receive side of a socket has died, the
 // write side must fail fast too — the first write after a peer's FIN lands
 // in the kernel buffer without an error, which would silently lose a round
-// marker instead of triggering the redial path.
+// marker instead of failing the round.
 func (tc *tcpConn) dropIf(c net.Conn) {
 	tc.mu.Lock()
 	if tc.c == c {
@@ -236,8 +226,7 @@ func NewTCP(m int) (*TCP, error) { return newTCP(m, defaultDial) }
 // newTCP is NewTCP with an injectable dialer, so setup-failure tests can
 // make the initial mesh dials fail.
 func newTCP(m int, d dialFunc) (*TCP, error) {
-	t := &TCP{m: m, self: -1, hub: NewMem(m), errs: make(chan error, 64)}
-	t.dial.Store(&d)
+	t := &TCP{m: m, self: -1, hub: NewMem(m), dial: d, errs: make(chan error, 64)}
 	if err := t.setupMesh(); err != nil {
 		t.Close()
 		return nil, err
@@ -246,21 +235,12 @@ func newTCP(m int, d dialFunc) (*TCP, error) {
 	return t, nil
 }
 
-// dialPeer dials through the transport's injectable dialer.
-func (t *TCP) dialPeer(addr string) (net.Conn, error) {
-	return (*t.dial.Load())("tcp", addr)
-}
-
 // SetDial swaps the transport's dialer (test hook for injecting dial
-// failures). Safe to call concurrently with reconnect attempts.
-func (t *TCP) SetDial(d func(network, addr string) (net.Conn, error)) {
-	df := dialFunc(d)
-	t.dial.Store(&df)
-}
+// failures). Call it before ConnectPeers.
+func (t *TCP) SetDial(d func(network, addr string) (net.Conn, error)) { t.dial = d }
 
 // hello builds the handshake frame identifying worker me at the current
-// epoch. Built at write time, not cached: Resize bumps the epoch mid-run and
-// reconnects must carry the live value.
+// epoch. Built at dial time, not cached: Resize bumps the epoch mid-run.
 func (t *TCP) hello(me int) []byte {
 	return EncodeHello(me, t.helloEpoch.Load())
 }
@@ -283,18 +263,16 @@ func (t *TCP) setupMesh() error {
 		}
 		t.lns[i] = ln
 	}
-	// Pre-allocate the connection slots so accept and reconnect paths can
-	// swap sockets in place.
+	// Pre-allocate the connection slots so the accept and dial paths can
+	// install sockets in place.
 	for me := 0; me < m; me++ {
 		for peer := 0; peer < m; peer++ {
-			if peer == me {
-				continue
+			if peer != me {
+				t.conns[me][peer] = &tcpConn{}
 			}
-			t.conns[me][peer] = &tcpConn{addr: t.lns[peer].Addr().String()}
 		}
 	}
-	// Persistent accept loops: they serve both initial mesh setup and later
-	// reconnects, and exit when their listener is closed.
+	// Accept loops serve mesh setup and exit when their listener is closed.
 	accepted := make(chan error, m*m)
 	for i := 0; i < m; i++ {
 		i := i
@@ -309,7 +287,7 @@ func (t *TCP) setupMesh() error {
 dial:
 	for j := 0; j < m; j++ {
 		for i := 0; i < j; i++ {
-			c, err := t.dialPeer(t.lns[i].Addr().String())
+			c, err := t.dial("tcp", t.lns[i].Addr().String())
 			if err != nil {
 				dialErr = err
 				break dial
@@ -350,7 +328,7 @@ func (t *TCP) startReadLoop(me, peer int, c net.Conn) {
 
 // acceptLoop accepts connections for worker me until the listener closes.
 // During setup each install is reported on accepted (full-mesh mode) or
-// meshPeers (cluster mode); afterwards installs are reconnects.
+// meshPeers (cluster mode).
 func (t *TCP) acceptLoop(me int, accepted chan<- error) {
 	for {
 		c, err := t.lns[me].Accept()
@@ -477,8 +455,7 @@ func (t *TCP) readLoop(me, peer int, c net.Conn) {
 		if bad != "" {
 			// Integrity failure: fail the receiver's round with a typed
 			// ErrCorrupt (checkpoint recovery replays it) and drop the
-			// connection — the sender's next write fails transiently and the
-			// retry path redials a clean socket.
+			// connection, so the sender's next write fails too.
 			PutBuf(data)
 			err := &WorkerError{Worker: peer, Err: fmt.Errorf("%w: %s on frame from worker %d (round %d)", ErrCorrupt, bad, peer, round)}
 			t.report(err)
@@ -496,10 +473,9 @@ func (t *TCP) readLoop(me, peer int, c net.Conn) {
 }
 
 // readClosed classifies the end of a read loop: a shutdown or a replaced
-// socket is silent; a clean close mid-run is reported for diagnosis (the
-// peer may redial); a mid-frame truncation additionally poisons the
-// receiver's mailbox so the torn connection is diagnosable at Drain instead
-// of a silent stall.
+// socket is silent; a clean close mid-run is reported for diagnosis; a
+// mid-frame truncation additionally poisons the receiver's mailbox so the
+// torn connection is diagnosable at Drain instead of a silent stall.
 func (t *TCP) readClosed(me, peer int, err error, midFrame bool) {
 	if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 		return
@@ -516,8 +492,6 @@ func (t *TCP) readClosed(me, peer int, err error, midFrame bool) {
 func (t *TCP) Workers() int { return t.m }
 
 func (t *TCP) Send(from, to int, data []byte) error {
-	t.hub.frames.Add(1)
-	t.hub.bytes.Add(uint64(len(data)))
 	round := t.hub.rounds[from].Load()
 	if from == to {
 		if err := t.hub.aborted(); err != nil {
@@ -529,7 +503,7 @@ func (t *TCP) Send(from, to int, data []byte) error {
 		t.hub.boxes[to].push(frame{from: from, round: round, epoch: t.hub.epoch.Load(), data: data})
 		return nil
 	}
-	return t.writeWithRetry(from, to, round, tcpFlagData, data)
+	return t.write(from, to, round, tcpFlagData, data)
 }
 
 func (t *TCP) EndRound(from int) error {
@@ -542,7 +516,7 @@ func (t *TCP) EndRound(from int) error {
 			t.hub.boxes[to].push(frame{from: from, round: r, epoch: t.hub.epoch.Load(), data: nil})
 			continue
 		}
-		if err := t.writeWithRetry(from, to, r, tcpFlagEndRound, nil); err != nil {
+		if err := t.write(from, to, r, tcpFlagEndRound, nil); err != nil {
 			return err
 		}
 	}
@@ -553,54 +527,24 @@ func (t *TCP) EndRound(from int) error {
 // CloseEndpoint tears down worker w's receive endpoint (hard-kill support).
 func (t *TCP) CloseEndpoint(w int, err error) { t.hub.CloseEndpoint(w, err) }
 
-// writeWithRetry writes one frame, retrying transient failures with capped
-// exponential backoff and redialing the peer between attempts.
-func (t *TCP) writeWithRetry(from, to int, round uint32, flag byte, data []byte) error {
+// write writes one frame on the from→to socket, once. A failed write fails
+// the round with ErrConnDropped: whatever was buffered on the socket is lost
+// with it, so no redial could complete the round intact. The exception is a
+// socket that from's own read loop tore down after poisoning from's mailbox
+// (corrupt, oversized or torn frame): the round has already failed there,
+// and from's Drain reports that root cause.
+func (t *TCP) write(from, to int, round uint32, flag byte, data []byte) error {
 	if err := t.hub.aborted(); err != nil {
 		return err
 	}
-	tc := t.conns[from][to]
-	backoff := tcpBackoffBase
-	var err error
-	for attempt := 0; attempt <= tcpMaxRetries; attempt++ {
-		if attempt > 0 {
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > tcpBackoffCap {
-				backoff = tcpBackoffCap
-			}
-			if rerr := t.reconnect(from, to); rerr != nil {
-				err = rerr
-				continue
-			}
-			t.reconnects.Add(1)
-		}
-		err = tc.writeFrame(round, t.hub.epoch.Load(), flag, data)
-		if err == nil {
-			return nil
-		}
-		if t.closed.Load() {
-			break
-		}
+	err := t.conns[from][to].writeFrame(round, t.hub.epoch.Load(), flag, data)
+	if err == nil || t.hub.boxes[from].failed() != nil {
+		return nil
+	}
+	if !errors.Is(err, ErrConnDropped) {
+		err = fmt.Errorf("%w: %w", ErrConnDropped, err)
 	}
 	return &WorkerError{Worker: from, Err: fmt.Errorf("tcp send %d->%d round %d: %w", from, to, round, err)}
-}
-
-// reconnect redials to's listener and installs the fresh socket for the
-// from→to direction; to's accept loop installs the same socket for to→from.
-func (t *TCP) reconnect(from, to int) error {
-	tc := t.conns[from][to]
-	c, err := t.dialPeer(tc.addr)
-	if err != nil {
-		return err
-	}
-	if _, err := c.Write(t.hello(from)); err != nil {
-		c.Close()
-		return err
-	}
-	tc.replace(c)
-	t.startReadLoop(from, to, c)
-	return nil
 }
 
 func (t *TCP) Drain(to int, h func(from int, data []byte)) error { return t.hub.Drain(to, h) }
@@ -660,12 +604,6 @@ func (t *TCP) teardownMesh() {
 }
 
 func (t *TCP) SetDrainTimeout(d time.Duration) { t.hub.SetDrainTimeout(d) }
-
-func (t *TCP) Stats() Stats {
-	s := t.hub.Stats()
-	s.Reconnects = t.reconnects.Load()
-	return s
-}
 
 func (t *TCP) Close() error {
 	t.closeOnce.Do(func() {

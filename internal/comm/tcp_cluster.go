@@ -6,6 +6,13 @@ import (
 	"time"
 )
 
+// Mesh-formation dial backoff: peers are spawned concurrently, so a lower
+// peer's listener may not be up yet on the first attempts.
+const (
+	tcpBackoffBase = time.Millisecond
+	tcpBackoffCap  = 50 * time.Millisecond
+)
+
 // ClusterConfig configures one endpoint of a cross-process TCP mesh.
 type ClusterConfig struct {
 	// Workers is the total mesh size m.
@@ -41,10 +48,10 @@ func ListenTCPCluster(cfg ClusterConfig) (*TCP, error) {
 		m:         cfg.Workers,
 		self:      cfg.Self,
 		hub:       NewMem(cfg.Workers),
+		dial:      defaultDial,
 		errs:      make(chan error, 64),
 		meshPeers: make(chan int, 4*cfg.Workers),
 	}
-	t.dial.Store(&defaultDial)
 	t.hub.epoch.Store(cfg.Epoch)
 	t.helloEpoch.Store(cfg.Epoch)
 	t.conns = make([][]*tcpConn, cfg.Workers)
@@ -94,13 +101,8 @@ func (t *TCP) ConnectPeers(addrs []string, timeout time.Duration) error {
 		return fmt.Errorf("comm: ConnectPeers got %d addresses for a mesh of %d", len(addrs), t.m)
 	}
 	deadline := time.Now().Add(timeout)
-	for p := 0; p < t.m; p++ {
-		if p != t.self {
-			t.conns[t.self][p].addr = addrs[p]
-		}
-	}
 	for p := 0; p < t.self; p++ {
-		if err := t.clusterDial(p, deadline); err != nil {
+		if err := t.clusterDial(p, addrs[p], deadline); err != nil {
 			return err
 		}
 	}
@@ -122,14 +124,12 @@ func (t *TCP) ConnectPeers(addrs []string, timeout time.Duration) error {
 	return nil
 }
 
-// clusterDial establishes the socket to peer p (p < self) with capped
-// exponential backoff: peers are spawned concurrently and p's listener may
-// not be up yet on the first attempts.
-func (t *TCP) clusterDial(p int, deadline time.Time) error {
-	tc := t.conns[t.self][p]
+// clusterDial establishes the socket to peer p (p < self) at addr with
+// capped exponential backoff until the deadline.
+func (t *TCP) clusterDial(p int, addr string, deadline time.Time) error {
 	backoff := tcpBackoffBase
 	for {
-		c, err := t.dialPeer(tc.addr)
+		c, err := t.dial("tcp", addr)
 		if err == nil {
 			if _, werr := c.Write(t.hello(t.self)); werr != nil {
 				c.Close()
@@ -137,12 +137,12 @@ func (t *TCP) clusterDial(p int, deadline time.Time) error {
 			}
 		}
 		if err == nil {
-			tc.replace(c)
+			t.conns[t.self][p].replace(c)
 			t.startReadLoop(t.self, p, c)
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("comm: cluster dial worker %d (%s): %w", p, tc.addr, err)
+			return fmt.Errorf("comm: cluster dial worker %d (%s): %w", p, addr, err)
 		}
 		time.Sleep(backoff)
 		backoff *= 2
@@ -153,10 +153,10 @@ func (t *TCP) clusterDial(p int, deadline time.Time) error {
 }
 
 // DropPeers severs every live peer socket without closing the transport or
-// the listener — the process-level network-partition fault. Writes fail with
-// ErrConnDropped until the retry path redials (lower peers) or the peer
-// redials our listener (upper peers), so the partition heals through the
-// same reconnect machinery a genuine network flap would exercise.
+// the listener — the process-level network-partition fault. Nothing heals
+// the mesh: this endpoint's next write fails with ErrConnDropped, and each
+// peer's fails once its read loop has seen the close, so the round fails on
+// both sides and the coordinator restarts the fleet from its checkpoints.
 func (t *TCP) DropPeers() {
 	if t.self < 0 {
 		return

@@ -47,16 +47,6 @@ func mkCluster(t *testing.T, m int, epoch uint32) []*TCP {
 // from its resident worker, verifying every peer's frame arrives.
 func clusterRounds(t *testing.T, eps []*TCP, rounds int) {
 	t.Helper()
-	clusterRoundsChecked(t, eps, rounds, true)
-}
-
-// clusterRoundsChecked is clusterRounds with optional delivery verification.
-// check=false is the healing mode right after a partition: frames buffered
-// into a severed socket are lost by design (the engine's checkpoint layer
-// owns exactly-once), so only transport errors are fatal and the round
-// merely re-synchronizes the mesh.
-func clusterRoundsChecked(t *testing.T, eps []*TCP, rounds int, check bool) {
-	t.Helper()
 	m := len(eps)
 	var wg sync.WaitGroup
 	errs := make(chan error, m)
@@ -83,9 +73,6 @@ func clusterRoundsChecked(t *testing.T, eps []*TCP, rounds int, check bool) {
 				}); err != nil {
 					errs <- fmt.Errorf("worker %d drain: %w", w, err)
 					return
-				}
-				if !check {
-					continue
 				}
 				for from := 0; from < m; from++ {
 					key := fmt.Sprintf("r%d:w%d", r, from)
@@ -202,56 +189,29 @@ func waitConn(t *testing.T, tc *tcpConn, want bool) {
 	}
 }
 
-// TestClusterDropPeersHeals partitions one endpoint mid-run (every peer
-// socket severed) and verifies the next round completes through the redial
-// path. The heal order is pinned — the partitioned side redials first, the
-// remote side waits for the accept-side reinstall — because concurrent
-// redials from both ends can cross and need a second heal cycle, which the
-// engine rides out with its drain timeout but would flake a bounded test.
-func TestClusterDropPeersHeals(t *testing.T) {
+// TestClusterDropPeersFailsRound partitions one endpoint (every peer socket
+// severed) while each side has a data frame buffered. Those frames die with
+// their sockets, so both endpoints' rounds must fail with ErrConnDropped:
+// the mesh is never repaired into a round that is missing a frame.
+func TestClusterDropPeersFailsRound(t *testing.T) {
 	eps := mkCluster(t, 2, 1)
 	for _, ep := range eps {
 		ep.SetDrainTimeout(10 * time.Second)
 	}
 	clusterRounds(t, eps, 1)
-	eps[1].DropPeers()
-	// The victim's socket close reaches endpoint 0's read loop as an EOF,
-	// which drops the paired write side so it cannot silently write into a
-	// FIN'd socket.
-	waitConn(t, eps[0].conns[0][1], false)
-	// Worker 1's sends discover the cut and redial through the retry path.
-	if err := eps[1].Send(1, 0, []byte("h:w1")); err != nil {
-		t.Fatalf("victim send after partition: %v", err)
-	}
-	if err := eps[1].EndRound(1); err != nil {
-		t.Fatalf("victim endround after partition: %v", err)
-	}
-	// Endpoint 0's accept loop installs the healed socket; only then does
-	// worker 0 write, so its frames ride the fresh connection.
-	waitConn(t, eps[0].conns[0][1], true)
-	if err := eps[0].Send(0, 1, []byte("h:w0")); err != nil {
-		t.Fatalf("remote send after heal: %v", err)
-	}
-	if err := eps[0].EndRound(0); err != nil {
-		t.Fatalf("remote endround after heal: %v", err)
-	}
 	for i, ep := range eps {
-		want := fmt.Sprintf("h:w%d", 1-i)
-		seen := false
-		if err := ep.Drain(i, func(from int, data []byte) {
-			if string(data) == want {
-				seen = true
-			}
-		}); err != nil {
-			t.Fatalf("worker %d drain after heal: %v", i, err)
-		}
-		if !seen {
-			t.Fatalf("worker %d: frame %q not delivered after heal", i, want)
+		if err := ep.Send(i, 1-i, []byte(fmt.Sprintf("h:w%d", i))); err != nil {
+			t.Fatalf("worker %d buffered send: %v", i, err)
 		}
 	}
-	clusterRounds(t, eps, 1) // fully clean concurrent round again
-	if rc := eps[0].Stats().Reconnects + eps[1].Stats().Reconnects; rc < 1 {
-		t.Fatalf("reconnects=%d, want >=1 after partition", rc)
+	eps[1].DropPeers()
+	// The victim's close reaches endpoint 0's read loop as an EOF, which
+	// drops the paired write side so it cannot write into a FIN'd socket.
+	waitConn(t, eps[0].conns[0][1], false)
+	for i, ep := range eps {
+		if err := ep.EndRound(i); !errors.Is(err, ErrConnDropped) {
+			t.Fatalf("worker %d endround after partition: err=%v, want ErrConnDropped", i, err)
+		}
 	}
 }
 

@@ -130,59 +130,68 @@ func TestTCPMidFrameTruncation(t *testing.T) {
 	}
 }
 
-// TestTCPReconnect breaks worker 0's write side of the pair socket and
-// verifies the next round completes by redialing.
-func TestTCPReconnect(t *testing.T) {
+// TestTCPBrokenLinkFailsRound breaks worker 0's socket to worker 1 while a
+// data frame sits in its write buffer: the frame is gone with the socket, so
+// the round must fail with ErrConnDropped rather than complete without it —
+// whether the write finds no socket or the socket returns a raw net error.
+func TestTCPBrokenLinkFailsRound(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(*tcpConn)
+	}{
+		{"dropped", (*tcpConn).drop},
+		{"write-side-shut", func(c *tcpConn) {
+			c.mu.Lock()
+			c.c.(*net.TCPConn).CloseWrite()
+			c.mu.Unlock()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := NewTCP(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			tr.SetDrainTimeout(10 * time.Second) // safety net: fail, don't hang
+			runRounds(t, tr, 2, 1)
+			if err := tr.Send(0, 1, []byte("A")); err != nil {
+				t.Fatalf("buffered send: %v", err)
+			}
+			tc.cut(tr.conns[0][1])
+			err = tr.Send(0, 1, []byte("B"))
+			if err == nil {
+				err = tr.EndRound(0) // the flush is what hits a shut socket
+			}
+			var we *WorkerError
+			if !errors.Is(err, ErrConnDropped) || !errors.As(err, &we) || we.Worker != 0 {
+				t.Fatalf("round after cut: err=%v, want *WorkerError for worker 0 wrapping ErrConnDropped", err)
+			}
+		})
+	}
+}
+
+// TestTCPPoisonedReceiverReportsRootCause: when a worker's own read loop
+// tears a socket down over a corrupt frame, the worker's later write on that
+// socket does not mask the root cause with ErrConnDropped; its Drain reports
+// the ErrCorrupt that failed the round.
+func TestTCPPoisonedReceiverReportsRootCause(t *testing.T) {
 	tr, err := NewTCP(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	tr.SetDrainTimeout(10 * time.Second) // safety net: fail, don't hang
-	runRounds(t, tr, 2, 1)
-
-	// Half-close worker 0's end: its next flush fails deterministically while
-	// nothing in flight toward worker 0 can be lost.
-	tc := tr.conns[0][1]
-	tc.mu.Lock()
-	tc.c.(*net.TCPConn).CloseWrite()
-	tc.mu.Unlock()
-	peer := tr.conns[1][0]
-	peer.mu.Lock()
-	peerOld := peer.c
-	peer.mu.Unlock()
-
-	// Worker 0's end-of-round flush hits the dead write side, retries,
-	// redials and succeeds.
+	c := hostileConn(t, tr, 0, 1)
+	defer c.Close()
+	if _, err := c.Write(append(rawHeader(0, 0, tcpFlagData, 4), 1, 2, 3, 4)); err != nil {
+		t.Fatal(err)
+	}
+	waitConn(t, tr.conns[0][1], false)
 	if err := tr.EndRound(0); err != nil {
-		t.Fatalf("endround after drop: %v", err)
+		t.Fatalf("endround on a poisoned receiver: %v", err)
 	}
-	// Wait until worker 1's accept loop has installed the fresh socket so its
-	// own marker is not written to the stale one.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		peer.mu.Lock()
-		swapped := peer.c != nil && peer.c != peerOld
-		peer.mu.Unlock()
-		if swapped {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer never received the reconnect")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := tr.EndRound(1); err != nil {
-		t.Fatalf("peer endround: %v", err)
-	}
-	if err := tr.Drain(0, func(int, []byte) {}); err != nil {
-		t.Fatalf("drain after drop: %v", err)
-	}
-	if err := tr.Drain(1, func(int, []byte) {}); err != nil {
-		t.Fatalf("peer drain: %v", err)
-	}
-	if rc := tr.Stats().Reconnects; rc < 1 {
-		t.Fatalf("reconnects=%d, want >=1", rc)
+	tr.SetDrainTimeout(2 * time.Second)
+	if err := tr.Drain(0, func(int, []byte) {}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("drain: err=%v, want ErrCorrupt", err)
 	}
 }
 

@@ -20,12 +20,11 @@ import (
 // frames are stashed).
 //
 // Failure surface: Send, EndRound and Drain return an error instead of
-// panicking. A transport retries inside Send if retrying can help (TCP
-// redials a dropped socket with backoff, Mem has nothing to retry); an error
-// from Send fails the round. Abort unblocks every worker stuck in a transport
-// call; Resize starts a fresh incarnation — at the same worker count so a
-// recovered run can replay from a checkpoint, or at another one for a
-// membership change.
+// panicking, and no transport retries: an error from any of them fails the
+// round (a broken TCP link surfaces as ErrConnDropped). Abort unblocks every
+// worker stuck in a transport call; Resize starts a fresh incarnation — at
+// the same worker count so a recovered run can replay from a checkpoint, or
+// at another one for a membership change.
 //
 // Liveness: the drain deadline is the only clock. A peer that is slow and a
 // peer that is gone look the same from the outside — no end-of-round marker
@@ -60,24 +59,13 @@ type Transport interface {
 	// counters and any abort error, creating or retiring
 	// endpoints to match n. The caller must guarantee no worker is inside a
 	// transport call; frames of the old incarnation that surface later are
-	// discarded by Drain's epoch check. Cumulative Stats survive.
+	// discarded by Drain's epoch check.
 	Resize(n int) error
 	// SetDrainTimeout bounds how long one Drain waits for the *next* frame
 	// before failing with ErrPeerStalled (0 = wait forever).
 	SetDrainTimeout(d time.Duration)
-	// Stats returns cumulative transfer statistics.
-	Stats() Stats
 	// Close releases transport resources. No calls may follow Close.
 	Close() error
-}
-
-// Stats are cumulative counters for a transport.
-type Stats struct {
-	FramesSent uint64
-	BytesSent  uint64
-	// Reconnects counts connections that were re-established after a drop
-	// (loopback-TCP transport only).
-	Reconnects uint64
 }
 
 type frame struct {
@@ -122,6 +110,13 @@ func (m *mailbox) poison(err error) {
 	}
 	m.mu.Unlock()
 	m.wake()
+}
+
+// failed returns the poison error, or nil.
+func (m *mailbox) failed() error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.err
 }
 
 // pop dequeues the next frame, waiting up to timeout for one to arrive
@@ -169,8 +164,6 @@ type Mem struct {
 	rounds []atomic.Uint32 // per-sender current round
 	recvRd []uint32        // per-receiver current round (single-threaded use)
 	stash  [][]frame       // per-receiver frames for future rounds
-	frames atomic.Uint64
-	bytes  atomic.Uint64
 
 	timeout atomic.Int64  // drain stall timeout in nanoseconds; 0 = forever
 	epoch   atomic.Uint32 // membership epoch; bumped by Resize
@@ -209,8 +202,6 @@ func (t *Mem) Send(from, to int, data []byte) error {
 	if data == nil {
 		data = []byte{} // nil is reserved for end-of-round markers
 	}
-	t.frames.Add(1)
-	t.bytes.Add(uint64(len(data)))
 	t.boxes[to].push(frame{from: from, round: t.rounds[from].Load(), epoch: t.epoch.Load(), data: data})
 	return nil
 }
@@ -333,9 +324,5 @@ func (t *Mem) Resize(n int) error {
 }
 
 func (t *Mem) SetDrainTimeout(d time.Duration) { t.timeout.Store(int64(d)) }
-
-func (t *Mem) Stats() Stats {
-	return Stats{FramesSent: t.frames.Load(), BytesSent: t.bytes.Load()}
-}
 
 func (t *Mem) Close() error { return nil }

@@ -58,7 +58,7 @@ func TestMemExchange(t *testing.T) {
 	}
 }
 
-func TestMemStats(t *testing.T) {
+func TestMemDeliversFrame(t *testing.T) {
 	tr := NewMem(2)
 	tr.Send(0, 1, []byte("abcd"))
 	tr.EndRound(0)
@@ -73,10 +73,6 @@ func TestMemStats(t *testing.T) {
 	})
 	if got != 1 {
 		t.Fatalf("got %d frames", got)
-	}
-	s := tr.Stats()
-	if s.FramesSent != 1 || s.BytesSent != 4 {
-		t.Fatalf("stats %+v", s)
 	}
 }
 

@@ -7,11 +7,11 @@
 // snapshot is encoded into a CheckpointImage and handed to the configured
 // CheckpointStore (in-memory by default, file-backed for durability), so the
 // bytes that survive are independent of any worker's live state. When a
-// superstep fails — transport error, stalled peer, injected crash, or a
-// worker lost for good (comm.KillError, or a peer the liveness layer declares
-// dead) — recovery is one sequence, the one a resize runs at another width:
-// swap in a fresh incarnation of every worker at the current width
-// (swapMembership), restore the stored image into it, replay the supersteps
+// superstep fails — transport error, broken link, stalled peer, injected
+// crash, or a worker lost for good (comm.KillError; its peers see only a
+// stalled round) — recovery is one sequence, the one a resize runs at
+// another width: swap in a fresh incarnation of every worker at the current
+// width (swapMembership), restore the stored image into it, replay the supersteps
 // since then (FLASH steps are deterministic functions of engine state, so
 // replay reproduces the exact pre-failure state and the exact subsets the
 // driver already holds), and re-execute the failed superstep. Scripted faults
@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"flash/graph"
+	"flash/internal/comm"
 	"flash/metrics"
 )
 
@@ -41,17 +42,15 @@ type runtimeFailure struct{ err error }
 func (r runtimeFailure) Error() string { return r.err.Error() }
 
 // RunResult summarizes a completed (or failed) run: the collector's counters,
-// cumulative for the engine, with the transport's own reconnects folded into
-// Reconnects.
+// cumulative for the engine.
 type RunResult = metrics.Counters
 
 // Run executes a FLASH driver program with the engine's fault-tolerance
-// machinery engaged: a superstep that fails beyond what retry and
-// checkpoint recovery can absorb surfaces here as an error instead of a
-// panic, with every worker goroutine already joined and the transport
-// aborted cleanly. Structural misuse of the primitives (wrong engine's
-// subset, nil reduce in push mode, ...) still panics: those are programming
-// errors, not runtime conditions.
+// machinery engaged: a superstep that fails beyond what checkpoint recovery
+// can absorb surfaces here as an error instead of a panic, with every worker
+// goroutine already joined and the transport aborted cleanly. Structural
+// misuse of the primitives (wrong engine's subset, nil reduce in push mode,
+// ...) still panics: those are programming errors, not runtime conditions.
 func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
 	if e.failed != nil {
 		return e.runResult(), e.failed
@@ -74,12 +73,8 @@ func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
 	return
 }
 
-// runResult snapshots the run counters from the collector and transport.
-func (e *Engine[V]) runResult() RunResult {
-	res := e.met.Counters
-	res.Reconnects += e.tr.Stats().Reconnects
-	return res
-}
+// runResult snapshots the run counters from the collector.
+func (e *Engine[V]) runResult() RunResult { return e.met.Counters }
 
 // Err returns the first unrecovered superstep failure, or nil.
 func (e *Engine[V]) Err() error { return e.failed }
@@ -160,7 +155,7 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 // stored checkpoint into it, replays the logged supersteps for their state
 // effects and re-executes exec, whose output subset it returns. A transient
 // fault and a lost worker take the same path; the loss only counts as a
-// restart and backs off, so a worker that keeps dying does not hot-loop. The
+// restart, and the recovery budget stops a worker that keeps dying. The
 // error that exhausts the budget (or was never recoverable) comes back
 // unchanged. Resize shares it with execStep: a fault after a membership swap
 // is a failed round like any other.
@@ -169,8 +164,10 @@ func (e *Engine[V]) recoverStep(err error, exec replayStep[V]) (*Subset, error) 
 		e.recoveries++
 		e.met.AddRecoveries(1)
 		start := time.Now()
-		if _, lost := killedWorker(err); lost {
-			time.Sleep(e.restartBackoff())
+		// A lost worker's own goroutine returns its KillError, which
+		// parallelWorkers reports as the root cause; peers only saw a stall.
+		var ke *comm.KillError
+		if errors.As(err, &ke) {
 			e.met.AddRestarts(1)
 		}
 		out := e.newSubset()

@@ -696,8 +696,7 @@ func (p *workerPanic) Error() string {
 }
 
 // send ships one frame and counts its payload bytes into the worker's metric
-// shard. A transport retries inside Send where retrying can help, so an error
-// here fails the round.
+// shard. No transport retries a send, so an error here fails the round.
 //
 //flash:hotpath
 //flash:phase(ship,sync)

@@ -545,14 +545,10 @@ func TestDisableNecessaryMirrors(t *testing.T) {
 func TestNecessaryMirrorsSendFewerMessages(t *testing.T) {
 	g := graph.GenErdosRenyi(200, 600, 7)
 	run := func(disable bool) uint64 {
-		tr := comm.NewMem(4)
-		e, err := NewEngine[bfsProps](g, Config{Workers: 4, Transport: tr, DisableNecessaryMirrors: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
+		e := mustEngine(t, g, Config{Workers: 4, DisableNecessaryMirrors: disable})
 		defer e.Close()
 		runBFS(e, 0, Auto)
-		return tr.Stats().BytesSent
+		return e.Metrics().Bytes
 	}
 	nec, bcast := run(false), run(true)
 	if nec >= bcast {

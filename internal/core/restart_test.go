@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -179,20 +178,6 @@ func TestColdRestartBudgetExhausted(t *testing.T) {
 	}
 	if res.Recoveries != 1 {
 		t.Fatalf("recoveries=%d, want exactly MaxRecoveries=1", res.Recoveries)
-	}
-}
-
-// TestKilledWorkerClassifier pins the one error shape that identifies a
-// permanent loss: the victim's own KillError. A peer's stall is not one.
-func TestKilledWorkerClassifier(t *testing.T) {
-	if w, ok := killedWorker(&comm.KillError{Worker: 3}); !ok || w != 3 {
-		t.Fatalf("KillError: got (%d,%v)", w, ok)
-	}
-	if _, ok := killedWorker(&comm.WorkerError{Worker: 2, Err: comm.ErrPeerStalled}); ok {
-		t.Fatal("stalled peer misclassified as dead")
-	}
-	if _, ok := killedWorker(errors.New("boom")); ok {
-		t.Fatal("arbitrary error misclassified as a worker loss")
 	}
 }
 

@@ -45,13 +45,9 @@ type Counters struct {
 	Messages   uint64
 	Bytes      uint64
 
-	// Robustness counters (fault-tolerant runtime).
-	//
-	// Reconnects counts connections the transport re-established after a drop
-	// (a run's result takes it from the transport's Stats; the engine never
-	// counts one itself); Recoveries counts checkpoint rollbacks + replays;
-	// Checkpoints counts snapshots taken at superstep barriers.
-	Reconnects  uint64
+	// Robustness counters (fault-tolerant runtime): Recoveries counts
+	// checkpoint rollbacks + replays; Checkpoints counts snapshots taken at
+	// superstep barriers.
 	Recoveries  uint64
 	Checkpoints uint64
 	// Restarts counts recoveries caused by a permanent worker loss;
@@ -88,7 +84,6 @@ func (c *Counters) add(o Counters) {
 	c.Supersteps += o.Supersteps
 	c.Messages += o.Messages
 	c.Bytes += o.Bytes
-	c.Reconnects += o.Reconnects
 	c.Recoveries += o.Recoveries
 	c.Checkpoints += o.Checkpoints
 	c.Restarts += o.Restarts
