@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -485,6 +486,68 @@ func TestChaosPageRankBitIdentical(t *testing.T) {
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("w=%d: rank[%d]=%v want %v (not bit-identical)", w, v, got[v], want[v])
+			}
+		}
+	}
+}
+
+// TestChaosThreadedWorkersRecover runs the recovery path with several
+// threads per worker. With Threads=4 a sync round encodes one frame per
+// (thread, destination), so a Send that fails part-way leaves the other
+// threads' frames unshipped; the failed round must still end in a fresh
+// incarnation whose restore and replay match the fault-free single-threaded
+// run byte for byte. One crash lands on worker 0's first Send of a sync
+// round, one kill takes worker 1 down for the rest of its incarnation; both
+// run on the in-memory and the loopback-TCP transport.
+func TestChaosThreadedWorkersRecover(t *testing.T) {
+	// 600 masters per worker: four 192-vertex encode chunks, one per thread.
+	g := graph.GenErdosRenyi(1200, 6000, 5)
+	algos := []struct {
+		name string
+		run  func(...flash.Option) (any, error)
+	}{
+		{"bfs", func(o ...flash.Option) (any, error) { return algo.BFS(g, 0, o...) }},
+		{"cc", func(o ...flash.Option) (any, error) { return algo.CC(g, o...) }},
+		{"pagerank", func(o ...flash.Option) (any, error) { return algo.PageRank(g, 15, 0, o...) }},
+	}
+	faults := []struct {
+		name string
+		plan flash.FaultPlan
+	}{
+		{"crash", flash.FaultPlan{Crashes: []flash.WorkerCrash{{Worker: 0, Round: 4}}}},
+		{"kill", flash.FaultPlan{Kills: []flash.WorkerKill{{Worker: 1, Round: 4}}}},
+	}
+	for _, a := range algos {
+		want, err := a.run(flash.WithWorkers(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range faults {
+			for _, tcp := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/tcp=%v", a.name, f.name, tcp), func(t *testing.T) {
+					col := metrics.New()
+					opts := []flash.Option{
+						flash.WithWorkers(2),
+						flash.WithThreads(4),
+						flash.WithCollector(col),
+						flash.WithCheckpointEvery(2),
+						flash.WithDrainTimeout(150 * time.Millisecond),
+						flash.WithFaultPlan(f.plan),
+					}
+					if tcp {
+						opts = append(opts, flash.WithTCP())
+					}
+					got, err := a.run(opts...)
+					if err != nil {
+						t.Fatalf("did not survive the %s: %v", f.name, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatal("recovered result differs from the fault-free Threads=1 run")
+					}
+					if col.Recoveries < 1 {
+						t.Fatalf("no recovery recorded (%v)", col)
+					}
+				})
 			}
 		}
 	}

@@ -5,17 +5,19 @@
 //
 // It loads the packages matching the given patterns (default ./...) from
 // source against compiler export data, builds the module-wide call graph and
-// per-function dataflow summaries, applies every analyzer, prints one line
-// per finding, and exits non-zero if anything was reported.
+// per-function dataflow summaries, applies every analyzer, audits every
+// //flash: marker, prints one line per finding, and exits non-zero if
+// anything was reported.
 //
 //	-tests  also analyze _test.go files (in-package and external test packages)
 //	-tags   comma-separated build tags (e.g. flashdebug) for the load
 //	-time   print per-analyzer wall time (the summary engine is "summaries")
 //
-// Diagnostics can be suppressed at the offending line with
-// //flash:allow <analyzer> <reason>; commerr additionally honors
-// //flash:ignore-err <reason>. Both demand a written reason so the waiver
-// argument lives next to the code it excuses.
+// Diagnostics can be suppressed at the offending line (or the line above)
+// with //flash:allow <analyzer> <reason>. The marker audit reports a waiver
+// without a reason, so the waiver argument lives next to the code it
+// excuses, and any //flash: marker no analyzer reads, so a misspelt
+// //flash:hotpath cannot quietly switch hotalloc off.
 package main
 
 import (
@@ -58,6 +60,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flashvet: %v\n", err)
 		os.Exit(2)
 	}
+	diags = append(diags, lint.AuditSuppressions(pkgs)...)
 	if *timing {
 		for _, tm := range timings {
 			fmt.Fprintf(os.Stderr, "flashvet: %-12s %8.1fms\n", tm.Name, float64(tm.Elapsed.Microseconds())/1000)

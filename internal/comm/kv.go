@@ -90,17 +90,6 @@ func (kw *KVWriter[V]) Take() []byte {
 	return b
 }
 
-// Discard drops the pending frame back into the pool (checkpoint rollback).
-//
-//flash:hotpath
-func (kw *KVWriter[V]) Discard() {
-	if kw.buf != nil {
-		PutBuf(kw.buf)
-		kw.buf = nil
-		kw.prev = 0
-	}
-}
-
 // DecodeKV decodes every record of one KV frame, handing each (vid, value)
 // pair to apply. The value pointer is only valid during the call: apply must
 // copy the value (not the pointer) if it outlives the callback, which makes

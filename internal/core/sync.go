@@ -261,22 +261,5 @@ func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) 
 	}
 	w.met.Add(metrics.Serialization, time.Since(sstart))
 	w.met.AddTraffic(uint64(msgs), 0)
-	if sendErr != nil {
-		// Unshipped frames go back to the pool so a checkpoint replay
-		// starts clean.
-		w.discardEnc()
-	}
 	return sendErr
-}
-
-// discardEnc drops all pending encode frames back into the pool.
-func (w *worker[V]) discardEnc() {
-	for to := range w.outKV {
-		w.outKV[to].Discard()
-	}
-	for t := range w.encKV {
-		for to := range w.encKV[t] {
-			w.encKV[t][to].Discard()
-		}
-	}
 }

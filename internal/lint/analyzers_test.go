@@ -50,3 +50,8 @@ func TestSelfCheck(t *testing.T) {
 		}
 	}
 }
+
+// TestAuditSuppressions pins the marker audit: reasonless waivers, a typo
+// and the retired markers are reported, every marker an analyzer reads is
+// not.
+func TestAuditSuppressions(t *testing.T) { linttest.RunAudit(t, fixture("markers")) }

@@ -12,17 +12,17 @@ import (
 //
 // A call whose result is dropped (expression statement) or assigned only to
 // blank identifiers is flagged unless the line (or the line above) carries
-// an explicit //flash:ignore-err <reason> marker. PR 1 made every one of
-// these paths return an error precisely because a swallowed transport
-// failure turns into a hung barrier or silently wrong results; the marker
-// forces the "this cannot fail here" argument into the source.
+// an explicit //flash:allow commerr <reason> marker. Each of these paths
+// returns an error precisely because a swallowed transport failure turns
+// into a hung barrier or silently wrong results; the marker forces the
+// "this cannot fail here" argument into the source.
 //
 // _test.go files are exempt: the invariant is about runtime error loss, and
 // tests routinely drive the fault surface while asserting through other
 // channels. The remaining analyzers do check test files in the self-check.
 var CommErr = &Analyzer{
 	Name: "commerr",
-	Doc:  "transport Send/EndRound/Drain/Resize/ConnectPeers, Engine.Run/Resize, Coordinator.Run, serve Submit/Load/Add/Evict, and block I/O (ReadBlock/WriteBlockFile) errors must be checked or //flash:ignore-err annotated",
+	Doc:  "transport Send/EndRound/Drain/Resize/ConnectPeers, Engine.Run/Resize, Coordinator.Run, serve Submit/Load/Add/Evict, and block I/O (ReadBlock/WriteBlockFile) errors must be checked or waived with //flash:allow commerr <reason>",
 	Run:  runCommErr,
 }
 
@@ -129,11 +129,8 @@ func checkCommCall(pass *Pass, call *ast.CallExpr, how string) {
 	if !lastResultIsError(pass, call) {
 		return
 	}
-	if hasIgnoreErr(pass, call) {
-		return
-	}
 	pass.Reportf(call.Pos(),
-		"%s.%s error %s: check it or annotate with //flash:ignore-err <reason>",
+		"%s.%s error %s: check it or annotate with //flash:allow commerr <reason>",
 		typeName, methodName, how)
 }
 
@@ -165,16 +162,6 @@ func lastResultIsError(pass *Pass, call *ast.CallExpr) bool {
 	}
 	if tuple, ok := tv.Type.(*types.Tuple); ok && tuple.Len() > 0 {
 		return isErrorType(tuple.At(tuple.Len() - 1).Type())
-	}
-	return false
-}
-
-func hasIgnoreErr(pass *Pass, call *ast.CallExpr) bool {
-	pos := pass.Fset.Position(call.Pos())
-	for _, m := range pass.markersAt(pos.Filename, pos.Line) {
-		if len(m) > len("ignore-err ") && m[:len("ignore-err ")] == "ignore-err " {
-			return true // marker with a non-empty reason
-		}
 	}
 	return false
 }

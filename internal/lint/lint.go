@@ -5,10 +5,10 @@
 //
 //	hotalloc   — no allocating constructs in //flash:hotpath functions
 //	poolescape — pooled frames may not escape their Drain handler
-//	commerr    — transport and Run errors must be checked or annotated
+//	commerr    — transport and Run errors must be checked or waived
 //	detorder   — no map iteration reachable from //flash:deterministic code
 //	slotindex  — //flash:slot-indexed state is never indexed by a raw gid
-//	sharedmut  — //flash:immutable types are never written after publish
+//	sharedmut  — //flash:immutable types are written only while freshly built
 //	blockres   — decoded block memory never outlives its superstep scope
 //	phaseorder — //flash:phase call edges respect the superstep machine
 //
@@ -16,6 +16,11 @@
 // module-wide call graph with per-function dataflow summaries (callgraph.go,
 // summary.go) that every analyzer consults through Pass.Mod, so taint and
 // reachability survive function and package boundaries.
+//
+// Every finding can be waived at its line (or the line above) with one
+// marker, //flash:allow <analyzer> <reason>. AuditSuppressions rejects a
+// waiver without a reason and any //flash: marker no analyzer reads, so a
+// typo or a retired marker cannot silently switch a check off.
 //
 // The framework mirrors go/analysis closely enough that the analyzers could
 // be ported to a real multichecker verbatim if x/tools ever becomes a
@@ -221,11 +226,24 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 	return diags, timings, nil
 }
 
-// AuditSuppressions scans every loaded file for suppression markers that
-// lack a reason string: //flash:allow needs "<analyzer> <reason...>" and
-// //flash:ignore-err needs "<reason...>". A reasonless suppression is worse
-// than a diagnostic — it silences the check and records nothing — so the
-// self-check fails on them.
+// knownMarkers are the //flash:<name> markers some analyzer reads; any other
+// name is a typo or a leftover that silently checks nothing.
+var knownMarkers = map[string]bool{
+	"allow":         true, // Pass.Reportf: //flash:allow <analyzer> <reason>
+	"hotpath":       true, // hotalloc roots
+	"amortized":     true, // hotalloc: a callee that allocates off the per-element path
+	"phase":         true, // phaseorder: //flash:phase(<phase>,...)
+	"deterministic": true, // detorder roots
+	"immutable":     true, // sharedmut types
+	"blockowner":    true, // blockres: may keep decoded block memory
+	"slot-indexed":  true, // slotindex fields
+}
+
+// AuditSuppressions scans every loaded file for //flash: markers that do not
+// do what they say: a //flash:allow without "<analyzer> <reason...>" (a
+// reasonless suppression silences the check and records nothing), and a
+// marker name no analyzer reads (//flash:hotpth turns hotalloc off for that
+// function without a word). flashvet and the self-check both fail on them.
 func AuditSuppressions(pkgs []*Package) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
@@ -237,27 +255,24 @@ func AuditSuppressions(pkgs []*Package) []Diagnostic {
 						continue
 					}
 					fields := strings.Fields(body)
-					if len(fields) == 0 {
-						continue
+					name := ""
+					if len(fields) > 0 {
+						name, _, _ = strings.Cut(fields[0], "(")
 					}
 					var msg string
-					switch fields[0] {
-					case "allow":
-						if len(fields) < 3 {
-							msg = "//flash:allow without \"<analyzer> <reason>\": a reasonless suppression records nothing; state why the diagnostic is safe"
-						}
-					case "ignore-err":
-						if len(fields) < 2 {
-							msg = "//flash:ignore-err without a reason: state why this error cannot matter here"
-						}
+					switch {
+					case !knownMarkers[name]:
+						msg = fmt.Sprintf("unknown marker //flash:%s: no analyzer reads it, so it checks nothing", name)
+					case name == "allow" && len(fields) < 3:
+						msg = "//flash:allow without \"<analyzer> <reason>\": a reasonless suppression records nothing; state why the diagnostic is safe"
+					default:
+						continue
 					}
-					if msg != "" {
-						out = append(out, Diagnostic{
-							Pos:      pkg.Fset.Position(c.Pos()),
-							Analyzer: "suppression-audit",
-							Message:  msg,
-						})
-					}
+					out = append(out, Diagnostic{
+						Pos:      pkg.Fset.Position(c.Pos()),
+						Analyzer: "suppression-audit",
+						Message:  msg,
+					})
 				}
 			}
 		}

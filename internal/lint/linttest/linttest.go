@@ -1,11 +1,16 @@
 // Package linttest is a dependency-free analogue of
 // golang.org/x/tools/go/analysis/analysistest: it type-checks a fixture
-// directory, runs one analyzer over it, and compares the diagnostics against
-// `// want "regexp"` comments in the fixture source.
+// directory, runs one analyzer (or the marker audit) over it, and compares
+// the diagnostics against `// want "regexp"` comments in the fixture source.
 //
 // Expectation syntax, on the line the diagnostic is expected:
 //
 //	x := f() // want "part of the message" "second diagnostic on this line"
+//
+// A diagnostic about a line comment itself (a //flash: marker runs to the end
+// of its line) takes its want as a block comment in front of it:
+//
+//	/* want "unknown marker" */ //flash:hotpth
 //
 // Quoted strings are regular expressions matched against the diagnostic
 // message. Every diagnostic must match a want on its line and every want
@@ -15,7 +20,6 @@
 package linttest
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -38,15 +42,33 @@ type expectation struct {
 // file.
 func Run(t *testing.T, fixtureDir string, analyzer *lint.Analyzer) {
 	t.Helper()
-	pkgs, err := lint.LoadTree(fixtureDir, fixtureDir)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixtureDir, err)
-	}
+	pkgs := load(t, fixtureDir)
 	diags, err := lint.RunAnalyzers(pkgs, []*lint.Analyzer{analyzer})
 	if err != nil {
 		t.Fatalf("running %s: %v", analyzer.Name, err)
 	}
+	expect(t, pkgs, diags)
+}
 
+// RunAudit is Run for lint.AuditSuppressions in place of an analyzer.
+func RunAudit(t *testing.T, fixtureDir string) {
+	t.Helper()
+	pkgs := load(t, fixtureDir)
+	expect(t, pkgs, lint.AuditSuppressions(pkgs))
+}
+
+func load(t *testing.T, fixtureDir string) []*lint.Package {
+	t.Helper()
+	pkgs, err := lint.LoadTree(fixtureDir, fixtureDir)
+	if err != nil {
+		t.Fatalf("loading fixture %s: %v", fixtureDir, err)
+	}
+	return pkgs
+}
+
+// expect checks diags against the want comments in every file of pkgs.
+func expect(t *testing.T, pkgs []*lint.Package, diags []lint.Diagnostic) {
+	t.Helper()
 	var wants []*expectation
 	for _, pkg := range pkgs {
 		wants = append(wants, collectWants(t, pkg)...)
@@ -71,7 +93,13 @@ func collectWants(t *testing.T, pkg *lint.Package) []*expectation {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := c.Text
+				if block, ok := strings.CutPrefix(text, "/*"); ok {
+					text = strings.TrimSuffix(block, "*/")
+				} else {
+					text = strings.TrimPrefix(text, "//")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}
@@ -101,14 +129,4 @@ func consumeWant(wants []*expectation, d lint.Diagnostic) bool {
 		}
 	}
 	return false
-}
-
-// Describe returns a short human-readable summary of the diagnostics, used
-// by debugging helpers.
-func Describe(diags []lint.Diagnostic) string {
-	var b strings.Builder
-	for _, d := range diags {
-		fmt.Fprintf(&b, "%s\n", d)
-	}
-	return b.String()
 }

@@ -94,17 +94,10 @@ type LoadConfig struct {
 	Tags string
 }
 
-// Load lists the packages matching patterns under dir (a directory inside
-// the target module), type-checks each from source against export data for
-// its dependencies, and returns them ready for RunAnalyzers. Test files are
-// not analyzed: the invariants guard the shipped runtime, and test-only
-// constructs (map-keyed subtest tables, ad-hoc allocation) are exempt by
-// design. Use LoadWith to widen the net.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadWith(LoadConfig{}, dir, patterns...)
-}
-
-// LoadWith is Load with explicit test/tag selection.
+// LoadWith lists the packages matching patterns under dir (a directory
+// inside the target module), type-checks each from source against export data
+// for its dependencies, and returns them ready for RunAnalyzers. cfg selects
+// whether _test.go files and tag-gated files are part of the analyzed source.
 func LoadWith(cfg LoadConfig, dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -195,60 +188,6 @@ func joinDir(dir string, names []string) []string {
 		out = append(out, filepath.Join(dir, n))
 	}
 	return out
-}
-
-// LoadDir type-checks a standalone fixture directory (non-test files only)
-// as a single package, resolving its imports through export data obtained
-// from `go list` run inside moduleDir. Used by the analysistest-style
-// fixture runner.
-func LoadDir(moduleDir, fixtureDir string) (*Package, error) {
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
-	}
-	var srcs []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		srcs = append(srcs, filepath.Join(fixtureDir, name))
-	}
-	sort.Strings(srcs)
-	if len(srcs) == 0 {
-		return nil, fmt.Errorf("lint: no non-test Go files in %s", fixtureDir)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, src := range srcs {
-		f, err := parser.ParseFile(fset, src, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, imp := range f.Imports {
-			importSet[strings.Trim(imp.Path.Value, `"`)] = true
-		}
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		args := []string{"-deps", "-export", "-json=ImportPath,Export,Standard"}
-		for path := range importSet {
-			args = append(args, path)
-		}
-		deps, err := goList(moduleDir, args...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range deps {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	imp := exportImporter(fset, exports)
-	return checkPackageFiles(fset, imp, "fixture/"+filepath.Base(fixtureDir), files)
 }
 
 // treeImporter resolves fixture-local import paths to already-checked local

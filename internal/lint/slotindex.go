@@ -147,9 +147,9 @@ func vidTaintedIdents(pass *Pass, fn *ast.FuncDecl) map[types.Object]bool {
 // says its return is not value-derived from a tainted argument — so a helper
 // in another package that does `return int(gid) + off` propagates the taint
 // (the intraprocedural version silently trusted every call), while the
-// sanctioned slot-table lookups (SlotTable.Slot / Lookup, Placement's
-// LocalIndex, and anything marked //flash:slot-launder) stay launder points
-// by construction (see isLaunder in summary.go).
+// sanctioned slot-table lookups (SlotTable.Slot / Lookup and Placement's
+// LocalIndex) stay launder points by construction (see isLaunder in
+// summary.go).
 func isVIDDerived(pass *Pass, expr ast.Expr, tainted map[types.Object]bool) bool {
 	e := ast.Unparen(expr)
 	if tv, ok := pass.Info.Types[e]; ok && tv.Type != nil && isVIDType(tv.Type) {

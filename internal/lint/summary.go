@@ -8,15 +8,11 @@ import (
 
 // A Summary is one function's bottom-up dataflow facts, the unit the
 // interprocedural analyzers compose: what flows from parameters to returns,
-// what the function writes through, what it keeps alive after returning, and
-// what it allocates. Summaries are computed callee-first over the SCC
-// condensation (callgraph.go), so consulting a callee's Summary at a call
-// site is sound without re-walking its body.
+// what it keeps alive after returning, and what it allocates. Summaries are
+// computed callee-first over the SCC condensation (callgraph.go), so
+// consulting a callee's Summary at a call site is sound without re-walking
+// its body.
 type Summary struct {
-	// IteratesMap: the body (including its function literals) ranges over a
-	// map. Consumed by detorder through the module-wide reachability walk.
-	IteratesMap bool
-
 	// AllocatesEver / AllocatesInLoop: the function performs a heap
 	// allocation (make, new, composite literal, fmt call, closure) at all /
 	// inside a loop — directly or through module callees. Consumed by
@@ -24,12 +20,6 @@ type Summary struct {
 	// per-call allocation storm the intraprocedural check could not see.
 	AllocatesEver   bool
 	AllocatesInLoop bool
-
-	// MutatesRecv / MutatesParam[i]: the function writes through memory
-	// reachable from its receiver / i-th parameter (directly or via a module
-	// callee). Consumed by sharedmut against //flash:immutable types.
-	MutatesRecv  bool
-	MutatesParam []bool
 
 	// RetainsParam[i]: an alias of parameter i survives the call — stored to
 	// a global, a field, a map/slice element, sent on a channel, captured by
@@ -44,9 +34,8 @@ type Summary struct {
 	// DerivesRet[i]: a return value is derived from parameter i's value
 	// (conversions and arithmetic included). Consumed by slotindex: a helper
 	// that turns a VID into an int no longer launders the taint.
-	// Slot-table lookups (SlotTable.Slot/Lookup, Placement.LocalIndex, and
-	// anything marked //flash:slot-launder) are the sanctioned boundary and
-	// report false here by construction.
+	// Slot-table lookups (SlotTable.Slot/Lookup, Placement.LocalIndex) are
+	// the sanctioned boundary and report false here by construction.
 	DerivesRet []bool
 
 	// ReturnsFresh: every return hands back freshly constructed memory
@@ -57,8 +46,7 @@ type Summary struct {
 }
 
 func (s *Summary) equal(o *Summary) bool {
-	if s.IteratesMap != o.IteratesMap || s.AllocatesEver != o.AllocatesEver ||
-		s.AllocatesInLoop != o.AllocatesInLoop || s.MutatesRecv != o.MutatesRecv ||
+	if s.AllocatesEver != o.AllocatesEver || s.AllocatesInLoop != o.AllocatesInLoop ||
 		s.ReturnsFresh != o.ReturnsFresh {
 		return false
 	}
@@ -73,8 +61,8 @@ func (s *Summary) equal(o *Summary) bool {
 		}
 		return true
 	}
-	return eq(s.MutatesParam, o.MutatesParam) && eq(s.RetainsParam, o.RetainsParam) &&
-		eq(s.FlowsToRet, o.FlowsToRet) && eq(s.DerivesRet, o.DerivesRet)
+	return eq(s.RetainsParam, o.RetainsParam) && eq(s.FlowsToRet, o.FlowsToRet) &&
+		eq(s.DerivesRet, o.DerivesRet)
 }
 
 // sumCtx is the per-function analysis state: a bitmask per local object over
@@ -112,7 +100,6 @@ func computeSummary(mod *Module, f *Func) Summary {
 	sc := newSumCtx(mod, f)
 	sc.propagate()
 	sum := sc.sinks()
-	sum.IteratesMap = iteratesMap(sc.info, f.Decl.Body)
 	sum.AllocatesEver, sum.AllocatesInLoop = sc.allocates()
 	sum.ReturnsFresh = sc.returnsFresh()
 	if isLaunder(f) {
@@ -182,12 +169,9 @@ func newSumCtx(mod *Module, f *Func) *sumCtx {
 }
 
 // isLaunder reports whether f is a sanctioned gid→index boundary for the
-// slotindex taint: SlotTable.Slot / SlotTable.Lookup, any LocalIndex method
-// (the Placement contract), or an explicit //flash:slot-launder marker.
+// slotindex taint: SlotTable.Slot / SlotTable.Lookup or any LocalIndex method
+// (the Placement contract).
 func isLaunder(f *Func) bool {
-	if f.HasFuncMarker("slot-launder") {
-		return true
-	}
 	if f.Decl.Recv == nil {
 		return false
 	}
@@ -537,18 +521,17 @@ func (sc *sumCtx) isFresh(expr ast.Expr) bool {
 			return true
 		}
 		if callee := sc.mod.CalleeOf(sc.info, e); callee != nil {
-			return callee.Sum.ReturnsFresh || callee.HasFuncMarker("fresh")
+			return callee.Sum.ReturnsFresh
 		}
 	}
 	return false
 }
 
 // sinks walks the body once after the fixpoint and records every way a
-// parameter escapes, is mutated through, or reaches a return.
+// parameter escapes or reaches a return.
 func (sc *sumCtx) sinks() Summary {
 	np := len(sc.params)
 	sum := Summary{
-		MutatesParam: make([]bool, np),
 		RetainsParam: make([]bool, np),
 		FlowsToRet:   make([]bool, np),
 		DerivesRet:   make([]bool, np),
@@ -558,12 +541,6 @@ func (sc *sumCtx) sinks() Summary {
 			if mask&(1<<i) != 0 {
 				dst[i] = true
 			}
-		}
-	}
-	mutate := func(mask uint64) {
-		setBits(sum.MutatesParam, mask)
-		if mask&sc.recvBit != 0 {
-			sum.MutatesRecv = true
 		}
 	}
 	retain := func(mask uint64) { setBits(sum.RetainsParam, mask) }
@@ -597,7 +574,6 @@ func (sc *sumCtx) sinks() Summary {
 					// reachable from params or the receiver) is
 					// caller-visible, so the stored value outlives the call.
 					base := sc.aliasAddr(l)
-					mutate(base)
 					root := chainRootIdent(l)
 					local := base == 0 && root != nil
 					if local {
@@ -608,11 +584,6 @@ func (sc *sumCtx) sinks() Summary {
 						retain(sc.escOf(rhs))
 					}
 				}
-			}
-		case *ast.IncDecStmt:
-			switch ast.Unparen(n.X).(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-				mutate(sc.aliasAddr(n.X))
 			}
 		case *ast.SendStmt:
 			retain(sc.escOf(n.Value))
@@ -632,7 +603,7 @@ func (sc *sumCtx) sinks() Summary {
 				setBits(sum.DerivesRet, sc.derivOf(res))
 			}
 		case *ast.CallExpr:
-			sc.callSinks(n, retain, mutate)
+			sc.callSinks(n, retain)
 		}
 		return true
 	})
@@ -640,23 +611,14 @@ func (sc *sumCtx) sinks() Summary {
 }
 
 // callSinks applies a module callee's summary to the masks at one call site.
-func (sc *sumCtx) callSinks(call *ast.CallExpr, retain, mutate func(uint64)) {
+func (sc *sumCtx) callSinks(call *ast.CallExpr, retain func(uint64)) {
 	callee := sc.mod.CalleeOf(sc.info, call)
 	if callee == nil {
 		return
 	}
 	for j, a := range call.Args {
-		pi := paramIndex(callee, j, len(call.Args))
-		if flag(callee.Sum.RetainsParam, pi) {
+		if flag(callee.Sum.RetainsParam, paramIndex(callee, j, len(call.Args))) {
 			retain(sc.escOf(a))
-		}
-		if flag(callee.Sum.MutatesParam, pi) {
-			mutate(sc.escOf(a))
-		}
-	}
-	if callee.Sum.MutatesRecv {
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			mutate(sc.aliasOf(sel.X))
 		}
 	}
 }
@@ -805,20 +767,6 @@ func body(n ast.Node) *ast.BlockStmt {
 		return n.Body
 	}
 	return nil
-}
-
-// iteratesMap reports a direct map range anywhere in the body.
-func iteratesMap(info *types.Info, block *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(block, func(n ast.Node) bool {
-		if rng, ok := n.(*ast.RangeStmt); ok {
-			if _, isMap := typeOf(info, rng.X).(*types.Map); isMap {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // --- small shared helpers ---

@@ -1,6 +1,6 @@
 // Fixture for the commerr analyzer: fault-surface errors (transport
 // Send/EndRound/Drain, Engine.Run, checkpoint-store Save/Load) must be
-// checked or explicitly waived with //flash:ignore-err <reason>.
+// checked or explicitly waived with //flash:allow commerr <reason>.
 package commerr
 
 import "commerr/graph"
@@ -54,7 +54,7 @@ func goodResize(e *Engine, tr *Transport) error {
 	if err := tr.Resize(8); err != nil {
 		return err
 	}
-	e.Resize(4) //flash:ignore-err shrink back is best-effort during shutdown
+	e.Resize(4) //flash:allow commerr shrink back is best-effort during shutdown
 	return e.Resize(2)
 }
 
@@ -62,8 +62,8 @@ func good(tr *Transport, e *Engine, fs *FileStore, ms *MemStore) error {
 	if err := tr.Send(0, 1, nil); err != nil {
 		return err
 	}
-	tr.EndRound(0) //flash:ignore-err round already aborted, EndRound error duplicates it
-	//flash:ignore-err draining a closed transport cannot fail
+	tr.EndRound(0) //flash:allow commerr round already aborted, EndRound error duplicates it
+	//flash:allow commerr draining a closed transport cannot fail
 	_ = tr.Drain(0, nil)
 	if err := fs.Save(nil); err != nil {
 		return err
@@ -71,7 +71,7 @@ func good(tr *Transport, e *Engine, fs *FileStore, ms *MemStore) error {
 	if _, err := ms.Load(); err != nil {
 		return err
 	}
-	fs.Save(nil) //flash:ignore-err best-effort final snapshot during shutdown
+	fs.Save(nil) //flash:allow commerr best-effort final snapshot during shutdown
 	_, err := e.Run(nil)
 	return err
 }
@@ -129,7 +129,7 @@ func goodServe(c *Catalog, srv *Server) error {
 	if _, err := c.Load(GraphSpec{}); err != nil {
 		return err
 	}
-	c.Evict("g") //flash:ignore-err eviction during shutdown is best-effort
+	c.Evict("g") //flash:allow commerr eviction during shutdown is best-effort
 	_, err := srv.Submit(nil)
 	return err
 }
@@ -160,7 +160,7 @@ func goodBlockIO(bg *BlockGraph, cat *Catalog) error {
 	if err := graph.WriteBlockFile("p.blk", nil); err != nil {
 		return err
 	}
-	cat.Add("tmp", bg) //flash:ignore-err registration retried on next request
+	cat.Add("tmp", bg) //flash:allow commerr registration retried on next request
 	return cat.Add("g", bg)
 }
 

@@ -1,8 +1,7 @@
 // Fixture for the sharedmut analyzer: types marked //flash:immutable are
 // shared read-only once published (the core.SharedGraph contract), so no
-// write may reach them except through the sanctioned escapes — construction
-// of fresh memory, a //flash:mutator owner, or a //flash:privatizes fork
-// (copy-on-write) earlier in the same body.
+// write may reach them unless the written value was freshly built in the
+// same function. No function marker exempts a body.
 package sharedmut
 
 // Part mirrors partition.Part: one worker's published partition view.
@@ -20,19 +19,17 @@ type Partitioned struct {
 	Parts []*Part
 }
 
-// Fork returns a private shallow copy whose Parts slice may be swapped —
-// the sanctioned copy-on-write escape.
+// Fork returns a private shallow copy whose Parts slice may be swapped: its
+// summary says it returns fresh memory.
 func (p *Partitioned) Fork() *Partitioned {
 	return &Partitioned{Parts: append([]*Part(nil), p.Parts...)}
 }
 
-// Rebuild repopulates one worker's part in place; callers must hold a
-// private (forked or freshly built) copy.
-//
-//flash:mutator
+// Rebuild repopulates one worker's part in place: the write is reported
+// where it happens, whoever calls it.
 func (p *Partitioned) Rebuild(w int) *Part {
 	part := &Part{Worker: w}
-	p.Parts[w] = part // no diagnostic: the owner is //flash:mutator
+	p.Parts[w] = part // want `write through //flash:immutable Partitioned after publish`
 	return part
 }
 
@@ -41,9 +38,9 @@ type engine struct {
 	shared bool
 }
 
-// privatizePart mirrors core's privatizePart: fork before first mutation.
-//
-//flash:privatizes
+// privatizePart swaps a fork in for the shared partition. Calling it first
+// does not sanction a later write through e.part: the analyzer cannot see
+// that e.part is private afterwards.
 func (e *engine) privatizePart() {
 	if e.shared {
 		e.part = e.part.Fork()
@@ -51,23 +48,18 @@ func (e *engine) privatizePart() {
 	}
 }
 
-// The PR 7 bug class: a cold-restart recovery path rebuilding through a
-// still-shared partition, clobbering the layout under every other engine
-// borrowing the same catalog entry.
-func (e *engine) coldRestartUnforked(victim int) {
-	e.part.Rebuild(victim) // want `call to //flash:mutator \(\*Partitioned\)\.Rebuild mutates shared //flash:immutable Partitioned`
-}
-
-// The fix: privatize (fork) first, then rebuild the private copy.
+// The bug class the contract exists for: a cold-restart recovery path
+// rebuilding through a still-shared partition clobbers the layout under every
+// other engine borrowing the same catalog entry, fork swapped in or not.
 func (e *engine) coldRestartForked(victim int) {
 	e.privatizePart()
-	e.part.Rebuild(victim) // no diagnostic: privatized above
+	e.part.Parts[victim] = &Part{Worker: victim} // want `write through //flash:immutable Partitioned after publish`
 }
 
-// Forking inline also sanctions the mutation: the local is fresh memory.
+// Forking into a local sanctions the write: the local is fresh memory.
 func (e *engine) coldRestartInlineFork(victim int) {
 	mine := e.part.Fork()
-	mine.Rebuild(victim) // no diagnostic: Fork returns fresh memory
+	mine.Parts[victim] = &Part{Worker: victim} // no diagnostic: Fork returns fresh memory
 	e.part = mine
 }
 
@@ -75,16 +67,9 @@ func (e *engine) clobberMirrors(victim int) {
 	e.part.Parts[victim].MirrorWorkers = nil // want `write through //flash:immutable Part after publish`
 }
 
-// scrubPart is a mutator taking the shared value as an argument rather than
-// a receiver; call sites are checked the same way.
-//
-//flash:mutator
+// scrubPart writes through the shared value it is handed.
 func scrubPart(p *Part) {
-	p.MirrorWorkers = nil
-}
-
-func (e *engine) scrubShared(victim int) {
-	scrubPart(e.part.Parts[victim]) // want `passing shared //flash:immutable Part to //flash:mutator scrubPart`
+	p.MirrorWorkers = nil // want `write through //flash:immutable Part after publish`
 }
 
 // Construction-time writes are private until the value is published.

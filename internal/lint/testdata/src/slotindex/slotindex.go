@@ -42,11 +42,8 @@ func good(w *worker, gid VID) float64 {
 }
 
 // Cross-package derivation: slotdep.AsIndex derives its result from the raw
-// vertex id (per its summary), so the index is still raw; slotdep.SlotOf is
-// a //flash:slot-launder boundary, the pinned negative v1 applied to every
-// call indiscriminately.
+// vertex id (per its summary), so the index is still raw even though the
+// call crosses a package boundary.
 func crossPackage(w *worker, gid VID) float64 {
-	a := w.cur[slotdep.AsIndex(slotdep.VID(gid))] // want `derived from a raw vertex id`
-	s := slotdep.SlotOf(slotdep.VID(gid))
-	return a + w.cur[s] // no diagnostic: laundered in the dep package
+	return w.cur[slotdep.AsIndex(slotdep.VID(gid))] // want `derived from a raw vertex id`
 }
