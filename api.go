@@ -174,24 +174,20 @@ func Fold[V, T any](e *Engine[V], init T, f func(acc T, v VID, val *V) T) T {
 	return core.Fold(e.c, init, f)
 }
 
-// SumInt64 folds an int64 projection over all vertices.
-func (e *Engine[V]) SumInt64(f func(v VID, val *V) int64) int64 {
-	return Fold(e, int64(0), func(acc int64, v VID, val *V) int64 { return acc + f(v, val) })
-}
+// SumInt64 adds an int64 projection over all vertices.
+func (e *Engine[V]) SumInt64(f func(v VID, val *V) int64) int64 { return core.Sum(e.c, f) }
 
-// SumFloat64 folds a float64 projection over all vertices.
-func (e *Engine[V]) SumFloat64(f func(v VID, val *V) float64) float64 {
-	return Fold(e, float64(0), func(acc float64, v VID, val *V) float64 { return acc + f(v, val) })
-}
+// SumFloat64 adds a float64 projection over all vertices in ascending order.
+func (e *Engine[V]) SumFloat64(f func(v VID, val *V) float64) float64 { return core.Sum(e.c, f) }
 
 // CountIf counts vertices whose state satisfies pred.
 func (e *Engine[V]) CountIf(pred func(v VID, val *V) bool) int {
-	return Fold(e, 0, func(acc int, v VID, val *V) int {
+	return int(core.Sum(e.c, func(v VID, val *V) int64 {
 		if pred(v, val) {
-			return acc + 1
+			return 1
 		}
-		return acc
-	})
+		return 0
+	}))
 }
 
 // VertexMapC is VertexMap with context-passing callbacks that may read

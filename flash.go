@@ -163,10 +163,11 @@ func NewFileCheckpointStore(path string) (CheckpointStore, error) {
 // worker).
 type RunResult = core.RunResult
 
-// WithCheckpointEvery snapshots all worker state every n successful
-// supersteps at the BSP barrier and enables rollback+replay recovery from
-// transport failures (stalls, lost connections, injected crashes). 0 (the
-// default) disables checkpointing: failures then abort the run.
+// WithCheckpointEvery snapshots all worker state when Run starts and every n
+// successful supersteps at the BSP barrier, logs the Run's driver-visible
+// outcomes, and enables recovery from transport failures (stalls, lost
+// connections, injected crashes): restore the snapshot, re-run the program,
+// pop the logged outcomes. 0 (the default) disables it: failures abort.
 func WithCheckpointEvery(n int) Option { return func(c *core.Config) { c.CheckpointEvery = n } }
 
 // WithDrainTimeout bounds how long a worker waits for a peer's next frame
@@ -205,8 +206,7 @@ func WithFaultPlan(p FaultPlan) Option { return func(c *core.Config) { c.FaultPl
 type ClusterSpec = core.ClusterSpec
 
 // WorkerStore is one worker process's durable state directory: checkpoint
-// images plus the superstep log that deterministic fast-forward resume
-// replays.
+// images plus the outcome log a resumed process pops to fast-forward.
 type WorkerStore = core.WorkerStore
 
 // OpenWorkerStore opens (creating if needed) worker w's durable state
@@ -215,7 +215,8 @@ func OpenWorkerStore(dir string, w int) (*WorkerStore, error) {
 	return core.OpenWorkerStore(dir, w)
 }
 
-// WithCluster switches the engine into cluster mode with the given spec.
+// WithCluster switches the engine into cluster mode with the given spec. A
+// failure ends the process; the restarted fleet pops its Stores' outcome logs.
 // Incompatible with fault plans, resize policies, shared graphs and the
 // block backend; requires WithTransport carrying a cluster endpoint.
 func WithCluster(spec ClusterSpec) Option {
@@ -299,9 +300,10 @@ func (e *Engine[V]) Workers() int { return e.c.Workers() }
 // Resize changes the worker count to n at the current superstep barrier: the
 // barrier's checkpoint image is restored into an n-worker membership, which
 // re-homes master state and rebuilds mirrors. Output is byte-identical to a
-// run that used n workers throughout. With checkpointing enabled the resize
-// is crash-safe: a failure after the membership swap is recovered from the
-// stored image into the new membership under the MaxRecoveries budget.
+// run that used n workers throughout. Inside a Run with checkpointing
+// enabled the resize is crash-safe: a failure after the membership swap is
+// recovered by Run from the barrier's image into the new membership under
+// the MaxRecoveries budget; outside Run it fails the engine.
 // VertexSubsets held across a resize remain valid.
 func (e *Engine[V]) Resize(n int) error { return e.c.Resize(n) }
 
@@ -334,6 +336,10 @@ func (e *Engine[V]) NumVertices() int { return e.c.Graph().NumVertices() }
 // aborted) instead of panicking, along with the run's fault-tolerance
 // counters. Programming errors (mixed-engine subsets, nil reduce in push
 // mode, ...) still panic.
+// Recovery calls program again from the start, so it must get everything it
+// knows from engine outcomes (subsets, Gather, Fold, Sum, Get) and build its
+// own state (a DSU, a result slice) inside itself. Nothing outside Run is
+// recovered.
 func (e *Engine[V]) Run(program func() error) (RunResult, error) { return e.c.Run(program) }
 
 // Err returns the first unrecovered superstep failure, or nil. Once failed,

@@ -1,23 +1,16 @@
 // Superstep checkpoint/recovery (fault tolerance).
 //
-// Following Distributed GraphLab's observation that BSP engines get cheap
-// fault tolerance from snapshotting at superstep boundaries, the engine
-// snapshots every worker's state at the barrier — where it is consistent by
-// BSP construction — every CheckpointEvery successful supersteps. The
-// snapshot is encoded into a CheckpointImage and handed to the configured
-// CheckpointStore (in-memory by default, file-backed for durability), so the
-// bytes that survive are independent of any worker's live state. When a
-// superstep fails — transport error, broken link, stalled peer, injected
-// crash, or a worker lost for good (comm.KillError; its peers see only a
-// stalled round) — recovery is one sequence, the one a resize runs at
-// another width: swap in a fresh incarnation of every worker at the current
-// width (swapMembership), restore the stored image into it, replay the supersteps
-// since then (FLASH steps are deterministic functions of engine state, so
-// replay reproduces the exact pre-failure state and the exact subsets the
-// driver already holds), and re-execute the failed superstep. Scripted faults
-// are one-shot, and real-world transients are by definition unlikely to
-// repeat, so replay normally succeeds; a recovery budget stops a persistent
-// fault from looping forever.
+// FLASHWARE's supersteps end at a BSP barrier, so a barrier snapshot plus a
+// record of what the driver saw is enough to resume a run. Inside a
+// checkpointed Run the engine snapshots every worker at Run entry and every
+// CheckpointEvery supersteps, and logs the Run's outcomes: each superstep's
+// output subset, each Gather's values, each Sum's result, each Get's value.
+// A failed superstep — whatever the cause, a worker lost for good included —
+// is recovered one way: swap in a fresh incarnation at the current width,
+// restore the stored image and call the program again, which pops the logged
+// outcomes (its writes do nothing: the image holds them) and runs live once
+// they run out. A resumed cluster process pops its durable log the same way
+// (cluster.go). The recovery budget stops a persistent fault from looping.
 package core
 
 import (
@@ -31,12 +24,8 @@ import (
 	"flash/metrics"
 )
 
-// replayStep re-executes one superstep for its state effects, writing the
-// output subset into a throwaway.
-type replayStep[V any] func(out *Subset) error
-
-// runtimeFailure carries an unrecovered superstep error up to Run through
-// the paper-shaped, error-free primitive signatures.
+// runtimeFailure carries a superstep error up to Run through the
+// paper-shaped, error-free primitive signatures.
 type runtimeFailure struct{ err error }
 
 func (r runtimeFailure) Error() string { return r.err.Error() }
@@ -51,7 +40,9 @@ type RunResult = metrics.Counters
 // goroutine already joined and the transport aborted cleanly. Structural
 // misuse of the primitives (wrong engine's subset, nil reduce in push mode,
 // ...) still panics: those are programming errors, not runtime conditions.
-func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
+// Recovery calls program again from the start, so program must get
+// everything it knows from engine outcomes.
+func (e *Engine[V]) Run(program func() error) (RunResult, error) {
 	if e.failed != nil {
 		return e.runResult(), e.failed
 	}
@@ -59,18 +50,131 @@ func (e *Engine[V]) Run(program func() error) (res RunResult, err error) {
 		return e.runResult(), err
 	}
 	defer e.endOp()
+	e.running = true
 	defer func() {
-		res = e.runResult()
+		e.running = false
+		if e.resident < 0 { // the in-process log lives for one Run
+			e.log, e.logPos, e.logHigh, e.imgRecs = nil, 0, 0, 0
+		}
+	}()
+	// In-process the entry image is taken now, so a failure never restores
+	// another Run's state; a cluster process keeps the log its resume armed
+	// and takes a first image only if it has none.
+	if e.logging() && (e.resident < 0 || e.ckptSeq == 0) {
+		if err := e.saveCheckpoint(e.encodeImage()); err != nil {
+			e.failed = err
+			return e.runResult(), err
+		}
+	}
+	err, failure := e.runOnce(program)
+	for failure != nil {
+		if !e.canRecover(failure) {
+			if e.failed == nil {
+				e.failed = failure
+			}
+			return e.runResult(), failure
+		}
+		if failure = e.recoverFrom(failure); failure == nil {
+			e.log, e.logPos, e.stepsSince = e.log[:e.imgRecs], 0, 0
+			err, failure = e.runOnce(program)
+		}
+	}
+	return e.runResult(), err
+}
+
+// runOnce calls program, turning a superstep failure's unwind into failure.
+func (e *Engine[V]) runOnce(program func() error) (err, failure error) {
+	defer func() {
 		if r := recover(); r != nil {
 			rf, ok := r.(runtimeFailure)
 			if !ok {
 				panic(r)
 			}
-			err = rf.err
+			failure = rf.err
 		}
 	}()
-	err = program()
-	return
+	return program(), nil
+}
+
+// logging reports whether outcomes are logged and images taken: whenever
+// recovery is possible (inside a checkpointed Run, or with a WorkerStore).
+func (e *Engine[V]) logging() bool {
+	return e.cstore != nil || e.resident < 0 && e.running && e.cfg.CheckpointEvery > 0
+}
+
+// fastForward reports whether the log still holds outcomes ahead of the
+// driver, whose writes the restored image then already holds.
+func (e *Engine[V]) fastForward() bool { return e.logPos < len(e.log) }
+
+// popOutcome moves the driver to its next record position and returns the
+// record logged there, if the log still holds one.
+func (e *Engine[V]) popOutcome(kind byte) (logRecord, bool) {
+	pos := e.logPos
+	e.logPos++
+	if pos >= len(e.log) {
+		return logRecord{}, false
+	}
+	if e.log[pos].kind != kind {
+		e.abort(fmt.Errorf("core: outcome log diverged: record %d is kind %d, want %d", pos, e.log[pos].kind, kind))
+	}
+	return e.log[pos], true
+}
+
+// valueOutcome is one Gather (n values) or Get (one value): f sees each
+// value in order, popped from the log if it holds the outcome, else read
+// through live and logged when the engine logs.
+func (e *Engine[V]) valueOutcome(kind byte, n int, live func(i int) *V, f func(i int, val *V)) {
+	rec, popped := e.popOutcome(kind)
+	logging := !popped && e.logging()
+	var buf []byte
+	var got V
+	off := 0
+	for i := 0; i < n; i++ {
+		val := &got
+		if !popped {
+			val = live(i)
+		} else if k, err := e.codec.Decode(rec.payload[off:], val); err != nil {
+			e.abort(fmt.Errorf("core: outcome record, value %d: %w", i, err))
+		} else {
+			off += k
+		}
+		if logging {
+			buf = e.codec.Append(buf, val)
+		}
+		f(i, val)
+	}
+	if popped && off != len(rec.payload) {
+		e.abort(fmt.Errorf("core: outcome record has %d trailing bytes", len(rec.payload)-off))
+	}
+	if logging {
+		e.logOutcome(kind, buf)
+	}
+}
+
+// logOutcome appends a live outcome: to the WorkerStore in cluster mode, to
+// the in-memory log with the current membership epoch in-process.
+func (e *Engine[V]) logOutcome(kind byte, payload []byte) {
+	if e.cstore == nil {
+		e.log = append(e.log, logRecord{clusterLogRecord{kind, payload}, e.memberEpoch})
+	} else if err := e.cstore.appendRecord(kind, payload); err != nil {
+		e.abort(err)
+	}
+}
+
+// fail unwinds a failed superstep to Run, which decides whether to recover;
+// outside Run nothing can, so the engine is marked failed.
+func (e *Engine[V]) fail(err error) {
+	if !e.running {
+		e.failed = err
+	}
+	panic(runtimeFailure{err})
+}
+
+// abort is fail for a failure no re-run can undo — a store that will not
+// save, an outcome log that does not fit the program: the engine is failed.
+func (e *Engine[V]) abort(err error) {
+	e.failed = err
+	panic(runtimeFailure{err})
 }
 
 // runResult snapshots the run counters from the collector.
@@ -79,18 +183,16 @@ func (e *Engine[V]) runResult() RunResult { return e.met.Counters }
 // Err returns the first unrecovered superstep failure, or nil.
 func (e *Engine[V]) Err() error { return e.failed }
 
-// execStep runs one superstep with failure handling. exec must be a
-// deterministic function of engine state that fills out and performs this
-// worker-parallel superstep's exchange rounds. On failure the engine swaps in
-// a fresh incarnation, restores the last checkpoint, replays the logged
-// supersteps and re-executes exec, up to the recovery budget; an unrecovered
-// error marks the engine failed and unwinds to Run.
+// execStep runs one superstep at the driver's next record position: it pops
+// the logged output subset if one remains, otherwise runs exec (which fills
+// out and performs the exchange rounds; a cluster process then replicates
+// out with a control round), logs the outcome, and runs the checkpoint
+// cadence and the ResizePolicy hook. The step counters and the hook run only
+// the first time the Run reaches the position, so a recovered run counts what
+// a fault-free one does. A failure unwinds to Run.
 //
 //flash:amortized once per superstep, not per element
-func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
-	if e.resident >= 0 {
-		return e.execStepCluster(frontier, exec)
-	}
+func (e *Engine[V]) execStep(frontier int, exec func(out *Subset) error) *Subset {
 	if e.failed != nil {
 		panic(runtimeFailure{fmt.Errorf("core: engine already failed: %w", e.failed)})
 	}
@@ -98,34 +200,38 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 		// Covers programs whose steps never touch the transport (NoSync-only):
 		// the Close-side abort broadcast cannot reach them, so the barrier
 		// checks the flag directly.
-		e.failed = ErrEngineClosed
-		panic(runtimeFailure{ErrEngineClosed})
+		e.fail(ErrEngineClosed)
 	}
-	ckptOn := e.cfg.CheckpointEvery > 0
-	if ckptOn && !e.hasCkpt {
-		// The initial checkpoint, taken lazily so driver-side seeding
-		// (Engine.Set) before the first superstep is captured.
-		if err := e.takeCheckpoint(); err != nil {
-			e.failed = err
-			panic(runtimeFailure{err})
+	fresh := e.logPos >= e.logHigh
+	if fresh {
+		e.logHigh = e.logPos + 1
+		e.met.Step(frontier)
+	}
+	if rec, ok := e.popOutcome(logKindStep); ok {
+		// A record made before a resize decodes as a stale subset, which
+		// checkSubset remaps on first use.
+		out := e.subsetAt(rec.epoch)
+		if err := e.decodeStepRecord(rec.payload, out); err != nil {
+			e.abort(err)
 		}
+		out.recount()
+		return out
 	}
-	e.met.Step(frontier)
 	out := e.newSubset()
-	if err := exec(out); err != nil {
-		if out, err = e.recoverStep(err, exec); err != nil {
-			e.failed = err
-			panic(runtimeFailure{err})
-		}
+	err := exec(out)
+	if err == nil && e.resident >= 0 {
+		err = e.shareStepOutput(out)
+	}
+	if err != nil {
+		e.fail(err)
 	}
 	out.recount()
-	if ckptOn {
-		e.replayLog = append(e.replayLog, exec)
+	if e.logging() {
+		e.logOutcome(logKindStep, e.encodeStepRecord(out))
 		e.stepsSince++
-		if e.stepsSince >= e.cfg.CheckpointEvery {
-			if err := e.takeCheckpoint(); err != nil {
-				e.failed = err
-				panic(runtimeFailure{err})
+		if e.cfg.CheckpointEvery > 0 && e.stepsSince >= e.cfg.CheckpointEvery {
+			if err := e.saveCheckpoint(e.encodeImage()); err != nil {
+				e.abort(err)
 			}
 		}
 	}
@@ -133,7 +239,7 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 	// recounted, checkpoint taken): a membership change here is a pure
 	// barrier event, and the subsets the driver holds remap lazily on next
 	// use.
-	if pol := e.cfg.ResizePolicy; pol != nil {
+	if pol := e.cfg.ResizePolicy; pol != nil && fresh {
 		want := pol(StepInfo{
 			Superstep: e.met.Supersteps,
 			Frontier:  out.Size(),
@@ -142,73 +248,47 @@ func (e *Engine[V]) execStep(frontier int, exec replayStep[V]) *Subset {
 		})
 		if want > 0 && want != e.cfg.Workers {
 			if err := e.Resize(want); err != nil {
-				e.failed = err
-				panic(runtimeFailure{err})
+				e.fail(err)
 			}
 		}
 	}
 	return out
 }
 
-// recoverStep absorbs a failed round whose cause is err. While the failure is
-// recoverable it starts a fresh incarnation at the current width, restores the
-// stored checkpoint into it, replays the logged supersteps for their state
-// effects and re-executes exec, whose output subset it returns. A transient
-// fault and a lost worker take the same path; the loss only counts as a
-// restart, and the recovery budget stops a worker that keeps dying. The
-// error that exhausts the budget (or was never recoverable) comes back
-// unchanged. Resize shares it with execStep: a fault after a membership swap
-// is a failed round like any other.
-func (e *Engine[V]) recoverStep(err error, exec replayStep[V]) (*Subset, error) {
-	for e.canRecover(err) {
-		e.recoveries++
-		e.met.AddRecoveries(1)
-		start := time.Now()
-		// A lost worker's own goroutine returns its KillError, which
-		// parallelWorkers reports as the root cause; peers only saw a stall.
-		var ke *comm.KillError
-		if errors.As(err, &ke) {
-			e.met.AddRestarts(1)
-		}
-		out := e.newSubset()
-		if err = e.swapMembership(e.cfg.Workers); err == nil {
-			err = e.restoreCheckpoint()
-		}
-		for i := 0; err == nil && i < len(e.replayLog); i++ {
-			err = e.replayLog[i](e.newSubset())
-		}
-		if err == nil {
-			err = exec(out)
-		}
-		spent := time.Since(start)
-		e.met.Add(metrics.Other, spent)
-		e.met.AddRecoveryTime(spent)
-		if err == nil {
-			return out, nil
-		}
+// recoverFrom makes one recovery attempt for a failed round whose cause is
+// err: it starts a fresh incarnation at the current width and restores the
+// stored image into it. A transient fault and a lost worker take the same
+// path; the loss only counts as a restart, and the recovery budget stops a
+// worker that keeps dying. A failed swap or restore is itself a failed
+// round, and its error comes back.
+func (e *Engine[V]) recoverFrom(err error) error {
+	e.recoveries++
+	e.met.AddRecoveries(1)
+	start := time.Now()
+	// A lost worker's own goroutine returns its KillError, which
+	// parallelWorkers reports as the root cause; peers only saw a stall.
+	var ke *comm.KillError
+	if errors.As(err, &ke) {
+		e.met.AddRestarts(1)
 	}
-	return nil, err
+	if err = e.swapMembership(e.cfg.Workers); err == nil {
+		err = e.restoreCheckpoint()
+	}
+	spent := time.Since(start)
+	e.met.Add(metrics.Other, spent)
+	e.met.AddRecoveryTime(spent)
+	return err
 }
 
-// canRecover reports whether err is worth a rollback: checkpointing must be
-// on with a stored snapshot in hand, the recovery budget must not be
-// exhausted, and the failure must not be a worker panic (deterministic: it
-// would fire again on replay).
+// canRecover reports whether err is worth a rollback: in-process (a cluster
+// process is restarted by its coordinator instead: peer state is remote),
+// with checkpointing on, the engine not failed, the budget not exhausted, and
+// neither a Close (re-running would fight it) nor a worker panic
+// (deterministic: it would fire again).
 func (e *Engine[V]) canRecover(err error) bool {
 	var wp *workerPanic
-	if errors.As(err, &wp) {
-		return false
-	}
-	if errors.Is(err, ErrEngineClosed) {
-		// The user tore the engine down; replaying the run would fight Close.
-		return false
-	}
-	if e.resident >= 0 {
-		// Cluster mode: recovery is the coordinator's restart-all under a
-		// fresh epoch, never an in-process rollback (peer state is remote).
-		return false
-	}
-	return e.cfg.CheckpointEvery > 0 && e.hasCkpt && e.recoveries < e.cfg.MaxRecoveries
+	return !errors.As(err, &wp) && !errors.Is(err, ErrEngineClosed) && e.resident < 0 &&
+		e.failed == nil && e.cfg.CheckpointEvery > 0 && e.recoveries < e.cfg.MaxRecoveries
 }
 
 // Worker checkpoint section format (inside a CheckpointImage section):
@@ -320,8 +400,14 @@ func (e *Engine[V]) decodeMasters(img *CheckpointImage) ([]V, uint64, error) {
 	return masters, rehomed, nil
 }
 
-// encodeImage snapshots every worker's cur array and frontier bitmap.
+// encodeImage snapshots every worker's cur array and frontier bitmap. A
+// cluster process holds one worker: its image is that worker's section plus
+// the clusterMeta pinning the image to its log prefix.
 func (e *Engine[V]) encodeImage() *CheckpointImage {
+	if e.resident >= 0 {
+		meta := clusterMeta{workers: e.cfg.Workers, resident: e.resident, records: e.cstore.records()}
+		return &CheckpointImage{Sections: [][]byte{e.encodeWorkerSection(e.workers[e.resident]), encodeClusterMeta(meta)}}
+	}
 	img := &CheckpointImage{Sections: make([][]byte, len(e.workers))}
 	for i, w := range e.workers {
 		img.Sections[i] = e.encodeWorkerSection(w)
@@ -329,12 +415,10 @@ func (e *Engine[V]) encodeImage() *CheckpointImage {
 	return img
 }
 
-// takeCheckpoint snapshots the engine into the store.
-func (e *Engine[V]) takeCheckpoint() error { return e.saveCheckpoint(e.encodeImage()) }
-
-// saveCheckpoint stamps img with the next sequence number, saves it to the
-// store, and truncates the replay log: everything before the snapshot can
-// never be replayed again.
+// saveCheckpoint stamps img with the next sequence number and saves it, with
+// the record count it holds the effect of: to the WorkerStore in cluster mode
+// (the count is in img's meta, and the shared deterministic cadence makes
+// every process's image S freeze the same count), else to the store.
 func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	e.ckptSeq++
 	img.Seq = e.ckptSeq
@@ -342,11 +426,16 @@ func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	for _, sect := range img.Sections {
 		total += uint64(len(sect))
 	}
-	if err := e.store.Save(img); err != nil {
+	var err error
+	if e.cstore != nil {
+		err = e.cstore.saveImage(img)
+	} else {
+		err = e.store.Save(img)
+	}
+	if err != nil {
 		return fmt.Errorf("core: checkpoint %d: %w", e.ckptSeq, err)
 	}
-	e.hasCkpt = true
-	e.replayLog = e.replayLog[:0]
+	e.imgRecs = len(e.log)
 	e.stepsSince = 0
 	e.met.AddCheckpoints(1)
 	e.met.AddCheckpointBytes(total)

@@ -13,12 +13,12 @@
 //     values applied in ascending vertex order, so folds are byte-identical
 //     regardless of placement.
 //
-//  2. Deterministic replay. Both outcomes — the merged output subset of
-//     each superstep and the value array of each Gather — are appended to
-//     the WorkerStore's log, so a respawned process fast-forwards through
-//     the driver by popping records instead of recomputing, then goes live
-//     exactly at the frontier, with its transport round counter at zero just
-//     like every surviving peer after the coordinator's restart-all.
+//  2. One outcome log. The engine's outcome log (checkpoint.go) goes to the
+//     WorkerStore, so a respawned process fast-forwards through the driver
+//     by popping records instead of recomputing — exactly what in-process
+//     recovery does after a restore — then goes live exactly at the
+//     frontier, with its transport round counter at zero just like every
+//     surviving peer after the coordinator's restart-all.
 //
 // In-process rollback recovery is disabled (canRecover is false in cluster
 // mode): a failed superstep unwinds out of Run, the process exits with a
@@ -81,7 +81,7 @@ func decodeClusterMeta(b []byte) (clusterMeta, error) {
 // initCluster prepares the durable side of cluster mode after the workers
 // are built: a fresh run clears stale state from a previous incarnation, a
 // resume loads the image, truncates the log to the image's record count, and
-// arms fast-forward replay.
+// hands the records to the engine's outcome log for the driver to pop.
 func (e *Engine[V]) initCluster() error {
 	spec := e.cfg.Cluster
 	e.cstore = spec.Store
@@ -111,81 +111,13 @@ func (e *Engine[V]) initCluster() error {
 		return err
 	}
 	// Install the image's values now: fast-forward never executes supersteps
-	// (so nothing reads them early), and once the replayed records run out
-	// the state is exactly the live frontier's.
+	// (so nothing reads them early), and once the popped records run out the
+	// state is exactly the live frontier's.
 	if err := e.decodeWorkerSection(e.workers[e.resident], img.Sections[0]); err != nil {
 		return err
 	}
-	e.ffRecs = recs
-	e.ckptSeq = spec.ResumeSeq
-	e.hasCkpt = true
+	e.log, e.ckptSeq = recs, spec.ResumeSeq
 	return nil
-}
-
-// clusterFail marks the engine failed and unwinds to Run. Cluster failures
-// are never recovered in-process; the exit code tells the coordinator what
-// to do.
-func (e *Engine[V]) clusterFail(err error) {
-	e.failed = err
-	panic(runtimeFailure{err})
-}
-
-// execStepCluster is execStep for cluster mode: fast-forward from the log
-// when resuming, otherwise execute the resident's share, replicate the
-// output subset with a control round, log the outcome, and checkpoint on
-// the shared deterministic cadence.
-func (e *Engine[V]) execStepCluster(frontier int, exec replayStep[V]) *Subset {
-	if e.failed != nil {
-		panic(runtimeFailure{fmt.Errorf("core: engine already failed: %w", e.failed)})
-	}
-	if e.isClosed() {
-		e.failed = ErrEngineClosed
-		panic(runtimeFailure{ErrEngineClosed})
-	}
-	if e.ffPos < len(e.ffRecs) {
-		rec := e.ffRecs[e.ffPos]
-		e.ffPos++
-		if rec.kind != logKindStep {
-			e.clusterFail(fmt.Errorf("core: cluster log diverged: record %d is kind %d, want step", e.ffPos-1, rec.kind))
-		}
-		out := e.newSubset()
-		if err := e.decodeStepRecord(rec.payload, out); err != nil {
-			e.clusterFail(err)
-		}
-		e.met.Step(frontier)
-		out.recount()
-		return out
-	}
-	if e.cstore != nil && !e.hasCkpt {
-		// The initial checkpoint, taken lazily so driver-side seeding before
-		// the first superstep is captured. Its record count is zero: resuming
-		// from it replays the whole log... which is empty.
-		if err := e.takeClusterCheckpoint(); err != nil {
-			e.clusterFail(err)
-		}
-	}
-	e.met.Step(frontier)
-	out := e.newSubset()
-	err := exec(out)
-	if err == nil {
-		err = e.shareStepOutput(out)
-	}
-	if err != nil {
-		e.clusterFail(err)
-	}
-	out.recount()
-	if e.cstore != nil {
-		if err := e.cstore.appendRecord(logKindStep, e.encodeStepRecord(out)); err != nil {
-			e.clusterFail(err)
-		}
-		e.stepsSince++
-		if e.cfg.CheckpointEvery > 0 && e.stepsSince >= e.cfg.CheckpointEvery {
-			if err := e.takeClusterCheckpoint(); err != nil {
-				e.clusterFail(err)
-			}
-		}
-	}
-	return out
 }
 
 // shareStepOutput is the control round that replicates the superstep's
@@ -198,16 +130,7 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 		return nil
 	}
 	w := e.workers[e.resident]
-	words := out.local[e.resident].Words()
-	lo, hi := 0, len(words)
-	for lo < hi && words[lo] == 0 {
-		lo++
-	}
-	for hi > lo && words[hi-1] == 0 {
-		hi--
-	}
-	if hi > lo {
-		w.fenc = encodeFrontier(w.fenc, words, lo, hi)
+	if len(w.encodeFrame(out.local[e.resident].Words())) > 0 {
 		for to := 0; to < e.cfg.Workers; to++ {
 			if to == e.resident {
 				continue
@@ -239,29 +162,23 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 	return frameErr
 }
 
-// Step record layout: per worker, uvarint frame length followed by that many
-// frontier-frame bytes; length 0 encodes an empty per-worker subset.
+// Step record layout: per worker of the membership the subset is laid out
+// under, uvarint frame length followed by that many frontier-frame bytes;
+// length 0 encodes an empty per-worker subset.
 
-// encodeStepRecord serializes the fully-replicated output subset.
+// encodeStepRecord serializes a superstep's output subset (in cluster mode
+// the fully-replicated one), which must be laid out under the current
+// membership: each worker's frame is encoded into its reused fenc scratch,
+// so the record is allocated once, at its final size.
 func (e *Engine[V]) encodeStepRecord(out *Subset) []byte {
-	var buf []byte
-	var scratch []byte
-	for wi := 0; wi < e.cfg.Workers; wi++ {
-		words := out.local[wi].Words()
-		lo, hi := 0, len(words)
-		for lo < hi && words[lo] == 0 {
-			lo++
-		}
-		for hi > lo && words[hi-1] == 0 {
-			hi--
-		}
-		if hi == lo {
-			buf = binary.AppendUvarint(buf, 0)
-			continue
-		}
-		scratch = encodeFrontier(scratch, words, lo, hi)
-		buf = binary.AppendUvarint(buf, uint64(len(scratch)))
-		buf = append(buf, scratch...)
+	size := 0
+	for wi, w := range e.workers {
+		size += binary.MaxVarintLen64 + len(w.encodeFrame(out.local[wi].Words()))
+	}
+	buf := make([]byte, 0, size)
+	for _, w := range e.workers {
+		buf = binary.AppendUvarint(buf, uint64(len(w.fenc)))
+		buf = append(buf, w.fenc...)
 	}
 	return buf
 }
@@ -270,56 +187,34 @@ func (e *Engine[V]) encodeStepRecord(out *Subset) []byte {
 // allocated: frames are OR'd in).
 func (e *Engine[V]) decodeStepRecord(payload []byte, out *Subset) error {
 	off := 0
-	for wi := 0; wi < e.cfg.Workers; wi++ {
+	for wi := range out.local {
 		n, k := binary.Uvarint(payload[off:])
 		// Compared in uint64: a hostile length must not wrap int and slip past.
 		if k <= 0 || n > uint64(len(payload)-off-k) {
-			return fmt.Errorf("core: cluster step record truncated at worker %d", wi)
+			return fmt.Errorf("core: step record truncated at worker %d", wi)
 		}
 		off += k
 		if n == 0 {
 			continue
 		}
 		if err := decodeFrontier(payload[off:off+int(n)], out.local[wi].Words()); err != nil {
-			return fmt.Errorf("core: cluster step record, worker %d: %w", wi, err)
+			return fmt.Errorf("core: step record, worker %d: %w", wi, err)
 		}
 		off += int(n)
 	}
 	if off != len(payload) {
-		return fmt.Errorf("core: cluster step record has %d trailing bytes", len(payload)-off)
+		return fmt.Errorf("core: step record has %d trailing bytes", len(payload)-off)
 	}
 	return nil
 }
 
-// gatherCluster is driver-side Gather in cluster mode: a live allgather of
-// master values. Every process sends its resident's masters to every peer in
-// ascending local order, rebuilds the full value array, and applies f in
-// ascending vertex order — so a Fold computes the identical byte-for-byte
-// result in every process regardless of which vertices it masters. The
-// outcome is logged for fast-forward, exactly like a superstep's subset.
-func (e *Engine[V]) gatherCluster(f func(v graph.VID, val *V)) {
+// allgather is driver-side Gather's live half in cluster mode: every process
+// sends its resident's masters to every peer in ascending local order and
+// rebuilds the full value array, so a Fold applied in ascending vertex order
+// computes the identical byte-for-byte result in every process regardless of
+// which vertices it masters.
+func (e *Engine[V]) allgather() []V {
 	n := e.g.NumVertices()
-	if e.ffPos < len(e.ffRecs) {
-		rec := e.ffRecs[e.ffPos]
-		e.ffPos++
-		if rec.kind != logKindGather {
-			e.clusterFail(fmt.Errorf("core: cluster log diverged: record %d is kind %d, want gather", e.ffPos-1, rec.kind))
-		}
-		off := 0
-		var val V
-		for v := 0; v < n; v++ {
-			k, err := e.codec.Decode(rec.payload[off:], &val)
-			if err != nil {
-				e.clusterFail(fmt.Errorf("core: cluster gather record, vertex %d: %w", v, err))
-			}
-			off += k
-			f(graph.VID(v), &val)
-		}
-		if off != len(rec.payload) {
-			e.clusterFail(fmt.Errorf("core: cluster gather record has %d trailing bytes", len(rec.payload)-off))
-		}
-		return
-	}
 	w := e.workers[e.resident]
 	masters := e.place.LocalCount(e.resident)
 	vals := make([]V, n)
@@ -327,12 +222,9 @@ func (e *Engine[V]) gatherCluster(f func(v graph.VID, val *V)) {
 		var sendErr error
 		for l := 0; l < masters && sendErr == nil; l++ {
 			gid := e.place.GlobalID(e.resident, l)
-			for to := 0; to < e.cfg.Workers; to++ {
-				if to == e.resident {
-					continue
-				}
-				if sendErr = w.appendKV(to, gid, &w.cur[l]); sendErr != nil {
-					break
+			for to := 0; to < e.cfg.Workers && sendErr == nil; to++ {
+				if to != e.resident {
+					sendErr = w.appendKV(to, gid, &w.cur[l])
 				}
 			}
 		}
@@ -343,7 +235,7 @@ func (e *Engine[V]) gatherCluster(f func(v graph.VID, val *V)) {
 			sendErr = e.tr.EndRound(w.id)
 		}
 		if sendErr != nil {
-			e.clusterFail(sendErr)
+			e.fail(sendErr)
 		}
 		got := 0
 		var badErr error
@@ -360,54 +252,17 @@ func (e *Engine[V]) gatherCluster(f func(v graph.VID, val *V)) {
 		e.met.Merge(w.met)
 		w.met.Reset()
 		if drainErr != nil {
-			e.clusterFail(drainErr)
+			e.fail(drainErr)
 		}
 		if badErr != nil {
-			e.clusterFail(badErr)
+			e.fail(badErr)
 		}
 		if got != n-masters {
-			e.clusterFail(fmt.Errorf("core: cluster gather received %d of %d remote masters", got, n-masters))
+			e.fail(fmt.Errorf("core: cluster gather received %d of %d remote masters", got, n-masters))
 		}
 	}
 	for l := 0; l < masters; l++ {
 		vals[e.place.GlobalID(e.resident, l)] = w.cur[l]
 	}
-	for v := 0; v < n; v++ {
-		f(graph.VID(v), &vals[v])
-	}
-	if e.cstore != nil {
-		buf := make([]byte, 0, n*8)
-		for v := range vals {
-			buf = e.codec.Append(buf, &vals[v])
-		}
-		if err := e.cstore.appendRecord(logKindGather, buf); err != nil {
-			e.clusterFail(err)
-		}
-	}
-}
-
-// takeClusterCheckpoint saves the resident's section plus the metadata that
-// pins the image to its log prefix. The cadence (CheckpointEvery successful
-// supersteps, counted identically by the deterministic driver in every
-// process) guarantees every worker's image at sequence S freezes the same
-// record count, which is what makes min(latest) a consistent resume point.
-func (e *Engine[V]) takeClusterCheckpoint() error {
-	w := e.workers[e.resident]
-	sect := e.encodeWorkerSection(w)
-	meta := encodeClusterMeta(clusterMeta{
-		workers:  e.cfg.Workers,
-		resident: e.resident,
-		records:  e.cstore.records(),
-	})
-	e.ckptSeq++
-	img := &CheckpointImage{Seq: e.ckptSeq, Sections: [][]byte{sect, meta}}
-	if err := e.cstore.saveImage(img); err != nil {
-		e.ckptSeq--
-		return fmt.Errorf("core: cluster checkpoint: %w", err)
-	}
-	e.hasCkpt = true
-	e.stepsSince = 0
-	e.met.AddCheckpoints(1)
-	e.met.AddCheckpointBytes(uint64(len(sect) + len(meta)))
-	return nil
+	return vals
 }

@@ -1,17 +1,12 @@
 // Durable per-process state for cluster mode: a WorkerStore owns one
-// worker process's checkpoint images and its superstep replay log.
+// worker process's checkpoint images and the durable copy of its outcome log.
 //
-// In-process recovery replays supersteps by re-executing the driver's logged
-// closures against live peer state. A killed *process* has no closures to
-// re-execute and no peers frozen at the failure point, so cluster recovery
-// is different: every process durably logs the driver-visible outcome of
-// each superstep (the merged output subset) and of each driver-side Gather
-// (the full value array), and a respawned process fast-forwards by replaying
-// outcomes from the log — no computation, no communication — until it
-// rejoins the live frontier. Because the engine is deterministic, every
-// process logs the identical record sequence, so the record count stored in
-// a checkpoint's metadata is a fleet-wide synchronization point: resuming
-// from checkpoint S means "truncate the log to S's record count and replay".
+// A respawned process fast-forwards by popping outcomes from the log — no
+// computation, no communication — until it rejoins the live frontier. The
+// engine is deterministic, so every process logs the identical record
+// sequence and the record count in a checkpoint's metadata is a fleet-wide
+// synchronization point: resuming from checkpoint S means "truncate the log
+// to S's record count and pop it".
 //
 // The log is append-only during a run and fsynced before each checkpoint
 // image is written, so a checkpoint's record count never exceeds the durable
@@ -44,12 +39,23 @@ const (
 	// logKindGather is one driver-side Gather outcome: the full value array
 	// in ascending vertex order, codec-encoded.
 	logKindGather byte = 2
+	// logKindGet is one driver-side Get outcome: one codec-encoded value.
+	logKindGet byte = 3
+	// logKindSum is one driver-side Sum outcome: 8 bytes little-endian.
+	logKindSum byte = 4
 )
 
 // clusterLogRecord is one decoded log entry.
 type clusterLogRecord struct {
 	kind    byte
 	payload []byte
+}
+
+// logRecord is one entry of the engine's outcome log: a record plus the
+// membership epoch it was made in (0 in cluster mode, which never resizes).
+type logRecord struct {
+	clusterLogRecord
+	epoch int
 }
 
 // clusterLogHdrSize is the per-record header: kind u8 | length u32 |
@@ -204,13 +210,13 @@ func (s *WorkerStore) records() uint64 { return s.nrec }
 // them (the un-checkpointed tail of a previous incarnation, possibly torn),
 // and leaves the log positioned for appending. n = 0 resets the log for a
 // fresh run.
-func (s *WorkerStore) replay(n uint64) ([]clusterLogRecord, error) {
+func (s *WorkerStore) replay(n uint64) ([]logRecord, error) {
 	if _, err := s.log.Seek(int64(len(clusterLogMagic)), io.SeekStart); err != nil {
 		return nil, fmt.Errorf("core: worker store: %w", err)
 	}
 	// Grown by append: n comes from a checkpoint image's metadata, and a
 	// hostile count must run into the end of the log, not into makeslice.
-	var recs []clusterLogRecord
+	var recs []logRecord
 	off := int64(len(clusterLogMagic))
 	hdr := make([]byte, clusterLogHdrSize)
 	for uint64(len(recs)) < n {
@@ -229,7 +235,7 @@ func (s *WorkerStore) replay(n uint64) ([]clusterLogRecord, error) {
 		if crc != binary.LittleEndian.Uint32(hdr[5:9]) {
 			return nil, fmt.Errorf("core: worker store: log record %d: %w", len(recs), comm.ErrCorrupt)
 		}
-		recs = append(recs, clusterLogRecord{kind: hdr[0], payload: payload})
+		recs = append(recs, logRecord{clusterLogRecord: clusterLogRecord{kind: hdr[0], payload: payload}})
 		off += clusterLogHdrSize + int64(length)
 	}
 	if err := s.log.Truncate(off); err != nil {

@@ -133,18 +133,7 @@ func TestClusterCheckpointResume(t *testing.T) {
 	want := seqBFS(g, 0)
 	dir := t.TempDir()
 	const m = 2
-	openStores := func() []*WorkerStore {
-		stores := make([]*WorkerStore, m)
-		for i := range stores {
-			s, err := OpenWorkerStore(dir, i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stores[i] = s
-			t.Cleanup(func() { s.Close() })
-		}
-		return stores
-	}
+	openStores := func() []*WorkerStore { return openWorkerStores(t, dir, m) }
 	cfg := Config{CheckpointEvery: 2}
 
 	stores := openStores()
@@ -176,6 +165,54 @@ func TestClusterCheckpointResume(t *testing.T) {
 			if second[p][v] != first[p][v] {
 				t.Fatalf("resumed run process %d: dist[%d]=%d want %d", p, v, second[p][v], first[p][v])
 			}
+		}
+	}
+}
+
+// openWorkerStores opens the durable stores of an m-process fleet under dir.
+func openWorkerStores(t *testing.T, dir string, m int) []*WorkerStore {
+	t.Helper()
+	stores := make([]*WorkerStore, m)
+	for i := range stores {
+		s, err := OpenWorkerStore(dir, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[i] = s
+		t.Cleanup(func() { s.Close() })
+	}
+	return stores
+}
+
+// TestClusterResumeKeepsDriverSet resumes a fleet from an image taken after
+// a driver-side Set and a superstep that builds on it: fast-forward must not
+// re-apply the Set on top of the restored image, which already holds its
+// effect, so every process returns the first run's dist[0] = 5.
+func TestClusterResumeKeepsDriverSet(t *testing.T) {
+	g := graph.GenErdosRenyi(40, 120, 5)
+	dir := t.TempDir()
+	const m = 2
+	cfg := Config{CheckpointEvery: 1}
+	driver := func(e *Engine[bfsProps]) []int32 {
+		e.VertexMap(e.All(), nil, func(Vtx[bfsProps]) bfsProps { return bfsProps{Dis: inf} }, StepOpts{})
+		e.Set(0, bfsProps{Dis: 0})
+		e.VertexMap(e.FromIDs(0), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: v.Val.Dis + 5} }, StepOpts{})
+		for i := 0; i < 4; i++ {
+			e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return *v.Val }, StepOpts{})
+		}
+		out := make([]int32, g.NumVertices())
+		e.Gather(func(v graph.VID, val *bfsProps) { out[v] = val.Dis })
+		return out
+	}
+	stores := openWorkerStores(t, dir, m)
+	first := clusterFleet(t, g, m, 1, cfg, stores, 0, driver)
+	if first[0][0] != 5 {
+		t.Fatalf("first run: dist[0]=%d want 5", first[0][0])
+	}
+	second := clusterFleet(t, g, m, 2, cfg, openWorkerStores(t, dir, m), stores[0].LatestSeq()-1, driver)
+	for p := range second {
+		if !slices.Equal(second[p], first[p]) {
+			t.Fatalf("resumed process %d: dist[0]=%d, result differs from the first run (dist[0]=%d)", p, second[p][0], first[p][0])
 		}
 	}
 }

@@ -410,6 +410,27 @@ const (
 	frontierSparse = 0x01 // uvarint count + uvarint first vid + uvarint gaps
 )
 
+// encodeFrame encodes the span of words holding set bits as one frontier
+// frame into the worker's fenc scratch, left empty when no bit is set, and
+// returns it.
+//
+//flash:hotpath
+//flash:deterministic
+func (w *worker[V]) encodeFrame(words []uint64) []byte {
+	lo, hi := 0, len(words)
+	for lo < hi && words[lo] == 0 {
+		lo++
+	}
+	for hi > lo && words[hi-1] == 0 {
+		hi--
+	}
+	w.fenc = w.fenc[:0]
+	if hi > lo {
+		w.fenc = encodeFrontier(w.fenc, words, lo, hi)
+	}
+	return w.fenc
+}
+
 // encodeFrontier serializes the non-zero word span [lo, hi) of a frontier
 // bitmap into scratch, choosing between the dense word-span layout and a
 // sparse ascending vid list — whichever frame is smaller. A pull step forced
@@ -531,15 +552,7 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 		return true
 	})
 	words := w.frontier.Words()
-	lo, hi := 0, len(words)
-	for lo < hi && words[lo] == 0 {
-		lo++
-	}
-	for hi > lo && words[hi-1] == 0 {
-		hi--
-	}
-	if hi > lo && e.cfg.Workers > 1 {
-		w.fenc = encodeFrontier(w.fenc, words, lo, hi)
+	if e.cfg.Workers > 1 && len(w.encodeFrame(words)) > 0 {
 		// One pooled payload per destination: delivered frames are recycled
 		// by the receiver's drain, so destinations must not share a buffer.
 		for to := 0; to < e.cfg.Workers; to++ {

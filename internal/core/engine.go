@@ -92,10 +92,11 @@ type Config struct {
 	// checkpointing is enabled; pass a FileStore to survive the loss of
 	// in-process worker state. The engine never closes the store.
 	Store CheckpointStore
-	// CheckpointEvery snapshots all worker state every n successful
-	// supersteps at the barrier (consistent by BSP construction) and enables
-	// rollback+replay recovery from transport failures. 0 disables
-	// checkpointing.
+	// CheckpointEvery snapshots all worker state when Run starts and every n
+	// successful supersteps at the barrier (consistent by BSP construction),
+	// logs the driver-visible outcomes of the Run, and enables recovery from
+	// transport failures: restore the image, call the program again, pop the
+	// logged outcomes. 0 disables checkpointing.
 	CheckpointEvery int
 	// MaxRecoveries bounds checkpoint rollbacks per engine (default 3 when
 	// checkpointing is enabled); the budget stops a persistent fault from
@@ -107,7 +108,7 @@ type Config struct {
 	// ResizePolicy, when non-nil, is consulted after every successful
 	// superstep; returning a worker count different from the current one
 	// triggers an automatic Engine.Resize at the barrier. Checkpointing makes
-	// the change crash-safe.
+	// the change crash-safe inside Run.
 	ResizePolicy ResizePolicy
 	// Shared, when non-nil, supplies the immutable half of the engine — the
 	// graph and a cached read-only partition — so concurrent engines over one
@@ -301,19 +302,21 @@ type Engine[V any] struct {
 	failed     error           // first unrecovered superstep failure
 	store      CheckpointStore // snapshot persistence (cfg.Store)
 	ckptSeq    uint64          // sequence number of the last image saved
-	hasCkpt    bool            // a restorable image exists in the store
-	replayLog  []replayStep[V] // supersteps since the last checkpoint
 	stepsSince int             // supersteps since the last checkpoint
 	recoveries int             // rollbacks performed so far
+	running    bool            // inside Run: a failure may call the program again
+
+	// Outcome log (checkpoint.go): logPos is the driver's next record
+	// position, logHigh the first one this Run has not reached, and imgRecs
+	// the record count the stored in-process image holds the effect of.
+	log                      []logRecord
+	logPos, logHigh, imgRecs int
 
 	// Cluster mode (Config.Cluster non-nil): resident is the one worker this
-	// process computes (-1 in-process), cstore the durable checkpoint+log
-	// store, and ffRecs/ffPos the fast-forward replay cursor armed by a
-	// resume (see cluster.go).
+	// process computes (-1 in-process) and cstore the durable checkpoint+log
+	// store (see cluster.go).
 	resident int
 	cstore   *WorkerStore
-	ffRecs   []clusterLogRecord
-	ffPos    int
 }
 
 // worker is the per-worker state ("process memory").
@@ -684,7 +687,7 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 
 // workerPanic wraps a panic that escaped a worker goroutine. It is never
 // recovered from a checkpoint: a deterministic callback panic would fire
-// again on replay.
+// again on the re-run.
 type workerPanic struct {
 	worker int
 	value  any

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"flash/graph"
@@ -10,14 +11,18 @@ import (
 // get(id) for driver-side result extraction and for algorithms that read
 // arbitrary vertices between supersteps (requires FullMirrors only when
 // called from inside step callbacks via Ctx; this driver-side form is always
-// exact).
+// exact). The value is an outcome, logged and popped like a Gather's.
 func (e *Engine[V]) Get(v graph.VID) V {
 	e.checkVertex(v)
-	if e.resident >= 0 && e.place.Owner(v) != e.resident {
-		panic(fmt.Sprintf("core: Get(%d) in cluster mode: vertex is mastered by worker %d, this process is worker %d (use Gather/Fold)",
-			v, e.place.Owner(v), e.resident))
-	}
-	return e.workers[e.place.Owner(v)].cur[e.place.LocalIndex(v)]
+	var val V
+	e.valueOutcome(logKindGet, 1, func(int) *V {
+		if e.resident >= 0 && e.place.Owner(v) != e.resident {
+			panic(fmt.Sprintf("core: Get(%d) in cluster mode: vertex is mastered by worker %d, this process is worker %d (use Gather/Fold)",
+				v, e.place.Owner(v), e.resident))
+		}
+		return &e.workers[e.place.Owner(v)].cur[e.place.LocalIndex(v)]
+	}, func(_ int, got *V) { val = *got })
+	return val
 }
 
 // Set overwrites v's state on its master and on every worker currently
@@ -25,6 +30,9 @@ func (e *Engine[V]) Get(v graph.VID) V {
 // intended for seeding initial values cheaper than a VertexMap.
 func (e *Engine[V]) Set(v graph.VID, val V) {
 	e.checkVertex(v)
+	if e.fastForward() {
+		return // the restored image holds the write
+	}
 	for _, w := range e.workers {
 		if w.cur == nil {
 			continue // cluster shell: the owning process seeds its own copy
@@ -36,16 +44,24 @@ func (e *Engine[V]) Set(v graph.VID, val V) {
 }
 
 // Gather calls f for every vertex in ascending id order with the master's
-// current state. Driver-side.
+// current state. Driver-side. The value array is an outcome, logged and
+// popped like a superstep's output subset.
 func (e *Engine[V]) Gather(f func(v graph.VID, val *V)) {
+	var vals []V
+	e.valueOutcome(logKindGather, e.g.NumVertices(), func(v int) *V { return e.master(v, &vals) },
+		func(v int, val *V) { f(graph.VID(v), val) })
+}
+
+// master returns vertex v's live master state. A cluster process reads it
+// from *vals, the masters it allgathers on first use.
+func (e *Engine[V]) master(v int, vals *[]V) *V {
 	if e.resident >= 0 {
-		e.gatherCluster(f)
-		return
+		if *vals == nil {
+			*vals = e.allgather()
+		}
+		return &(*vals)[v]
 	}
-	for v := 0; v < e.g.NumVertices(); v++ {
-		gid := graph.VID(v)
-		f(gid, &e.workers[e.place.Owner(gid)].cur[e.place.LocalIndex(gid)])
-	}
+	return &e.workers[e.place.Owner(graph.VID(v))].cur[e.place.LocalIndex(graph.VID(v))]
 }
 
 // Fold accumulates a driver-side reduction over all masters' states.
@@ -55,6 +71,28 @@ func Fold[V, T any](e *Engine[V], init T, f func(acc T, v graph.VID, val *V) T) 
 		acc = f(acc, v, val)
 	})
 	return acc
+}
+
+// Sum adds f over all masters' states in ascending id order. Its outcome is
+// the sum itself, not the value array a Fold logs, so a driver that sums
+// every iteration grows the log by eight bytes a call.
+func Sum[V any, T int64 | float64](e *Engine[V], f func(v graph.VID, val *V) T) T {
+	var sum T
+	if rec, ok := e.popOutcome(logKindSum); ok {
+		if k, err := binary.Decode(rec.payload, binary.LittleEndian, &sum); err != nil || k != len(rec.payload) {
+			e.abort(fmt.Errorf("core: sum outcome record has %d bytes, want %d", len(rec.payload), binary.Size(sum)))
+		}
+		return sum
+	}
+	var vals []V
+	for v := 0; v < e.g.NumVertices(); v++ {
+		sum += f(graph.VID(v), e.master(v, &vals))
+	}
+	if e.logging() {
+		buf, _ := binary.Append(nil, binary.LittleEndian, sum) // fixed-size T: never fails
+		e.logOutcome(logKindSum, buf)
+	}
+	return sum
 }
 
 // CheckMirrorCoherence verifies that every mirror equals its master's state
@@ -71,7 +109,7 @@ func (e *Engine[V]) CheckMirrorCoherence(eq func(a, b V) bool) error {
 	for _, w := range e.workers {
 		var err error
 		w.part.Mirrors.Range(func(v int) bool {
-			master := e.Get(graph.VID(v))
+			master := e.workers[e.place.Owner(graph.VID(v))].cur[e.place.LocalIndex(graph.VID(v))]
 			if !eq(w.cur[w.st.Slot(graph.VID(v))], master) {
 				err = &CoherenceError{Worker: w.id, Vertex: graph.VID(v)}
 				return false

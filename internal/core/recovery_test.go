@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -173,5 +174,139 @@ func TestCheckpointedRunMatchesPlain(t *testing.T) {
 	}
 	if res.Checkpoints == 0 {
 		t.Fatal("no checkpoints taken with CheckpointEvery=1")
+	}
+}
+
+// TestRecoveryInSecondRun crashes a worker in an engine's second Run, before
+// that Run's first cadence checkpoint: recovery must restore the image the
+// second Run took at entry — not one from the first Run — and pop only the
+// second Run's outcomes, so both BFS results equal the fault-free ones.
+func TestRecoveryInSecondRun(t *testing.T) {
+	g := graph.GenErdosRenyi(120, 500, 3)
+	tr := &countingTransport{Mem: comm.NewMem(2)}
+	if _, _, err := runBFSChecked(mustEngine(t, g, Config{Workers: 2, Transport: tr}), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Round addresses count the rounds before them, so this is the second
+	// round of the second Run.
+	crash := tr.rounds.Load() + 1
+	e := mustEngine(t, g, Config{
+		Workers:         2,
+		CheckpointEvery: 4,
+		FaultPlan:       &comm.FaultPlan{Crashes: []comm.WorkerCrash{{Worker: 1, Round: crash}}},
+	})
+	var res RunResult
+	for _, root := range []graph.VID{0, 7} {
+		got, r, err := runBFSChecked(e, root)
+		if err != nil {
+			t.Fatalf("root %d: %v", root, err)
+		}
+		checkBFS(t, got, seqBFS(g, root), fmt.Sprintf("run from root %d", root))
+		res = r
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, want 1: the crash did not land in the second Run", res.Recoveries)
+	}
+}
+
+// TestRecoveryPopsDriverGet reads a vertex with Get between supersteps and
+// crashes a worker several checkpoints later: the re-run must pop the logged
+// value, not read the restored (later) state.
+func TestRecoveryPopsDriverGet(t *testing.T) {
+	e := mustEngine(t, graph.GenPath(40), Config{
+		Workers:         2,
+		CheckpointEvery: 1,
+		FaultPlan:       &comm.FaultPlan{Crashes: []comm.WorkerCrash{{Worker: 1, Round: 6}}},
+	})
+	var seen [2]int32
+	res, err := e.Run(func() error {
+		e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: int32(v.ID)} }, StepOpts{})
+		first := e.Get(3).Dis
+		for i := 0; i < 8; i++ {
+			e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: v.Val.Dis + 1} }, StepOpts{})
+		}
+		seen = [2]int32{first, e.Get(3).Dis}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Recoveries != 1 {
+		t.Fatalf("recoveries=%d, want 1", res.Recoveries)
+	}
+	if seen != [2]int32{3, 11} {
+		t.Fatalf("Get saw %v, want [3 11]", seen)
+	}
+}
+
+// failingStore saves like a MemStore until its failAt'th Save, which fails.
+type failingStore struct {
+	MemStore
+	saves, failAt int
+}
+
+var errStoreFull = errors.New("store full")
+
+func (s *failingStore) Save(img *CheckpointImage) error {
+	if s.saves++; s.saves == s.failAt {
+		return errStoreFull
+	}
+	return s.MemStore.Save(img)
+}
+
+// TestCheckpointSaveFailureIsTerminal: a store that will not save fails the
+// Run with the store's error; re-running the program would only meet the
+// same store again, so no recovery is spent on it.
+func TestCheckpointSaveFailureIsTerminal(t *testing.T) {
+	e := mustEngine(t, graph.GenPath(40), Config{Workers: 2, CheckpointEvery: 1, Store: &failingStore{failAt: 2}})
+	_, res, err := runBFSChecked(e, 0)
+	if !errors.Is(err, errStoreFull) {
+		t.Fatalf("err=%v, want the store's error", err)
+	}
+	if res.Recoveries != 0 {
+		t.Fatalf("recoveries=%d, want 0", res.Recoveries)
+	}
+	if !errors.Is(e.Err(), errStoreFull) {
+		t.Fatalf("engine not failed: Err()=%v", e.Err())
+	}
+}
+
+// TestRunDropsOutcomeLog recovers a Run whose program stops early on the
+// re-run, leaving logged outcomes unpopped. Once Run returns, the log is
+// gone: a Set lands and a Get or Sum reads live state.
+func TestRunDropsOutcomeLog(t *testing.T) {
+	e := mustEngine(t, graph.GenPath(40), Config{
+		Workers:         2,
+		CheckpointEvery: 1,
+		FaultPlan:       &comm.FaultPlan{Crashes: []comm.WorkerCrash{{Worker: 1, Round: 6}}},
+	})
+	calls := 0
+	res, err := e.Run(func() error {
+		if calls++; calls == 2 {
+			return nil
+		}
+		e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: 1} }, StepOpts{})
+		if sum := Sum(e, func(_ graph.VID, val *bfsProps) int64 { return int64(val.Dis) }); sum != 40 {
+			t.Errorf("sum=%d, want 40", sum)
+		}
+		if rec := e.log[len(e.log)-1]; rec.kind != logKindSum || len(rec.payload) != 8 {
+			t.Errorf("Sum logged kind %d with %d bytes, want its 8-byte sum", rec.kind, len(rec.payload))
+		}
+		for i := 0; i < 8; i++ {
+			e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: v.Val.Dis + 1} }, StepOpts{})
+		}
+		return nil
+	})
+	if err != nil || res.Recoveries != 1 {
+		t.Fatalf("err=%v recoveries=%d, want nil/1", err, res.Recoveries)
+	}
+	e.Set(3, bfsProps{Dis: 100})
+	if got := e.Get(3).Dis; got != 100 {
+		t.Fatalf("Get(3)=%d after Set, want 100", got)
+	}
+	// The state is the restored image's: every vertex but 3 holds one value.
+	want := 100 + 39*int64(e.Get(0).Dis)
+	if sum := Sum(e, func(_ graph.VID, val *bfsProps) int64 { return int64(val.Dis) }); sum != want {
+		t.Fatalf("sum=%d, want %d", sum, want)
 	}
 }

@@ -1,26 +1,15 @@
 // Elastic worker membership: resize is restore at a different width.
 //
-// Resize(n) changes the worker count of a live engine at a superstep barrier
-// in three steps, and keeps the run byte-identical to one that used the
-// final membership from the start:
-//
-//  1. Image. The ordinary checkpoint image of this barrier is taken (and,
-//     with checkpointing on, saved to the store like any other).
-//  2. Swap. swapMembership starts a fresh incarnation at n workers: the
-//     transport is resized once and the new placement, partition and zeroed
-//     workers are installed under a fresh subset epoch.
-//  3. Restore. The image is restored into the new membership by the same
-//     function recovery uses: an image says how wide it was taken, so its
-//     masters are re-homed through the new placement and one sync round
-//     rebuilds the mirrors (see restoreImage).
-//
-// There is nothing to roll back. Until the swap the engine is untouched;
-// after it, a fault is a failed round with an image in hand, which is what
-// recoverStep exists for: swap again at the width the engine now has, restore
-// the stored image — into the *new* membership — and carry on. Recovery from
-// any other failed round is the same two steps at an unchanged width. Without
-// checkpointing a failed resize marks the engine failed, like any other
-// failed superstep.
+// Resize(n) changes the worker count at a superstep barrier and keeps the
+// run byte-identical to one that used the final membership from the start:
+// it takes the barrier's ordinary checkpoint image (saved like any other
+// inside a checkpointed Run), swapMembership starts a fresh incarnation at n
+// workers, and restoreImage re-homes the image's masters through the new
+// placement and rebuilds the mirrors in one sync round. There is nothing to
+// roll back: after the swap a fault is a failed round at the new width, which
+// Run recovers from this barrier's image like any other — the re-run pops up
+// to the resize and finds the width already changed. Outside a checkpointed
+// Run a failed resize marks the engine failed.
 package core
 
 import (
@@ -32,9 +21,9 @@ import (
 )
 
 // Resize changes the engine's worker count to n at the current superstep
-// barrier. With checkpointing enabled the resize is crash-safe: a failure
+// barrier. Inside a checkpointed Run the resize is crash-safe: a failure
 // after the membership swap (including a permanent worker kill) is recovered
-// into the new membership from the stored image under the shared
+// by Run into the new membership from the barrier's image under the shared
 // MaxRecoveries budget.
 func (e *Engine[V]) Resize(n int) error {
 	if err := e.beginOp(); err != nil {
@@ -52,39 +41,39 @@ func (e *Engine[V]) Resize(n int) error {
 		// fleet under a fresh epoch instead of resizing in place.
 		return &ConfigError{"Workers", "resize unsupported in cluster mode"}
 	}
-	if n == e.cfg.Workers {
-		return nil
+	if n == e.cfg.Workers || e.fastForward() {
+		return nil // during fast-forward the restored image is already at the new width
 	}
 	start := time.Now()
 	img := e.encodeImage()
-	if e.cfg.CheckpointEvery > 0 {
+	if e.logging() {
 		if err := e.saveCheckpoint(img); err != nil {
 			e.failed = err
 			return err
 		}
 	}
-
 	if err := e.swapMembership(n); err != nil {
 		// A transport that failed to reconfigure is in no membership at all.
 		e.failed = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
 		return e.failed
 	}
+	e.met.AddResizes(1) // at the swap: a re-run after a failed restore does not resize again
 	err := e.restoreImage(img)
-	if err != nil {
-		_, err = e.recoverStep(err, func(*Subset) error { return nil })
-	}
-	if err != nil {
-		e.failed = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
-		return e.failed
-	}
-	e.met.AddResizes(1)
 	e.met.AddResizeTime(time.Since(start))
+	if err != nil {
+		err = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
+		if e.running {
+			e.fail(err) // Run recovers at the new width from this barrier's image
+		}
+		e.failed = err
+		return err
+	}
 	return nil
 }
 
 // swapMembership starts a fresh incarnation of the engine at n workers: the
 // one way worker state is ever replaced, shared by Resize (n is the new
-// width) and recoverStep (n is the current one). The transport opens a new
+// width) and recoverFrom (n is the current one). The transport opens a new
 // epoch — clearing abort poison, stale frames and any dead endpoint — and
 // every worker comes back zeroed, to be filled by restoreImage. Placement and
 // partition are pure functions of (graph, n), so they change only when n does:

@@ -226,7 +226,7 @@ func resyncRound(t *testing.T, workers int) uint32 {
 // runResizeFault runs BFS from a w-worker engine under plan, resizing to n
 // after superstep 2, and checks the result. A short drain deadline turns a
 // killed worker into a failed round quickly; checkpointing gives recovery an
-// image.
+// image, and Run recovers a failed resize by re-running the program.
 func runResizeFault(t *testing.T, workers, n int, plan comm.FaultPlan) (*Engine[bfsProps], *countingTransport) {
 	t.Helper()
 	g := resizeFaultGraph()
@@ -239,13 +239,19 @@ func runResizeFault(t *testing.T, workers, n int, plan comm.FaultPlan) (*Engine[
 		DrainTimeout:    200 * time.Millisecond,
 		FaultPlan:       &plan,
 	})
-	got := resizeBFS(t, e, 0, func(step int) {
-		if step == 2 {
-			if err := e.Resize(n); err != nil {
-				t.Fatalf("resize: %v", err)
+	var got []int32
+	if _, err := e.Run(func() error {
+		got = resizeBFS(t, e, 0, func(step int) {
+			if step == 2 {
+				if err := e.Resize(n); err != nil {
+					t.Fatalf("resize: %v", err)
+				}
 			}
-		}
-	})
+		})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	checkBFS(t, got, seqBFS(g, 0), "faulted resize run")
 	if e.Workers() != n {
 		t.Fatalf("workers=%d want %d", e.Workers(), n)

@@ -29,10 +29,14 @@ type anyEngine interface{ engineTag() }
 
 func (e *Engine[V]) engineTag() {}
 
-func (e *Engine[V]) newSubset() *Subset {
-	s := &Subset{owner: e, local: make([]*bitset.Bitset, e.cfg.Workers), epoch: e.memberEpoch}
-	for w := 0; w < e.cfg.Workers; w++ {
-		s.local[w] = bitset.New(e.place.LocalCount(w))
+func (e *Engine[V]) newSubset() *Subset { return e.subsetAt(e.memberEpoch) }
+
+// subsetAt returns an empty subset laid out under membership epoch.
+func (e *Engine[V]) subsetAt(epoch int) *Subset {
+	place := e.placeHist[epoch]
+	s := &Subset{owner: e, local: make([]*bitset.Bitset, place.Workers()), epoch: epoch}
+	for w := range s.local {
+		s.local[w] = bitset.New(place.LocalCount(w))
 	}
 	return s
 }

@@ -46,14 +46,14 @@ type Counters struct {
 	Bytes      uint64
 
 	// Robustness counters (fault-tolerant runtime): Recoveries counts
-	// checkpoint rollbacks + replays; Checkpoints counts snapshots taken at
-	// superstep barriers.
+	// checkpoint restores; Checkpoints counts snapshots taken at superstep
+	// barriers.
 	Recoveries  uint64
 	Checkpoints uint64
 	// Restarts counts recoveries caused by a permanent worker loss;
 	// CheckpointBytes is the total encoded checkpoint payload handed to the
 	// store; RecoveryTime is the wall time spent inside recovery (membership
-	// swap, restore, replay).
+	// swap and restore; the re-run that follows is ordinary superstep time).
 	Restarts        uint64
 	CheckpointBytes uint64
 	RecoveryTime    time.Duration
@@ -137,7 +137,7 @@ func (col *Collector) AddTraffic(messages, bytes uint64) {
 	col.mu.Unlock()
 }
 
-// AddRecoveries records n checkpoint rollback+replay recoveries.
+// AddRecoveries records n checkpoint restores.
 func (col *Collector) AddRecoveries(n uint64) {
 	col.mu.Lock()
 	col.Recoveries += n
