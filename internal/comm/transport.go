@@ -79,9 +79,14 @@ type frame struct {
 // and poisoning. There is exactly one consumer per mailbox.
 type mailbox struct {
 	mu    sync.Mutex
-	queue []frame
+	queue []frame // queue[head:] is pending; emptied, it rewinds to [:0]
+	head  int
 	err   error
 	sig   chan struct{} // capacity 1: "state changed" wakeup
+
+	// timer is the consumer's receive deadline, created on the first
+	// blocking wait and re-armed by later ones, so a round allocates none.
+	timer *time.Timer
 }
 
 func newMailbox() *mailbox {
@@ -122,36 +127,55 @@ func (m *mailbox) failed() error {
 // pop dequeues the next frame, waiting up to timeout for one to arrive
 // (timeout 0 waits forever). Poisoning takes precedence over queued frames.
 func (m *mailbox) pop(timeout time.Duration) (frame, error) {
-	var timer *time.Timer
 	var timeC <-chan time.Time
 	for {
 		m.mu.Lock()
 		if m.err != nil {
 			err := m.err
 			m.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
+			if timeC != nil {
+				m.stopTimer()
 			}
 			return frame{}, err
 		}
-		if len(m.queue) > 0 {
-			f := m.queue[0]
-			m.queue = m.queue[1:]
+		if m.head < len(m.queue) {
+			f := m.queue[m.head]
+			m.queue[m.head] = frame{}
+			m.head++
+			if m.head == len(m.queue) {
+				m.queue, m.head = m.queue[:0], 0
+			}
 			m.mu.Unlock()
-			if timer != nil {
-				timer.Stop()
+			if timeC != nil {
+				m.stopTimer()
 			}
 			return f, nil
 		}
 		m.mu.Unlock()
 		if timeC == nil && timeout > 0 {
-			timer = time.NewTimer(timeout)
-			timeC = timer.C
+			if m.timer == nil {
+				m.timer = time.NewTimer(timeout)
+			} else {
+				m.timer.Reset(timeout)
+			}
+			timeC = m.timer.C
 		}
 		select {
 		case <-m.sig:
-		case <-timeC:
+		case <-timeC: // the tick is consumed, so the timer needs no drain
 			return frame{}, ErrPeerStalled
+		}
+	}
+}
+
+// stopTimer disarms the receive deadline. A tick that fired unread is drained
+// so the next Reset cannot see it, whichever timer semantics the building
+// module selects.
+func (m *mailbox) stopTimer() {
+	if !m.timer.Stop() {
+		select {
+		case <-m.timer.C:
+		default:
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 
 	"flash/graph"
-	"flash/internal/bitset"
 	"flash/internal/partition"
 )
 
@@ -155,7 +154,7 @@ func (w *worker[V]) beginDenseBlocks() {
 // reading another source's block), which is counted, not an error.
 //
 //flash:hotpath
-func (w *worker[V]) planSparseBlocks(membership *bitset.Bitset) {
+func (w *worker[V]) planSparseBlocks(membership *members) {
 	if w.bcache == nil {
 		return
 	}
@@ -163,7 +162,7 @@ func (w *worker[V]) planSparseBlocks(membership *bitset.Bitset) {
 	place := w.eng.place
 	w.resOut.Reset()
 	w.resIn.Reset()
-	membership.Range(func(l int) bool {
+	membership.each(func(l int) bool {
 		gid := place.GlobalID(w.id, l)
 		w.resOut.Set(bg.OutBlockOf(gid))
 		w.resIn.Set(bg.InBlockOf(gid))

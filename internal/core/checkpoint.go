@@ -215,6 +215,7 @@ func (e *Engine[V]) execStep(frontier int, exec func(out *Subset) error) *Subset
 			e.abort(err)
 		}
 		out.recount()
+		e.debugCheckBoundary(out)
 		return out
 	}
 	out := e.newSubset()
@@ -226,6 +227,7 @@ func (e *Engine[V]) execStep(frontier int, exec func(out *Subset) error) *Subset
 		e.fail(err)
 	}
 	out.recount()
+	e.debugCheckBoundary(out)
 	if e.logging() {
 		e.logOutcome(logKindStep, e.encodeStepRecord(out))
 		e.stepsSince++

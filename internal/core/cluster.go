@@ -122,15 +122,15 @@ func (e *Engine[V]) initCluster() error {
 
 // shareStepOutput is the control round that replicates the superstep's
 // output subset across the fleet: each process broadcasts its resident's
-// bits as one frontier frame and ORs the peers' frames in, so every process
-// ends the superstep with the identical subset (sizes, densities and
-// termination tests then agree everywhere).
+// members as one frontier frame and ORs the peers' frames into their
+// bitmaps, so every process ends the superstep with the identical subset
+// (sizes, densities and termination tests then agree everywhere).
 func (e *Engine[V]) shareStepOutput(out *Subset) error {
 	if e.cfg.Workers == 1 {
 		return nil
 	}
 	w := e.workers[e.resident]
-	if len(w.encodeFrame(out.local[e.resident].Words())) > 0 {
+	if len(w.encodeMembers(&out.local[e.resident])) > 0 {
 		for to := 0; to < e.cfg.Workers; to++ {
 			if to == e.resident {
 				continue
@@ -150,7 +150,7 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 		if from == w.id || frameErr != nil {
 			return
 		}
-		if err := decodeFrontier(data, out.local[from].Words()); err != nil {
+		if err := decodeFrontier(data, out.local[from].bitmap().Words()); err != nil {
 			frameErr = err
 		}
 	})
@@ -169,11 +169,12 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 // encodeStepRecord serializes a superstep's output subset (in cluster mode
 // the fully-replicated one), which must be laid out under the current
 // membership: each worker's frame is encoded into its reused fenc scratch,
-// so the record is allocated once, at its final size.
+// so the record is allocated once, at its final size. The bytes do not
+// depend on which form a worker's members are in.
 func (e *Engine[V]) encodeStepRecord(out *Subset) []byte {
 	size := 0
 	for wi, w := range e.workers {
-		size += binary.MaxVarintLen64 + len(w.encodeFrame(out.local[wi].Words()))
+		size += binary.MaxVarintLen64 + len(w.encodeMembers(&out.local[wi]))
 	}
 	buf := make([]byte, 0, size)
 	for _, w := range e.workers {
@@ -197,7 +198,7 @@ func (e *Engine[V]) decodeStepRecord(payload []byte, out *Subset) error {
 		if n == 0 {
 			continue
 		}
-		if err := decodeFrontier(payload[off:off+int(n)], out.local[wi].Words()); err != nil {
+		if err := decodeFrontier(payload[off:off+int(n)], out.local[wi].bitmap().Words()); err != nil {
 			return fmt.Errorf("core: step record, worker %d: %w", wi, err)
 		}
 		off += int(n)

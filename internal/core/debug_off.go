@@ -2,8 +2,10 @@
 
 package core
 
-// debugChecks is off in release builds: the sampling in syncMasters and the
-// coherence check compile away.
+// debugChecks is off in release builds: the sampling in syncMasters, the
+// coherence check and the superstep-boundary check compile away.
 const debugChecks = false
 
 func (w *worker[V]) debugCheckMirrorSamples([]debugSample) {}
+
+func (e *Engine[V]) debugCheckBoundary(*Subset) {}

@@ -45,3 +45,39 @@ func (w *worker[V]) debugCheckMirrorSamples(samples []debugSample) {
 		}
 	}
 }
+
+// debugCheckBoundary asserts the invariants of the two subset forms at a
+// superstep boundary: every list share of the step's output is strictly
+// ascending, below its worker's LocalCount and within listMax, and every
+// worker this process computes has empty sparse-kernel state — acc[0].set,
+// pendSet and both touched lists — since a sparse step clears what it
+// touched instead of resetting the bitmaps up front.
+func (e *Engine[V]) debugCheckBoundary(out *Subset) {
+	place := e.placeHist[out.epoch]
+	for wi := range out.local {
+		m := &out.local[wi]
+		if m.n != place.LocalCount(wi) {
+			panic(fmt.Sprintf("flashdebug: worker %d subset share sized %d, LocalCount is %d", wi, m.n, place.LocalCount(wi)))
+		}
+		if m.bits != nil {
+			continue
+		}
+		if len(m.list) > listMax(m.n) {
+			panic(fmt.Sprintf("flashdebug: worker %d subset list holds %d members, crossover is %d", wi, len(m.list), listMax(m.n)))
+		}
+		for i, l := range m.list {
+			if l < 0 || int(l) >= m.n || (i > 0 && l <= m.list[i-1]) {
+				panic(fmt.Sprintf("flashdebug: worker %d subset list entry %d = %d is out of order or range [0,%d)", wi, i, l, m.n))
+			}
+		}
+	}
+	for _, w := range e.workers {
+		if w.cur == nil {
+			continue // cluster shell: its state lives in a peer process
+		}
+		if !w.acc[0].set.Empty() || !w.pendSet.Empty() || len(w.accList) != 0 || len(w.pendList) != 0 || w.accOver || w.pendOver {
+			panic(fmt.Sprintf("flashdebug: worker %d sparse-kernel state not empty at a superstep boundary (acc %d, pend %d, lists %d/%d)",
+				w.id, w.acc[0].set.Count(), w.pendSet.Count(), len(w.accList), len(w.pendList)))
+		}
+	}
+}

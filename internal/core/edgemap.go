@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"flash/graph"
@@ -76,7 +77,7 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 	sum := U.Size()
 	for _, w := range e.workers {
 		w := w
-		U.local[w.id].Range(func(l int) bool {
+		U.local[w.id].each(func(l int) bool {
 			sum += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
 			return sum <= budget
 		})
@@ -92,6 +93,11 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 // H-out-edges; per-target partials are reduced locally, shipped to the
 // target's master, reduced again with the current value, applied, and the
 // final values are synchronized back to mirrors. Two exchange rounds.
+//
+// A step costs its frontier and its pushed edges: the accumulator and the
+// pending set record the slots they gain in accList/pendList, and phases 2
+// and 3 walk, apply and clear only those, emitting the output as a list. A
+// step that overflows a list (see listMax) scans the bitmap words instead.
 //
 //flash:hotpath
 //flash:deterministic
@@ -112,7 +118,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
 		return e.parallelWorkers(func(w *worker[V]) error {
-			membership := U.local[w.id]
+			membership := &U.local[w.id]
 			// Out-of-core: plan the sparse superstep's block working set from
 			// the frontier before any edge is touched, and flush the cache
 			// counters into the metric shard however the step ends.
@@ -124,11 +130,12 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// physical set is a local master or mirror; virtual sets run
 			// under FullMirrors where every vertex is resident) — no locks on
 			// the per-edge path. The push closure is hoisted out of the
-			// source loop (one allocation per chunk, not per source).
-			w.acc[0].set.Reset()
+			// source loop (one allocation per chunk, not per source). Shard
+			// 0 records each slot it gains in accList.
 			w.timeBlock(metrics.Compute, func() {
 				visitor := func(thread int) func(l int) {
 					a, c := &w.acc[thread], &w.ctxs[thread]
+					track := thread == 0
 					var uv Vtx[V]
 					push := func(d graph.VID, wt float32) bool {
 						ds := w.st.Slot(d)
@@ -144,6 +151,9 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 							a.val[ds] = R(t, a.val[ds])
 						} else {
 							a.val[ds] = t
+							if track {
+								w.touchAcc(ds, d)
+							}
 						}
 						return true
 					}
@@ -162,10 +172,10 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				// graphs only forced-push workloads ever materialize the
 				// extra shards.
 				parallel := false
-				if e.cfg.Threads > 1 && U.Size()*16 >= membership.Cap() {
+				if e.cfg.Threads > 1 && U.Size()*16 >= membership.n {
 					floor := w.st.SlotCount()
 					work := 0
-					membership.Range(func(l int) bool {
+					membership.each(func(l int) bool {
 						work += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
 						return work < floor
 					})
@@ -173,60 +183,44 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				}
 				if !parallel {
 					f := visitor(0)
-					membership.Range(func(l int) bool {
+					membership.each(func(l int) bool {
 						f(l)
 						return true
 					})
-				} else {
-					w.ensureAccShards()
-					w.parforT(membership.Cap(), func(t, lo, hi int) {
+					return
+				}
+				// Shards 1.. record nothing, so phase 2 scans the words.
+				w.accOver = true
+				w.ensureAccShards()
+				if bits := membership.bits; bits != nil {
+					w.parforT(bits.Cap(), func(t, lo, hi int) {
 						f := visitor(t)
 						for l := lo; l < hi; l++ {
-							if membership.Test(l) {
+							if bits.Test(l) {
 								f(l)
 							}
 						}
 					})
-					w.mergeAcc(R)
+				} else {
+					list := membership.list
+					w.parforT(len(list), func(t, lo, hi int) {
+						f := visitor(t)
+						for _, l := range list[lo:hi] {
+							f(int(l))
+						}
+					})
 				}
+				w.mergeAcc(R)
 			})
 
 			// Phase 2: route partials to target masters (exchange round 1).
 			// The master region of the slot space folds locally (slot ==
-			// local index); the mirror region walks the mirror bitmap in
-			// ascending gid order, so every destination's frame carries
-			// sorted vids: message bytes are deterministic and the delta
-			// encoding stays tight.
-			w.pendSet.Reset()
+			// local index); mirrors ship in ascending slot — hence gid —
+			// order, so every destination's frame carries sorted vids:
+			// message bytes are deterministic and the delta encoding stays
+			// tight. Both walks leave the accumulator empty.
 			sstart := time.Now()
-			msgs := 0
-			var sendErr error
-			acc := &w.acc[0]
-			masters := w.st.MasterCount()
-			accWords := acc.set.Words()
-			foldWord := func(word uint64, base int) {
-				for word != 0 {
-					l := base + bits.TrailingZeros64(word)
-					word &= word - 1
-					w.foldPend(l, &acc.val[l], R)
-				}
-			}
-			for wi := 0; wi < masters>>6; wi++ {
-				foldWord(accWords[wi], wi<<6)
-			}
-			if rem := masters & 63; rem != 0 {
-				foldWord(accWords[masters>>6]&(1<<rem-1), masters&^63)
-			}
-			w.st.RangeMirrors(func(ds int, gid graph.VID) bool {
-				if !acc.set.Test(ds) {
-					return true
-				}
-				if sendErr = w.appendKV(e.place.Owner(gid), gid, &acc.val[ds]); sendErr != nil {
-					return false
-				}
-				msgs++
-				return true
-			})
+			msgs, sendErr := w.routeAcc(R)
 			w.met.Add(metrics.Serialization, time.Since(sstart))
 			w.met.AddTraffic(uint64(msgs), 0)
 			if sendErr != nil {
@@ -244,15 +238,30 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				return err
 			}
 
-			// Phase 3: masters apply the reduction against current values,
-			// in parallel over 64-aligned chunks (distinct local indices map
-			// to distinct masters, so cur writes never collide).
-			outBits := out.local[w.id]
+			// Phase 3: masters apply the reduction against current values and
+			// leave the pending set empty: the touched masters in ascending
+			// order into a list output, or, past the crossover, in parallel
+			// over 64-aligned chunks of the pending words into a bitmap
+			// (distinct local indices map to distinct masters, so cur writes
+			// never collide).
+			o := &out.local[w.id]
 			w.timeBlock(metrics.Compute, func() {
+				if !w.pendOver {
+					slices.Sort(w.pendList)
+					for _, l := range w.pendList {
+						w.pendSet.Clear(int(l))
+						w.cur[l] = R(w.pendVal[l], w.cur[l])
+					}
+					o.list = append(newList(len(w.pendList)), w.pendList...)
+					w.pendList = w.pendList[:0]
+					return
+				}
+				outBits := o.bitmap()
 				pendWords := w.pendSet.Words()
 				w.parfor(w.pendSet.Cap(), func(lo, hi int) {
 					for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 						word := pendWords[wi]
+						pendWords[wi] = 0
 						base := wi << 6
 						for word != 0 {
 							l := base + bits.TrailingZeros64(word)
@@ -262,15 +271,91 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 						}
 					}
 				})
+				w.pendList, w.pendOver = w.pendList[:0], false
 			})
 
 			// Exchange round 2: broadcast finals to mirrors.
 			if scope != scopeNone {
-				return w.syncMasters(w.pendSet, scope)
+				return w.syncMasters(o, scope)
 			}
 			return nil
 		})
 	})
+}
+
+// touchAcc records a slot newly set in shard 0 while accList has room; past
+// it the step falls back to scanning the words.
+//
+//flash:hotpath
+//flash:phase(compute)
+func (w *worker[V]) touchAcc(slot int, gid graph.VID) {
+	n := len(w.accList)
+	if n == cap(w.accList) {
+		w.accOver = true
+		return
+	}
+	w.accList = w.accList[:n+1]
+	w.accList[n] = uint64(slot)<<32 | uint64(gid)
+}
+
+// routeAcc is phase 2's local half: it folds every accumulated master
+// partial into the pending set and appends every mirror partial to its
+// owner's frame, in ascending slot order, clearing the accumulator as it
+// goes. It walks accList sorted, or past the crossover the master words and
+// the mirror table, and returns the number of partials shipped.
+//
+//flash:hotpath
+//flash:deterministic
+func (w *worker[V]) routeAcc(R EdgeR[V]) (int, error) {
+	e := w.eng
+	acc := &w.acc[0]
+	masters := w.st.MasterCount()
+	msgs := 0
+	var sendErr error
+	if !w.accOver {
+		slices.Sort(w.accList)
+		for _, t := range w.accList {
+			ds, gid := int(t>>32), graph.VID(uint32(t))
+			acc.set.Clear(ds)
+			if ds < masters {
+				w.foldPend(ds, &acc.val[ds], R)
+				continue
+			}
+			if sendErr = w.appendKV(e.place.Owner(gid), gid, &acc.val[ds]); sendErr != nil {
+				break
+			}
+			msgs++
+		}
+		w.accList = w.accList[:0]
+		return msgs, sendErr
+	}
+	accWords := acc.set.Words()
+	foldWord := func(word uint64, base int) {
+		for word != 0 {
+			l := base + bits.TrailingZeros64(word)
+			word &= word - 1
+			w.foldPend(l, &acc.val[l], R)
+		}
+	}
+	for wi := 0; wi < masters>>6; wi++ {
+		foldWord(accWords[wi], wi<<6)
+	}
+	if rem := masters & 63; rem != 0 {
+		foldWord(accWords[masters>>6]&(1<<rem-1), masters&^63)
+	}
+	w.st.RangeMirrors(func(ds int, gid graph.VID) bool {
+		if !acc.set.Test(ds) {
+			return true
+		}
+		if sendErr = w.appendKV(e.place.Owner(gid), gid, &acc.val[ds]); sendErr != nil {
+			return false
+		}
+		msgs++
+		return true
+	})
+	acc.set.Reset()
+	w.accList, w.accOver = w.accList[:0], false
+	return msgs, sendErr
 }
 
 // mergeAcc folds the phase-1 shards of threads 1.. into shard 0, parallel
@@ -312,17 +397,25 @@ func (w *worker[V]) mergeAcc(R EdgeR[V]) {
 	})
 }
 
-// foldPend merges an incoming partial for local master l. It copies the
-// value, so callers may pass pointers into decode scratch or accumulators.
+// foldPend merges an incoming partial for local master l, recording a newly
+// pending master in pendList while it has room. It copies the value, so
+// callers may pass pointers into decode scratch or accumulators.
 //
 //flash:hotpath
 //flash:phase(compute)
 func (w *worker[V]) foldPend(l int, val *V, R EdgeR[V]) {
 	if w.pendSet.TestAndSet(l) {
 		w.pendVal[l] = R(*val, w.pendVal[l])
-	} else {
-		w.pendVal[l] = *val
+		return
 	}
+	w.pendVal[l] = *val
+	n := len(w.pendList)
+	if n == cap(w.pendList) {
+		w.pendOver = true
+		return
+	}
+	w.pendList = w.pendList[:n+1]
+	w.pendList[n] = int32(l)
 }
 
 // EdgeMapDense is the pull kernel (paper Algorithm 5): after broadcasting
@@ -354,9 +447,8 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 				return err
 			}
 
-			outBits := out.local[w.id]
-			updated := w.nextSet
-			updated.Reset()
+			o := &out.local[w.id]
+			outBits := o.bitmap()
 			w.timeBlock(metrics.Compute, func() {
 				w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
 					c := &w.ctxs[t]
@@ -389,15 +481,14 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 						H.In(c, gid, pull)
 						if applied {
 							w.next[l] = work
-							updated.Set(l)
 							outBits.Set(l)
 						}
 					}
 				})
-				w.publishNext(updated)
+				w.publishNext(o)
 			})
 			if scope != scopeNone {
-				return w.syncMasters(updated, scope)
+				return w.syncMasters(o, scope)
 			}
 			return nil
 		})
@@ -427,6 +518,24 @@ func (w *worker[V]) encodeFrame(words []uint64) []byte {
 	w.fenc = w.fenc[:0]
 	if hi > lo {
 		w.fenc = encodeFrontier(w.fenc, words, lo, hi)
+	}
+	return w.fenc
+}
+
+// encodeMembers encodes one worker's members as a frontier frame of local
+// indices into the worker's fenc scratch, left empty for an empty set, and
+// returns it. A list encodes straight into the frame encodeFrame would pick
+// for the same members as a bitmap, byte for byte.
+//
+//flash:hotpath
+//flash:deterministic
+func (w *worker[V]) encodeMembers(m *members) []byte {
+	if m.bits != nil {
+		return w.encodeFrame(m.bits.Words())
+	}
+	w.fenc = w.fenc[:0]
+	if len(m.list) > 0 {
+		w.fenc = encodeFrontierList(w.fenc, m.list)
 	}
 	return w.fenc
 }
@@ -475,6 +584,44 @@ func encodeFrontier(scratch []byte, words []uint64, lo, hi int) []byte {
 		var b [8]byte
 		binary.LittleEndian.PutUint64(b[:], wd)
 		scratch = append(scratch, b[:]...)
+	}
+	return scratch
+}
+
+// encodeFrontierList is encodeFrontier for a non-empty strictly ascending
+// list: the word span runs from the first member's word to the last one's,
+// and the frame is the smaller of the same two layouts, so the bytes equal
+// those of the list's bitmap.
+//
+//flash:hotpath
+//flash:deterministic
+func encodeFrontierList(scratch []byte, list []int32) []byte {
+	lo, hi := int(list[0])>>6, int(list[len(list)-1])>>6+1
+	denseSize := 5 + 8*(hi-lo)
+	scratch = append(scratch[:0], frontierSparse)
+	scratch = binary.AppendUvarint(scratch, uint64(len(list)))
+	prev := -1
+	for _, v := range list {
+		if len(scratch) >= denseSize {
+			break
+		}
+		if prev < 0 {
+			scratch = binary.AppendUvarint(scratch, uint64(v))
+		} else {
+			scratch = binary.AppendUvarint(scratch, uint64(int(v)-prev))
+		}
+		prev = int(v)
+	}
+	if int(list[len(list)-1]) == prev && len(scratch) < denseSize {
+		return scratch
+	}
+	scratch = append(scratch[:0], frontierDense, 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(scratch[1:], uint32(lo))
+	scratch = append(scratch, make([]byte, 8*(hi-lo))...)
+	span := scratch[5:]
+	for _, v := range list {
+		off := int(v) - lo<<6
+		span[off>>3] |= 1 << (off & 7)
 	}
 	return scratch
 }
@@ -547,7 +694,7 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 	e := w.eng
 	sstart := time.Now()
 	w.frontier.Reset()
-	U.local[w.id].Range(func(l int) bool {
+	U.local[w.id].each(func(l int) bool {
 		w.frontier.Set(int(e.place.GlobalID(w.id, l)))
 		return true
 	})

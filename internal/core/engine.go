@@ -336,10 +336,9 @@ type worker[V any] struct {
 	// instead of O(|V|).
 	cur []V //flash:slot-indexed
 
-	// next holds next states for local masters (by local index == slot),
-	// created lazily per superstep; nextSet marks which are populated.
-	next    []V //flash:slot-indexed
-	nextSet *bitset.Bitset
+	// next holds next states for local masters (by local index == slot); the
+	// step's output members mark which are populated.
+	next []V //flash:slot-indexed
 
 	// acc holds the sparse-kernel accumulators over the slot space (the
 	// push-target universe: every push target is a local master or mirror),
@@ -356,6 +355,17 @@ type worker[V any] struct {
 	// index) during the sparse exchange.
 	pendVal []V //flash:slot-indexed
 	pendSet *bitset.Bitset
+
+	// accList and pendList record, in touch order, the slots acc[0].set and
+	// the masters pendSet gained this superstep — accList packs slot<<32|gid
+	// — so a sparse step folds, ships, applies and clears only what it
+	// touched. Both are sized once, at listMax of their bitmap; a step that
+	// touches more sets accOver/pendOver and falls back to scanning the
+	// words. Both bitmaps and lists are empty at every superstep boundary.
+	accList  []uint64
+	pendList []int32
+	accOver  bool
+	pendOver bool
 
 	// frontier is this worker's copy of the global frontier bitmap used by
 	// the dense kernel; fenc is the reused frontier-frame encode scratch.
@@ -493,10 +503,11 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		st:       st,
 		cur:      make([]V, st.SlotCount()),
 		next:     make([]V, place.LocalCount(wi)),
-		nextSet:  bitset.New(place.LocalCount(wi)),
 		acc:      make([]accShard[V], cfg.Threads),
 		pendVal:  make([]V, place.LocalCount(wi)),
 		pendSet:  bitset.New(place.LocalCount(wi)),
+		accList:  make([]uint64, 0, listMax(st.SlotCount())),
+		pendList: make([]int32, 0, listMax(place.LocalCount(wi))),
 		frontier: bitset.New(n),
 		outKV:    make([]comm.KVWriter[V], workers),
 		met:      metrics.New(),
@@ -812,15 +823,22 @@ func (w *worker[V]) parforT(total int, f func(t, lo, hi int)) {
 }
 
 // publishNext copies the buffered next states of the updated masters into
-// cur, parallel over 64-aligned chunks (distinct local indices map to
-// distinct masters, so the writes never collide). A master's slot is its
-// local index, so no id translation is needed.
+// cur: a list in one pass, a bitmap in parallel over 64-aligned chunks
+// (distinct local indices map to distinct masters, so the writes never
+// collide). A master's slot is its local index, so no id translation is
+// needed.
 //
 //flash:hotpath
 //flash:phase(sync)
-func (w *worker[V]) publishNext(updated *bitset.Bitset) {
-	words := updated.Words()
-	w.parfor(updated.Cap(), func(lo, hi int) {
+func (w *worker[V]) publishNext(updated *members) {
+	if updated.bits == nil {
+		for _, l := range updated.list {
+			w.cur[l] = w.next[l]
+		}
+		return
+	}
+	words := updated.bits.Words()
+	w.parfor(updated.n, func(lo, hi int) {
 		for wi := lo >> 6; wi < (hi+63)>>6; wi++ {
 			word := words[wi]
 			base := wi << 6
@@ -850,22 +868,23 @@ func (w *worker[V]) ensureAccShards() {
 }
 
 // forEachMember visits the local indices in membership, choosing between a
-// thread-parallel full scan (dense frontiers) and a sequential bit-walk
-// (sparse frontiers, avoiding the O(localCount) scan). f also receives the
+// thread-parallel full scan (dense bitmaps) and a sequential walk (lists, and
+// sparse bitmaps, avoiding the O(localCount) scan). f also receives the
 // index t of the thread it runs on, for per-thread scratch such as w.ctxs[t].
 //
 //flash:amortized one parallel region per frontier sweep
-func (w *worker[V]) forEachMember(membership *bitset.Bitset, count int, f func(t, l int)) {
-	if count*16 < membership.Cap() || w.eng.cfg.Threads == 1 {
-		membership.Range(func(l int) bool {
+func (w *worker[V]) forEachMember(membership *members, count int, f func(t, l int)) {
+	bits := membership.bits
+	if bits == nil || count*16 < bits.Cap() || w.eng.cfg.Threads == 1 {
+		membership.each(func(l int) bool {
 			f(0, l)
 			return true
 		})
 		return
 	}
-	w.parforT(membership.Cap(), func(t, lo, hi int) {
+	w.parforT(bits.Cap(), func(t, lo, hi int) {
 		for l := lo; l < hi; l++ {
-			if membership.Test(l) {
+			if bits.Test(l) {
 				f(t, l)
 			}
 		}
@@ -943,12 +962,13 @@ func (w *worker[V]) timeBlock(cat metrics.Category, f func()) {
 
 // StateBytes returns the resident per-worker property-state footprint, summed
 // over all workers: the slot-indexed current-state arrays, next/pending
-// master buffers, every materialized accumulator shard, the per-step bitsets,
-// and the slot tables' auxiliary rank/gid structures. Transient frame
-// buffers (pool-backed) and the shared topology are excluded. The bench
-// suite's state_bytes_per_vertex metric and its regression guard are built
-// on this accounting, which is deterministic for a fixed graph and
-// configuration — unlike a live-heap sample, it cannot flake with GC timing.
+// master buffers, every materialized accumulator shard, the per-step bitsets
+// and touched lists, and the slot tables' auxiliary rank/gid structures.
+// Transient frame buffers (pool-backed) and the shared topology are
+// excluded. The bench suite's state_bytes_per_vertex metric and its
+// regression guard are built on this accounting, which is deterministic for
+// a fixed graph and configuration — unlike a live-heap sample, it cannot
+// flake with GC timing.
 func (e *Engine[V]) StateBytes() uint64 {
 	vsz := uint64(unsafe.Sizeof(*new(V)))
 	bitsetBytes := func(b *bitset.Bitset) uint64 { return uint64(len(b.Words())) * 8 }
@@ -965,7 +985,8 @@ func (e *Engine[V]) StateBytes() uint64 {
 				total += uint64(cap(w.acc[t].val))*vsz + bitsetBytes(w.acc[t].set)
 			}
 		}
-		total += bitsetBytes(w.nextSet) + bitsetBytes(w.pendSet) + bitsetBytes(w.frontier)
+		total += bitsetBytes(w.pendSet) + bitsetBytes(w.frontier)
+		total += uint64(cap(w.accList))*8 + uint64(cap(w.pendList))*4
 		total += w.st.AuxBytes()
 	}
 	return total

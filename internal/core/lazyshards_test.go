@@ -43,15 +43,21 @@ func TestLazyShardsStayNilForSmallFrontiers(t *testing.T) {
 // TestParallelSparsePhaseUsesShards forces a push step over the full vertex
 // set of a dense graph — edge work far above the slot-count floor — and
 // checks the parallel phase 1 engages (shards materialize) and still reduces
-// to the right answer.
+// to the right answer, over a bitmap-form and a list-form frontier.
 func TestParallelSparsePhaseUsesShards(t *testing.T) {
+	for _, form := range []string{"bits", "list"} {
+		t.Run(form, func(t *testing.T) { parallelSparsePhase(t, form) })
+	}
+}
+
+func parallelSparsePhase(t *testing.T, form string) {
 	g := graph.GenRMAT(1024, 1024*16, 3)
 	e := mustEngine(t, g, Config{Workers: 2, Threads: 4})
 	e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: inf} }, StepOpts{})
 	e.Set(0, bfsProps{Dis: 0})
 	// min-reduce of source ids over every edge: each target ends up with the
 	// smallest in-neighbor id, checkable against the graph directly.
-	out := e.EdgeMapSparse(e.All(), BaseE[bfsProps](), nil,
+	out := e.EdgeMapSparse(formed(e, form, e.IDs(e.All())), BaseE[bfsProps](), nil,
 		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: int32(s.ID)} },
 		nil,
 		func(tv, cur bfsProps) bfsProps {

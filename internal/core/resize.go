@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"flash/internal/bitset"
 	"flash/internal/partition"
 )
 
@@ -108,9 +107,9 @@ func (e *Engine[V]) swapMembership(n int) error {
 func (e *Engine[V]) resyncMirrors() error {
 	scope := e.scopeFor(true, false)
 	return e.parallelWorkers(func(w *worker[V]) error {
-		all := bitset.New(e.place.LocalCount(w.id))
-		all.Fill()
-		return w.syncMasters(all, scope)
+		all := members{n: e.place.LocalCount(w.id)}
+		all.bitmap().Fill()
+		return w.syncMasters(&all, scope)
 	})
 }
 

@@ -105,20 +105,21 @@ func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 // of the engine with the same scope, even when a worker updated nothing.
 //
 // With Threads > 1 the encode fans out over per-(thread, destination) frames
-// along 64-aligned chunks of the local index space and the frames are sent
-// in fixed (destination, thread) order after the scan, so the per-receiver
-// byte stream stays deterministic; BatchBytes overlap applies only to the
-// sequential path.
+// along 64-aligned chunks of the local index space — over the bitmap form,
+// which a list is converted to — and the frames are sent in fixed
+// (destination, thread) order after the scan, so the per-receiver byte
+// stream stays deterministic; BatchBytes overlap applies only to the
+// sequential path, which walks either form.
 //
 //flash:hotpath
 //flash:deterministic
 //flash:phase(sync)
-func (w *worker[V]) syncMasters(updated *bitset.Bitset, scope syncScope) error {
+func (w *worker[V]) syncMasters(updated *members, scope syncScope) error {
 	e := w.eng
 	if scope != scopeNone {
 		var err error
 		if e.cfg.Threads > 1 {
-			err = w.encodeSyncParallel(updated, scope)
+			err = w.encodeSyncParallel(updated.bitmap(), scope)
 		} else {
 			err = w.encodeSyncSeq(updated, scope)
 		}
@@ -174,12 +175,12 @@ const debugSampleCap = 64
 //flash:hotpath
 //flash:deterministic
 //flash:phase(sync)
-func (w *worker[V]) encodeSyncSeq(updated *bitset.Bitset, scope syncScope) error {
+func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 	e := w.eng
 	sstart := time.Now()
 	msgs := 0
 	var sendErr error
-	updated.Range(func(l int) bool {
+	updated.each(func(l int) bool {
 		gid := e.place.GlobalID(w.id, l)
 		if scope == scopeBroadcast {
 			for to := 0; to < e.cfg.Workers; to++ {

@@ -18,7 +18,9 @@ type StepOpts struct {
 // paper's CTRUE; a nil M leaves values unchanged (filter semantics).
 //
 // Each VertexMap is one superstep: local computation followed by mirror
-// synchronization of updated masters (unless opts.NoSync).
+// synchronization of updated masters (unless opts.NoSync). The output is a
+// subset of U, so a worker holding U as a list emits a list; with M non-nil
+// the output is also exactly the set of updated masters.
 //
 //flash:hotpath
 func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, opts StepOpts) *Subset {
@@ -26,10 +28,8 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(true, opts.NoSync || M == nil)
 		return e.parallelWorkers(func(w *worker[V]) error {
-			membership := U.local[w.id]
-			outBits := out.local[w.id]
-			updated := w.nextSet
-			updated.Reset()
+			membership, o := &U.local[w.id], &out.local[w.id]
+			o.shapeLike(membership)
 			w.timeBlock(metrics.Compute, func() {
 				w.forEachMember(membership, U.Size(), func(_, l int) {
 					gid := e.place.GlobalID(w.id, l)
@@ -39,13 +39,12 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 					}
 					if M != nil {
 						w.cur[l] = M(v)
-						updated.Set(l)
 					}
-					outBits.Set(l)
+					o.add(l)
 				})
 			})
 			if scope != scopeNone {
-				return w.syncMasters(updated, scope)
+				return w.syncMasters(o, scope)
 			}
 			return nil
 		})
@@ -64,10 +63,8 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(true, opts.NoSync || M == nil)
 		return e.parallelWorkers(func(w *worker[V]) error {
-			membership := U.local[w.id]
-			outBits := out.local[w.id]
-			updated := w.nextSet
-			updated.Reset()
+			membership, o := &U.local[w.id], &out.local[w.id]
+			o.shapeLike(membership)
 			// A callback may iterate an out-of-core edge set through its Ctx;
 			// the cursors that leaves pinned are released however the step ends.
 			defer w.flushBlockStats()
@@ -81,14 +78,15 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 					}
 					if M != nil {
 						w.next[l] = M(c, v)
-						updated.Set(l)
 					}
-					outBits.Set(l)
+					o.add(l)
 				})
-				w.publishNext(updated)
+				if M != nil {
+					w.publishNext(o)
+				}
 			})
 			if scope != scopeNone {
-				return w.syncMasters(updated, scope)
+				return w.syncMasters(o, scope)
 			}
 			return nil
 		})
