@@ -92,27 +92,69 @@ func (kw *KVWriter[V]) Take() []byte {
 
 // DecodeKV decodes every record of one KV frame, handing each (vid, value)
 // pair to apply. The value pointer is only valid during the call: apply must
-// copy the value (not the pointer) if it outlives the callback, which makes
-// the decode allocation-free for fixed-width property types.
+// copy the value (not the pointer) if it outlives the callback.
+func DecodeKV[V any](c Codec[V], data []byte, apply func(vid uint32, v *V)) error {
+	var r KVReader[V]
+	r.Init(c)
+	r.Reset(data)
+	for {
+		vid, v, ok := r.Next()
+		if !ok {
+			return r.Err()
+		}
+		apply(vid, v)
+	}
+}
+
+// KVReader decodes the records of one KV frame in order. It owns the value
+// scratch the records decode into, so a reader held across frames decodes
+// without allocating for fixed-width property types. The zero value is
+// unusable; call Init first.
+type KVReader[V any] struct {
+	codec Codec[V]
+	data  []byte
+	off   int
+	prev  uint32
+	val   V
+	err   error
+}
+
+// Init binds the reader to a codec.
+func (r *KVReader[V]) Init(c Codec[V]) { r.codec = c }
+
+// Reset starts reading frame data from its first record.
+func (r *KVReader[V]) Reset(data []byte) {
+	r.data, r.off, r.prev, r.err = data, 0, 0, nil
+}
+
+// Next decodes the next record. It returns false at the end of the frame or
+// at the first corrupt record, which Err then reports. The value pointer is
+// valid until the next call.
 //
 //flash:hotpath
-func DecodeKV[V any](c Codec[V], data []byte, apply func(vid uint32, v *V)) error {
-	var val V
-	prev := uint32(0)
-	off := 0
-	for off < len(data) {
-		vid, k, err := ReadVIDDelta(data[off:], prev)
-		if err != nil {
-			return fmt.Errorf("%w: kv frame vid at offset %d: %v", ErrCorrupt, off, err)
-		}
-		prev = vid
-		off += k
-		n, err := c.Decode(data[off:], &val)
-		if err != nil {
-			return fmt.Errorf("%w: kv frame value at offset %d: %v", ErrCorrupt, off, err)
-		}
-		off += n
-		apply(vid, &val)
+func (r *KVReader[V]) Next() (uint32, *V, bool) {
+	if r.err != nil || r.off >= len(r.data) {
+		return 0, nil, false
 	}
-	return nil
+	vid, k, err := ReadVIDDelta(r.data[r.off:], r.prev)
+	if err != nil {
+		return r.fail("vid", err)
+	}
+	r.prev = vid
+	r.off += k
+	n, err := r.codec.Decode(r.data[r.off:], &r.val)
+	if err != nil {
+		return r.fail("value", err)
+	}
+	r.off += n
+	return vid, &r.val, true
 }
+
+// fail records the corrupt record that stops Next.
+func (r *KVReader[V]) fail(what string, err error) (uint32, *V, bool) {
+	r.err = fmt.Errorf("%w: kv frame %s at offset %d: %v", ErrCorrupt, what, r.off, err)
+	return 0, nil, false
+}
+
+// Err returns the error that stopped Next early, or nil after a clean frame.
+func (r *KVReader[V]) Err() error { return r.err }

@@ -129,6 +129,18 @@ func TestPoolGate(t *testing.T) {
 	PutBuf(bn)
 }
 
+// TestPoolRecycleAllocFree pins that recycling a frame allocates nothing:
+// the pool's boxes circulate with the buffers instead of being made per Put.
+func TestPoolRecycleAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	PutBuf(GetBuf()) // warm the pool and the box free list
+	if n := testing.AllocsPerRun(100, func() { PutBuf(GetBuf()) }); n != 0 {
+		t.Fatalf("a GetBuf/PutBuf round trip allocates %.1f times, want 0", n)
+	}
+}
+
 // TestFixedCodecMatchesReflect pins the wire compatibility CodecFor relies
 // on: for flat fixed-width types the fixed and reflection codecs must emit
 // identical bytes and decode each other's output.

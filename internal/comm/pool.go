@@ -9,19 +9,27 @@ import "sync"
 // pool.
 const MinPooledCap = 1 << 12
 
-var bufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, MinPooledCap)
-		return &b
-	},
-}
+// bufPool holds recycled frames, each in a *[]byte box: a sync.Pool stores
+// interfaces, and only a pointer converts to one without allocating. The
+// boxes themselves circulate through boxPool — GetBuf empties its box into
+// boxPool and PutBuf refills one from there — so a steady stream of frames
+// recycles without allocating a box per frame.
+var (
+	bufPool = sync.Pool{
+		New: func() any {
+			b := make([]byte, 0, MinPooledCap)
+			return &b
+		},
+	}
+	boxPool sync.Pool
+)
 
 // GetBuf returns an empty frame buffer from the pool for append-style
 // encoding. Release it with PutBuf once no reader can still hold it.
 //
 //flash:hotpath
 func GetBuf() []byte {
-	return (*(bufPool.Get().(*[]byte)))[:0]
+	return takeSlice()[:0]
 }
 
 // GetBufN returns a length-n frame buffer from the pool (for index-style
@@ -29,7 +37,7 @@ func GetBuf() []byte {
 //
 //flash:hotpath
 func GetBufN(n int) []byte {
-	b := *(bufPool.Get().(*[]byte))
+	b := takeSlice()
 	if cap(b) < n {
 		putSlice(b)
 		c := n
@@ -54,6 +62,15 @@ func PutBuf(b []byte) {
 	putSlice(b)
 }
 
+// takeSlice unboxes a pooled frame and returns its empty box to boxPool.
+func takeSlice() []byte {
+	box := bufPool.Get().(*[]byte)
+	b := *box
+	*box = nil
+	boxPool.Put(box)
+	return b
+}
+
 func putSlice(b []byte) {
 	if cap(b) == 0 {
 		return
@@ -61,6 +78,10 @@ func putSlice(b []byte) {
 	if debugPoison {
 		poisonFrame(b[:cap(b)])
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	box, _ := boxPool.Get().(*[]byte)
+	if box == nil {
+		box = new([]byte)
+	}
+	*box = b[:0]
+	bufPool.Put(box)
 }

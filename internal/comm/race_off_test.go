@@ -1,0 +1,6 @@
+//go:build !race
+
+package comm
+
+// raceEnabled reports a -race build: allocation guards skip under it.
+const raceEnabled = false

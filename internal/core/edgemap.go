@@ -129,89 +129,60 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// into per-thread shards indexed by slot (every push target of a
 			// physical set is a local master or mirror; virtual sets run
 			// under FullMirrors where every vertex is resident) — no locks on
-			// the per-edge path. The push closure is hoisted out of the
-			// source loop (one allocation per chunk, not per source). Shard
-			// 0 records each slot it gains in accList.
-			w.timeBlock(metrics.Compute, func() {
-				visitor := func(thread int) func(l int) {
-					a, c := &w.acc[thread], &w.ctxs[thread]
-					track := thread == 0
-					var uv Vtx[V]
-					push := func(d graph.VID, wt float32) bool {
-						ds := w.st.Slot(d)
-						dv := w.vtxAt(d, &w.cur[ds])
-						if C != nil && !C(dv) {
-							return true
-						}
-						if F != nil && !F(uv, dv, wt) {
-							return true
-						}
-						t := M(uv, dv, wt)
-						if a.set.TestAndSet(ds) {
-							a.val[ds] = R(t, a.val[ds])
-						} else {
-							a.val[ds] = t
-							if track {
-								w.touchAcc(ds, d)
-							}
-						}
-						return true
-					}
-					return func(l int) {
-						u := e.place.GlobalID(w.id, l)
-						uv = w.vtxMaster(u, l)
-						H.Out(c, u, push)
-					}
-				}
-				// Density rule as in forEachMember, plus an edge-work floor:
-				// the parallel path materializes Threads-1 slot-sized shards
-				// and pays an O(SlotCount) merge scan per shard, so it only
-				// engages when this worker's pushed-edge work amortizes that
-				// cost. Auto-mode sparse frontiers carry at most
-				// |E|/denseThreshold edges (bigger ones go dense), so on most
-				// graphs only forced-push workloads ever materialize the
-				// extra shards.
-				parallel := false
-				if e.cfg.Threads > 1 && U.Size()*16 >= membership.n {
-					floor := w.st.SlotCount()
-					work := 0
-					membership.each(func(l int) bool {
-						work += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
-						return work < floor
-					})
-					parallel = work >= floor
-				}
-				if !parallel {
-					f := visitor(0)
-					membership.each(func(l int) bool {
-						f(l)
-						return true
-					})
-					return
-				}
+			// the per-edge path. Each thread pushes through its pusher, whose
+			// push method is bound once per worker; shard 0 records each slot
+			// it gains in accList.
+			cstart := time.Now()
+			w.bindPushers(H, F, M, C, R)
+			// Density rule as in forEachMember, plus an edge-work floor: the
+			// parallel path materializes Threads-1 slot-sized shards and pays
+			// an O(SlotCount) merge scan per shard, so it only engages when
+			// this worker's pushed-edge work amortizes that cost. Auto-mode
+			// sparse frontiers carry at most |E|/denseThreshold edges (bigger
+			// ones go dense), so on most graphs only forced-push workloads
+			// ever materialize the extra shards.
+			parallel := false
+			if e.cfg.Threads > 1 && U.Size()*16 >= membership.n {
+				floor := w.st.SlotCount()
+				work := 0
+				membership.each(func(l int) bool {
+					work += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
+					return work < floor
+				})
+				parallel = work >= floor
+			}
+			if !parallel {
+				p := &w.pushers[0]
+				membership.each(func(l int) bool {
+					p.visit(l)
+					return true
+				})
+			} else {
 				// Shards 1.. record nothing, so phase 2 scans the words.
 				w.accOver = true
 				w.ensureAccShards()
 				if bits := membership.bits; bits != nil {
 					w.parforT(bits.Cap(), func(t, lo, hi int) {
-						f := visitor(t)
+						p := &w.pushers[t]
 						for l := lo; l < hi; l++ {
 							if bits.Test(l) {
-								f(l)
+								p.visit(l)
 							}
 						}
 					})
 				} else {
 					list := membership.list
 					w.parforT(len(list), func(t, lo, hi int) {
-						f := visitor(t)
+						p := &w.pushers[t]
 						for _, l := range list[lo:hi] {
-							f(int(l))
+							p.visit(int(l))
 						}
 					})
 				}
 				w.mergeAcc(R)
-			})
+			}
+			w.bindPushers(nil, nil, nil, nil, nil)
+			w.met.Add(metrics.Compute, time.Since(cstart))
 
 			// Phase 2: route partials to target masters (exchange round 1).
 			// The master region of the slot space folds locally (slot ==
@@ -232,9 +203,10 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			if err := e.tr.EndRound(w.id); err != nil {
 				return err
 			}
-			if err := w.drainKV(func(gid graph.VID, val *V) {
-				w.foldPend(e.place.LocalIndex(gid), val, R)
-			}); err != nil {
+			w.kv.foldR = R
+			err := w.drainKV(w.kv.foldSink)
+			w.kv.foldR = nil
+			if err != nil {
 				return err
 			}
 
@@ -245,17 +217,16 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// (distinct local indices map to distinct masters, so cur writes
 			// never collide).
 			o := &out.local[w.id]
-			w.timeBlock(metrics.Compute, func() {
-				if !w.pendOver {
-					slices.Sort(w.pendList)
-					for _, l := range w.pendList {
-						w.pendSet.Clear(int(l))
-						w.cur[l] = R(w.pendVal[l], w.cur[l])
-					}
-					o.list = append(newList(len(w.pendList)), w.pendList...)
-					w.pendList = w.pendList[:0]
-					return
+			cstart = time.Now()
+			if !w.pendOver {
+				slices.Sort(w.pendList)
+				for _, l := range w.pendList {
+					w.pendSet.Clear(int(l))
+					w.cur[l] = R(w.pendVal[l], w.cur[l])
 				}
+				o.list = append(newList(len(w.pendList)), w.pendList...)
+				w.pendList = w.pendList[:0]
+			} else {
 				outBits := o.bitmap()
 				pendWords := w.pendSet.Words()
 				w.parfor(w.pendSet.Cap(), func(lo, hi int) {
@@ -272,7 +243,8 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 					}
 				})
 				w.pendList, w.pendOver = w.pendList[:0], false
-			})
+			}
+			w.met.Add(metrics.Compute, time.Since(cstart))
 
 			// Exchange round 2: broadcast finals to mirrors.
 			if scope != scopeNone {
@@ -281,6 +253,83 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			return nil
 		})
 	})
+}
+
+// pusher is one parfor thread's phase-1 state in the push kernel: the
+// step's edge set and callbacks, set by bindPushers for the step, and the
+// source being pushed. push is bound into fn once per worker
+// (initPushers), so a superstep builds no visitor or push closure.
+type pusher[V any] struct {
+	w     *worker[V]
+	a     *accShard[V]
+	c     *Ctx[V]
+	track bool // thread 0 records the slots it gains in accList
+	fn    func(d graph.VID, wt float32) bool
+
+	H  EdgeSet[V]
+	F  EdgeF[V]
+	M  EdgeM[V]
+	C  EdgeC[V]
+	R  EdgeR[V]
+	uv Vtx[V]
+}
+
+// initPushers binds the worker's per-thread pushers to their shard and Ctx.
+func (w *worker[V]) initPushers() {
+	w.pushers = make([]pusher[V], w.eng.cfg.Threads)
+	for t := range w.pushers {
+		p := &w.pushers[t]
+		p.w, p.a, p.c, p.track = w, &w.acc[t], &w.ctxs[t], t == 0
+		p.fn = p.push
+	}
+}
+
+// bindPushers hands a step's edge set and callbacks to every pusher; the
+// step rebinds nil when phase 1 ends, so no pusher keeps them alive.
+func (w *worker[V]) bindPushers(H EdgeSet[V], F EdgeF[V], M EdgeM[V], C EdgeC[V], R EdgeR[V]) {
+	for t := range w.pushers {
+		p := &w.pushers[t]
+		p.H, p.F, p.M, p.C, p.R = H, F, M, C, R
+	}
+}
+
+// visit pushes local master l along its out-edges.
+//
+//flash:hotpath
+//flash:phase(compute)
+func (p *pusher[V]) visit(l int) {
+	w := p.w
+	u := w.eng.place.GlobalID(w.id, l)
+	p.uv = w.vtxMaster(u, l)
+	p.H.Out(p.c, u, p.fn)
+}
+
+// push accumulates the tentative value of one out-edge of the current
+// source into the thread's shard.
+//
+//flash:hotpath
+//flash:phase(compute)
+func (p *pusher[V]) push(d graph.VID, wt float32) bool {
+	w := p.w
+	ds := w.st.Slot(d)
+	dv := w.vtxAt(d, &w.cur[ds])
+	if p.C != nil && !p.C(dv) {
+		return true
+	}
+	if p.F != nil && !p.F(p.uv, dv, wt) {
+		return true
+	}
+	t := p.M(p.uv, dv, wt)
+	a := p.a
+	if a.set.TestAndSet(ds) {
+		a.val[ds] = p.R(t, a.val[ds])
+	} else {
+		a.val[ds] = t
+		if p.track {
+			w.touchAcc(ds, d)
+		}
+	}
+	return true
 }
 
 // touchAcc records a slot newly set in shard 0 while accList has room; past
@@ -449,44 +498,44 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 
 			o := &out.local[w.id]
 			outBits := o.bitmap()
-			w.timeBlock(metrics.Compute, func() {
-				w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
-					c := &w.ctxs[t]
-					// The pull closure is hoisted out of the target loop and
-					// mutates chunk-local state: one allocation per chunk
-					// instead of one per local master.
-					var work V
-					var dv Vtx[V]
-					applied := false
-					pull := func(s graph.VID, wt float32) bool {
-						if C != nil && !C(dv) {
-							return false
-						}
-						if !w.frontier.Test(int(s)) {
-							return true
-						}
-						sv := w.vtx(s)
-						if F != nil && !F(sv, dv, wt) {
-							return true
-						}
-						work = M(sv, dv, wt)
-						applied = true
+			cstart := time.Now()
+			w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
+				c := &w.ctxs[t]
+				// The pull closure is hoisted out of the target loop and
+				// mutates chunk-local state: one allocation per chunk
+				// instead of one per local master.
+				var work V
+				var dv Vtx[V]
+				applied := false
+				pull := func(s graph.VID, wt float32) bool {
+					if C != nil && !C(dv) {
+						return false
+					}
+					if !w.frontier.Test(int(s)) {
 						return true
 					}
-					for l := lo; l < hi; l++ {
-						gid := e.place.GlobalID(w.id, l)
-						work = w.cur[l]
-						dv = w.vtxAt(gid, &work)
-						applied = false
-						H.In(c, gid, pull)
-						if applied {
-							w.next[l] = work
-							outBits.Set(l)
-						}
+					sv := w.vtx(s)
+					if F != nil && !F(sv, dv, wt) {
+						return true
 					}
-				})
-				w.publishNext(o)
+					work = M(sv, dv, wt)
+					applied = true
+					return true
+				}
+				for l := lo; l < hi; l++ {
+					gid := e.place.GlobalID(w.id, l)
+					work = w.cur[l]
+					dv = w.vtxAt(gid, &work)
+					applied = false
+					H.In(c, gid, pull)
+					if applied {
+						w.next[l] = work
+						outBits.Set(l)
+					}
+				}
 			})
+			w.publishNext(o)
+			w.met.Add(metrics.Compute, time.Since(cstart))
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}

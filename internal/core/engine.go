@@ -280,6 +280,12 @@ type Engine[V any] struct {
 
 	workers []*worker[V]
 
+	// errs and wg are parallelWorkers' per-call scratch, kept across calls
+	// so a superstep allocates neither; errs is resized when the worker set
+	// changes.
+	errs []error
+	wg   sync.WaitGroup
+
 	// Lifecycle: opMu guards closed and the in-flight operation count; opCond
 	// is signaled when ops drops to zero so a concurrent Close can wait for an
 	// in-flight Run/Resize to unwind after the abort broadcast kicks it out of
@@ -401,6 +407,12 @@ type worker[V any] struct {
 	// driver-side and sequential code uses ctxs[0]): a Ctx carries the
 	// thread's out-of-core block cursor, which must not be shared.
 	ctxs []Ctx[V]
+
+	// pushers holds one phase-1 push state per parfor thread (index t, like
+	// ctxs), and kv the KV-round decode state: both carry method values
+	// bound once here, so a superstep builds no closure for them.
+	pushers []pusher[V]
+	kv      kvDrain[V]
 }
 
 // accShard is one thread's private phase-1 accumulator.
@@ -527,6 +539,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	for to := range w.outKV {
 		w.outKV[to].Init(e.codec)
 	}
+	w.initKV()
 	if cfg.Threads > 1 {
 		w.encKV = make([][]comm.KVWriter[V], cfg.Threads)
 		w.encMsgs = make([]int, cfg.Threads)
@@ -538,6 +551,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		}
 	}
 	w.initCtxs()
+	w.initPushers()
 	return w
 }
 
@@ -628,59 +642,54 @@ func (e *Engine[V]) Close() error {
 }
 
 // parallelWorkers runs f once per worker concurrently and waits; it then
-// folds worker metric shards into the engine collector.
+// folds worker metric shards into the engine collector. The calling
+// goroutine runs the first worker's share itself and spawns a goroutine for
+// each other one: it is already running, while a spawned goroutine waits for
+// an idle vCPU to pick it up, and a peer blocked in the first exchange round
+// waits with it. In cluster mode the one resident worker runs with no
+// goroutine at all.
 //
 // Error propagation: the first worker to fail broadcasts an abort through
 // the transport so peers blocked in exchange rounds unblock promptly with
-// comm.ErrAborted, and every worker goroutine is always joined before the
-// call returns — a failing superstep leaks no goroutines. The returned
-// error is the root cause: a worker's comm.KillError about itself first (its
-// peers saw only a stalled round), then the first non-abort error, then the
-// secondary comm.ErrAborted ones it triggered. Panics inside a worker are
-// converted to non-recoverable errors so the abort broadcast still runs.
+// comm.ErrAborted, and the call returns only once the caller's share has
+// returned and every spawned goroutine is joined — a failing superstep leaks
+// no goroutines. The returned error is the root cause: a worker's
+// comm.KillError about itself first (its peers saw only a stalled round),
+// then the first non-abort error, then the secondary comm.ErrAborted ones it
+// triggered. A panic inside a worker, the caller's share included, is
+// converted to a non-recoverable error so the abort broadcast still runs.
 //
-//flash:amortized one goroutine spawn per worker per superstep
+//flash:amortized one goroutine spawn per worker after the first, per superstep
 func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
-	errs := make([]error, len(e.workers))
-	var wg sync.WaitGroup
+	if len(e.errs) != len(e.workers) {
+		e.errs = make([]error, len(e.workers))
+	}
+	clear(e.errs)
+	var mine *worker[V]
 	for _, w := range e.workers {
 		if e.resident >= 0 && w.id != e.resident {
 			continue // cluster shell: the peer process runs this worker
 		}
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w.id] = &workerPanic{worker: w.id, value: r, stack: debug.Stack()}
-					e.tr.Abort(comm.ErrAborted)
-				}
-			}()
-			if err := f(w); err != nil {
-				errs[w.id] = err
-				// A killed worker dies silently: no abort broadcast, so its
-				// peers detect the loss at their drain deadline, exactly as a
-				// real process death would surface.
-				var ke *comm.KillError
-				if errors.As(err, &ke) && ke.Worker == w.id {
-					return
-				}
-				e.tr.Abort(comm.ErrAborted)
-			}
-		}()
+		if mine == nil {
+			mine = w
+			continue
+		}
+		e.wg.Add(1)
+		go e.spawnedWorker(w, f)
 	}
-	wg.Wait()
+	if mine != nil {
+		e.runWorker(mine, f)
+	}
+	e.wg.Wait()
 	for _, w := range e.workers {
 		e.met.Merge(w.met)
 		w.met.Reset()
 	}
 	var first, secondary error
-	for wi, err := range errs {
-		var ke *comm.KillError
+	for wi, err := range e.errs {
 		switch {
 		case err == nil:
-		case errors.As(err, &ke) && ke.Worker == wi:
+		case selfKill(err, wi):
 			return fmt.Errorf("core: worker %d: superstep failed: %w", wi, err)
 		case !errors.Is(err, comm.ErrAborted):
 			if first == nil {
@@ -694,6 +703,38 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 		return first
 	}
 	return secondary
+}
+
+// spawnedWorker is runWorker on a goroutine parallelWorkers joins.
+func (e *Engine[V]) spawnedWorker(w *worker[V], f func(w *worker[V]) error) {
+	defer e.wg.Done()
+	e.runWorker(w, f)
+}
+
+// runWorker runs worker w's share of a superstep and records its failure in
+// errs[w.id], broadcasting the abort that releases its peers.
+func (e *Engine[V]) runWorker(w *worker[V], f func(w *worker[V]) error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.errs[w.id] = &workerPanic{worker: w.id, value: r, stack: debug.Stack()}
+			e.tr.Abort(comm.ErrAborted)
+		}
+	}()
+	if err := f(w); err != nil {
+		e.errs[w.id] = err
+		// A killed worker dies silently: no abort broadcast, so its peers
+		// detect the loss at their drain deadline, exactly as a real process
+		// death would surface.
+		if !selfKill(err, w.id) {
+			e.tr.Abort(comm.ErrAborted)
+		}
+	}
+}
+
+// selfKill reports whether err is worker w's comm.KillError about itself.
+func selfKill(err error, w int) bool {
+	var ke *comm.KillError
+	return errors.As(err, &ke) && ke.Worker == w
 }
 
 // workerPanic wraps a panic that escaped a worker goroutine. It is never
@@ -950,15 +991,6 @@ func (c *Ctx[V]) Get(v graph.VID) *V { return &c.w.cur[c.w.st.Slot(v)] }
 
 // Worker returns the worker id the context belongs to.
 func (c *Ctx[V]) Worker() int { return c.w.id }
-
-// timeBlock measures a closure into the worker's metric shard.
-//
-//flash:hotpath
-func (w *worker[V]) timeBlock(cat metrics.Category, f func()) {
-	start := time.Now()
-	f()
-	w.met.Add(cat, time.Since(start))
-}
 
 // StateBytes returns the resident per-worker property-state footprint, summed
 // over all workers: the slot-indexed current-state arrays, next/pending

@@ -49,3 +49,36 @@ func TestSparseStepFrontierProportional(t *testing.T) {
 		}
 	}
 }
+
+// TestSparseStepAllocs bounds the allocations a steady-state push superstep
+// makes: its output subset and each worker's frontier-sized output list, plus
+// a handful of constant costs. Everything else — drain handlers, kernel
+// closures, worker fan-out — is bound once per worker, not per step, so the
+// count must not grow with the worker count either.
+func TestSparseStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	const maxAllocs = 10
+	for _, workers := range []int{1, 2} {
+		g := graph.GenGrid(64, 64, 0, 1)
+		e := mustEngine(t, g, Config{Workers: workers})
+		ids := make([]graph.VID, 0, 8)
+		for c := 0; c < 8; c++ {
+			ids = append(ids, graph.VID(64+c))
+		}
+		push := func(U *Subset) *Subset {
+			return e.EdgeMapSparse(U, BaseE[bfsProps](), nil,
+				func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+				nil,
+				func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
+		}
+		U := push(e.FromIDs(ids...))
+		push(U)
+		allocs := testing.AllocsPerRun(40, func() { push(U) })
+		t.Logf("w%d: %.1f allocs per push superstep", workers, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("w%d: a push superstep allocates %.1f times, want <= %d", workers, allocs, maxAllocs)
+		}
+	}
+}

@@ -68,35 +68,104 @@ func (w *worker[V]) flushAll() error {
 	return nil
 }
 
+// kvDrain is a worker's KV-round decode state. The Drain handler and the
+// two record sinks — a synced master value into its mirror slot, a pushed
+// partial folded into its pending master — are method values bound once in
+// initKV; apply, foldR, decode and err describe the round in flight.
+type kvDrain[V any] struct {
+	r                  comm.KVReader[V]
+	onFrame            func(from int, data []byte)
+	syncSink, foldSink func(gid graph.VID, val *V)
+	apply              func(gid graph.VID, val *V)
+	foldR              EdgeR[V]
+	decode             time.Duration
+	err                error
+	samples            []debugSample // flashdebug: mirrors the sync round wrote
+}
+
+// initKV binds the worker's drain handler and record sinks.
+func (w *worker[V]) initKV() {
+	w.kv.r.Init(w.eng.codec)
+	w.kv.onFrame = w.decodeKVFrame
+	w.kv.syncSink = w.applyMirror
+	w.kv.foldSink = w.applyPartial
+	if debugChecks {
+		w.kv.samples = make([]debugSample, 0, debugSampleCap)
+	}
+}
+
 // drainKV completes the current exchange round, decoding (gid, value) pairs
 // and handing them to apply. Wall time waiting on peers is recorded as
 // communication; decode time as serialization. A truncated or corrupt frame
 // is a superstep failure, not a panic: the remaining frames are still
 // drained to keep the round consistent, and the first decode error is
-// returned alongside transport failures (stall, abort).
+// returned alongside transport failures (stall, abort). The kernels pass
+// the bound sinks in w.kv, so a round allocates nothing.
 //
 //flash:hotpath
 //flash:phase(ship,sync)
 func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
-	var decode time.Duration
-	var decodeErr error
-	codec := w.eng.codec
+	kv := &w.kv
+	kv.apply, kv.decode, kv.err = apply, 0, nil
 	start := time.Now()
-	drainErr := w.eng.tr.Drain(w.id, func(_ int, data []byte) {
-		dstart := time.Now()
-		if err := comm.DecodeKV(codec, data, func(vid uint32, val *V) {
-			apply(graph.VID(vid), val)
-		}); err != nil && decodeErr == nil {
-			decodeErr = err
-		}
-		decode += time.Since(dstart)
-	})
+	drainErr := w.eng.tr.Drain(w.id, kv.onFrame)
+	decode, decodeErr := kv.decode, kv.err
+	kv.apply, kv.err = nil, nil
 	w.met.Add(metrics.Communication, time.Since(start)-decode)
 	w.met.Add(metrics.Serialization, decode)
 	if drainErr != nil {
 		return drainErr
 	}
 	return decodeErr
+}
+
+// decodeKVFrame is drainKV's Drain handler: it decodes one frame's records
+// into the round's sink, keeping the first decode error.
+//
+//flash:hotpath
+//flash:phase(ship,sync)
+func (w *worker[V]) decodeKVFrame(_ int, data []byte) {
+	kv := &w.kv
+	dstart := time.Now()
+	kv.r.Reset(data)
+	for {
+		vid, val, ok := kv.r.Next()
+		if !ok {
+			break
+		}
+		kv.apply(graph.VID(vid), val)
+	}
+	if err := kv.r.Err(); err != nil && kv.err == nil {
+		kv.err = err
+	}
+	kv.r.Reset(nil) // the frame is recycled when the handler returns
+	kv.decode += time.Since(dstart)
+}
+
+// applyMirror stores a synced master value into its mirror slot. Broadcast
+// scopes can deliver masters this worker does not mirror; non-resident
+// updates are dropped (the old full-size layout stored them in entries
+// nothing ever read).
+//
+//flash:hotpath
+//flash:phase(sync)
+func (w *worker[V]) applyMirror(gid graph.VID, val *V) {
+	if slot, ok := w.st.Lookup(gid); ok {
+		w.cur[slot] = *val
+		if n := len(w.kv.samples); debugChecks && n < cap(w.kv.samples) {
+			w.kv.samples = w.kv.samples[:n+1]
+			w.kv.samples[n] = debugSample{gid: gid, slot: slot}
+		}
+	}
+}
+
+// applyPartial folds a pushed partial into its pending master under the
+// round's reduction.
+//
+//flash:hotpath
+//flash:phase(compute)
+func (w *worker[V]) applyPartial(gid graph.VID, val *V) {
+	w.foldPend(w.eng.place.LocalIndex(gid), val, w.kv.foldR)
 }
 
 // syncMasters pushes the new values of the updated local masters to the
@@ -133,26 +202,14 @@ func (w *worker[V]) syncMasters(updated *members, scope syncScope) error {
 	if err := e.tr.EndRound(w.id); err != nil {
 		return err
 	}
-	// Broadcast scopes can deliver masters this worker does not mirror;
-	// non-resident updates are dropped (the old full-size layout stored
-	// them in entries nothing ever read).
-	var samples []debugSample
 	if debugChecks {
-		samples = make([]debugSample, 0, debugSampleCap)
+		w.kv.samples = w.kv.samples[:0]
 	}
-	err := w.drainKV(func(gid graph.VID, val *V) {
-		if slot, ok := w.st.Lookup(gid); ok {
-			w.cur[slot] = *val
-			if debugChecks && len(samples) < debugSampleCap {
-				samples = append(samples, debugSample{gid: gid, slot: slot})
-			}
-		}
-	})
-	if err != nil {
+	if err := w.drainKV(w.kv.syncSink); err != nil {
 		return err
 	}
 	if debugChecks {
-		w.debugCheckMirrorSamples(samples)
+		w.debugCheckMirrorSamples(w.kv.samples)
 	}
 	return nil
 }
@@ -170,7 +227,11 @@ const debugSampleCap = 64
 
 // encodeSyncSeq is the single-threaded encode: one ascending pass over the
 // updated masters, streaming into the per-destination frames (with eager
-// BatchBytes flushing).
+// BatchBytes flushing). A necessary-mirror sync walks the smaller of the
+// updated set and the part's mirrored masters, testing membership in the
+// other: both visit the updated masters that have a mirror in ascending
+// order, so the frames are the same bytes either way, and a VertexMap over
+// all masters costs the few boundary vertices, not every master.
 //
 //flash:hotpath
 //flash:deterministic
@@ -180,7 +241,7 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 	sstart := time.Now()
 	msgs := 0
 	var sendErr error
-	updated.each(func(l int) bool {
+	ship := func(l int) bool {
 		gid := e.place.GlobalID(w.id, l)
 		if scope == scopeBroadcast {
 			for to := 0; to < e.cfg.Workers; to++ {
@@ -192,15 +253,24 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 				}
 			}
 		} else {
-			for _, to := range w.part.MirrorWorkers[l] {
-				if sendErr = w.appendKV(to, gid, &w.cur[l]); sendErr != nil {
+			for _, to := range w.part.MirrorWorkers(l) {
+				if sendErr = w.appendKV(int(to), gid, &w.cur[l]); sendErr != nil {
 					return false
 				}
 				msgs++
 			}
 		}
 		return true
-	})
+	}
+	if mirrored := w.part.Mirrored(); scope == scopeNecessary && len(mirrored) < updated.size() {
+		for _, l := range mirrored {
+			if updated.has(int(l)) && !ship(int(l)) {
+				break
+			}
+		}
+	} else {
+		updated.each(ship)
+	}
 	w.met.Add(metrics.Serialization, time.Since(sstart))
 	w.met.AddTraffic(uint64(msgs), 0)
 	return sendErr
@@ -237,7 +307,7 @@ func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) 
 						}
 					}
 				} else {
-					for _, to := range w.part.MirrorWorkers[l] {
+					for _, to := range w.part.MirrorWorkers(l) {
 						kws[to].Append(uint32(gid), &w.cur[l])
 						msgs++
 					}

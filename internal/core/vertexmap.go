@@ -1,6 +1,10 @@
 package core
 
-import "flash/metrics"
+import (
+	"time"
+
+	"flash/metrics"
+)
 
 // StepOpts tune a single primitive invocation.
 type StepOpts struct {
@@ -30,19 +34,19 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 		return e.parallelWorkers(func(w *worker[V]) error {
 			membership, o := &U.local[w.id], &out.local[w.id]
 			o.shapeLike(membership)
-			w.timeBlock(metrics.Compute, func() {
-				w.forEachMember(membership, U.Size(), func(_, l int) {
-					gid := e.place.GlobalID(w.id, l)
-					v := w.vtxMaster(gid, l)
-					if F != nil && !F(v) {
-						return
-					}
-					if M != nil {
-						w.cur[l] = M(v)
-					}
-					o.add(l)
-				})
+			cstart := time.Now()
+			w.forEachMember(membership, U.Size(), func(_, l int) {
+				gid := e.place.GlobalID(w.id, l)
+				v := w.vtxMaster(gid, l)
+				if F != nil && !F(v) {
+					return
+				}
+				if M != nil {
+					w.cur[l] = M(v)
+				}
+				o.add(l)
 			})
+			w.met.Add(metrics.Compute, time.Since(cstart))
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}
@@ -68,23 +72,23 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			// A callback may iterate an out-of-core edge set through its Ctx;
 			// the cursors that leaves pinned are released however the step ends.
 			defer w.flushBlockStats()
-			w.timeBlock(metrics.Compute, func() {
-				w.forEachMember(membership, U.Size(), func(t, l int) {
-					c := &w.ctxs[t]
-					gid := e.place.GlobalID(w.id, l)
-					v := w.vtxMaster(gid, l)
-					if F != nil && !F(c, v) {
-						return
-					}
-					if M != nil {
-						w.next[l] = M(c, v)
-					}
-					o.add(l)
-				})
-				if M != nil {
-					w.publishNext(o)
+			cstart := time.Now()
+			w.forEachMember(membership, U.Size(), func(t, l int) {
+				c := &w.ctxs[t]
+				gid := e.place.GlobalID(w.id, l)
+				v := w.vtxMaster(gid, l)
+				if F != nil && !F(c, v) {
+					return
 				}
+				if M != nil {
+					w.next[l] = M(c, v)
+				}
+				o.add(l)
 			})
+			if M != nil {
+				w.publishNext(o)
+			}
+			w.met.Add(metrics.Compute, time.Since(cstart))
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}

@@ -129,9 +129,13 @@ type Part struct {
 	// in- or out-edge of a local master (global numbering, capacity |V|).
 	Mirrors *bitset.Bitset
 
-	// MirrorWorkers[l] lists, for local master with local index l, the
-	// workers that hold a mirror of it ("necessary mirrors", §IV-C).
-	MirrorWorkers [][]int
+	// mirrorOff and mirrorIDs are the necessary-mirror table (§IV-C) as a
+	// CSR over local indices: the workers holding a mirror of local master l
+	// are mirrorIDs[mirrorOff[l]:mirrorOff[l+1]], ascending. mirrored lists,
+	// ascending, the local masters with at least one such worker.
+	mirrorOff []int32
+	mirrorIDs []int32
+	mirrored  []int32
 
 	// Slots is the worker's compact state layout: local masters first
 	// (slot == local index), then mirrors sorted by global id. Property
@@ -161,35 +165,59 @@ func New(g Adjacency, place Placement) *Partitioned {
 	p.Parts = make([]*Part, m)
 	for w := 0; w < m; w++ {
 		p.Parts[w] = &Part{
-			Worker:  w,
-			Mirrors: bitset.New(n),
+			Worker:    w,
+			Mirrors:   bitset.New(n),
+			mirrorOff: make([]int32, place.LocalCount(w)+1),
 		}
-		p.Parts[w].MirrorWorkers = make([][]int, place.LocalCount(w))
 	}
 	// Pass 1: every worker mirrors each remote endpoint of its masters'
 	// edges (both directions: pull mode reads in-neighbors, push mode reads
 	// local state and writes out-neighbors, whose current value is also read
-	// by F/C/M predicates).
+	// by F/C/M predicates). A newly mirrored vertex counts one more holder
+	// for its master, into mirrorOff[l+1] of the owner's part.
 	for v := 0; v < n; v++ {
 		w := place.Owner(graph.VID(v))
 		part := p.Parts[w]
 		for _, u := range g.OutNeighbors(graph.VID(v)) {
-			if place.Owner(u) != w {
-				part.Mirrors.Set(int(u))
+			if ow := place.Owner(u); ow != w && !part.Mirrors.TestAndSet(int(u)) {
+				p.Parts[ow].mirrorOff[place.LocalIndex(u)+1]++
 			}
 		}
 		for _, u := range g.InNeighbors(graph.VID(v)) {
-			if place.Owner(u) != w {
-				part.Mirrors.Set(int(u))
+			if ow := place.Owner(u); ow != w && !part.Mirrors.TestAndSet(int(u)) {
+				p.Parts[ow].mirrorOff[place.LocalIndex(u)+1]++
 			}
 		}
 	}
-	// Pass 2: invert to per-master mirror-worker lists.
+	// Pass 2: invert to per-master mirror-worker lists, a CSR finished in
+	// two steps from pass 1's counts: prefix-sum, then fill in ascending
+	// worker order — every list comes out ascending — using mirrorOff[l+1]
+	// as master l's cursor, which leaves it at its final value.
+	for w := 0; w < m; w++ {
+		off, masters := p.Parts[w].mirrorOff, 0
+		for _, c := range off[1:] {
+			if c > 0 {
+				masters++
+			}
+		}
+		// Shifted prefix sum: off[l+1] becomes the start of master l's list,
+		// where the fill below begins; filling advances it to the end.
+		mirrored := make([]int32, 0, masters)
+		sum := int32(0)
+		for l := 1; l < len(off); l++ {
+			if off[l] > 0 {
+				mirrored = append(mirrored, int32(l-1))
+			}
+			off[l], sum = sum, sum+off[l]
+		}
+		p.Parts[w].mirrored = mirrored
+		p.Parts[w].mirrorIDs = make([]int32, sum)
+	}
 	for w := 0; w < m; w++ {
 		p.Parts[w].Mirrors.Range(func(v int) bool {
-			ow := place.Owner(graph.VID(v))
-			li := place.LocalIndex(graph.VID(v))
-			p.Parts[ow].MirrorWorkers[li] = append(p.Parts[ow].MirrorWorkers[li], w)
+			ow, li := place.Owner(graph.VID(v)), place.LocalIndex(graph.VID(v))
+			p.Parts[ow].mirrorIDs[p.Parts[ow].mirrorOff[li+1]] = int32(w)
+			p.Parts[ow].mirrorOff[li+1]++
 			return true
 		})
 	}
@@ -200,11 +228,21 @@ func New(g Adjacency, place Placement) *Partitioned {
 	return p
 }
 
+// MirrorWorkers returns, ascending, the workers that hold a mirror of the
+// local master with local index l ("necessary mirrors", §IV-C).
+func (p *Part) MirrorWorkers(l int) []int32 {
+	return p.mirrorIDs[p.mirrorOff[l]:p.mirrorOff[l+1]]
+}
+
+// Mirrored returns, ascending, the local indices of the masters that have at
+// least one mirror: the only masters a necessary-mirror sync can ship.
+func (p *Part) Mirrored() []int32 { return p.mirrored }
+
 // Workers returns the number of workers.
 func (p *Partitioned) Workers() int { return p.Place.Workers() }
 
 // SharedBytes returns the resident footprint of the partition's derived
-// structures: per-worker mirror bitsets, mirror-worker lists, and slot-table
+// structures: per-worker mirror bitsets, mirror-worker tables, and slot-table
 // auxiliaries. This is the memory a graph catalog pays once per (graph,
 // placement) no matter how many concurrent jobs share the partition — the
 // counterpart of Engine.StateBytes, which is paid per job.
@@ -212,10 +250,7 @@ func (p *Partitioned) SharedBytes() uint64 {
 	var total uint64
 	for _, part := range p.Parts {
 		total += uint64(len(part.Mirrors.Words())) * 8
-		total += uint64(cap(part.MirrorWorkers)) * 24 // slice headers
-		for _, ws := range part.MirrorWorkers {
-			total += uint64(cap(ws)) * 8
-		}
+		total += uint64(cap(part.mirrorOff)+cap(part.mirrorIDs)+cap(part.mirrored)) * 4
 		total += part.Slots.AuxBytes()
 	}
 	return total
@@ -264,8 +299,8 @@ func (p *Partitioned) CheckInvariants() error {
 			}
 			li := p.Place.LocalIndex(graph.VID(v))
 			found := false
-			for _, mw := range p.Parts[ow].MirrorWorkers[li] {
-				if mw == w {
+			for _, mw := range p.Parts[ow].MirrorWorkers(li) {
+				if int(mw) == w {
 					found = true
 				}
 			}

@@ -78,13 +78,13 @@ func TestMirrorDiscovery(t *testing.T) {
 		t.Error("worker 0 should not mirror 3")
 	}
 	// Master 1 (worker 0, local 1) must list worker 1 as mirror holder.
-	mw := p.Parts[0].MirrorWorkers[1]
+	mw := p.Parts[0].MirrorWorkers(1)
 	if len(mw) != 1 || mw[0] != 1 {
 		t.Errorf("mirror workers of vertex 1 = %v", mw)
 	}
 	// Vertex 0's only neighbor is local, so no mirrors.
-	if len(p.Parts[0].MirrorWorkers[0]) != 0 {
-		t.Errorf("vertex 0 should have no mirrors, got %v", p.Parts[0].MirrorWorkers[0])
+	if len(p.Parts[0].MirrorWorkers(0)) != 0 {
+		t.Errorf("vertex 0 should have no mirrors, got %v", p.Parts[0].MirrorWorkers(0))
 	}
 }
 
