@@ -163,6 +163,16 @@ type BlockGraph struct {
 	mu   sync.Mutex
 	skel *Graph
 	seq  [2]*DecodedBlock // per-direction MRU for sequential scans
+
+	// Arenas closed caches left for the next caches to adopt (BlockCache.Close,
+	// NewBlockCache). The open caches' budgets plus the spare bytes never
+	// exceed peakBudget, the most the open caches were ever budgeted at once,
+	// so the spare holds only memory the caches themselves held before.
+	arenaMu    sync.Mutex
+	spare      []*DecodedBlock
+	spareBytes int64
+	openBudget int64
+	peakBudget int64
 }
 
 // NumVertices returns |V|.
@@ -376,6 +386,12 @@ func (bg *BlockGraph) seqAdj(dir int, v VID) []VID {
 	adj, _ := b.Adj(v)
 	return adj
 }
+
+// OutDegree returns u's out-degree from the resident offsets.
+func (bg *BlockGraph) OutDegree(u VID) int { return int(bg.outOff[u+1] - bg.outOff[u]) }
+
+// InDegree returns v's in-degree from the resident offsets.
+func (bg *BlockGraph) InDegree(v VID) int { return int(bg.inOff[v+1] - bg.inOff[v]) }
 
 // OutNeighbors returns u's out-neighbors via the sequential-scan MRU. It
 // implements the partitioner's adjacency interface; engine hot paths use a

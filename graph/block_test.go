@@ -410,3 +410,62 @@ func TestBlockGraphFootprint(t *testing.T) {
 		t.Fatalf("directed weighted EdgeBytes = %d, want %d", dbg.EdgeBytes(), dg.NumEdges()*8*2)
 	}
 }
+
+// TestBlockCacheCloseLeavesArenasToNextCache: a closed cache's arenas go to
+// the block graph, the next cache adopts them onto its free list and its
+// misses decode into them, and the spare plus the open caches' budgets never
+// exceed the most the caches were ever budgeted at once.
+func TestBlockCacheCloseLeavesArenasToNextCache(t *testing.T) {
+	g := GenRMAT(512, 4096, 21)
+	bg := openBlockBytes(t, g, 512)
+	nb := bg.NumBlocks(BlockOut)
+	one, err := bg.ReadBlock(BlockOut, 0)
+	if err != nil {
+		t.Fatalf("ReadBlock: %v", err)
+	}
+	scan := func(c *BlockCache) {
+		c.BeginDense()
+		for i := 0; i < nb; i++ {
+			getRelease(t, c, BlockOut, i)
+		}
+	}
+	bound := func(label string) {
+		t.Helper()
+		if bg.spareBytes+bg.openBudget > bg.peakBudget {
+			t.Fatalf("%s: spare %d + open %d exceeds peak %d", label, bg.spareBytes, bg.openBudget, bg.peakBudget)
+		}
+	}
+	budget := 3 * one.Bytes()
+	a := NewBlockCache(bg, budget)
+	scan(a)
+	held := a.Bytes()
+	a.Close()
+	a.Close() // a second Close gives nothing back twice
+	bound("after close")
+	if bg.spareBytes == 0 || bg.spareBytes > held {
+		t.Fatalf("closed cache held %d bytes, spare holds %d", held, bg.spareBytes)
+	}
+
+	spare := bg.spareBytes
+	b := NewBlockCache(bg, budget)
+	bound("after reopen")
+	if b.Bytes() == 0 || b.Bytes()+bg.spareBytes != spare {
+		t.Fatalf("reopened cache adopted %d of %d spare bytes, %d left", b.Bytes(), spare, bg.spareBytes)
+	}
+	b.BeginDense()
+	for i := 0; i < nb; i++ {
+		dec, err := b.Get(BlockOut, i)
+		if err != nil {
+			t.Fatalf("Get(%d): %v", i, err)
+		}
+		if adj, _ := dec.Adj(dec.First()); !equalVIDs(adj, g.OutNeighbors(dec.First())) {
+			t.Fatalf("block %d decoded into a spare arena reads %v, want %v", i, adj, g.OutNeighbors(dec.First()))
+		}
+		b.Release(dec)
+	}
+	if b.Bytes() > b.Budget() {
+		t.Fatalf("resident %d exceeds budget %d", b.Bytes(), b.Budget())
+	}
+	b.Close()
+	bound("after second close")
+}

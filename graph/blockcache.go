@@ -81,6 +81,7 @@ type BlockCache struct {
 
 	sparse bool
 	plan   [2]*bitset.Bitset // residency plan by logical direction
+	closed bool
 
 	stats   BlockCacheStats
 	drained BlockCacheStats // portion already handed out by TakeDelta
@@ -97,7 +98,67 @@ func NewBlockCache(bg *BlockGraph, budget int64) *BlockCache {
 	c := &BlockCache{bg: bg, budget: budget}
 	c.slots[BlockOut] = make([]cacheSlot, len(bg.blocks[BlockOut]))
 	c.slots[BlockIn] = make([]cacheSlot, len(bg.blocks[BlockIn]))
+	// Adopt arenas closed caches left, up to the budget, onto the free list:
+	// a job's engine lives for one run, so without them every job would
+	// allocate its whole budget afresh. Then trim the spare to what the open
+	// caches' budgets leave of the peak.
+	bg.arenaMu.Lock()
+	defer bg.arenaMu.Unlock()
+	bg.openBudget += budget
+	bg.peakBudget = max(bg.peakBudget, bg.openBudget)
+	for n := len(bg.spare); n > 0 && c.used+bg.spare[n-1].Bytes() <= budget; n-- {
+		c.free = append(c.free, bg.spare[n-1])
+		c.used += bg.spare[n-1].Bytes()
+		bg.popSpare()
+	}
+	for len(bg.spare) > 0 && bg.spareBytes+bg.openBudget > bg.peakBudget {
+		bg.popSpare()
+	}
 	return c
+}
+
+// popSpare drops the last spare arena, under bg.arenaMu.
+func (bg *BlockGraph) popSpare() {
+	last := len(bg.spare) - 1
+	bg.spareBytes -= bg.spare[last].Bytes()
+	bg.spare[last] = nil
+	bg.spare = bg.spare[:last]
+}
+
+// Close hands the cache's unpinned arenas to the block graph for the next
+// caches to adopt, keeping the open caches' budgets plus the spare within the
+// peak. The cache must not be used afterwards; a second Close does nothing.
+//
+//flash:blockowner closing ends the cache's residency authority
+func (c *BlockCache) Close() {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return
+	}
+	c.closed = true
+	arenas := c.free
+	for _, r := range c.ring {
+		if slot := &c.slots[r.dir][r.idx]; slot.pins == 0 {
+			arenas = append(arenas, slot.dec)
+			slot.dec = nil
+		}
+	}
+	c.free, c.ring, c.used = nil, nil, 0
+	c.mu.Unlock()
+
+	bg := c.bg
+	bg.arenaMu.Lock()
+	defer bg.arenaMu.Unlock()
+	bg.openBudget -= c.budget
+	for _, b := range arenas {
+		if bg.spareBytes+bg.openBudget+b.Bytes() > bg.peakBudget {
+			break
+		}
+		debugPoison(b)
+		bg.spare = append(bg.spare, b)
+		bg.spareBytes += b.Bytes()
+	}
 }
 
 // Budget returns the decoded-byte budget.

@@ -54,7 +54,7 @@ const tcpHdrSize = 17
 // socket closed — it can never poison a live round.
 const (
 	helloMagic   = "FLSH"
-	helloVersion = 3
+	helloVersion = 4 // 4: range placement cut on in-edges, not vertex count
 	helloSize    = 17
 )
 

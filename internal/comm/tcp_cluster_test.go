@@ -1,9 +1,12 @@
 package comm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -234,5 +237,18 @@ func TestClusterDialInjection(t *testing.T) {
 	err = upper.ConnectPeers([]string{lower.Addr(), upper.Addr()}, 300*time.Millisecond)
 	if err == nil {
 		t.Fatal("ConnectPeers succeeded despite failing dialer")
+	}
+}
+
+// TestParseHelloRefusesVersion3 checks the handshake's version gate: a
+// version-3 peer places ranges by vertex count and must not join the mesh.
+func TestParseHelloRefusesVersion3(t *testing.T) {
+	b := EncodeHello(1, 7)
+	b[4] = 3
+	binary.LittleEndian.PutUint32(b[13:17], crc32.Checksum(b[:13], castagnoli))
+	_, _, err := ParseHello(b)
+	var he *HandshakeError
+	if !errors.As(err, &he) || !strings.Contains(he.Reason, "unsupported handshake version 3") {
+		t.Fatalf("version-3 hello: err = %v, want HandshakeError for version 3", err)
 	}
 }

@@ -303,8 +303,10 @@ func (e *Engine[V]) canRecover(err error) bool {
 // Masters sit at slots [0, LocalCount) in local-index order and mirrors
 // follow, so an image can be read without the partition it was taken under:
 // its section count is its width, and placement is a pure function of
-// (|V|, width, flavor). The counts are validated on restore, so an image
-// taken over a different graph is rejected instead of silently misapplied.
+// (graph, width, flavor) — the range cut reads the graph's in-degrees, which
+// is why a placement change bumps ckptVersion. The counts are validated on
+// restore, so an image taken over a different graph is rejected instead of
+// silently misapplied.
 
 // encodeWorkerSection serializes worker w's checkpointable state.
 func (e *Engine[V]) encodeWorkerSection(w *worker[V]) []byte {
@@ -380,7 +382,7 @@ func (e *Engine[V]) decodeMasters(img *CheckpointImage) ([]V, uint64, error) {
 	if width == 0 {
 		return nil, 0, fmt.Errorf("core: checkpoint image has no sections")
 	}
-	old := newPlacement(e.cfg.UseHashPlacement, n, width)
+	old := newPlacement(e.cfg.UseHashPlacement, e.g, width)
 	fwords := len(e.workers[0].frontier.Words())
 	masters := make([]V, n)
 	var mirror V

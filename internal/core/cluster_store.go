@@ -28,8 +28,10 @@ import (
 	"flash/internal/comm"
 )
 
-// clusterLogMagic heads a worker's step log file.
-const clusterLogMagic = "FLSHLOG1"
+// clusterLogMagic heads a worker's step log file. Its digit is the log's
+// version: FLSHLOG1 logs were written under ranges cut by vertex count, and
+// replaying them over the edge cut would land masters on the wrong workers.
+const clusterLogMagic = "FLSHLOG2"
 
 // Cluster log record kinds.
 const (

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +364,26 @@ func TestWorkerStoreRejectsOversizeRecord(t *testing.T) {
 	}
 	if recs, err := s.replay(2); err != nil || len(recs[1].payload) != comm.MaxFrameSize {
 		t.Fatalf("replay of a MaxFrameSize record: %v", err)
+	}
+}
+
+// TestWorkerStoreRefusesVersion1Log checks the step log's version gate: a
+// FLSHLOG1 log was written under vertex-count ranges and must not be opened.
+func TestWorkerStoreRefusesVersion1Log(t *testing.T) {
+	dir := t.TempDir()
+	sub := filepath.Join(dir, "w000")
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sub, "steps.flashlog"), []byte("FLSHLOG1"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenWorkerStore(dir, 0)
+	if err == nil {
+		s.Close()
+		t.Fatal("FLSHLOG1 log opened")
+	}
+	if !strings.Contains(err.Error(), "is not a step log") {
+		t.Fatalf("FLSHLOG1 log: err = %v, want not a step log", err)
 	}
 }

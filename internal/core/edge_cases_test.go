@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"flash/graph"
@@ -181,4 +182,30 @@ func TestDegreesInVertexView(t *testing.T) {
 		}
 		return false
 	}, nil, StepOpts{})
+}
+
+// TestDegreesInPullSourceView checks the pull kernel's source view, whose
+// degrees come from the worker's slot-indexed table, on a directed graph
+// (out- and in-degree differ) for local and mirror sources alike.
+func TestDegreesInPullSourceView(t *testing.T) {
+	g := graph.GenRandomDirected(200, 1200, 9)
+	for _, full := range []bool{false, true} {
+		e := mustEngine(t, g, Config{Workers: 3, FullMirrors: full})
+		var mirrors atomic.Int64
+		e.EdgeMapDense(e.All(), BaseE[bfsProps](),
+			func(s, d Vtx[bfsProps], _ float32) bool {
+				if int(s.Deg) != g.OutDegree(s.ID) || int(s.InDeg) != g.InDegree(s.ID) {
+					t.Errorf("full=%v: source %d degrees %d/%d, graph %d/%d",
+						full, s.ID, s.Deg, s.InDeg, g.OutDegree(s.ID), g.InDegree(s.ID))
+				}
+				if e.place.Owner(s.ID) != e.place.Owner(d.ID) {
+					mirrors.Add(1)
+				}
+				return false
+			},
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, StepOpts{NoSync: true})
+		if mirrors.Load() == 0 {
+			t.Fatalf("full=%v: no mirror source was pulled", full)
+		}
+	}
 }

@@ -337,6 +337,11 @@ type worker[V any] struct {
 	// resident and SlotCount == |V|.
 	st *partition.SlotTable
 
+	// deg holds each resident vertex's OutDegree<<32 | InDegree by slot
+	// (partition.NewDegreeTable over st): the partition's shared table, or
+	// the worker's own under FullMirrors, whose st is not the partition's.
+	deg []uint64 //flash:slot-indexed
+
 	// cur holds the current states (§IV-A) indexed by slot: one entry per
 	// resident vertex (local masters and mirrors), O(masters+mirrors)
 	// instead of O(|V|).
@@ -456,7 +461,7 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 		part = cfg.Shared.Partition(cfg.Workers, cfg.UseHashPlacement)
 		bg = cfg.Shared.Block()
 	} else {
-		part = partition.New(g, newPlacement(cfg.UseHashPlacement, g.NumVertices(), cfg.Workers))
+		part = partition.New(g, newPlacement(cfg.UseHashPlacement, g, cfg.Workers))
 	}
 	place := part.Place
 	e := &Engine[V]{
@@ -495,9 +500,10 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	part, place, workers := e.part, e.place, e.cfg.Workers
 	cfg, n := e.cfg, e.g.NumVertices()
-	st := part.Parts[wi].Slots
+	st, deg := part.Parts[wi].Slots, part.Parts[wi].Degrees()
 	if cfg.FullMirrors {
 		st = partition.FullSlotTable(place, wi, n)
+		deg = partition.NewDegreeTable(e.g, st)
 	}
 	if e.resident >= 0 && wi != e.resident {
 		// Cluster shell: the worker's state lives in a peer process. Only the
@@ -513,6 +519,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		eng:      e,
 		part:     part.Parts[wi],
 		st:       st,
+		deg:      deg,
 		cur:      make([]V, st.SlotCount()),
 		next:     make([]V, place.LocalCount(wi)),
 		acc:      make([]accShard[V], cfg.Threads),
@@ -632,7 +639,7 @@ func (e *Engine[V]) Close() error {
 		}
 	}
 	e.opMu.Unlock()
-	stopPools(e.workers)
+	retireWorkers(e.workers)
 	if e.cfg.RunStats != nil {
 		// Ops have drained and pools are stopped, so the cumulative counters
 		// and StateBytes are a stable final snapshot of this engine's work.
@@ -933,16 +940,20 @@ func (w *worker[V]) forEachMember(membership *members, count int, f func(t, l in
 }
 
 // vtx builds the callback view for v using this worker's current states.
-// v must be resident (a local master or mirror).
+// v must be resident (a local master or mirror). It is the pull kernel's
+// per-edge source view, so both degrees come from the slot it resolves
+// anyway rather than from the graph's offsets at v.
 //
 //flash:hotpath
 //flash:phase(compute)
 func (w *worker[V]) vtx(v graph.VID) Vtx[V] {
+	s := w.st.Slot(v)
+	d := w.deg[s]
 	return Vtx[V]{
 		ID:    v,
-		Deg:   uint32(w.eng.g.OutDegree(v)),
-		InDeg: uint32(w.eng.g.InDegree(v)),
-		Val:   &w.cur[w.st.Slot(v)],
+		Deg:   uint32(d >> 32),
+		InDeg: uint32(d),
+		Val:   &w.cur[s],
 	}
 }
 
@@ -995,7 +1006,8 @@ func (c *Ctx[V]) Worker() int { return c.w.id }
 // StateBytes returns the resident per-worker property-state footprint, summed
 // over all workers: the slot-indexed current-state arrays, next/pending
 // master buffers, every materialized accumulator shard, the per-step bitsets
-// and touched lists, and the slot tables' auxiliary rank/gid structures.
+// and touched lists, the slot tables' auxiliary rank/gid structures, and
+// under FullMirrors each worker's own degree table.
 // Transient frame buffers (pool-backed) and the shared topology are
 // excluded. The bench suite's state_bytes_per_vertex metric and its
 // regression guard are built on this accounting, which is deterministic for
@@ -1020,6 +1032,9 @@ func (e *Engine[V]) StateBytes() uint64 {
 		total += bitsetBytes(w.pendSet) + bitsetBytes(w.frontier)
 		total += uint64(cap(w.accList))*8 + uint64(cap(w.pendList))*4
 		total += w.st.AuxBytes()
+		if e.cfg.FullMirrors {
+			total += uint64(cap(w.deg)) * 8 // the worker's own; otherwise the partition's
+		}
 	}
 	return total
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"flash/graph"
 	"flash/internal/partition"
 )
 
@@ -83,10 +84,10 @@ func (e *Engine[V]) swapMembership(n int) error {
 	if err := e.tr.Resize(n); err != nil {
 		return err
 	}
-	stopPools(e.workers)
+	retireWorkers(e.workers)
 	if n != e.cfg.Workers {
 		e.cfg.Workers = n
-		e.place = newPlacement(e.cfg.UseHashPlacement, e.g.NumVertices(), n)
+		e.place = newPlacement(e.cfg.UseHashPlacement, e.g, n)
 		// Built privately: the catalog's partition cache is keyed by the widths
 		// engines were created at, not the ones they pass through.
 		e.part = partition.New(e.topo(), e.place)
@@ -113,23 +114,28 @@ func (e *Engine[V]) resyncMirrors() error {
 	})
 }
 
-// newPlacement builds the hash (modulo) or contiguous-range placement of
-// vertices vertices over workers workers.
-func newPlacement(hash bool, vertices, workers int) partition.Placement {
+// newPlacement builds the hash (modulo) placement of g's vertices over
+// workers workers, or the contiguous ranges cut on in-edges (NewEdgeRange).
+// g may be a block graph's skeleton: the cut reads only degrees.
+func newPlacement(hash bool, g *graph.Graph, workers int) partition.Placement {
 	if hash {
-		return partition.NewHash(vertices, workers)
+		return partition.NewHash(g.NumVertices(), workers)
 	}
-	return partition.NewRange(vertices, workers)
+	return partition.NewEdgeRange(g, workers)
 }
 
-// stopPools joins and clears the parfor pools of ws. A stopped pool must
-// never be reused (parforT would send on a closed channel), so the field is
-// nilled.
-func stopPools[V any](ws []*worker[V]) {
+// retireWorkers joins and clears the parfor pools of ws and closes their
+// block caches, whose arenas the next caches over the same block graph reuse.
+// A stopped pool must never be reused (parforT would send on a closed
+// channel), so the field is nilled.
+func retireWorkers[V any](ws []*worker[V]) {
 	for _, w := range ws {
 		if w.pool != nil {
 			w.pool.stop()
 			w.pool = nil
+		}
+		if w.bcache != nil {
+			w.bcache.Close()
 		}
 	}
 }

@@ -83,7 +83,7 @@ func (s *SharedGraph) Partition(workers int, hashPlacement bool) *partition.Part
 	if s.bg != nil {
 		topo = s.bg
 	}
-	p := partition.New(topo, newPlacement(hashPlacement, s.g.NumVertices(), workers))
+	p := partition.New(topo, newPlacement(hashPlacement, s.g, workers))
 	s.parts[key] = p
 	return p
 }

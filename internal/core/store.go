@@ -77,7 +77,7 @@ func (s *MemStore) Close() error {
 // Checkpoint file format (little-endian):
 //
 //	magic   [8]byte "FLASHCKP"
-//	version u16     (currently 1)
+//	version u16     (currently 2; 1 placed ranges by vertex count)
 //	seq     u64
 //	nsect   u32
 //	table   nsect × (length u32 | crc32c u32)
@@ -89,7 +89,7 @@ func (s *MemStore) Close() error {
 // so a truncated or padded file fails loudly instead of shifting sections.
 const (
 	ckptMagic    = "FLASHCKP"
-	ckptVersion  = 1
+	ckptVersion  = 2
 	ckptHdrSize  = 8 + 2 + 8 + 4
 	ckptMaxSects = 1 << 16 // worker count bound; rejects absurd headers
 )

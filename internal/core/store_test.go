@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -198,4 +200,17 @@ func FuzzCheckpointFileDecode(f *testing.F) {
 			t.Fatal("accepted image not self-consistent")
 		}
 	})
+}
+
+// TestDecodeCheckpointRefusesVersion1 checks the version gate: an image
+// written before range placement was cut on in-edges assigns masters by
+// vertex count, so version 1 is refused rather than restored onto the wrong
+// workers.
+func TestDecodeCheckpointRefusesVersion1(t *testing.T) {
+	old := EncodeCheckpointFile(testImage())
+	binary.LittleEndian.PutUint16(old[8:10], 1)
+	_, err := DecodeCheckpointFile(old)
+	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
+		t.Fatalf("version-1 image: err = %v, want unsupported checkpoint version 1", err)
+	}
 }

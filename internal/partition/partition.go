@@ -11,14 +11,18 @@ import (
 	"flash/internal/bitset"
 )
 
-// Adjacency is the neighbor access mirror discovery needs: both in-memory
-// CSR graphs (*graph.Graph) and out-of-core block graphs (*graph.BlockGraph)
-// satisfy it, so partitions can be built by streaming a block file without
-// ever materializing the full adjacency. Implementations may return slices
-// that are only valid until the next call (the block graph's sequential MRU
-// does); the partitioner never retains them.
+// Adjacency is the neighbor and degree access mirror discovery, the cost cut
+// and the degree tables need: both in-memory CSR graphs (*graph.Graph) and
+// out-of-core block graphs (*graph.BlockGraph) satisfy it, so partitions can
+// be built by streaming a block file without ever materializing the full
+// adjacency. Degrees are O(1) on both (the block graph keeps its offsets
+// resident). Implementations may return slices that are only valid until the
+// next call (the block graph's sequential MRU does); the partitioner never
+// retains them.
 type Adjacency interface {
 	NumVertices() int
+	OutDegree(u graph.VID) int
+	InDegree(v graph.VID) int
 	OutNeighbors(u graph.VID) []graph.VID
 	InNeighbors(v graph.VID) []graph.VID
 }
@@ -38,29 +42,65 @@ type Placement interface {
 	GlobalID(w, local int) graph.VID
 }
 
-// RangePlacement assigns contiguous, balanced vertex ranges: worker w owns
-// [starts[w], starts[w+1]). This matches typical CSR-friendly layouts
-// (Gemini-style) and gives cache-friendly local scans.
+// RangePlacement assigns contiguous vertex ranges: worker w owns
+// [starts[w], starts[w+1]), cut so that every worker's share of a per-vertex
+// cost is near equal. The engine cuts on the pull kernel's work, α + InDegree(v)
+// with α = 8·(m−1) (NewEdgeRange; Gemini's chunking rule, with α standing for
+// the per-vertex overhead next to the per-edge work), because power-law
+// generators and real crawls put their hubs at low ids, where an equal vertex
+// count would leave one worker most of the edges. NewRange cuts on unit cost,
+// which is an equal vertex count. Contiguous ranges keep local scans
+// cache-friendly and make a master's local index an offset.
 type RangePlacement struct {
 	starts []int
 	m      int
 }
 
-// NewRange creates a RangePlacement of n vertices over m workers.
+// NewRange creates a RangePlacement of n vertices over m workers with equal
+// vertex counts: the first n%m workers hold one vertex more.
 func NewRange(n, m int) *RangePlacement {
+	return &RangePlacement{starts: cut(n, m, func(int) int64 { return 1 }), m: m}
+}
+
+// NewEdgeRange creates the RangePlacement of g's vertices over m workers that
+// balances α + InDegree(v) per worker, α = 8·(m−1). It depends on g's degrees,
+// not on |V| alone, so two processes agree on it only over the same graph.
+func NewEdgeRange(g Adjacency, m int) *RangePlacement {
+	alpha := int64(8 * (m - 1))
+	return &RangePlacement{starts: cut(g.NumVertices(), m, func(v int) int64 {
+		return alpha + int64(g.InDegree(graph.VID(v)))
+	}), m: m}
+}
+
+// cut returns the m+1 range starts that split vertices 0..n-1, in id order,
+// into m contiguous chunks by a non-negative per-vertex cost of total T.
+// Chunk k ends at the first vertex whose cost prefix reaches the k-th share
+// target k·⌊T/m⌋ + min(k, T mod m) — NewRange's formula for counts, so unit
+// costs give exactly NewRange's equal-count ranges. A chunk can overshoot
+// its share only by the last vertex it took, so each costs at most
+// T/m + the largest single-vertex cost; one vertex costing more than a share
+// leaves the next chunk empty (a worker with no masters).
+func cut(n, m int, cost func(v int) int64) []int {
 	if m <= 0 {
 		panic("partition: need at least one worker")
 	}
-	starts := make([]int, m+1)
-	base, rem := n/m, n%m
-	for w := 0; w < m; w++ {
-		sz := base
-		if w < rem {
-			sz++
-		}
-		starts[w+1] = starts[w] + sz
+	var total int64
+	for v := 0; v < n; v++ {
+		total += cost(v)
 	}
-	return &RangePlacement{starts: starts, m: m}
+	base, rem := total/int64(m), total%int64(m)
+	starts := make([]int, m+1)
+	v, prefix := 0, int64(0)
+	for k := 1; k < m; k++ {
+		target := int64(k)*base + min(int64(k), rem)
+		for v < n && prefix < target {
+			prefix += cost(v)
+			v++
+		}
+		starts[k] = v
+	}
+	starts[m] = n
+	return starts
 }
 
 func (p *RangePlacement) Workers() int { return p.m }
@@ -141,6 +181,9 @@ type Part struct {
 	// (slot == local index), then mirrors sorted by global id. Property
 	// arrays indexed by slot are O(masters + mirrors) instead of O(|V|).
 	Slots *SlotTable
+
+	// deg is the degree table over Slots (NewDegreeTable).
+	deg []uint64
 }
 
 // Partitioned bundles the adjacency source, placement, and per-worker parts.
@@ -221,12 +264,36 @@ func New(g Adjacency, place Placement) *Partitioned {
 			return true
 		})
 	}
-	// Pass 3: freeze each worker's compact slot layout.
+	// Pass 3: freeze each worker's compact slot layout and its degrees.
 	for w := 0; w < m; w++ {
 		p.Parts[w].Slots = NewSlotTable(place, w, p.Parts[w].Mirrors)
+		p.Parts[w].deg = NewDegreeTable(g, p.Parts[w].Slots)
 	}
 	return p
 }
+
+// NewDegreeTable returns the degrees of st's resident vertices indexed by
+// slot, each packed as OutDegree<<32 | InDegree: a kernel that has resolved a
+// vertex's slot reads both degrees with one load next to its state, instead
+// of two offset pairs at the vertex's global id.
+func NewDegreeTable(g Adjacency, st *SlotTable) []uint64 {
+	deg := make([]uint64, st.SlotCount())
+	pack := func(v graph.VID) uint64 {
+		return uint64(g.OutDegree(v))<<32 | uint64(uint32(g.InDegree(v)))
+	}
+	for l := 0; l < st.MasterCount(); l++ {
+		deg[l] = pack(st.GID(l))
+	}
+	st.RangeMirrors(func(slot int, gid graph.VID) bool {
+		deg[slot] = pack(gid)
+		return true
+	})
+	return deg
+}
+
+// Degrees returns the part's degree table (NewDegreeTable over Slots). It is
+// shared by every engine borrowing the partition and must not be written.
+func (p *Part) Degrees() []uint64 { return p.deg }
 
 // MirrorWorkers returns, ascending, the workers that hold a mirror of the
 // local master with local index l ("necessary mirrors", §IV-C).
@@ -242,8 +309,8 @@ func (p *Part) Mirrored() []int32 { return p.mirrored }
 func (p *Partitioned) Workers() int { return p.Place.Workers() }
 
 // SharedBytes returns the resident footprint of the partition's derived
-// structures: per-worker mirror bitsets, mirror-worker tables, and slot-table
-// auxiliaries. This is the memory a graph catalog pays once per (graph,
+// structures: per-worker mirror bitsets, mirror-worker tables, slot-table
+// auxiliaries and degree tables. This is the memory a graph catalog pays once per (graph,
 // placement) no matter how many concurrent jobs share the partition — the
 // counterpart of Engine.StateBytes, which is paid per job.
 func (p *Partitioned) SharedBytes() uint64 {
@@ -252,6 +319,7 @@ func (p *Partitioned) SharedBytes() uint64 {
 		total += uint64(len(part.Mirrors.Words())) * 8
 		total += uint64(cap(part.mirrorOff)+cap(part.mirrorIDs)+cap(part.mirrored)) * 4
 		total += part.Slots.AuxBytes()
+		total += uint64(cap(part.deg)) * 8
 	}
 	return total
 }
