@@ -14,9 +14,10 @@ import (
 // cut leaves without masters still compute, and an image moves across a
 // width change on a graph whose cut is uneven by vertex count.
 
-// TestDegreeTableMatchesGraph checks every resident slot of every worker:
-// range and hash placement, over an in-memory CSR and over a block file's
-// skeleton, with and without FullMirrors.
+// TestDegreeTableMatchesGraph checks every resident slot of every worker
+// after a pull step loaded the table: range and hash placement, over an
+// in-memory CSR and over a block file's skeleton, with and without
+// FullMirrors.
 func TestDegreeTableMatchesGraph(t *testing.T) {
 	csr := graph.GenRandomDirected(300, 2000, 5) // out- and in-degrees differ
 	buf := graph.EncodeBlockFile(csr, 512)
@@ -35,6 +36,8 @@ func TestDegreeTableMatchesGraph(t *testing.T) {
 						g = cfg.Shared.Graph()
 					}
 					e := mustEngine(t, g, cfg)
+					e.EdgeMapDense(e.All(), e.E(), nil,
+						func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, StepOpts{NoSync: true})
 					for _, w := range e.workers {
 						if len(w.deg) != w.st.SlotCount() {
 							t.Fatalf("worker %d: %d degree entries for %d slots", w.id, len(w.deg), w.st.SlotCount())

@@ -499,6 +499,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 			o := &out.local[w.id]
 			outBits := o.bitmap()
 			cstart := time.Now()
+			w.loadDegrees()
 			w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
 				c := &w.ctxs[t]
 				// The pull closure is hoisted out of the target loop and

@@ -338,8 +338,9 @@ type worker[V any] struct {
 	st *partition.SlotTable
 
 	// deg holds each resident vertex's OutDegree<<32 | InDegree by slot
-	// (partition.NewDegreeTable over st): the partition's shared table, or
-	// the worker's own under FullMirrors, whose st is not the partition's.
+	// (partition.NewDegreeTable over st), set by the worker's first pull step
+	// (loadDegrees): the partition's shared table, or the worker's own under
+	// FullMirrors, whose st is not the partition's.
 	deg []uint64 //flash:slot-indexed
 
 	// cur holds the current states (§IV-A) indexed by slot: one entry per
@@ -500,10 +501,9 @@ func NewEngine[V any](g *graph.Graph, cfg Config) (*Engine[V], error) {
 func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	part, place, workers := e.part, e.place, e.cfg.Workers
 	cfg, n := e.cfg, e.g.NumVertices()
-	st, deg := part.Parts[wi].Slots, part.Parts[wi].Degrees()
+	st := part.Parts[wi].Slots
 	if cfg.FullMirrors {
 		st = partition.FullSlotTable(place, wi, n)
-		deg = partition.NewDegreeTable(e.g, st)
 	}
 	if e.resident >= 0 && wi != e.resident {
 		// Cluster shell: the worker's state lives in a peer process. Only the
@@ -519,7 +519,6 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		eng:      e,
 		part:     part.Parts[wi],
 		st:       st,
-		deg:      deg,
 		cur:      make([]V, st.SlotCount()),
 		next:     make([]V, place.LocalCount(wi)),
 		acc:      make([]accShard[V], cfg.Threads),
@@ -939,10 +938,24 @@ func (w *worker[V]) forEachMember(membership *members, count int, f func(t, l in
 	})
 }
 
+// loadDegrees sets w.deg on the worker's first pull step, the only reader.
+//
+//flash:amortized builds the table once per partition (per worker under FullMirrors)
+func (w *worker[V]) loadDegrees() {
+	switch {
+	case w.deg != nil:
+	case w.eng.cfg.FullMirrors:
+		w.deg = partition.NewDegreeTable(w.eng.g, w.st)
+	default:
+		w.deg = w.part.Degrees()
+	}
+}
+
 // vtx builds the callback view for v using this worker's current states.
 // v must be resident (a local master or mirror). It is the pull kernel's
 // per-edge source view, so both degrees come from the slot it resolves
-// anyway rather than from the graph's offsets at v.
+// anyway rather than from the graph's offsets at v (loadDegrees must have
+// run).
 //
 //flash:hotpath
 //flash:phase(compute)

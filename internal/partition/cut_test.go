@@ -144,3 +144,28 @@ func TestEdgeRangeStarHubAlone(t *testing.T) {
 		}
 	}
 }
+
+// TestDegreeTableBuiltOnFirstUse checks that a part holds no degree table
+// until a pull step asks for one — so a partition only ever pushed over pays
+// nothing for it — and that SharedBytes counts the table once built.
+func TestDegreeTableBuiltOnFirstUse(t *testing.T) {
+	g := graph.GenRMAT(2048, 16384, 1)
+	p := New(g, NewEdgeRange(g, 2))
+	before := p.SharedBytes()
+	for _, part := range p.Parts {
+		if part.deg.Load() != nil {
+			t.Fatalf("worker %d built its degree table before any use", part.Worker)
+		}
+	}
+	var slots uint64
+	for _, part := range p.Parts {
+		deg := part.Degrees()
+		if len(deg) != part.Slots.SlotCount() || &part.Degrees()[0] != &deg[0] {
+			t.Fatalf("worker %d: %d entries for %d slots, or a second build", part.Worker, len(deg), part.Slots.SlotCount())
+		}
+		slots += uint64(len(deg))
+	}
+	if got := p.SharedBytes() - before; got != 8*slots {
+		t.Fatalf("SharedBytes grew by %d, want %d for %d slots", got, 8*slots, slots)
+	}
+}

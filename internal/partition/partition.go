@@ -6,6 +6,8 @@ package partition
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"flash/graph"
 	"flash/internal/bitset"
@@ -182,8 +184,12 @@ type Part struct {
 	// arrays indexed by slot are O(masters + mirrors) instead of O(|V|).
 	Slots *SlotTable
 
-	// deg is the degree table over Slots (NewDegreeTable).
-	deg []uint64
+	// deg is the degree table over Slots (NewDegreeTable), built from g by
+	// the first Degrees call: only pull steps read it, so a partition that
+	// never runs one (BFS on a grid) does not hold it.
+	g       Adjacency
+	degOnce sync.Once
+	deg     atomic.Pointer[[]uint64]
 }
 
 // Partitioned bundles the adjacency source, placement, and per-worker parts.
@@ -209,6 +215,7 @@ func New(g Adjacency, place Placement) *Partitioned {
 	for w := 0; w < m; w++ {
 		p.Parts[w] = &Part{
 			Worker:    w,
+			g:         g,
 			Mirrors:   bitset.New(n),
 			mirrorOff: make([]int32, place.LocalCount(w)+1),
 		}
@@ -264,10 +271,9 @@ func New(g Adjacency, place Placement) *Partitioned {
 			return true
 		})
 	}
-	// Pass 3: freeze each worker's compact slot layout and its degrees.
+	// Pass 3: freeze each worker's compact slot layout.
 	for w := 0; w < m; w++ {
 		p.Parts[w].Slots = NewSlotTable(place, w, p.Parts[w].Mirrors)
-		p.Parts[w].deg = NewDegreeTable(g, p.Parts[w].Slots)
 	}
 	return p
 }
@@ -291,9 +297,16 @@ func NewDegreeTable(g Adjacency, st *SlotTable) []uint64 {
 	return deg
 }
 
-// Degrees returns the part's degree table (NewDegreeTable over Slots). It is
-// shared by every engine borrowing the partition and must not be written.
-func (p *Part) Degrees() []uint64 { return p.deg }
+// Degrees returns the part's degree table (NewDegreeTable over Slots),
+// building it on the first call; concurrent first calls share one build. It
+// is shared by every engine borrowing the partition and must not be written.
+func (p *Part) Degrees() []uint64 {
+	p.degOnce.Do(func() {
+		deg := NewDegreeTable(p.g, p.Slots)
+		p.deg.Store(&deg)
+	})
+	return *p.deg.Load()
+}
 
 // MirrorWorkers returns, ascending, the workers that hold a mirror of the
 // local master with local index l ("necessary mirrors", §IV-C).
@@ -310,16 +323,19 @@ func (p *Partitioned) Workers() int { return p.Place.Workers() }
 
 // SharedBytes returns the resident footprint of the partition's derived
 // structures: per-worker mirror bitsets, mirror-worker tables, slot-table
-// auxiliaries and degree tables. This is the memory a graph catalog pays once per (graph,
-// placement) no matter how many concurrent jobs share the partition — the
-// counterpart of Engine.StateBytes, which is paid per job.
+// auxiliaries, and the degree tables built so far. This is the memory a graph
+// catalog pays once per (graph, placement) no matter how many concurrent jobs
+// share the partition — the counterpart of Engine.StateBytes, which is paid
+// per job.
 func (p *Partitioned) SharedBytes() uint64 {
 	var total uint64
 	for _, part := range p.Parts {
 		total += uint64(len(part.Mirrors.Words())) * 8
 		total += uint64(cap(part.mirrorOff)+cap(part.mirrorIDs)+cap(part.mirrored)) * 4
 		total += part.Slots.AuxBytes()
-		total += uint64(cap(part.deg)) * 8
+		if deg := part.deg.Load(); deg != nil {
+			total += uint64(cap(*deg)) * 8
+		}
 	}
 	return total
 }
