@@ -32,8 +32,8 @@ func MSF(g *graph.Graph, opts ...flash.Option) (MSFResult, error) {
 	if !g.Weighted() {
 		return MSFResult{}, fmt.Errorf("algo: MSF requires a weighted graph (use graph.WithRandomWeights)")
 	}
-	// The edge partition mirrors the engines' range placement: worker w owns
-	// edges whose source is in its vertex range.
+	// The edge partition splits the vertex ids into equal-count ranges:
+	// worker w owns edges whose source is in its range.
 	e, err := newEngine[struct{ X int32 }](g, opts)
 	if err != nil {
 		return MSFResult{}, err

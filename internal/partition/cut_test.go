@@ -2,6 +2,7 @@ package partition
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"flash/graph"
@@ -167,5 +168,27 @@ func TestDegreeTableBuiltOnFirstUse(t *testing.T) {
 	}
 	if got := p.SharedBytes() - before; got != 8*slots {
 		t.Fatalf("SharedBytes grew by %d, want %d for %d slots", got, 8*slots, slots)
+	}
+}
+
+// TestDegreesConcurrentFirstUse has engines sharing a partition ask for a
+// part's table at once: one build, the same table for every caller.
+func TestDegreesConcurrentFirstUse(t *testing.T) {
+	g := graph.GenRMAT(1024, 8192, 3)
+	part := New(g, NewEdgeRange(g, 2)).Parts[1]
+	got := make([][]uint64, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = part.Degrees()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if &got[i][0] != &got[0][0] {
+			t.Fatalf("caller %d got a table of its own", i)
+		}
 	}
 }
