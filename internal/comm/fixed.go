@@ -2,6 +2,7 @@ package comm
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"unsafe"
 )
@@ -13,9 +14,14 @@ import (
 // wire format is byte-identical to ReflectCodec's for the supported kinds
 // (little-endian fixed width, declaration order, no padding), so the two
 // codecs interoperate and tests can cross-check them.
+//
+// When V's memory layout is its wire encoding (flat: see isFlat), a slice of
+// values encodes and decodes as one byte copy through AppendValues and
+// DecodeValues.
 type FixedCodec[V any] struct {
 	fields []fixedField
-	wire   int // total encoded size
+	wire   int  // total encoded size
+	flat   bool // a []V's bytes are its encoding
 }
 
 type fixedKind uint8
@@ -29,6 +35,19 @@ const (
 	fxInt  // platform int, 8 bytes on the wire
 	fxUint // platform uint, 8 bytes on the wire
 )
+
+// wireSize is the encoded size of one field of kind k.
+func (k fixedKind) wireSize() uintptr {
+	switch k {
+	case fxBool, fx8:
+		return 1
+	case fx16:
+		return 2
+	case fx32:
+		return 4
+	}
+	return 8
+}
 
 type fixedField struct {
 	off  uintptr
@@ -48,32 +67,55 @@ func NewFixedCodec[V any]() (*FixedCodec[V], bool) {
 	if !c.plan(t, 0) {
 		return nil, false
 	}
+	c.flat = c.isFlat(t.Size())
 	return c, true
+}
+
+// littleEndian reports whether the host stores integers least significant
+// byte first, the wire's byte order.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// isFlat reports whether a value of size bytes is laid out in memory exactly
+// as it is encoded: no padding (the fields tile [0, size) in declaration
+// order), no bool (a copied byte other than 0 or 1 would decode to an
+// invalid bool), ints and uints 8 bytes wide, and a little-endian host.
+func (c *FixedCodec[V]) isFlat(size uintptr) bool {
+	if !littleEndian || size != uintptr(c.wire) {
+		return false
+	}
+	var off uintptr
+	for _, f := range c.fields {
+		if f.kind == fxBool || (f.kind == fxInt || f.kind == fxUint) && unsafe.Sizeof(int(0)) != 8 || f.off != off {
+			return false
+		}
+		off += f.kind.wireSize()
+	}
+	return true
 }
 
 // plan flattens t (rooted at byte offset off within V) into the field list,
 // returning false on an unsupported kind.
 func (c *FixedCodec[V]) plan(t reflect.Type, off uintptr) bool {
-	add := func(k fixedKind, size int) bool {
+	add := func(k fixedKind) bool {
 		c.fields = append(c.fields, fixedField{off: off, kind: k})
-		c.wire += size
+		c.wire += int(k.wireSize())
 		return true
 	}
 	switch t.Kind() {
 	case reflect.Bool:
-		return add(fxBool, 1)
+		return add(fxBool)
 	case reflect.Int8, reflect.Uint8:
-		return add(fx8, 1)
+		return add(fx8)
 	case reflect.Int16, reflect.Uint16:
-		return add(fx16, 2)
+		return add(fx16)
 	case reflect.Int32, reflect.Uint32, reflect.Float32:
-		return add(fx32, 4)
+		return add(fx32)
 	case reflect.Int64, reflect.Uint64, reflect.Float64:
-		return add(fx64, 8)
+		return add(fx64)
 	case reflect.Int:
-		return add(fxInt, 8)
+		return add(fxInt)
 	case reflect.Uint:
-		return add(fxUint, 8)
+		return add(fxUint)
 	case reflect.Array:
 		es := t.Elem().Size()
 		for i := 0; i < t.Len(); i++ {
@@ -166,4 +208,56 @@ func (c *FixedCodec[V]) Decode(src []byte, v *V) (int, error) {
 		}
 	}
 	return off, nil
+}
+
+// FixedSize reports the encoded size of one value when c gives every value
+// the same size (a FixedCodec), and ok=false otherwise.
+func FixedSize[V any](c Codec[V]) (size int, ok bool) {
+	if fc, ok := c.(*FixedCodec[V]); ok {
+		return fc.wire, true
+	}
+	return 0, false
+}
+
+// AppendValues appends the encoding of every value in vs to dst: the bytes
+// c.Append gives value by value, in one copy when c is a flat FixedCodec.
+func AppendValues[V any](c Codec[V], dst []byte, vs []V) []byte {
+	if fc, ok := c.(*FixedCodec[V]); ok && fc.flat {
+		return append(dst, valueBytes(vs)...)
+	}
+	for i := range vs {
+		dst = c.Append(dst, &vs[i])
+	}
+	return dst
+}
+
+// DecodeValues decodes len(vs) consecutive values from the head of src into
+// vs and returns the bytes consumed, in one copy when c is a flat FixedCodec.
+// On an error, which names the first value that failed, vs may be partly
+// written.
+func DecodeValues[V any](c Codec[V], src []byte, vs []V) (int, error) {
+	if fc, ok := c.(*FixedCodec[V]); ok && fc.flat {
+		n := len(vs) * fc.wire
+		if len(src) < n {
+			return 0, fmt.Errorf("value %d: %w", len(src)/fc.wire, errShort)
+		}
+		copy(valueBytes(vs), src)
+		return n, nil
+	}
+	off := 0
+	for i := range vs {
+		k, err := c.Decode(src[off:], &vs[i])
+		if err != nil {
+			return 0, fmt.Errorf("value %d: %w", i, err)
+		}
+		off += k
+	}
+	return off, nil
+}
+
+// valueBytes views vs's backing memory as bytes. V holds no pointers (a
+// FixedCodec admits only numbers, and arrays and structs of them), so the
+// view may be written.
+func valueBytes[V any](vs []V) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vs))), uintptr(len(vs))*unsafe.Sizeof(*new(V)))
 }

@@ -122,11 +122,15 @@ func (e *Engine[V]) popOutcome(kind byte) (logRecord, bool) {
 
 // valueOutcome is one Gather (n values) or Get (one value): f sees each
 // value in order, popped from the log if it holds the outcome, else read
-// through live and logged when the engine logs.
+// through live and logged when the engine logs (into a record sized once
+// under a FixedCodec).
 func (e *Engine[V]) valueOutcome(kind byte, n int, live func(i int) *V, f func(i int, val *V)) {
 	rec, popped := e.popOutcome(kind)
 	logging := !popped && e.logging()
 	var buf []byte
+	if wire, ok := comm.FixedSize(e.codec); logging && ok {
+		buf = make([]byte, 0, n*wire)
+	}
 	var got V
 	off := 0
 	for i := 0; i < n; i++ {
@@ -308,14 +312,18 @@ func (e *Engine[V]) canRecover(err error) bool {
 // restore, so an image taken over a different graph is rejected instead of
 // silently misapplied.
 
-// encodeWorkerSection serializes worker w's checkpointable state.
+// encodeWorkerSection serializes worker w's checkpointable state. Under a
+// FixedCodec the buffer is sized exactly, and a flat V's values go in as one
+// copy.
 func (e *Engine[V]) encodeWorkerSection(w *worker[V]) []byte {
 	fwords := w.frontier.Words()
-	buf := make([]byte, 0, len(w.cur)*8+len(fwords)*8+16)
-	buf = binary.AppendUvarint(buf, uint64(len(w.cur)))
-	for i := range w.cur {
-		buf = e.codec.Append(buf, &w.cur[i])
+	size := len(w.cur)*8 + 16 // a guess: other codecs' sizes vary per value
+	if wire, ok := comm.FixedSize(e.codec); ok {
+		size = uvarintLen(len(w.cur)) + len(w.cur)*wire + uvarintLen(len(fwords))
 	}
+	buf := make([]byte, 0, size+8*len(fwords))
+	buf = binary.AppendUvarint(buf, uint64(len(w.cur)))
+	buf = comm.AppendValues(e.codec, buf, w.cur)
 	buf = binary.AppendUvarint(buf, uint64(len(fwords)))
 	for _, word := range fwords {
 		buf = binary.LittleEndian.AppendUint64(buf, word)
@@ -323,23 +331,30 @@ func (e *Engine[V]) encodeWorkerSection(w *worker[V]) []byte {
 	return buf
 }
 
+// uvarintLen is the encoded size of x as a uvarint.
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // walkSection parses worker wid's encoded section: the slot count must lie in
-// [minSlots, maxSlots], slot(i, src) decodes slot i from the head of src and
-// reports its encoded size, and the frontier tail must hold exactly fwords
-// words, which are returned still encoded.
-func (e *Engine[V]) walkSection(wid int, sect []byte, minSlots, maxSlots, fwords int, slot func(i int, src []byte) (int, error)) ([]byte, error) {
+// [minSlots, maxSlots], values(slots, src) decodes that many values from the
+// head of src and reports their encoded size, and the frontier tail must hold
+// exactly fwords words, which are returned still encoded.
+func (e *Engine[V]) walkSection(wid int, sect []byte, minSlots, maxSlots, fwords int, values func(slots int, src []byte) (int, error)) ([]byte, error) {
 	slots, off := binary.Uvarint(sect)
 	if off <= 0 || slots < uint64(minSlots) || slots > uint64(maxSlots) {
 		return nil, fmt.Errorf("core: checkpoint section for worker %d has %d slots, want %d..%d",
 			wid, slots, minSlots, maxSlots)
 	}
-	for i := 0; i < int(slots); i++ {
-		n, err := slot(i, sect[off:])
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint section for worker %d: slot %d: %w", wid, i, err)
-		}
-		off += n
+	n, err := values(int(slots), sect[off:])
+	if err != nil {
+		return nil, fmt.Errorf("core: checkpoint section for worker %d: %w", wid, err)
 	}
+	off += n
 	got, k := binary.Uvarint(sect[off:])
 	if k <= 0 {
 		return nil, fmt.Errorf("core: checkpoint section for worker %d: frontier length missing", wid)
@@ -358,7 +373,7 @@ func (e *Engine[V]) walkSection(wid int, sect []byte, minSlots, maxSlots, fwords
 func (e *Engine[V]) decodeWorkerSection(w *worker[V], sect []byte) error {
 	words := w.frontier.Words()
 	tail, err := e.walkSection(w.id, sect, len(w.cur), len(w.cur), len(words),
-		func(i int, src []byte) (int, error) { return e.codec.Decode(src, &w.cur[i]) })
+		func(_ int, src []byte) (int, error) { return comm.DecodeValues(e.codec, src, w.cur) })
 	if err != nil {
 		return err
 	}
@@ -385,17 +400,28 @@ func (e *Engine[V]) decodeMasters(img *CheckpointImage) ([]V, uint64, error) {
 	old := newPlacement(e.cfg.UseHashPlacement, e.g, width)
 	fwords := len(e.workers[0].frontier.Words())
 	masters := make([]V, n)
-	var mirror V
+	var vals []V // one section's slots, masters first
 	var rehomed uint64
 	for p, sect := range img.Sections {
 		owned := old.LocalCount(p)
-		_, err := e.walkSection(p, sect, owned, n, fwords, func(i int, src []byte) (int, error) {
-			if i >= owned {
-				return e.codec.Decode(src, &mirror)
+		_, err := e.walkSection(p, sect, owned, n, fwords, func(slots int, src []byte) (int, error) {
+			if cap(vals) < slots {
+				vals = make([]V, slots)
 			}
-			k, err := e.codec.Decode(src, &masters[old.GlobalID(p, i)])
+			vals = vals[:slots]
+			k, err := comm.DecodeValues(e.codec, src, vals[:owned])
+			if err != nil {
+				return 0, err
+			}
+			m, err := comm.DecodeValues(e.codec, src[k:], vals[owned:])
+			if err != nil {
+				return 0, fmt.Errorf("mirror %w", err)
+			}
+			for i, v := range vals[:owned] {
+				masters[old.GlobalID(p, i)] = v
+			}
 			rehomed += uint64(k)
-			return k, err
+			return k + m, nil
 		})
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: image of width %d: %w", width, err)
