@@ -400,15 +400,11 @@ func (e *Engine[V]) decodeMasters(img *CheckpointImage) ([]V, uint64, error) {
 	old := newPlacement(e.cfg.UseHashPlacement, e.g, width)
 	fwords := len(e.workers[0].frontier.Words())
 	masters := make([]V, n)
-	var vals []V // one section's slots, masters first
 	var rehomed uint64
 	for p, sect := range img.Sections {
 		owned := old.LocalCount(p)
 		_, err := e.walkSection(p, sect, owned, n, fwords, func(slots int, src []byte) (int, error) {
-			if cap(vals) < slots {
-				vals = make([]V, slots)
-			}
-			vals = vals[:slots]
+			vals := make([]V, slots) // masters, then mirrors
 			k, err := comm.DecodeValues(e.codec, src, vals[:owned])
 			if err != nil {
 				return 0, err
