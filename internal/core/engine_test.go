@@ -433,27 +433,7 @@ func TestQuickCCMatchesUnionFind(t *testing.T) {
 			return false
 		}
 		defer e.Close()
-		u := e.VertexMap(e.All(), nil, func(v Vtx[ccProps]) ccProps {
-			return ccProps{CC: uint32(v.ID)}
-		}, StepOpts{})
-		for u.Size() > 0 {
-			u = e.EdgeMap(u, BaseE[ccProps](),
-				func(s, d Vtx[ccProps], _ float32) bool { return s.Val.CC < d.Val.CC },
-				func(s, d Vtx[ccProps], _ float32) ccProps {
-					cc := d.Val.CC
-					if s.Val.CC < cc {
-						cc = s.Val.CC
-					}
-					return ccProps{CC: cc}
-				},
-				nil,
-				func(tv, cur ccProps) ccProps {
-					if tv.CC < cur.CC {
-						return tv
-					}
-					return cur
-				}, StepOpts{})
-		}
+		runCC(e)
 		// Union-find reference.
 		parent := make([]int, n)
 		for i := range parent {

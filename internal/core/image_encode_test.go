@@ -62,7 +62,8 @@ func runBC(e *Engine[bcProps], root graph.VID) {
 	}
 }
 
-// runCC is label-propagation CC.
+// runCC is label-propagation CC: each vertex pushes its label along its
+// out-edges until no label falls.
 func runCC(e *Engine[ccProps]) {
 	u := e.VertexMap(e.All(), nil, func(v Vtx[ccProps]) ccProps { return ccProps{CC: uint32(v.ID)} }, StepOpts{})
 	for u.Size() > 0 {
