@@ -105,21 +105,21 @@ func (e *Engine[V]) VertexMap(U *VertexSubset, F func(Vertex[V]) bool, M func(Ve
 func (e *Engine[V]) EdgeMap(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V]) bool, M func(s, d Vertex[V]) V,
 	C func(d Vertex[V]) bool, R func(t, cur V) V, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMap(U, H, unweightedF(F), unweightedM(M), C, R, stepOpts(opts))
+	return e.c.EdgeMap(U, H, core.Unweighted(F, M), C, R, stepOpts(opts))
 }
 
 // EdgeMapDense forces the pull kernel (paper Algorithm 5).
 func (e *Engine[V]) EdgeMapDense(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V]) bool, M func(s, d Vertex[V]) V,
 	C func(d Vertex[V]) bool, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMapDense(U, H, unweightedF(F), unweightedM(M), C, stepOpts(opts))
+	return e.c.EdgeMapDense(U, H, core.Unweighted(F, M), C, stepOpts(opts))
 }
 
 // EdgeMapSparse forces the push kernel (paper Algorithm 6).
 func (e *Engine[V]) EdgeMapSparse(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V]) bool, M func(s, d Vertex[V]) V,
 	C func(d Vertex[V]) bool, R func(t, cur V) V, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMapSparse(U, H, unweightedF(F), unweightedM(M), C, R, stepOpts(opts))
+	return e.c.EdgeMapSparse(U, H, core.Unweighted(F, M), C, R, stepOpts(opts))
 }
 
 // EdgeMapW is EdgeMap with edge weights passed to F and M (weighted graphs;
@@ -127,35 +127,21 @@ func (e *Engine[V]) EdgeMapSparse(U *VertexSubset, H EdgeSet[V],
 func (e *Engine[V]) EdgeMapW(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V], w float32) bool, M func(s, d Vertex[V], w float32) V,
 	C func(d Vertex[V]) bool, R func(t, cur V) V, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMap(U, H, F, M, C, R, stepOpts(opts))
+	return e.c.EdgeMap(U, H, core.Weighted(F, M), C, R, stepOpts(opts))
 }
 
 // EdgeMapDenseW is EdgeMapDense with edge weights.
 func (e *Engine[V]) EdgeMapDenseW(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V], w float32) bool, M func(s, d Vertex[V], w float32) V,
 	C func(d Vertex[V]) bool, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMapDense(U, H, F, M, C, stepOpts(opts))
+	return e.c.EdgeMapDense(U, H, core.Weighted(F, M), C, stepOpts(opts))
 }
 
 // EdgeMapSparseW is EdgeMapSparse with edge weights.
 func (e *Engine[V]) EdgeMapSparseW(U *VertexSubset, H EdgeSet[V],
 	F func(s, d Vertex[V], w float32) bool, M func(s, d Vertex[V], w float32) V,
 	C func(d Vertex[V]) bool, R func(t, cur V) V, opts ...StepOption) *VertexSubset {
-	return e.c.EdgeMapSparse(U, H, F, M, C, R, stepOpts(opts))
-}
-
-func unweightedF[V any](f func(s, d Vertex[V]) bool) core.EdgeF[V] {
-	if f == nil {
-		return nil
-	}
-	return func(s, d Vertex[V], _ float32) bool { return f(s, d) }
-}
-
-func unweightedM[V any](m func(s, d Vertex[V]) V) core.EdgeM[V] {
-	if m == nil {
-		return nil
-	}
-	return func(s, d Vertex[V], _ float32) V { return m(s, d) }
+	return e.c.EdgeMapSparse(U, H, core.Weighted(F, M), C, R, stepOpts(opts))
 }
 
 // ---- driver-side state access and aggregation ----

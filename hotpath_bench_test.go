@@ -94,6 +94,54 @@ func BenchmarkEdgeMapDense(b *testing.B) {
 	}
 }
 
+// denseProps is PageRank's value shape: the rank and the sum being pulled.
+type denseProps struct{ Rank, Next float64 }
+
+// denseUpdate is PageRank's per-edge M: it reads the source's out-degree.
+func denseUpdate(s, d flash.Vertex[denseProps]) denseProps {
+	nv := *d.Val
+	nv.Next += 0.85 * s.Val.Rank / float64(s.Deg)
+	return nv
+}
+
+func denseReduce(t, cur denseProps) denseProps {
+	cur.Next += t.Next
+	return cur
+}
+
+// BenchmarkEdgeMapDensePageRank measures one PageRank-shaped pull superstep
+// through the public API: an All frontier, a two-float value and an M that
+// reads s.Deg, so ns/op over the graph's edge count is the per-edge pull
+// cost.
+func BenchmarkEdgeMapDensePageRank(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		opts []flash.Option
+	}{
+		{"w1t1", []flash.Option{flash.WithWorkers(1)}},
+		{"w2t1", []flash.Option{flash.WithWorkers(2)}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			g := graph.GenRMAT(16384, 16384*16, 101)
+			e, err := flash.NewEngine[denseProps](g, c.opts...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			e.VertexMap(e.All(), nil, func(v flash.Vertex[denseProps]) denseProps {
+				return denseProps{Rank: 1 / float64(g.NumVertices())}
+			})
+			all := e.All()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.EdgeMap(all, e.E(), nil, denseUpdate, nil, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+		})
+	}
+}
+
 // BenchmarkVertexMap measures one full-frontier VertexMap superstep.
 func BenchmarkVertexMap(b *testing.B) {
 	e, _ := hotEngine(b, 4096, flash.WithWorkers(4))

@@ -1,8 +1,8 @@
 // The out-of-core base edge set: E over a FLASHBLK block graph.
 //
 // blockEdges makes the engine's kernels storage-oblivious — EdgeMapSparse and
-// EdgeMapDense call the same Out/In iterator interface, but each call resolves
-// the vertex's block and serves the adjacency from the worker's bounded block
+// EdgeMapDense walk the same adjacency rows, but a block row is resolved
+// through the thread's cursor and served from the worker's bounded block
 // cache instead of an in-memory CSR row. The bimodal scheduling of M-Flash
 // falls out of the engine's existing Ligra density switch:
 //
@@ -60,32 +60,47 @@ func getBlock[V any](c *Ctx[V], dir int, v graph.VID) *graph.DecodedBlock {
 	return dec
 }
 
-// iterate yields v's adjacency in the given direction from the thread's
-// cursor, moving the cursor to v's block first when it is elsewhere and no
-// loop further up the stack is still reading it; a nested call that needs
-// another block pins that block just for its own loop.
+// row returns v's adjacency in the given direction from the thread's cursor,
+// moving the cursor to v's block first when it is elsewhere. The slices alias
+// the pinned block, so they are valid until the cursor moves again or the
+// superstep ends. Only a caller with no loop running over the cursor (depth
+// 0) may move it; iterate sees to that for nested calls.
 //
 //flash:hotpath
 //flash:blockowner the per-thread cursor keeps its block pinned until it moves on or the superstep ends
+func (c *Ctx[V]) row(dir int, v graph.VID) ([]graph.VID, []float32) {
+	cur := &c.blk[dir]
+	if blk := cur.blk; blk != nil && blk.Contains(v) {
+		cur.hits++
+		return blk.Adj(v)
+	}
+	if cur.blk != nil {
+		c.w.bcache.Release(cur.blk)
+		cur.blk = nil
+	}
+	cur.blk = getBlock(c, dir, v)
+	return cur.blk.Adj(v)
+}
+
+// iterate yields v's adjacency in the given direction from the thread's
+// cursor (row). A nested call — from inside a yield, while a loop further up
+// the stack still reads the cursor's block — that needs another block pins
+// that block just for its own loop.
+//
+//flash:hotpath
+//flash:blockowner a nested call pins its own block for the length of its loop
 func (c *Ctx[V]) iterate(dir int, v graph.VID, yield func(graph.VID, float32) bool) {
 	cur := &c.blk[dir]
-	blk := cur.blk
-	switch {
-	case blk != nil && blk.Contains(v):
-		cur.hits++
-	case cur.depth == 0:
-		if blk != nil {
-			cur.blk = nil
-			c.w.bcache.Release(blk)
-		}
-		blk = getBlock(c, dir, v)
-		cur.blk = blk
-	default:
-		blk = getBlock(c, dir, v)
+	var adj []graph.VID
+	var ws []float32
+	if cur.depth == 0 || (cur.blk != nil && cur.blk.Contains(v)) {
+		adj, ws = c.row(dir, v)
+	} else {
+		blk := getBlock(c, dir, v)
 		defer c.w.bcache.Release(blk)
+		adj, ws = blk.Adj(v)
 	}
 	cur.depth++
-	adj, ws := blk.Adj(v)
 	for i, d := range adj {
 		var w float32
 		if ws != nil {

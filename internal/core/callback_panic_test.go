@@ -59,13 +59,14 @@ func checkCallbackPanic(t *testing.T, g *graph.Graph, workers int, tcp bool, vic
 			}, StepOpts{})
 		case "edgemap-F":
 			e.EdgeMapSparse(e.All(), BaseE[bfsProps](),
-				func(s, _ Vtx[bfsProps], _ float32) bool {
-					if s.ID == target {
-						panic(value)
-					}
-					return true
-				},
-				func(s, _ Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+				Weighted(
+					func(s, _ Vtx[bfsProps], _ float32) bool {
+						if s.ID == target {
+							panic(value)
+						}
+						return true
+					},
+					func(s, _ Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} }),
 				nil,
 				func(t, _ bfsProps) bfsProps { return t }, StepOpts{})
 		}

@@ -13,15 +13,15 @@ import (
 func TestEmptyFrontierEdgeMap(t *testing.T) {
 	g := graph.GenPath(8)
 	e := mustEngine(t, g, Config{Workers: 2})
-	out := e.EdgeMapSparse(e.Empty(), BaseE[bfsProps](), nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val },
+	out := e.EdgeMapSparse(e.Empty(), BaseE[bfsProps](), Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }),
 		nil,
 		func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	if out.Size() != 0 {
 		t.Fatalf("empty frontier produced %d outputs", out.Size())
 	}
-	out = e.EdgeMapDense(e.Empty(), BaseE[bfsProps](), nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val },
+	out = e.EdgeMapDense(e.Empty(), BaseE[bfsProps](), Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }),
 		nil, StepOpts{})
 	if out.Size() != 0 {
 		t.Fatalf("empty dense frontier produced %d outputs", out.Size())
@@ -35,8 +35,8 @@ func TestSingleVertexGraph(t *testing.T) {
 	if u.Size() != 1 || e.Get(0).Dis != 5 {
 		t.Fatal("single vertex update failed")
 	}
-	out := e.EdgeMap(u, BaseE[bfsProps](), nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val },
+	out := e.EdgeMap(u, BaseE[bfsProps](), Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }),
 		nil,
 		func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	if out.Size() != 0 {
@@ -66,11 +66,11 @@ func TestDenseEarlyExitCond(t *testing.T) {
 	e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: inf} }, StepOpts{})
 	e.Set(0, bfsProps{Dis: 0})
 	applications := make([]int32, g.NumVertices()) // dense: one goroutine per target
-	e.EdgeMapDense(e.All(), BaseE[bfsProps](), nil,
+	e.EdgeMapDense(e.All(), BaseE[bfsProps](), Weighted(nil,
 		func(s, d Vtx[bfsProps], _ float32) bfsProps {
 			applications[d.ID]++
 			return bfsProps{Dis: s.Val.Dis + 1}
-		},
+		}),
 		func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf },
 		StepOpts{})
 	for v, c := range applications {
@@ -153,13 +153,13 @@ func TestWeightsReachCallbacks(t *testing.T) {
 	}
 	defer e.Close()
 	var seen []float32
-	e.EdgeMapSparse(e.All(), BaseE[bfsProps](), nil,
+	e.EdgeMapSparse(e.All(), BaseE[bfsProps](), Weighted(nil,
 		func(s, d Vtx[bfsProps], w float32) bfsProps {
 			if s.ID < d.ID {
 				seen = append(seen, w)
 			}
 			return *d.Val
-		}, nil,
+		}), nil,
 		func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	if len(seen) != 2 {
 		t.Fatalf("saw %d weights", len(seen))
@@ -193,17 +193,19 @@ func TestDegreesInPullSourceView(t *testing.T) {
 		e := mustEngine(t, g, Config{Workers: 3, FullMirrors: full})
 		var mirrors atomic.Int64
 		e.EdgeMapDense(e.All(), BaseE[bfsProps](),
-			func(s, d Vtx[bfsProps], _ float32) bool {
-				if int(s.Deg) != g.OutDegree(s.ID) || int(s.InDeg) != g.InDegree(s.ID) {
-					t.Errorf("full=%v: source %d degrees %d/%d, graph %d/%d",
-						full, s.ID, s.Deg, s.InDeg, g.OutDegree(s.ID), g.InDegree(s.ID))
-				}
-				if e.place.Owner(s.ID) != e.place.Owner(d.ID) {
-					mirrors.Add(1)
-				}
-				return false
-			},
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, StepOpts{NoSync: true})
+			Weighted(
+				func(s, d Vtx[bfsProps], _ float32) bool {
+					if int(s.Deg) != g.OutDegree(s.ID) || int(s.InDeg) != g.InDegree(s.ID) {
+						t.Errorf("full=%v: source %d degrees %d/%d, graph %d/%d",
+							full, s.ID, s.Deg, s.InDeg, g.OutDegree(s.ID), g.InDegree(s.ID))
+					}
+					if e.place.Owner(s.ID) != e.place.Owner(d.ID) {
+						mirrors.Add(1)
+					}
+					return false
+				},
+				func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }),
+			nil, StepOpts{NoSync: true})
 		if mirrors.Load() == 0 {
 			t.Fatalf("full=%v: no mirror source was pulled", full)
 		}

@@ -36,8 +36,8 @@ func TestDegreeTableMatchesGraph(t *testing.T) {
 						g = cfg.Shared.Graph()
 					}
 					e := mustEngine(t, g, cfg)
-					e.EdgeMapDense(e.All(), e.E(), nil,
-						func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, StepOpts{NoSync: true})
+					e.EdgeMapDense(e.All(), e.E(), Weighted(nil,
+						func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }), nil, StepOpts{NoSync: true})
 					for _, w := range e.workers {
 						if len(w.deg) != w.st.SlotCount() {
 							t.Fatalf("worker %d: %d degree entries for %d slots", w.id, len(w.deg), w.st.SlotCount())
@@ -83,10 +83,10 @@ func pullRank(e *Engine[rankProps], iters int, between func(i int)) []float64 {
 	e.VertexMap(e.All(), nil, func(v Vtx[rankProps]) rankProps { return rankProps{R: 1 / n} }, StepOpts{})
 	for i := 1; i <= iters; i++ {
 		e.VertexMap(e.All(), nil, func(v Vtx[rankProps]) rankProps { return rankProps{R: v.Val.R} }, StepOpts{})
-		e.EdgeMapDense(e.All(), BaseE[rankProps](), nil,
+		e.EdgeMapDense(e.All(), BaseE[rankProps](), Weighted(nil,
 			func(s, d Vtx[rankProps], _ float32) rankProps {
 				return rankProps{R: d.Val.R, Acc: d.Val.Acc + s.Val.R/float64(s.Deg)}
-			}, nil, StepOpts{})
+			}), nil, StepOpts{})
 		e.VertexMap(e.All(), nil, func(v Vtx[rankProps]) rankProps {
 			return rankProps{R: 0.15/n + 0.85*v.Val.Acc}
 		}, StepOpts{})

@@ -27,12 +27,33 @@ type (
 	EdgeR[V any] func(t V, cur V) V
 )
 
+// EdgeFuncs holds an EdgeMap's F and M in one of two forms: weighted (F, M)
+// or unweighted (UF, UM, which never see the weight). The kernels call
+// whichever form is set, so an unweighted callback reaches the per-edge loop
+// as it is, with no wrapper closure between. A nil F in both forms is CTRUE.
+type EdgeFuncs[V any] struct {
+	F  EdgeF[V]
+	M  EdgeM[V]
+	UF func(s, d Vtx[V]) bool
+	UM func(s, d Vtx[V]) V
+}
+
+// Weighted returns the weighted form of an EdgeMap's F and M.
+func Weighted[V any](F EdgeF[V], M EdgeM[V]) EdgeFuncs[V] {
+	return EdgeFuncs[V]{F: F, M: M}
+}
+
+// Unweighted returns the unweighted form of an EdgeMap's F and M.
+func Unweighted[V any](F func(s, d Vtx[V]) bool, M func(s, d Vtx[V]) V) EdgeFuncs[V] {
+	return EdgeFuncs[V]{UF: F, UM: M}
+}
+
 // EdgeMap is the paper's EDGEMAP: it applies M over the active edges
 // {(s,d) ∈ H | s ∈ U ∧ C(d)} that pass F and returns the subset of updated
 // targets. The propagation mode is chosen by the density rule unless forced
 // by opts.Mode or the engine configuration; a nil R forces pull mode
 // (§III-A).
-func (e *Engine[V]) EdgeMap(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V], C EdgeC[V], R EdgeR[V], opts StepOpts) *Subset {
+func (e *Engine[V]) EdgeMap(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R EdgeR[V], opts StepOpts) *Subset {
 	e.checkSubset(U)
 	mode := opts.Mode
 	if mode == Auto {
@@ -55,9 +76,9 @@ func (e *Engine[V]) EdgeMap(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V], C E
 		}
 	}
 	if mode == Pull {
-		return e.EdgeMapDense(U, H, F, M, C, opts)
+		return e.EdgeMapDense(U, H, fns, C, opts)
 	}
-	return e.EdgeMapSparse(U, H, F, M, C, R, opts)
+	return e.EdgeMapSparse(U, H, fns, C, R, opts)
 }
 
 // denseThreshold is Ligra's density denominator, the value the paper and both
@@ -101,7 +122,7 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 //
 //flash:hotpath
 //flash:deterministic
-func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V], C EdgeC[V], R EdgeR[V], opts StepOpts) *Subset {
+func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R EdgeR[V], opts StepOpts) *Subset {
 	e.checkSubset(U)
 	if R == nil {
 		panic("core: EdgeMapSparse requires a reduce function R")
@@ -129,11 +150,11 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 			// into per-thread shards indexed by slot (every push target of a
 			// physical set is a local master or mirror; virtual sets run
 			// under FullMirrors where every vertex is resident) — no locks on
-			// the per-edge path. Each thread pushes through its pusher, whose
-			// push method is bound once per worker; shard 0 records each slot
-			// it gains in accList.
+			// the per-edge path. Each thread pushes through its pusher, which
+			// walks each source's out-row as a slice; shard 0 records each
+			// slot it gains in accList.
 			cstart := time.Now()
-			w.bindPushers(H, F, M, C, R)
+			w.bindPushers(H, fns, C, R)
 			// Density rule as in forEachMember, plus an edge-work floor: the
 			// parallel path materializes Threads-1 slot-sized shards and pays
 			// an O(SlotCount) merge scan per shard, so it only engages when
@@ -181,7 +202,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 				}
 				w.mergeAcc(R)
 			}
-			w.bindPushers(nil, nil, nil, nil, nil)
+			w.bindPushers(nil, EdgeFuncs[V]{}, nil, nil)
 			w.met.Add(metrics.Compute, time.Since(cstart))
 
 			// Phase 2: route partials to target masters (exchange round 1).
@@ -256,22 +277,20 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V
 }
 
 // pusher is one parfor thread's phase-1 state in the push kernel: the
-// step's edge set and callbacks, set by bindPushers for the step, and the
-// source being pushed. push is bound into fn once per worker
-// (initPushers), so a superstep builds no visitor or push closure.
+// step's edge set, where its rows come from and its callbacks, set by
+// bindPushers for the step.
 type pusher[V any] struct {
 	w     *worker[V]
 	a     *accShard[V]
 	c     *Ctx[V]
 	track bool // thread 0 records the slots it gains in accList
-	fn    func(d graph.VID, wt float32) bool
 
-	H  EdgeSet[V]
-	F  EdgeF[V]
-	M  EdgeM[V]
-	C  EdgeC[V]
-	R  EdgeR[V]
-	uv Vtx[V]
+	H   EdgeSet[V]
+	src rowSrc
+	dir int
+	cb  EdgeFuncs[V]
+	C   EdgeC[V]
+	R   EdgeR[V]
 }
 
 // initPushers binds the worker's per-thread pushers to their shard and Ctx.
@@ -280,56 +299,65 @@ func (w *worker[V]) initPushers() {
 	for t := range w.pushers {
 		p := &w.pushers[t]
 		p.w, p.a, p.c, p.track = w, &w.acc[t], &w.ctxs[t], t == 0
-		p.fn = p.push
 	}
 }
 
-// bindPushers hands a step's edge set and callbacks to every pusher; the
-// step rebinds nil when phase 1 ends, so no pusher keeps them alive.
-func (w *worker[V]) bindPushers(H EdgeSet[V], F EdgeF[V], M EdgeM[V], C EdgeC[V], R EdgeR[V]) {
+// bindPushers hands a step's edge set, its row source and its callbacks to
+// every pusher; the step rebinds nil when phase 1 ends, so no pusher keeps
+// them alive.
+func (w *worker[V]) bindPushers(H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R EdgeR[V]) {
+	src, dir := rowSource(H, graph.BlockOut)
 	for t := range w.pushers {
 		p := &w.pushers[t]
-		p.H, p.F, p.M, p.C, p.R = H, F, M, C, R
+		p.H, p.src, p.dir, p.cb, p.C, p.R = H, src, dir, fns, C, R
 	}
 }
 
-// visit pushes local master l along its out-edges.
+// visit pushes local master l along its out-row (paper Algorithm 6): per
+// edge it skips a target failing C, then one failing F, and accumulates M's
+// tentative value into the thread's shard.
 //
 //flash:hotpath
 //flash:phase(compute)
 func (p *pusher[V]) visit(l int) {
-	w := p.w
+	w, a := p.w, p.a
 	u := w.eng.place.GlobalID(w.id, l)
-	p.uv = w.vtxMaster(u, l)
-	p.H.Out(p.c, u, p.fn)
-}
-
-// push accumulates the tentative value of one out-edge of the current
-// source into the thread's shard.
-//
-//flash:hotpath
-//flash:phase(compute)
-func (p *pusher[V]) push(d graph.VID, wt float32) bool {
-	w := p.w
-	ds := w.st.Slot(d)
-	dv := w.vtxAt(d, &w.cur[ds])
-	if p.C != nil && !p.C(dv) {
-		return true
-	}
-	if p.F != nil && !p.F(p.uv, dv, wt) {
-		return true
-	}
-	t := p.M(p.uv, dv, wt)
-	a := p.a
-	if a.set.TestAndSet(ds) {
-		a.val[ds] = p.R(t, a.val[ds])
-	} else {
-		a.val[ds] = t
-		if p.track {
-			w.touchAcc(ds, d)
+	uv := w.vtxAt(u, &w.cur[l])
+	adj, ws := p.c.rowOf(p.H, p.src, p.dir, u)
+	C, R := p.C, p.R
+	uf, f, um, m := p.cb.UF, p.cb.F, p.cb.UM, p.cb.M
+	for i, d := range adj {
+		ds := w.st.Slot(d)
+		dv := w.vtxAt(d, &w.cur[ds])
+		if C != nil && !C(dv) {
+			continue
+		}
+		var wt float32
+		if ws != nil {
+			wt = ws[i]
+		}
+		if uf != nil {
+			if !uf(uv, dv) {
+				continue
+			}
+		} else if f != nil && !f(uv, dv, wt) {
+			continue
+		}
+		var t V
+		if um != nil {
+			t = um(uv, dv)
+		} else {
+			t = m(uv, dv, wt)
+		}
+		if a.set.TestAndSet(ds) {
+			a.val[ds] = R(t, a.val[ds])
+		} else {
+			a.val[ds] = t
+			if p.track {
+				w.touchAcc(ds, d)
+			}
 		}
 	}
-	return true
 }
 
 // touchAcc records a slot newly set in shard 0 while accList has room; past
@@ -474,7 +502,7 @@ func (w *worker[V]) foldPend(l int, val *V, R EdgeR[V]) {
 // round.
 //
 //flash:hotpath
-func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V], C EdgeC[V], opts StepOpts) *Subset {
+func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], opts StepOpts) *Subset {
 	e.checkSubset(U)
 	if !H.SupportsIn() {
 		panic("core: edge set does not support pull mode")
@@ -485,6 +513,8 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 	if e.bg != nil {
 		e.met.AddBlockSteps(1, 0)
 	}
+	src, dir := rowSource(H, graph.BlockIn)
+	all := U.Size() == e.g.NumVertices()
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
 		return e.parallelWorkers(func(w *worker[V]) error {
@@ -502,35 +532,12 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 			w.loadDegrees()
 			w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
 				c := &w.ctxs[t]
-				// The pull closure is hoisted out of the target loop and
-				// mutates chunk-local state: one allocation per chunk
-				// instead of one per local master.
-				var work V
-				var dv Vtx[V]
-				applied := false
-				pull := func(s graph.VID, wt float32) bool {
-					if C != nil && !C(dv) {
-						return false
-					}
-					if !w.frontier.Test(int(s)) {
-						return true
-					}
-					sv := w.vtx(s)
-					if F != nil && !F(sv, dv, wt) {
-						return true
-					}
-					work = M(sv, dv, wt)
-					applied = true
-					return true
-				}
 				for l := lo; l < hi; l++ {
 					gid := e.place.GlobalID(w.id, l)
-					work = w.cur[l]
-					dv = w.vtxAt(gid, &work)
-					applied = false
-					H.In(c, gid, pull)
-					if applied {
-						w.next[l] = work
+					adj, ws := c.rowOf(H, src, dir, gid)
+					c.work = w.cur[l]
+					if w.pull(adj, ws, w.vtxAt(gid, &c.work), &fns, C, all) {
+						w.next[l] = c.work
 						outBits.Set(l)
 					}
 				}
@@ -543,6 +550,46 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], F EdgeF[V], M EdgeM[V]
 			return nil
 		})
 	})
+}
+
+// pull runs the pull kernel over one target's in-row. Before each edge it
+// checks C on the target's working value, whose Val M's results overwrite,
+// and stops at the first failure; then it skips a source outside the
+// frontier (no test when U is all of V), then one failing F, and applies M.
+// It reports whether M ran.
+//
+//flash:hotpath
+//flash:phase(compute)
+func (w *worker[V]) pull(adj []graph.VID, ws []float32, dv Vtx[V], fns *EdgeFuncs[V], C EdgeC[V], all bool) bool {
+	uf, f, um, m := fns.UF, fns.F, fns.UM, fns.M
+	applied := false
+	for i, s := range adj {
+		if C != nil && !C(dv) {
+			break
+		}
+		if !all && !w.frontier.Test(int(s)) {
+			continue
+		}
+		sv := w.vtx(s)
+		var wt float32
+		if ws != nil {
+			wt = ws[i]
+		}
+		if uf != nil {
+			if !uf(sv, dv) {
+				continue
+			}
+		} else if f != nil && !f(sv, dv, wt) {
+			continue
+		}
+		if um != nil {
+			*dv.Val = um(sv, dv)
+		} else {
+			*dv.Val = m(sv, dv, wt)
+		}
+		applied = true
+	}
+	return applied
 }
 
 // Frontier frame tags: the first payload byte selects the encoding.

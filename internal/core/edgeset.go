@@ -249,3 +249,68 @@ func (i inFunc[V]) SupportsIn() bool                     { return true }
 func (i inFunc[V]) SupportsOut() bool                    { return false }
 func (i inFunc[V]) Physical() bool                       { return false }
 func (i inFunc[V]) OutDegreeHint(*Ctx[V], graph.VID) int { return i.hint }
+
+// rowSrc names where a kernel reads an edge set's rows from.
+type rowSrc uint8
+
+const (
+	rowsCSR   rowSrc = iota // the in-memory CSR, E itself
+	rowsBlock               // the thread's block cursor, E out-of-core
+	rowsIter                // any other set: its iterator, into the thread's row buffer
+)
+
+// rowSource picks, once per step, where a kernel reads H's rows in direction
+// dir (graph.BlockIn for pull, graph.BlockOut for push) from, and the
+// direction to read them in: the reversal of E, in memory or out-of-core, is
+// E's row in the other direction.
+func rowSource[V any](H EdgeSet[V], dir int) (rowSrc, int) {
+	switch h := H.(type) {
+	case baseEdges[V]:
+		return rowsCSR, dir
+	case blockEdges[V]:
+		return rowsBlock, dir
+	case reverseEdges[V]:
+		rev := graph.BlockIn
+		if dir == graph.BlockIn {
+			rev = graph.BlockOut
+		}
+		if src, d := rowSource(h.inner, rev); src != rowsIter {
+			return src, d
+		}
+	}
+	return rowsIter, dir
+}
+
+// rowOf returns v's row of H in direction dir, read from src (rowSource's
+// pick for the step): a CSR row aliases the graph, a block row the thread's
+// cursor block (row), and any other set's row is collected through its
+// iterator into the thread's row buffer, valid until the next collection. A
+// collection runs the iterator to the end of the row.
+//
+//flash:hotpath
+func (c *Ctx[V]) rowOf(H EdgeSet[V], src rowSrc, dir int, v graph.VID) ([]graph.VID, []float32) {
+	switch src {
+	case rowsCSR:
+		if dir == graph.BlockIn {
+			return c.G.InNeighbors(v), c.G.InWeights(v)
+		}
+		return c.G.OutNeighbors(v), c.G.OutWeights(v)
+	case rowsBlock:
+		return c.row(dir, v)
+	}
+	c.rowAdj, c.rowW = c.rowAdj[:0], c.rowW[:0]
+	if dir == graph.BlockIn {
+		H.In(c, v, c.collect)
+	} else {
+		H.Out(c, v, c.collect)
+	}
+	return c.rowAdj, c.rowW
+}
+
+// appendEdge is the yield rowOf collects a derived set's row with (bound once
+// per Ctx as collect).
+func (c *Ctx[V]) appendEdge(d graph.VID, w float32) bool {
+	c.rowAdj = append(c.rowAdj, d)
+	c.rowW = append(c.rowW, w)
+	return true
+}

@@ -415,8 +415,8 @@ type worker[V any] struct {
 	ctxs []Ctx[V]
 
 	// pushers holds one phase-1 push state per parfor thread (index t, like
-	// ctxs), and kv the KV-round decode state: both carry method values
-	// bound once here, so a superstep builds no closure for them.
+	// ctxs), and kv the KV-round decode state, whose method values are bound
+	// once here: a superstep builds no closure for either.
 	pushers []pusher[V]
 	kv      kvDrain[V]
 }
@@ -565,7 +565,9 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 func (w *worker[V]) initCtxs() {
 	w.ctxs = make([]Ctx[V], w.eng.cfg.Threads)
 	for t := range w.ctxs {
-		w.ctxs[t] = Ctx[V]{G: w.eng.g, w: w}
+		c := &w.ctxs[t]
+		c.G, c.w = w.eng.g, w
+		c.collect = c.appendEdge
 	}
 }
 
@@ -970,21 +972,8 @@ func (w *worker[V]) vtx(v graph.VID) Vtx[V] {
 	}
 }
 
-// vtxMaster is vtx for a local master whose local index (== slot) is already
-// known, skipping the gid→slot lookup on master-walk hot paths.
-//
-//flash:hotpath
-//flash:phase(compute)
-func (w *worker[V]) vtxMaster(v graph.VID, l int) Vtx[V] {
-	return Vtx[V]{
-		ID:    v,
-		Deg:   uint32(w.eng.g.OutDegree(v)),
-		InDeg: uint32(w.eng.g.InDegree(v)),
-		Val:   &w.cur[l],
-	}
-}
-
-// vtxAt is like vtx but points Val at an explicit working copy.
+// vtxAt is like vtx but points Val at val: a master's own state when its
+// local index (== slot) is known, or a working copy.
 //
 //flash:hotpath
 //flash:phase(compute)
@@ -1006,6 +995,14 @@ type Ctx[V any] struct {
 	// blk is the thread's out-of-core block cursor per logical direction
 	// (blockedge.go); unused over an in-memory graph.
 	blk [2]blockCursor
+
+	// rowAdj/rowW are the row buffer rowOf collects a derived edge set's row
+	// into, through collect (appendEdge, bound once); work is the pull
+	// kernel's working copy of the target's value.
+	rowAdj  []graph.VID
+	rowW    []float32
+	collect func(graph.VID, float32) bool
+	work    V
 }
 
 // Get returns a read-only pointer to v's current state as seen by this

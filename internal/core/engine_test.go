@@ -28,10 +28,10 @@ func runBFS(e *Engine[bfsProps], root graph.VID, mode Mode) []int32 {
 	u := e.FromIDs(root)
 	for u.Size() != 0 {
 		u = e.EdgeMap(u, BaseE[bfsProps](),
-			nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps {
-				return bfsProps{Dis: s.Val.Dis + 1}
-			},
+			Weighted(nil,
+				func(s, d Vtx[bfsProps], _ float32) bfsProps {
+					return bfsProps{Dis: s.Val.Dis + 1}
+				}),
 			func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf },
 			func(t, cur bfsProps) bfsProps { return t },
 			StepOpts{Mode: mode})
@@ -224,10 +224,10 @@ func TestVirtualEdgeSetPointerJumping(t *testing.T) {
 		return []graph.VID{graph.VID(c.Get(d).P)}
 	})
 	for round := 0; round < 10; round++ {
-		e.EdgeMapDense(e.All(), jp, nil,
+		e.EdgeMapDense(e.All(), jp, Weighted(nil,
 			func(s, d Vtx[pjProps], _ float32) pjProps {
 				return pjProps{P: s.Val.P}
-			}, nil, StepOpts{})
+			}), nil, StepOpts{})
 	}
 	e.Gather(func(v graph.VID, val *pjProps) {
 		if val.P != 0 {
@@ -256,10 +256,10 @@ func TestVirtualEdgeSetOutFunc(t *testing.T) {
 	parentEdges := OutFunc(func(c *Ctx[pjProps], u graph.VID) []graph.VID {
 		return []graph.VID{graph.VID(c.Get(u).P)}
 	})
-	out := e.EdgeMapSparse(e.All(), parentEdges, nil,
+	out := e.EdgeMapSparse(e.All(), parentEdges, Weighted(nil,
 		func(s, d Vtx[pjProps], _ float32) pjProps {
 			return pjProps{P: uint32(s.ID)}
-		}, nil,
+		}), nil,
 		func(t, cur pjProps) pjProps {
 			if t.P > cur.P {
 				return t
@@ -293,20 +293,20 @@ func TestPanicsOnMisuse(t *testing.T) {
 	}
 	expectPanic("foreign subset", func() { e.VertexMap(e2.All(), nil, nil, StepOpts{}) })
 	expectPanic("nil reduce sparse", func() {
-		e.EdgeMapSparse(e.All(), BaseE[bfsProps](), nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, nil, StepOpts{})
+		e.EdgeMapSparse(e.All(), BaseE[bfsProps](), Weighted(nil,
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }), nil, nil, StepOpts{})
 	})
 	expectPanic("oob vertex", func() { e.Get(100) })
 	expectPanic("virtual without FullMirrors", func() {
 		vf := OutFunc(func(c *Ctx[bfsProps], u graph.VID) []graph.VID { return nil })
-		e.EdgeMapSparse(e.All(), vf, nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil,
+		e.EdgeMapSparse(e.All(), vf, Weighted(nil,
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }), nil,
 			func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	})
 	expectPanic("pull on OutFunc", func() {
 		vf := OutFunc(func(c *Ctx[bfsProps], u graph.VID) []graph.VID { return nil })
-		e.EdgeMapDense(e.All(), vf, nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }, nil, StepOpts{})
+		e.EdgeMapDense(e.All(), vf, Weighted(nil,
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }), nil, StepOpts{})
 	})
 }
 
@@ -365,7 +365,7 @@ func TestEdgeMapOutSetSemantics(t *testing.T) {
 	c := func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf }
 	r := func(t, cur bfsProps) bfsProps { return t }
 
-	out := e.EdgeMapSparse(e.FromIDs(0), BaseE[bfsProps](), nil, m, c, r, StepOpts{})
+	out := e.EdgeMapSparse(e.FromIDs(0), BaseE[bfsProps](), Weighted(nil, m), c, r, StepOpts{})
 	if out.Size() != 8 || e.Contains(out, 0) {
 		t.Fatalf("push out = %v", e.IDs(out))
 	}
@@ -373,7 +373,7 @@ func TestEdgeMapOutSetSemantics(t *testing.T) {
 	// Reset and pull.
 	e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: inf} }, StepOpts{})
 	e.Set(5, bfsProps{Dis: 0})
-	out = e.EdgeMapDense(e.FromIDs(5), BaseE[bfsProps](), nil, m, c, StepOpts{})
+	out = e.EdgeMapDense(e.FromIDs(5), BaseE[bfsProps](), Weighted(nil, m), c, StepOpts{})
 	if out.Size() != 1 || !e.Contains(out, 0) {
 		t.Fatalf("pull out = %v", e.IDs(out))
 	}
@@ -389,7 +389,7 @@ func TestReverseEdgeSet(t *testing.T) {
 	r := func(t, cur bfsProps) bfsProps { return t }
 	u := e.FromIDs(3)
 	for u.Size() > 0 {
-		u = e.EdgeMap(u, ReverseE(BaseE[bfsProps]()), nil, m,
+		u = e.EdgeMap(u, ReverseE(BaseE[bfsProps]()), Weighted(nil, m),
 			func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf }, r, StepOpts{})
 	}
 	for v := 0; v < 4; v++ {
@@ -405,8 +405,8 @@ func TestJoinEURestrictsTargets(t *testing.T) {
 	e.VertexMap(e.All(), nil, func(v Vtx[bfsProps]) bfsProps { return bfsProps{Dis: 0} }, StepOpts{})
 	allowed := map[graph.VID]bool{3: true, 4: true}
 	h := JoinEU(BaseE[bfsProps](), func(d graph.VID) bool { return allowed[d] })
-	out := e.EdgeMapSparse(e.FromIDs(0), h, nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: 1} }, nil,
+	out := e.EdgeMapSparse(e.FromIDs(0), h, Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: 1} }), nil,
 		func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	ids := e.IDs(out)
 	if len(ids) != 2 || ids[0] != 3 || ids[1] != 4 {
@@ -570,8 +570,8 @@ func BenchmarkEdgeMapSparseBFSStep(b *testing.B) {
 		e.Set(0, bfsProps{Dis: 0})
 		u := e.FromIDs(0)
 		b.StartTimer()
-		e.EdgeMapSparse(u, BaseE[bfsProps](), nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+		e.EdgeMapSparse(u, BaseE[bfsProps](), Weighted(nil,
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} }),
 			func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf },
 			func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 	}

@@ -130,8 +130,8 @@ func TestSparseFrontierPullStep(t *testing.T) {
 		// R == nil forces pull mode regardless of |U|: a one-vertex frontier
 		// ships as a sparse vid list.
 		u = e.EdgeMap(u, BaseE[bfsProps](),
-			func(s, d Vtx[bfsProps], _ float32) bool { return d.Val.Dis > s.Val.Dis+1 },
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+			Weighted(func(s, d Vtx[bfsProps], _ float32) bool { return d.Val.Dis > s.Val.Dis+1 },
+				func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} }),
 			nil, nil, StepOpts{})
 		for _, v := range e.IDs(u) {
 			if e.Get(v).Dis != 1 {

@@ -30,12 +30,12 @@ func runBC(e *Engine[bcProps], root graph.VID) {
 	var levels []*Subset
 	for u, lvl := e.FromIDs(root), int32(1); u.Size() != 0; lvl++ {
 		levels = append(levels, u)
-		u = e.EdgeMap(u, BaseE[bcProps](), nil,
+		u = e.EdgeMap(u, BaseE[bcProps](), Weighted(nil,
 			func(s, d Vtx[bcProps], _ float32) bcProps {
 				nv := *d.Val
 				nv.Num += s.Val.Num
 				return nv
-			},
+			}),
 			func(d Vtx[bcProps]) bool { return d.Val.Level == -1 },
 			func(t, cur bcProps) bcProps {
 				cur.Num += t.Num
@@ -49,12 +49,12 @@ func runBC(e *Engine[bcProps], root graph.VID) {
 	}
 	for i := len(levels) - 1; i > 0; i-- {
 		e.EdgeMap(levels[i], ReverseE(BaseE[bcProps]()),
-			func(s, d Vtx[bcProps], _ float32) bool { return d.Val.Level == s.Val.Level-1 },
-			func(s, d Vtx[bcProps], _ float32) bcProps {
-				nv := *d.Val
-				nv.B += nv.Num / s.Val.Num * (1 + s.Val.B)
-				return nv
-			}, nil,
+			Weighted(func(s, d Vtx[bcProps], _ float32) bool { return d.Val.Level == s.Val.Level-1 },
+				func(s, d Vtx[bcProps], _ float32) bcProps {
+					nv := *d.Val
+					nv.B += nv.Num / s.Val.Num * (1 + s.Val.B)
+					return nv
+				}), nil,
 			func(t, cur bcProps) bcProps {
 				cur.B += t.B
 				return cur
@@ -68,8 +68,8 @@ func runCC(e *Engine[ccProps]) {
 	u := e.VertexMap(e.All(), nil, func(v Vtx[ccProps]) ccProps { return ccProps{CC: uint32(v.ID)} }, StepOpts{})
 	for u.Size() > 0 {
 		u = e.EdgeMap(u, BaseE[ccProps](),
-			func(s, d Vtx[ccProps], _ float32) bool { return s.Val.CC < d.Val.CC },
-			func(s, d Vtx[ccProps], _ float32) ccProps { return ccProps{CC: min(s.Val.CC, d.Val.CC)} },
+			Weighted(func(s, d Vtx[ccProps], _ float32) bool { return s.Val.CC < d.Val.CC },
+				func(s, d Vtx[ccProps], _ float32) ccProps { return ccProps{CC: min(s.Val.CC, d.Val.CC)} }),
 			nil,
 			func(t, cur ccProps) ccProps { return ccProps{CC: min(t.CC, cur.CC)} }, StepOpts{})
 	}

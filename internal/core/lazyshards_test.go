@@ -57,8 +57,8 @@ func parallelSparsePhase(t *testing.T, form string) {
 	e.Set(0, bfsProps{Dis: 0})
 	// min-reduce of source ids over every edge: each target ends up with the
 	// smallest in-neighbor id, checkable against the graph directly.
-	out := e.EdgeMapSparse(formed(e, form, e.IDs(e.All())), BaseE[bfsProps](), nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: int32(s.ID)} },
+	out := e.EdgeMapSparse(formed(e, form, e.IDs(e.All())), BaseE[bfsProps](), Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: int32(s.ID)} }),
 		nil,
 		func(tv, cur bfsProps) bfsProps {
 			if tv.Dis < cur.Dis {

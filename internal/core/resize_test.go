@@ -25,8 +25,8 @@ func resizeBFS(t *testing.T, e *Engine[bfsProps], root graph.VID, resize func(st
 	step := 0
 	for u.Size() != 0 {
 		u = e.EdgeMap(u, BaseE[bfsProps](),
-			nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+			Weighted(nil,
+				func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} }),
 			func(d Vtx[bfsProps]) bool { return d.Val.Dis == inf },
 			func(v, cur bfsProps) bfsProps { return v },
 			StepOpts{})

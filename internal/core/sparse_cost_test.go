@@ -46,8 +46,8 @@ func TestSparseStepFrontierProportional(t *testing.T) {
 
 // pushBFS runs one BFS-shaped push superstep from U.
 func pushBFS(e *Engine[bfsProps], U *Subset) *Subset {
-	return e.EdgeMapSparse(U, BaseE[bfsProps](), nil,
-		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} },
+	return e.EdgeMapSparse(U, BaseE[bfsProps](), Weighted(nil,
+		func(s, d Vtx[bfsProps], _ float32) bfsProps { return bfsProps{Dis: s.Val.Dis + 1} }),
 		nil,
 		func(t, cur bfsProps) bfsProps { return t }, StepOpts{})
 }

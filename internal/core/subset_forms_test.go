@@ -180,8 +180,8 @@ func TestSparseCrossoverFallback(t *testing.T) {
 	g := graph.GenGrid(40, 40, 0, 1)
 	want := seqBFS(g, 0)
 	listOut := func(e *Engine[bfsProps]) bool {
-		out := e.EdgeMapSparse(e.FromIDs(0, 1599), BaseE[bfsProps](), nil,
-			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val },
+		out := e.EdgeMapSparse(e.FromIDs(0, 1599), BaseE[bfsProps](), Weighted(nil,
+			func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }),
 			nil, func(t, cur bfsProps) bfsProps { return t }, StepOpts{NoSync: true})
 		return out.local[0].bits == nil && out.local[1].bits == nil
 	}

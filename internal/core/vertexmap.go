@@ -37,7 +37,7 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 			cstart := time.Now()
 			w.forEachMember(membership, U.Size(), func(_, l int) {
 				gid := e.place.GlobalID(w.id, l)
-				v := w.vtxMaster(gid, l)
+				v := w.vtxAt(gid, &w.cur[l])
 				if F != nil && !F(v) {
 					return
 				}
@@ -76,7 +76,7 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			w.forEachMember(membership, U.Size(), func(t, l int) {
 				c := &w.ctxs[t]
 				gid := e.place.GlobalID(w.id, l)
-				v := w.vtxMaster(gid, l)
+				v := w.vtxAt(gid, &w.cur[l])
 				if F != nil && !F(c, v) {
 					return
 				}

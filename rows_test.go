@@ -1,0 +1,312 @@
+package flash_test
+
+import (
+	"fmt"
+	"reflect"
+	"sync/atomic"
+	"testing"
+
+	"flash"
+	"flash/graph"
+)
+
+// rowProps records what the per-edge callbacks saw: in pull mode how many
+// times M ran on the target and the source and weight of its last run, in
+// push mode the reduced count, source-id sum and largest weight of the
+// partials. Blocked targets fail C from the start.
+type rowProps struct {
+	Count   int32
+	Last    int32
+	Sum     int64
+	W       float32
+	Blocked int32
+}
+
+// pullCap is how many times a pulled target may take M before C turns false.
+const pullCap = 2
+
+// rowSet is one edge set under test: how to build it on an engine, and its
+// row of v in each direction as the CSR gives it (the reference).
+type rowSet struct {
+	name  string
+	build func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps]
+	in    func(v graph.VID) ([]graph.VID, []float32)
+	out   func(v graph.VID) ([]graph.VID, []float32)
+}
+
+// TestBlockRowSourcesKeepEdgeContract runs both EdgeMap kernels over every
+// row source a kernel reads — the CSR, a block graph whose cache holds one
+// block per worker, and derived sets collected through their iterators
+// (JoinEU over either, InEdges) — and over ReverseE of the CSR and of the
+// block graph, in both callback forms, on a frontier that is all of V and on
+// one that is not. Every result must equal a serial walk of the CSR rows
+// with the same per-edge contract: in pull mode C before each edge and a
+// stop at the first failure, then the frontier, then F, then M; in push mode
+// a target failing C or F is skipped. M must never run on a target whose C
+// is false. Under -tags flashdebug a row slice read after its block was
+// released reads the arena poison.
+func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
+	const n, workers = 600, 2
+	g := graph.WithRandomWeights(graph.GenRandomDirected(n, n*8, 31), 5)
+	bg := openXLBlock(t, g, 1<<10)
+
+	var oneBlock int64
+	for i := 0; i < bg.NumBlocks(graph.BlockIn); i++ {
+		dec, err := bg.ReadBlock(graph.BlockIn, i)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", i, err)
+		}
+		oneBlock = max(oneBlock, dec.Bytes())
+	}
+	if bg.NumBlocks(graph.BlockIn) < 4 {
+		t.Fatalf("%d in-blocks: too few for the cache to recycle", bg.NumBlocks(graph.BlockIn))
+	}
+	width := []flash.Option{flash.WithWorkers(workers), flash.WithThreads(2)}
+	engines := map[string][]flash.Option{
+		"csr": width,
+		"block": append([]flash.Option{
+			flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
+			flash.WithBlockCacheBytes(workers * oneBlock),
+		}, width...),
+		"csr-full": append([]flash.Option{flash.WithFullMirrors()}, width...),
+	}
+
+	joined := func(v graph.VID) bool { return v%3 != 2 }
+	inRow := func(v graph.VID) ([]graph.VID, []float32) { return g.InNeighbors(v), g.InWeights(v) }
+	outRow := func(v graph.VID) ([]graph.VID, []float32) { return g.OutNeighbors(v), g.OutWeights(v) }
+	filtered := func(row func(graph.VID) ([]graph.VID, []float32)) func(graph.VID) ([]graph.VID, []float32) {
+		return func(v graph.VID) ([]graph.VID, []float32) {
+			adj, ws := row(v)
+			var fa []graph.VID
+			var fw []float32
+			for i, d := range adj {
+				if joined(d) {
+					fa, fw = append(fa, d), append(fw, ws[i])
+				}
+			}
+			return fa, fw
+		}
+	}
+	unweightedIn := func(v graph.VID) ([]graph.VID, []float32) {
+		return g.InNeighbors(v), make([]float32, len(g.InNeighbors(v)))
+	}
+	sets := []rowSet{
+		{"E", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return e.E() }, inRow, outRow},
+		{"Reverse(E)", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return flash.Reverse(e.E()) }, outRow, inRow},
+		{"JoinEU(E)", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] {
+			var ids []graph.VID
+			for v := graph.VID(0); v < n; v++ {
+				if joined(v) {
+					ids = append(ids, v)
+				}
+			}
+			return e.JoinEU(e.E(), e.FromIDs(ids...))
+		}, func(v graph.VID) ([]graph.VID, []float32) {
+			if !joined(v) {
+				return nil, nil
+			}
+			return inRow(v)
+		}, filtered(outRow)},
+	}
+	inEdges := rowSet{"InEdges", func(*flash.Engine[rowProps]) flash.EdgeSet[rowProps] {
+		return flash.InEdges(func(_ *flash.Ctx[rowProps], d graph.VID) []graph.VID { return g.InNeighbors(d) })
+	}, unweightedIn, nil}
+
+	frontiers := map[string]func(graph.VID) bool{
+		"all":     func(graph.VID) bool { return true },
+		"partial": func(v graph.VID) bool { return v%4 != 1 },
+	}
+	for _, eng := range []string{"csr", "block", "csr-full"} {
+		eg := g
+		if eng == "block" {
+			eg = bg.Skeleton()
+		}
+		e, err := flash.NewEngine[rowProps](eg, engines[eng]...)
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", eng, err)
+		}
+		cases := sets
+		if eng == "csr-full" {
+			cases = []rowSet{inEdges}
+		}
+		for _, set := range cases {
+			for fname, inU := range frontiers {
+				for _, weighted := range []bool{true, false} {
+					name := fmt.Sprintf("%s/%s/%s/weighted=%v", eng, set.name, fname, weighted)
+					checkPullRows(t, name, e, set, inU, weighted)
+					if set.out != nil {
+						checkPushRows(t, name, e, set, inU, weighted)
+					}
+				}
+			}
+		}
+		if eng == "block" && e.Metrics().BlockEvictions == 0 {
+			t.Errorf("a one-block cache recorded no evictions: no block was recycled under a row")
+		}
+		e.Close()
+	}
+}
+
+// resetRows seeds every vertex: zero counts, every seventh target blocked.
+func resetRows(e *flash.Engine[rowProps]) {
+	e.VertexMap(e.All(), nil, func(v flash.Vertex[rowProps]) rowProps {
+		return rowProps{Blocked: int32(v.ID % 7 / 6), Last: -1}
+	})
+}
+
+func rowFrontier(e *flash.Engine[rowProps], inU func(graph.VID) bool) *flash.VertexSubset {
+	n := e.Graph().NumVertices()
+	var ids []graph.VID
+	for v := graph.VID(0); int(v) < n; v++ {
+		if inU(v) {
+			ids = append(ids, v)
+		}
+	}
+	if len(ids) == n {
+		return e.All()
+	}
+	return e.FromIDs(ids...)
+}
+
+func rowGuard(s, d graph.VID) bool { return (s+d)%3 != 0 }
+
+// checkPullRows runs one forced pull step and compares every vertex's value
+// and the output set against the serial walk of set.in.
+func checkPullRows(t *testing.T, name string, e *flash.Engine[rowProps], set rowSet, inU func(graph.VID) bool, weighted bool) {
+	t.Helper()
+	resetRows(e)
+	var late atomic.Int64
+	C := func(d flash.Vertex[rowProps]) bool { return d.Val.Blocked == 0 && d.Val.Count < pullCap }
+	M := func(s, d flash.Vertex[rowProps], w float32) rowProps {
+		if d.Val.Blocked != 0 || d.Val.Count >= pullCap {
+			late.Add(1)
+		}
+		nv := *d.Val
+		nv.Count++
+		nv.Last, nv.W = int32(s.ID), w
+		return nv
+	}
+	F := func(s, d flash.Vertex[rowProps], _ float32) bool { return rowGuard(s.ID, d.ID) }
+	U, H := rowFrontier(e, inU), set.build(e)
+	var out *flash.VertexSubset
+	if weighted {
+		out = e.EdgeMapDenseW(U, H, F, M, C)
+	} else {
+		out = e.EdgeMapDense(U, H,
+			func(s, d flash.Vertex[rowProps]) bool { return F(s, d, 0) },
+			func(s, d flash.Vertex[rowProps]) rowProps { return M(s, d, 0) }, C)
+	}
+	if late.Load() != 0 {
+		t.Errorf("%s pull: M ran %d times on a target whose C was false", name, late.Load())
+	}
+
+	n := e.Graph().NumVertices()
+	want := make([]rowProps, n)
+	var wantOut []graph.VID
+	for d := graph.VID(0); int(d) < n; d++ {
+		v := rowProps{Blocked: int32(d % 7 / 6), Last: -1}
+		adj, ws := set.in(d)
+		for i, s := range adj {
+			if v.Blocked != 0 || v.Count >= pullCap {
+				break
+			}
+			if !inU(s) || !rowGuard(s, d) {
+				continue
+			}
+			v.Count++
+			v.Last = int32(s)
+			if weighted {
+				v.W = ws[i]
+			}
+		}
+		want[d] = v
+		if v.Count > 0 {
+			wantOut = append(wantOut, d)
+		}
+	}
+	compareRows(t, name+" pull", e, out, want, wantOut)
+}
+
+// checkPushRows runs one forced push step and compares every vertex's value
+// and the output set against the serial walk of set.out.
+func checkPushRows(t *testing.T, name string, e *flash.Engine[rowProps], set rowSet, inU func(graph.VID) bool, weighted bool) {
+	t.Helper()
+	resetRows(e)
+	var late atomic.Int64
+	C := func(d flash.Vertex[rowProps]) bool { return d.Val.Blocked == 0 }
+	M := func(s, d flash.Vertex[rowProps], w float32) rowProps {
+		if d.Val.Blocked != 0 {
+			late.Add(1)
+		}
+		return rowProps{Count: 1, Sum: int64(s.ID), W: w}
+	}
+	R := func(t, cur rowProps) rowProps {
+		cur.Count += t.Count
+		cur.Sum += t.Sum
+		cur.W = max(cur.W, t.W)
+		return cur
+	}
+	F := func(s, d flash.Vertex[rowProps], _ float32) bool { return rowGuard(s.ID, d.ID) }
+	U, H := rowFrontier(e, inU), set.build(e)
+	var out *flash.VertexSubset
+	if weighted {
+		out = e.EdgeMapSparseW(U, H, F, M, C, R)
+	} else {
+		out = e.EdgeMapSparse(U, H,
+			func(s, d flash.Vertex[rowProps]) bool { return F(s, d, 0) },
+			func(s, d flash.Vertex[rowProps]) rowProps { return M(s, d, 0) }, C, R)
+	}
+	if late.Load() != 0 {
+		t.Errorf("%s push: M ran %d times on a target whose C was false", name, late.Load())
+	}
+
+	n := e.Graph().NumVertices()
+	want := make([]rowProps, n)
+	for d := range want {
+		want[d] = rowProps{Blocked: int32(d % 7 / 6), Last: -1}
+	}
+	for s := graph.VID(0); int(s) < n; s++ {
+		if !inU(s) {
+			continue
+		}
+		adj, ws := set.out(s)
+		for i, d := range adj {
+			if want[d].Blocked != 0 || !rowGuard(s, d) {
+				continue
+			}
+			want[d].Count++
+			want[d].Sum += int64(s)
+			if weighted {
+				want[d].W = max(want[d].W, ws[i])
+			}
+		}
+	}
+	var wantOut []graph.VID
+	for d := range want {
+		if want[d].Count > 0 {
+			wantOut = append(wantOut, graph.VID(d))
+		}
+	}
+	compareRows(t, name+" push", e, out, want, wantOut)
+}
+
+func compareRows(t *testing.T, name string, e *flash.Engine[rowProps], out *flash.VertexSubset, want []rowProps, wantOut []graph.VID) {
+	t.Helper()
+	got := make([]rowProps, len(want))
+	e.Gather(func(v graph.VID, val *rowProps) { got[v] = *val })
+	bad := 0
+	for v := range want {
+		if got[v] != want[v] {
+			if bad < 3 {
+				t.Errorf("%s: vertex %d = %+v, want %+v", name, v, got[v], want[v])
+			}
+			bad++
+		}
+	}
+	if bad > 3 {
+		t.Errorf("%s: %d vertices differ in all", name, bad)
+	}
+	if ids := e.IDs(out); !reflect.DeepEqual(ids, wantOut) && !(len(ids) == 0 && len(wantOut) == 0) {
+		t.Errorf("%s: output has %d targets, want %d", name, len(ids), len(wantOut))
+	}
+}
