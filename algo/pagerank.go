@@ -19,10 +19,13 @@ func PageRank(g *graph.Graph, maxIters int, eps float64, opts ...flash.Option) (
 	n := float64(g.NumVertices())
 	const damping = 0.85
 	return run(g, opts, func(e *flash.Engine[prProps]) ([]float64, error) {
-		e.VertexMap(e.All(), nil, func(v flash.Vertex[prProps]) prProps {
+		// One All for the run: every step only reads it, and a subset built
+		// before a resize is remapped when next used.
+		all := e.All()
+		e.VertexMap(all, nil, func(v flash.Vertex[prProps]) prProps {
 			return prProps{Rank: 1 / n}
 		})
-		if err := prIterate(e, g, maxIters, eps, n, damping); err != nil {
+		if err := prIterate(e, all, g, maxIters, eps, n, damping); err != nil {
 			return nil, err
 		}
 		// Extract inside the program: in cluster mode Gather is a
@@ -34,8 +37,9 @@ func PageRank(g *graph.Graph, maxIters int, eps float64, opts ...flash.Option) (
 	})
 }
 
-// prIterate runs the damped power iteration to convergence.
-func prIterate(e *flash.Engine[prProps], g *graph.Graph, maxIters int, eps, n, damping float64) error {
+// prIterate runs the damped power iteration to convergence; all is the
+// engine's All.
+func prIterate(e *flash.Engine[prProps], all *flash.VertexSubset, g *graph.Graph, maxIters int, eps, n, damping float64) error {
 	for it := 0; it < maxIters; it++ {
 		// Dangling mass of this round, computed on the driver.
 		dangling := e.SumFloat64(func(v graph.VID, val *prProps) float64 {
@@ -47,10 +51,10 @@ func prIterate(e *flash.Engine[prProps], g *graph.Graph, maxIters int, eps, n, d
 		base := (1-damping)/n + damping*dangling/n
 		// Zero Next so reductions accumulate pure contributions (the same
 		// zero-base convention the paper's BC reduce relies on).
-		e.VertexMap(e.All(), nil, func(v flash.Vertex[prProps]) prProps {
+		e.VertexMap(all, nil, func(v flash.Vertex[prProps]) prProps {
 			return prProps{Rank: v.Val.Rank, Next: 0}
 		})
-		e.EdgeMap(e.All(), e.E(),
+		e.EdgeMap(all, e.E(),
 			nil,
 			func(s, d flash.Vertex[prProps]) prProps {
 				nv := *d.Val
@@ -65,7 +69,7 @@ func prIterate(e *flash.Engine[prProps], g *graph.Graph, maxIters int, eps, n, d
 		delta := e.SumFloat64(func(_ graph.VID, val *prProps) float64 {
 			return math.Abs(base + val.Next - val.Rank)
 		})
-		e.VertexMap(e.All(), nil, func(v flash.Vertex[prProps]) prProps {
+		e.VertexMap(all, nil, func(v flash.Vertex[prProps]) prProps {
 			return prProps{Rank: base + v.Val.Next}
 		})
 		if delta < eps {

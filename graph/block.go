@@ -44,6 +44,18 @@
 // tables for contiguous vertex coverage and offset bounds, and a CRC32-C
 // (Castagnoli) per block at read time. A truncated, bit-flipped, or hostile
 // file fails loudly instead of decoding garbage topology.
+//
+// A sparse superstep needs a few rows of a block, not the block, so a block
+// that has been validated once can be read a row at a time. The first full
+// decode of a block in a block cache checks every framing, vid-bound and
+// byte-budget rule and records each covered vertex's byte offset inside the
+// block in a resident u32 table, one entry per vertex per stored direction
+// (counted in IndexBytes), published once per block behind an atomic state.
+// From then on a cache that does not hold the block may read its encoded
+// bytes — CRC-checked on every read — and decode only the rows it needs,
+// with the same loop and checks (BlockCache.GetRows, EncodedBlock.Row). A
+// block never decoded in full cannot be read by rows, so no row is served
+// from bytes the full validator has not accepted.
 package graph
 
 import (
@@ -53,7 +65,9 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // Block directions for BlockGraph.ReadBlock and BlockCache.Get.
@@ -160,6 +174,14 @@ type BlockGraph struct {
 	blocks        [2][]blockMeta
 	payloadStart  int64
 
+	// rowOff[d][v] is the byte offset of v's row inside its block in stored
+	// direction d, recorded by the block's first successful full decode in a
+	// block cache (readBlock); rowState[d][idx] publishes block idx's
+	// entries, and a block's rows may be read (readRows) only once it reads
+	// rowsReady.
+	rowOff   [2][]uint32
+	rowState [2][]atomic.Uint32
+
 	mu   sync.Mutex
 	skel *Graph
 	seq  [2]*DecodedBlock // per-direction MRU for sequential scans
@@ -243,15 +265,21 @@ func (bg *BlockGraph) dirOff(d int) []int64 {
 // else holds: every call allocates a fresh DecodedBlock the caller owns
 // outright, valid for as long as it is referenced. Engine hot paths go
 // through a BlockCache instead, whose blocks live in recycled arenas and are
-// valid only between Get and Release.
+// valid only between Get and Release. ReadBlock serves whole-graph scans
+// (partition construction) and leaves the row-offset table alone: only a
+// cache's full decode opens a block to row reads.
 func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
 	d := bg.mapDir(dir)
 	if idx < 0 || idx >= len(bg.blocks[d]) {
 		return nil, fmt.Errorf("graph: block %d/%d out of range", d, idx)
 	}
-	b := new(DecodedBlock)
+	enc, err := bg.readEncoded(d, idx, nil)
+	if err != nil {
+		return nil, err
+	}
+	b := &DecodedBlock{d: d, idx: idx}
 	b.alloc(int(bg.blocks[d][idx].edges), bg.weighted)
-	if _, err := bg.readBlock(d, idx, b, nil); err != nil {
+	if err := bg.decodeBlock(d, bg.blocks[d][idx], enc, b, nil); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -265,15 +293,19 @@ func (b *DecodedBlock) alloc(edges int, weighted bool) {
 	}
 }
 
-// readBlock reads block d/idx (both already validated) through the encoded-
-// bytes buffer enc, CRC-verifies it, and decodes it into b's arenas, which
-// must hold the block's edge count. The buffer is returned for reuse, grown
-// if the block needed more than it had. On error b's contents are undefined
-// but its arenas remain usable.
+// Row-offset states of one block (BlockGraph.rowState).
+const (
+	rowsUnknown   = iota // never fully decoded: its rows may not be read
+	rowsRecording        // a full decode is recording its row offsets
+	rowsReady            // its row offsets are published: rows may be read
+)
+
+// readEncoded reads block d/idx's encoded bytes (both already validated)
+// into enc, grown if the block needs more than it has, and CRC-verifies them.
+// The buffer is returned for reuse, also on error.
 //
 //flash:hotpath
-//flash:blockowner the decode path fills the block it is handed
-func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte, error) {
+func (bg *BlockGraph) readEncoded(d, idx int, enc []byte) ([]byte, error) {
 	mt := bg.blocks[d][idx]
 	if cap(enc) < int(mt.encLen) {
 		enc = make([]byte, mt.encLen)
@@ -285,13 +317,84 @@ func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte
 	if crc32.Checksum(enc, blkCRCTable) != mt.crc {
 		return enc, fmt.Errorf("graph: block %d/%d crc mismatch", d, idx)
 	}
+	return enc, nil
+}
+
+// readBlock is a cache miss's read: it reads block d/idx (both already
+// validated) through the encoded-bytes buffer enc, CRC-verifies it, and
+// decodes it into b's arenas, which must hold the block's edge count. The
+// block's first successful decode here records and publishes its row
+// offsets. The buffer is returned for reuse, grown if the block needed more
+// than it had. On error b's contents are undefined but its arenas remain
+// usable.
+//
+//flash:hotpath
+//flash:blockowner the decode path fills the block it is handed
+func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte, error) {
+	enc, err := bg.readEncoded(d, idx, enc)
+	if err != nil {
+		return enc, err
+	}
 	b.d, b.idx = d, idx
-	return enc, bg.decodeBlock(d, mt, enc, b)
+	mt := bg.blocks[d][idx]
+	st := &bg.rowState[d][idx]
+	if st.Load() != rowsUnknown || !st.CompareAndSwap(rowsUnknown, rowsRecording) {
+		return enc, bg.decodeBlock(d, mt, enc, b, nil)
+	}
+	err = bg.decodeBlock(d, mt, enc, b, bg.rowOff[d][mt.first:int(mt.first)+int(mt.nv)])
+	if err != nil {
+		st.Store(rowsUnknown)
+	} else {
+		st.Store(rowsReady)
+	}
+	return enc, err
 }
 
 // decodeBlock expands one verified block payload into CSR form inside b's
 // arenas (capacity at least mt.edges), validating varint framing, vid bounds,
-// and the exact byte budget.
+// and the exact byte budget. When rec is not nil it receives each covered
+// vertex's row offset in data.
+//
+//flash:hotpath
+//flash:blockowner the decode path fills the block it is handed
+func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock, rec []uint32) error {
+	off := bg.dirOff(d)
+	first, end := int(mt.first), int(mt.first)+int(mt.nv)
+	adj := b.adj[:mt.edges]
+	var ws []float32
+	if bg.weighted {
+		ws = b.ws[:mt.edges]
+	}
+	pos, k := 0, 0
+	for v := first; v < end; v++ {
+		deg := int(off[v+1] - off[v])
+		if rec != nil {
+			rec[v-first] = uint32(pos)
+		}
+		var wrow []float32
+		if ws != nil {
+			wrow = ws[k : k+deg]
+		}
+		var err error
+		if pos, err = bg.decodeRow(data, pos, v, adj[k:k+deg], wrow); err != nil {
+			return err
+		}
+		k += deg
+	}
+	if pos != len(data) {
+		return fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
+	}
+	b.first = mt.first
+	b.nv = int(mt.nv)
+	b.base = off[first]
+	b.off = off[first : end+1]
+	b.adj, b.ws = adj, ws
+	return nil
+}
+
+// decodeRow decodes vertex v's row from data at pos — len(row) neighbors,
+// then, when wrow is not nil, their weights — and returns the position after
+// it. It is the one loop both full block decodes and single-row reads run.
 //
 // Gaps between sorted neighbors are nearly always one or two bytes long, so
 // that case is decided arithmetically from the next two bytes — c is the
@@ -303,63 +406,108 @@ func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte
 // exactly what that reader accepts and rejects, overlong encodings included.
 //
 //flash:hotpath
-//flash:blockowner the decode path fills the block it is handed
-func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock) error {
-	off := bg.dirOff(d)
-	first, end := int(mt.first), int(mt.first)+int(mt.nv)
-	adj := b.adj[:mt.edges]
-	var ws []float32
-	if bg.weighted {
-		ws = b.ws[:mt.edges]
+func (bg *BlockGraph) decodeRow(data []byte, pos, v int, row []VID, wrow []float32) (int, error) {
+	if pos > len(data) {
+		return pos, fmt.Errorf("graph: block row of vertex %d starts past the block", v)
 	}
 	n := uint64(bg.n)
-	pos, k, last := 0, 0, len(data)-1
-	for v := first; v < end; v++ {
-		deg := int(off[v+1] - off[v])
-		row := adj[k : k+deg]
-		prev := uint64(0)
-		for i := range row {
-			var x uint64
-			if i > 0 && pos < last && data[pos]&data[pos+1]&0x80 == 0 {
-				b0, b1 := uint64(data[pos]), uint64(data[pos+1])
-				c := b0 >> 7
-				x = b0&0x7f | (b1<<7)&-c
-				pos += 1 + int(c)
-			} else {
-				var sz int
-				x, sz = binary.Uvarint(data[pos:])
-				if sz <= 0 {
-					return fmt.Errorf("graph: block truncated decoding vertex %d", v)
-				}
-				pos += sz
+	last := len(data) - 1
+	prev := uint64(0)
+	for i := range row {
+		var x uint64
+		if i > 0 && pos < last && data[pos]&data[pos+1]&0x80 == 0 {
+			b0, b1 := uint64(data[pos]), uint64(data[pos+1])
+			c := b0 >> 7
+			x = b0&0x7f | (b1<<7)&-c
+			pos += 1 + int(c)
+		} else {
+			var sz int
+			x, sz = binary.Uvarint(data[pos:])
+			if sz <= 0 {
+				return pos, fmt.Errorf("graph: block truncated decoding vertex %d", v)
 			}
-			prev += x
-			if prev >= n {
-				return fmt.Errorf("graph: block vid %d out of range at vertex %d", prev, v)
-			}
-			row[i] = VID(prev)
+			pos += sz
 		}
-		k += deg
-		if bg.weighted {
-			need := 4 * deg
-			if pos+need > len(data) {
-				return fmt.Errorf("graph: block truncated in weights of vertex %d", v)
-			}
-			wrow := ws[k-deg : k]
-			for i := range wrow {
-				wrow[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
-			}
-			pos += need
+		prev += x
+		if prev >= n {
+			return pos, fmt.Errorf("graph: block vid %d out of range at vertex %d", prev, v)
 		}
+		row[i] = VID(prev)
 	}
-	if pos != len(data) {
-		return fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
+	if wrow != nil {
+		need := 4 * len(row)
+		if pos+need > len(data) {
+			return pos, fmt.Errorf("graph: block truncated in weights of vertex %d", v)
+		}
+		for i := range wrow {
+			wrow[i] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos+4*i:]))
+		}
+		pos += need
 	}
-	b.first = mt.first
-	b.nv = int(mt.nv)
-	b.base = off[first]
-	b.off = off[first : end+1]
-	b.adj, b.ws = adj, ws
+	return pos, nil
+}
+
+// EncodedBlock is one block's encoded bytes, read from the file and
+// CRC-verified, from which single rows are decoded (Row). It is filled only
+// for a block whose row offsets a cache's full decode in this BlockGraph
+// published,
+// so every row it serves comes from bytes the full validator accepted. The
+// zero value holds no block; its buffer is reused from fill to fill.
+type EncodedBlock struct {
+	bg      *BlockGraph
+	d       int
+	first   VID
+	nv      int
+	data    []byte
+	offs    []uint32 // the block's published row offsets
+	decoded uint64   // edges Row decoded since the cache last counted them
+}
+
+// Contains reports whether v's row lives in the block eb holds.
+func (eb *EncodedBlock) Contains(v VID) bool {
+	return v >= eb.first && int(v-eb.first) < eb.nv
+}
+
+// Row decodes v's row — v must lie in the block — into adj and, when the
+// graph is weighted, ws, both grown as needed, and returns them (ws nil when
+// unweighted). The decode is decodeBlock's loop with its vid and truncation
+// checks.
+//
+//flash:hotpath
+func (eb *EncodedBlock) Row(v VID, adj []VID, ws []float32) ([]VID, []float32, error) {
+	bg := eb.bg
+	off := bg.dirOff(eb.d)
+	deg := int(off[v+1] - off[v])
+	adj = slices.Grow(adj[:0], deg)[:deg]
+	if bg.weighted {
+		ws = slices.Grow(ws[:0], deg)[:deg]
+	} else {
+		ws = nil
+	}
+	eb.decoded += uint64(deg)
+	_, err := bg.decodeRow(eb.data, int(eb.offs[v-eb.first]), int(v), adj, ws)
+	return adj, ws, err
+}
+
+// readRows reads block d/idx's encoded bytes into eb, CRC-verified, for Row.
+// It refuses a block that has not passed a cache's full decode in this
+// BlockGraph.
+// On error eb holds no block.
+//
+//flash:hotpath
+func (bg *BlockGraph) readRows(d, idx int, eb *EncodedBlock) error {
+	eb.nv = 0
+	if bg.rowState[d][idx].Load() != rowsReady {
+		return fmt.Errorf("graph: block %d/%d rows read before its first full decode", d, idx)
+	}
+	data, err := bg.readEncoded(d, idx, eb.data)
+	eb.data = data
+	if err != nil {
+		return err
+	}
+	mt := bg.blocks[d][idx]
+	eb.bg, eb.d, eb.first, eb.nv = bg, d, mt.first, int(mt.nv)
+	eb.offs = bg.rowOff[d][mt.first : int(mt.first)+int(mt.nv)]
 	return nil
 }
 
@@ -440,8 +588,9 @@ func (bg *BlockGraph) EdgeBytes() uint64 {
 }
 
 // IndexBytes returns the resident footprint of the in-memory index: offset
-// arrays and block tables. Together with a cache budget this is what an
-// out-of-core graph costs in RAM.
+// arrays, block tables, and the row-offset tables with their block states.
+// Together with a cache budget this is what an out-of-core graph costs in
+// RAM.
 func (bg *BlockGraph) IndexBytes() uint64 {
 	total := uint64(cap(bg.outOff)) * 8
 	if bg.directed {
@@ -449,6 +598,7 @@ func (bg *BlockGraph) IndexBytes() uint64 {
 	}
 	for d := range bg.blocks {
 		total += uint64(cap(bg.blocks[d])) * blkEntrySize
+		total += uint64(cap(bg.rowOff[d]))*4 + uint64(cap(bg.rowState[d]))*4
 	}
 	return total
 }
@@ -859,7 +1009,7 @@ func OpenBlockReader(r io.ReaderAt, size int64) (*BlockGraph, error) {
 			return nil, err
 		}
 	}
-	return &BlockGraph{
+	bg := &BlockGraph{
 		r:            r,
 		n:            n,
 		m:            m,
@@ -871,5 +1021,12 @@ func OpenBlockReader(r io.ReaderAt, size int64) (*BlockGraph, error) {
 		inOff:        inOff,
 		blocks:       [2][]blockMeta{outMetas, inMetas},
 		payloadStart: payloadStart,
-	}, nil
+	}
+	for d, metas := range bg.blocks {
+		if len(metas) > 0 {
+			bg.rowOff[d] = make([]uint32, n)
+			bg.rowState[d] = make([]atomic.Uint32, len(metas))
+		}
+	}
+	return bg, nil
 }

@@ -177,7 +177,7 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 		}
 
 		wantAdj, wantW, ok := refDecodePayload(payload, degs, uint64(n), weighted)
-		err := bg.decodeBlock(BlockOut, mt, payload, b)
+		err := bg.decodeBlock(BlockOut, mt, payload, b, nil)
 		if (err == nil) != ok {
 			t.Fatalf("decodeBlock err = %v, reference accepts = %v", err, ok)
 		}
@@ -198,6 +198,80 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 					t.Fatalf("vertex %d weight %d = %#x, want %#x", v, i, math.Float32bits(ws[i]), wantW[k])
 				}
 				k++
+			}
+		}
+	})
+}
+
+// FuzzDecodeBlockRows holds single-row reads to the full decode on hostile
+// payloads. When decodeBlock accepts a payload, every row read at the
+// offsets it recorded equals that vertex's row of the full decode. When it
+// rejects one, rows read at the offsets recorded before the failure and at
+// offsets derived from the input, past the payload's end included, never
+// panic, and a row read without error holds only in-range vids.
+func FuzzDecodeBlockRows(f *testing.F) {
+	for _, s := range payloadFuzzSeeds() {
+		f.Add(s.payload, s.degs, s.n, s.weighted)
+	}
+	f.Fuzz(func(t *testing.T, payload, degBytes []byte, n uint32, weighted bool) {
+		if len(payload) > 1<<12 || len(degBytes) == 0 || len(degBytes) > 64 {
+			return
+		}
+		off := make([]int64, len(degBytes)+1)
+		for i, b := range degBytes {
+			off[i+1] = off[i] + int64(b%16)
+		}
+		if int(n) < len(degBytes) {
+			n = uint32(len(degBytes))
+		}
+		nv := len(degBytes)
+		edges := int(off[nv])
+		bg := &BlockGraph{n: int(n), weighted: weighted, outOff: off, inOff: off}
+		mt := blockMeta{nv: uint32(nv), edges: uint32(edges), encLen: uint32(len(payload))}
+		b := new(DecodedBlock)
+		b.alloc(edges, weighted)
+		rec := make([]uint32, nv)
+		err := bg.decodeBlock(BlockOut, mt, payload, b, rec)
+		eb := EncodedBlock{bg: bg, nv: nv, data: payload, offs: rec}
+		var adj []VID
+		var ws []float32
+		if err == nil {
+			for v := VID(0); int(v) < nv; v++ {
+				var rerr error
+				adj, ws, rerr = eb.Row(v, adj, ws)
+				wantAdj, wantW := b.Adj(v)
+				if rerr != nil || !equalVIDs(adj, wantAdj) || len(ws) != len(wantW) {
+					t.Fatalf("vertex %d: row %v (%d weights, err %v), full decode %v (%d weights)",
+						v, adj, len(ws), rerr, wantAdj, len(wantW))
+				}
+				for i := range ws {
+					if math.Float32bits(ws[i]) != math.Float32bits(wantW[i]) {
+						t.Fatalf("vertex %d weight %d = %#x, full decode %#x", v, i, math.Float32bits(ws[i]), math.Float32bits(wantW[i]))
+					}
+				}
+			}
+			return
+		}
+		for pass := 0; pass < 2; pass++ {
+			if pass == 1 {
+				for v, b := range degBytes {
+					rec[v] = uint32(int(b) * (v + 1) % (len(payload) + 3))
+				}
+			}
+			for v := VID(0); int(v) < nv; v++ {
+				var rerr error
+				adj, ws, rerr = eb.Row(v, adj, ws)
+				if rerr != nil {
+					continue
+				}
+				if len(adj) != int(off[v+1]-off[v]) || (ws != nil) != weighted && len(adj) > 0 {
+					t.Fatalf("vertex %d: row of %d neighbors (weights %v), want %d (weights %v)", v, len(adj), ws != nil, off[v+1]-off[v], weighted)
+				}
+				for _, d := range adj {
+					if d >= VID(n) {
+						t.Fatalf("vertex %d: row holds vid %d >= n = %d", v, d, n)
+					}
+				}
 			}
 		}
 	})

@@ -29,7 +29,7 @@ func blockTestGraphs(t *testing.T) map[string]*Graph {
 }
 
 // openBlockBytes encodes g and reopens it from the in-memory image.
-func openBlockBytes(t *testing.T, g *Graph, blockSize int) *BlockGraph {
+func openBlockBytes(t testing.TB, g *Graph, blockSize int) *BlockGraph {
 	t.Helper()
 	buf := EncodeBlockFile(g, blockSize)
 	bg, err := OpenBlockReader(bytes.NewReader(buf), int64(len(buf)))
@@ -468,4 +468,28 @@ func TestBlockCacheCloseLeavesArenasToNextCache(t *testing.T) {
 	}
 	b.Close()
 	bound("after second close")
+}
+
+// BenchmarkDecodeBlock prices decodeBlock alone on an RMAT graph's encoded
+// out-blocks, already read and CRC-checked: ns per decoded edge.
+func BenchmarkDecodeBlock(b *testing.B) {
+	bg := openBlockBytes(b, GenRMAT(1<<14, 1<<18, 1), 0)
+	encs := make([][]byte, bg.NumBlocks(BlockOut))
+	for i := range encs {
+		var err error
+		if encs[i], err = bg.readEncoded(BlockOut, i, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	dec := new(DecodedBlock)
+	dec.alloc(bg.NumEdges(), false)
+	b.ResetTimer()
+	for it := 0; it < b.N; it++ {
+		for i, enc := range encs {
+			if err := bg.decodeBlock(BlockOut, bg.blocks[BlockOut][i], enc, dec, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(bg.NumEdges()), "ns/edge")
 }

@@ -9,9 +9,13 @@ import (
 
 // BlockCacheStats is a snapshot of cache activity counters.
 type BlockCacheStats struct {
-	Hits      uint64 // Get served from a resident block
-	Misses    uint64 // Get that read and decoded a block from disk
+	Hits      uint64 // Get or GetRows served from a resident block
+	Misses    uint64 // Get or GetRows that read a block from disk
 	Evictions uint64 // blocks dropped to stay under the byte budget
+
+	// DecodedEdges counts the edges decoded from read bytes: a whole block's
+	// on a Get miss, only the rows read on a GetRows miss.
+	DecodedEdges uint64
 
 	// Encoded bytes read from disk, split by the scheduling mode the cache
 	// was in when the miss happened.
@@ -26,12 +30,13 @@ type BlockCacheStats struct {
 
 func (s BlockCacheStats) sub(o BlockCacheStats) BlockCacheStats {
 	return BlockCacheStats{
-		Hits:        s.Hits - o.Hits,
-		Misses:      s.Misses - o.Misses,
-		Evictions:   s.Evictions - o.Evictions,
-		BytesDense:  s.BytesDense - o.BytesDense,
-		BytesSparse: s.BytesSparse - o.BytesSparse,
-		Unplanned:   s.Unplanned - o.Unplanned,
+		Hits:         s.Hits - o.Hits,
+		Misses:       s.Misses - o.Misses,
+		Evictions:    s.Evictions - o.Evictions,
+		DecodedEdges: s.DecodedEdges - o.DecodedEdges,
+		BytesDense:   s.BytesDense - o.BytesDense,
+		BytesSparse:  s.BytesSparse - o.BytesSparse,
+		Unplanned:    s.Unplanned - o.Unplanned,
 	}
 }
 
@@ -66,7 +71,9 @@ type clockRef struct {
 // BeginDense marks the superstep as a sequential stream of every block the
 // worker's masters touch, BeginSparse installs the per-block
 // frontier-residency bitmaps so only blocks containing active sources are
-// expected — any other sparse read is counted as Unplanned.
+// expected — any other sparse read is counted as Unplanned. A sparse step
+// reads a source whose block is not resident through GetRows, which decodes
+// only the rows asked for and admits nothing.
 type BlockCache struct {
 	bg     *BlockGraph
 	budget int64
@@ -233,6 +240,58 @@ func (c *BlockCache) Get(dir, idx int) (*DecodedBlock, error) {
 	return dec, err
 }
 
+// GetRows is Get for a sparse step's sources. A resident block is returned
+// pinned, as Get returns it (a hit). Otherwise, when the block has passed a
+// cache's full decode in this BlockGraph, GetRows reads its encoded bytes
+// into eb, CRC-verified, and returns nil: a miss whose decoding is left to
+// the rows the caller reads through eb.Row, and which admits nothing; eb
+// keeps its read buffer, taken from the cache's idle ones, until
+// ReleaseRows. A block never decoded in full takes Get's miss path, which
+// validates it, records its row offsets and admits it. Rows eb decoded from
+// its previous block are counted first.
+//
+//flash:hotpath
+func (c *BlockCache) GetRows(dir, idx int, eb *EncodedBlock) (*DecodedBlock, error) {
+	d := c.bg.mapDir(dir)
+	if idx < 0 || idx >= len(c.slots[d]) {
+		return nil, fmt.Errorf("graph: block %d/%d out of range", d, idx)
+	}
+	c.mu.Lock()
+	c.countRows(eb)
+	if c.slots[d][idx].dec != nil || c.bg.rowState[d][idx].Load() != rowsReady {
+		c.mu.Unlock()
+		return c.Get(dir, idx)
+	}
+	c.accountMiss(dir, d, idx)
+	if n := len(c.encs); eb.data == nil && n > 0 {
+		eb.data, c.encs = c.encs[n-1], c.encs[:n-1]
+	}
+	c.mu.Unlock()
+	return nil, c.bg.readRows(d, idx, eb)
+}
+
+// ReleaseRows counts the rows eb decoded, empties it and takes back its read
+// buffer for the cache's next miss: the caller is done reading rows through
+// it for the superstep.
+func (c *BlockCache) ReleaseRows(eb *EncodedBlock) {
+	if eb.data == nil && eb.decoded == 0 {
+		return
+	}
+	c.mu.Lock()
+	c.countRows(eb)
+	if eb.data != nil {
+		c.encs = append(c.encs, eb.data)
+	}
+	c.mu.Unlock()
+	eb.data, eb.nv = nil, 0
+}
+
+// countRows moves, under c.mu, the edges eb's rows decoded into the stats.
+func (c *BlockCache) countRows(eb *EncodedBlock) {
+	c.stats.DecodedEdges += eb.decoded
+	eb.decoded = 0
+}
+
 // admit finishes a miss under c.mu: the read buffer goes back for the next
 // miss, and the freshly decoded block becomes resident and pinned — unless
 // the read failed, or another thread of this worker decoded the same block
@@ -242,6 +301,9 @@ func (c *BlockCache) Get(dir, idx int) (*DecodedBlock, error) {
 //flash:blockowner the cache is the budget-bounded residency authority
 func (c *BlockCache) admit(d, idx int, dec *DecodedBlock, enc []byte, err error) *DecodedBlock {
 	c.encs = append(c.encs, enc)
+	if err == nil {
+		c.stats.DecodedEdges += uint64(len(dec.adj))
+	}
 	slot := &c.slots[d][idx]
 	switch {
 	case err != nil:

@@ -13,7 +13,11 @@
 //   - Sparse supersteps push only from active sources, so before phase 1 the
 //     worker computes the per-block frontier-residency bitmap (which blocks
 //     contain at least one active source) and hands it to the cache as the
-//     step's plan; only those blocks are read.
+//     step's plan; only those blocks are read. A source whose block is not
+//     resident is read as a row: the thread's cursor keeps the block's
+//     encoded bytes and decodes just the active sources' rows from them,
+//     admitting nothing to the cache (M-Flash's selective read of a sparse
+//     block, FlashGraph's per-vertex edge-list request).
 package core
 
 import (
@@ -39,6 +43,15 @@ type blockCursor struct {
 	// nonzero and must leave blk pinned for the loop still running over it.
 	depth int
 	hits  uint64 // vertices served from blk without going to the cache
+
+	// sparse is set for a sparse superstep: a vertex whose block is not
+	// resident is then read from enc, the encoded block the cursor last read
+	// (GetRows), into adj/ws — the cursor's own row buffer, apart from the
+	// Ctx's rowAdj/rowW, which rowOf fills for derived sets through iterate.
+	sparse bool
+	enc    graph.EncodedBlock
+	adj    []graph.VID
+	ws     []float32
 }
 
 // getBlock fetches a pinned decoded block through the worker's cache; an I/O
@@ -48,23 +61,32 @@ type blockCursor struct {
 //
 //flash:hotpath
 func getBlock[V any](c *Ctx[V], dir int, v graph.VID) *graph.DecodedBlock {
-	bg := c.w.eng.bg
-	idx := bg.OutBlockOf(v)
-	if dir == graph.BlockIn {
-		idx = bg.InBlockOf(v)
-	}
-	dec, err := c.w.bcache.Get(dir, idx)
+	dec, err := c.w.bcache.Get(dir, blockIndex(c, dir, v))
 	if err != nil {
 		panic(fmt.Errorf("core: out-of-core edge read: %w", err))
 	}
 	return dec
 }
 
+// blockIndex returns the index of the block holding v's row in direction dir.
+//
+//flash:hotpath
+func blockIndex[V any](c *Ctx[V], dir int, v graph.VID) int {
+	if dir == graph.BlockIn {
+		return c.w.eng.bg.InBlockOf(v)
+	}
+	return c.w.eng.bg.OutBlockOf(v)
+}
+
 // row returns v's adjacency in the given direction from the thread's cursor,
 // moving the cursor to v's block first when it is elsewhere. The slices alias
 // the pinned block, so they are valid until the cursor moves again or the
-// superstep ends. Only a caller with no loop running over the cursor (depth
-// 0) may move it; iterate sees to that for nested calls.
+// superstep ends. In a sparse step a block that is not resident is not
+// pinned: its encoded bytes stay on the cursor, shared by the next vertices
+// in it, and the slices alias the cursor's row buffer, valid until the
+// cursor's next row. Only a caller with no loop running over the cursor
+// (depth 0) may move it or decode a row; iterate sees to that for nested
+// calls.
 //
 //flash:hotpath
 //flash:blockowner the per-thread cursor keeps its block pinned until it moves on or the superstep ends
@@ -74,18 +96,45 @@ func (c *Ctx[V]) row(dir int, v graph.VID) ([]graph.VID, []float32) {
 		cur.hits++
 		return blk.Adj(v)
 	}
+	if cur.sparse && cur.enc.Contains(v) {
+		return cur.decodeRow(v)
+	}
 	if cur.blk != nil {
 		c.w.bcache.Release(cur.blk)
 		cur.blk = nil
 	}
-	cur.blk = getBlock(c, dir, v)
-	return cur.blk.Adj(v)
+	if !cur.sparse {
+		cur.blk = getBlock(c, dir, v)
+		return cur.blk.Adj(v)
+	}
+	dec, err := c.w.bcache.GetRows(dir, blockIndex(c, dir, v), &cur.enc)
+	if err != nil {
+		panic(fmt.Errorf("core: out-of-core edge read: %w", err))
+	}
+	if dec != nil {
+		cur.blk = dec
+		return dec.Adj(v)
+	}
+	return cur.decodeRow(v)
+}
+
+// decodeRow decodes v's row from the cursor's encoded block into its row
+// buffer.
+//
+//flash:hotpath
+func (cur *blockCursor) decodeRow(v graph.VID) ([]graph.VID, []float32) {
+	adj, ws, err := cur.enc.Row(v, cur.adj, cur.ws)
+	if err != nil {
+		panic(fmt.Errorf("core: out-of-core edge read: %w", err))
+	}
+	cur.adj, cur.ws = adj, ws
+	return adj, ws
 }
 
 // iterate yields v's adjacency in the given direction from the thread's
 // cursor (row). A nested call — from inside a yield, while a loop further up
-// the stack still reads the cursor's block — that needs another block pins
-// that block just for its own loop.
+// the stack still reads the cursor's block or row buffer — that needs another
+// block pins that block just for its own loop.
 //
 //flash:hotpath
 //flash:blockowner a nested call pins its own block for the length of its loop
@@ -166,12 +215,18 @@ func (w *worker[V]) beginDenseBlocks() {
 // edge set every push-phase read is in the plan by construction (each active
 // source's out-block is marked); the cache's Unplanned counter asserts this.
 // Derived and virtual edge sets may read beyond the plan (e.g. a two-hop join
-// reading another source's block), which is counted, not an error.
+// reading another source's block), which is counted, not an error. The
+// threads' cursors switch to sparse rows until flushBlockStats.
 //
 //flash:hotpath
 func (w *worker[V]) planSparseBlocks(membership *members) {
 	if w.bcache == nil {
 		return
+	}
+	for t := range w.ctxs {
+		for dir := range w.ctxs[t].blk {
+			w.ctxs[t].blk[dir].sparse = true
+		}
 	}
 	bg := w.eng.bg
 	place := w.eng.place
@@ -187,29 +242,31 @@ func (w *worker[V]) planSparseBlocks(membership *members) {
 }
 
 // flushBlockStats ends the worker's out-of-core superstep: every thread's
-// cursors are released (no block stays pinned across a superstep boundary,
-// and a step that failed mid-iteration leaves no depth behind), and the
-// cache's counter delta plus the cursors' hit counts — a hit is a vertex
-// served from a resident block, wherever it was noticed — drain into the
-// worker's metric shard; parallelWorkers folds the shards into the engine
-// collector at the superstep barrier, so RunResult and the bench suite see
-// per-step-accurate totals.
+// cursors are released (no block stays pinned and no encoded block is kept
+// across a superstep boundary, and a step that failed mid-iteration leaves
+// no depth behind), and the cache's counter delta plus the cursors' hit
+// counts — a hit is a vertex served from a resident block, wherever it was
+// noticed — drain into the worker's metric shard; parallelWorkers folds the
+// shards into the engine collector at the superstep barrier, so RunResult
+// and the bench suite see per-step-accurate totals.
 //
 //flash:blockowner
 func (w *worker[V]) flushBlockStats() {
 	if w.bcache == nil {
 		return
 	}
-	d := w.bcache.TakeDelta()
+	var hits uint64
 	for t := range w.ctxs {
 		for dir := range w.ctxs[t].blk {
 			cur := &w.ctxs[t].blk[dir]
 			if cur.blk != nil {
 				w.bcache.Release(cur.blk)
 			}
-			d.Hits += cur.hits
-			cur.blk, cur.depth, cur.hits = nil, 0, 0
+			w.bcache.ReleaseRows(&cur.enc)
+			hits += cur.hits
+			cur.blk, cur.depth, cur.hits, cur.sparse = nil, 0, 0, false
 		}
 	}
-	w.met.AddBlockCache(d.Hits, d.Misses, d.Evictions, d.BytesDense, d.BytesSparse)
+	d := w.bcache.TakeDelta()
+	w.met.AddBlockCache(d.Hits+hits, d.Misses, d.Evictions, d.BytesDense, d.BytesSparse, d.DecodedEdges)
 }

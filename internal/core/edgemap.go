@@ -817,15 +817,24 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 		return err
 	}
 	cstart := time.Now()
-	var frameErr error
-	drainErr := e.tr.Drain(w.id, func(_ int, data []byte) {
-		if err := decodeFrontier(data, words); err != nil && frameErr == nil {
-			frameErr = err
-		}
-	})
+	w.frontierErr = nil
+	drainErr := e.tr.Drain(w.id, w.onFrontier)
+	frameErr := w.frontierErr
+	w.frontierErr = nil
 	w.met.Add(metrics.Communication, time.Since(cstart))
 	if drainErr != nil {
 		return drainErr
 	}
 	return frameErr
+}
+
+// decodeFrontierFrame is broadcastFrontier's Drain handler: it ORs one peer's
+// frame into the frontier bitmap, keeping the first decode error.
+//
+//flash:hotpath
+//flash:phase(ship)
+func (w *worker[V]) decodeFrontierFrame(_ int, data []byte) {
+	if err := decodeFrontier(data, w.frontier.Words()); err != nil && w.frontierErr == nil {
+		w.frontierErr = err
+	}
 }

@@ -381,8 +381,12 @@ type worker[V any] struct {
 
 	// frontier is this worker's copy of the global frontier bitmap used by
 	// the dense kernel; fenc is the reused frontier-frame encode scratch.
-	frontier *bitset.Bitset
-	fenc     []byte
+	// onFrontier is broadcastFrontier's Drain handler (decodeFrontierFrame,
+	// bound once in initKV), frontierErr the round's first frame error.
+	frontier    *bitset.Bitset
+	fenc        []byte
+	onFrontier  func(from int, data []byte)
+	frontierErr error
 
 	// outKV are the per-destination KV frame encoders for the current round
 	// (pool-backed; frames are recycled by the receiver's drain).

@@ -83,10 +83,12 @@ type kvDrain[V any] struct {
 	samples            []debugSample // flashdebug: mirrors the sync round wrote
 }
 
-// initKV binds the worker's drain handler and record sinks.
+// initKV binds the worker's drain handlers — a KV round's and the frontier
+// round's — and record sinks.
 func (w *worker[V]) initKV() {
 	w.kv.r.Init(w.eng.codec)
 	w.kv.onFrame = w.decodeKVFrame
+	w.onFrontier = w.decodeFrontierFrame
 	w.kv.syncSink = w.applyMirror
 	w.kv.foldSink = w.applyPartial
 	if debugChecks {

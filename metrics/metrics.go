@@ -66,17 +66,19 @@ type Counters struct {
 	MigratedBytes uint64
 	ResizeTime    time.Duration
 	// Out-of-core block backend counters: block-cache hits, misses, and
-	// evictions; encoded bytes read from disk split by the scheduling mode
-	// (dense = sequential stream, sparse = frontier-resident blocks only);
-	// and how many EdgeMap supersteps ran in each mode. All zero for
-	// in-memory runs.
-	BlockHits        uint64
-	BlockMisses      uint64
-	BlockEvictions   uint64
-	BlockBytesDense  uint64
-	BlockBytesSparse uint64
-	BlockStepsDense  uint64
-	BlockStepsSparse uint64
+	// evictions; edges decoded from read blocks (whole blocks, or only the
+	// rows a sparse step reads); encoded bytes read from disk split by the
+	// scheduling mode (dense = sequential stream, sparse = frontier-resident
+	// blocks only); and how many EdgeMap supersteps ran in each mode. All
+	// zero for in-memory runs.
+	BlockHits         uint64
+	BlockMisses       uint64
+	BlockEvictions    uint64
+	BlockDecodedEdges uint64
+	BlockBytesDense   uint64
+	BlockBytesSparse  uint64
+	BlockStepsDense   uint64
+	BlockStepsSparse  uint64
 }
 
 // add folds o into c: the one place that knows every counter is a sum.
@@ -95,6 +97,7 @@ func (c *Counters) add(o Counters) {
 	c.BlockHits += o.BlockHits
 	c.BlockMisses += o.BlockMisses
 	c.BlockEvictions += o.BlockEvictions
+	c.BlockDecodedEdges += o.BlockDecodedEdges
 	c.BlockBytesDense += o.BlockBytesDense
 	c.BlockBytesSparse += o.BlockBytesSparse
 	c.BlockStepsDense += o.BlockStepsDense
@@ -195,12 +198,14 @@ func (col *Collector) AddResizeTime(d time.Duration) {
 }
 
 // AddBlockCache records out-of-core block cache activity: hits, misses,
-// evictions, and encoded bytes read from disk by scheduling mode.
-func (col *Collector) AddBlockCache(hits, misses, evictions, bytesDense, bytesSparse uint64) {
+// evictions, encoded bytes read from disk by scheduling mode, and edges
+// decoded.
+func (col *Collector) AddBlockCache(hits, misses, evictions, bytesDense, bytesSparse, decoded uint64) {
 	col.mu.Lock()
 	col.BlockHits += hits
 	col.BlockMisses += misses
 	col.BlockEvictions += evictions
+	col.BlockDecodedEdges += decoded
 	col.BlockBytesDense += bytesDense
 	col.BlockBytesSparse += bytesSparse
 	col.mu.Unlock()
@@ -306,8 +311,8 @@ func (col *Collector) String() string {
 			col.Resizes, col.MigratedBytes, col.ResizeTime.Round(time.Microsecond))
 	}
 	if col.BlockHits+col.BlockMisses > 0 {
-		fmt.Fprintf(&sb, " blk_hits=%d blk_misses=%d blk_evicts=%d blk_bytes_dense=%d blk_bytes_sparse=%d",
-			col.BlockHits, col.BlockMisses, col.BlockEvictions, col.BlockBytesDense, col.BlockBytesSparse)
+		fmt.Fprintf(&sb, " blk_hits=%d blk_misses=%d blk_evicts=%d blk_bytes_dense=%d blk_bytes_sparse=%d blk_decoded=%d",
+			col.BlockHits, col.BlockMisses, col.BlockEvictions, col.BlockBytesDense, col.BlockBytesSparse, col.BlockDecodedEdges)
 	}
 	return sb.String()
 }

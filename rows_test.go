@@ -1,12 +1,16 @@
 package flash_test
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"flash"
+	"flash/algo"
 	"flash/graph"
 )
 
@@ -25,13 +29,15 @@ type rowProps struct {
 // pullCap is how many times a pulled target may take M before C turns false.
 const pullCap = 2
 
-// rowSet is one edge set under test: how to build it on an engine, and its
-// row of v in each direction as the CSR gives it (the reference).
+// rowSet is one edge set under test: how to build it on an engine, its row
+// of v in each direction as the CSR gives it (the reference), and the length
+// of the stored row a push from v reads.
 type rowSet struct {
-	name  string
-	build func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps]
-	in    func(v graph.VID) ([]graph.VID, []float32)
-	out   func(v graph.VID) ([]graph.VID, []float32)
+	name    string
+	build   func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps]
+	in      func(v graph.VID) ([]graph.VID, []float32)
+	out     func(v graph.VID) ([]graph.VID, []float32)
+	pushDeg func(v graph.VID) int
 }
 
 // TestBlockRowSourcesKeepEdgeContract runs both EdgeMap kernels over every
@@ -45,30 +51,58 @@ type rowSet struct {
 // a target failing C or F is skipped. M must never run on a target whose C
 // is false. Under -tags flashdebug a row slice read after its block was
 // released reads the arena poison.
+//
+// Every block of the block graph is decoded once through the engine's caches
+// before the cases run, so its push steps read non-resident sources as
+// single rows and decode at most the active sources' rows. Each push case also runs on a
+// fresh engine over a fresh copy of the file, where every block is met
+// before its first full decode and is decoded whole: at least the active
+// rows, and on the partial frontier more.
 func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 	const n, workers = 600, 2
 	g := graph.WithRandomWeights(graph.GenRandomDirected(n, n*8, 31), 5)
 	bg := openXLBlock(t, g, 1<<10)
+	image := graph.EncodeBlockFile(g, 1<<10)
 
 	var oneBlock int64
-	for i := 0; i < bg.NumBlocks(graph.BlockIn); i++ {
-		dec, err := bg.ReadBlock(graph.BlockIn, i)
-		if err != nil {
-			t.Fatalf("ReadBlock(%d): %v", i, err)
+	for _, dir := range []int{graph.BlockIn, graph.BlockOut} {
+		for i := 0; i < bg.NumBlocks(dir); i++ {
+			dec, err := bg.ReadBlock(dir, i)
+			if err != nil {
+				t.Fatalf("ReadBlock(%d, %d): %v", dir, i, err)
+			}
+			oneBlock = max(oneBlock, dec.Bytes())
 		}
-		oneBlock = max(oneBlock, dec.Bytes())
 	}
 	if bg.NumBlocks(graph.BlockIn) < 4 {
 		t.Fatalf("%d in-blocks: too few for the cache to recycle", bg.NumBlocks(graph.BlockIn))
 	}
 	width := []flash.Option{flash.WithWorkers(workers), flash.WithThreads(2)}
-	engines := map[string][]flash.Option{
-		"csr": width,
-		"block": append([]flash.Option{
+	blockOpts := func(bg *graph.BlockGraph) []flash.Option {
+		return append([]flash.Option{
 			flash.WithGraphHandle(flash.NewBlockGraphHandle(bg)),
 			flash.WithBlockCacheBytes(workers * oneBlock),
-		}, width...),
+		}, width...)
+	}
+	engines := map[string][]flash.Option{
+		"csr":      width,
+		"block":    blockOpts(bg),
 		"csr-full": append([]flash.Option{flash.WithFullMirrors()}, width...),
+	}
+	// coldPush runs one push case on a fresh engine over a fresh copy of the
+	// file and returns the edges its step decoded.
+	coldPush := func(name string, set rowSet, inU func(graph.VID) bool, weighted bool) uint64 {
+		cold, err := graph.OpenBlockReader(bytes.NewReader(image), int64(len(image)))
+		if err != nil {
+			t.Fatalf("OpenBlockReader: %v", err)
+		}
+		e, err := flash.NewEngine[rowProps](cold.Skeleton(), blockOpts(cold)...)
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", name, err)
+		}
+		defer e.Close()
+		checkPushRows(t, name, e, set, inU, weighted)
+		return e.Metrics().BlockDecodedEdges
 	}
 
 	joined := func(v graph.VID) bool { return v%3 != 2 }
@@ -91,8 +125,8 @@ func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 		return g.InNeighbors(v), make([]float32, len(g.InNeighbors(v)))
 	}
 	sets := []rowSet{
-		{"E", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return e.E() }, inRow, outRow},
-		{"Reverse(E)", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return flash.Reverse(e.E()) }, outRow, inRow},
+		{"E", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return e.E() }, inRow, outRow, g.OutDegree},
+		{"Reverse(E)", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] { return flash.Reverse(e.E()) }, outRow, inRow, g.InDegree},
 		{"JoinEU(E)", func(e *flash.Engine[rowProps]) flash.EdgeSet[rowProps] {
 			var ids []graph.VID
 			for v := graph.VID(0); v < n; v++ {
@@ -106,11 +140,11 @@ func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 				return nil, nil
 			}
 			return inRow(v)
-		}, filtered(outRow)},
+		}, filtered(outRow), g.OutDegree},
 	}
 	inEdges := rowSet{"InEdges", func(*flash.Engine[rowProps]) flash.EdgeSet[rowProps] {
 		return flash.InEdges(func(_ *flash.Ctx[rowProps], d graph.VID) []graph.VID { return g.InNeighbors(d) })
-	}, unweightedIn, nil}
+	}, unweightedIn, nil, nil}
 
 	frontiers := map[string]func(graph.VID) bool{
 		"all":     func(graph.VID) bool { return true },
@@ -125,6 +159,14 @@ func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: NewEngine: %v", eng, err)
 		}
+		if eng == "block" {
+			// A push over all of V in each direction decodes every block
+			// through the engine's caches.
+			for _, h := range []flash.EdgeSet[rowProps]{e.E(), flash.Reverse(e.E())} {
+				e.EdgeMapSparse(e.All(), h, nil, func(_, d flash.Vertex[rowProps]) rowProps { return *d.Val }, nil,
+					func(_, cur rowProps) rowProps { return cur })
+			}
+		}
 		cases := sets
 		if eng == "csr-full" {
 			cases = []rowSet{inEdges}
@@ -134,8 +176,25 @@ func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 				for _, weighted := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%s/%s/weighted=%v", eng, set.name, fname, weighted)
 					checkPullRows(t, name, e, set, inU, weighted)
-					if set.out != nil {
-						checkPushRows(t, name, e, set, inU, weighted)
+					if set.out == nil {
+						continue
+					}
+					before := e.Metrics().BlockDecodedEdges
+					checkPushRows(t, name, e, set, inU, weighted)
+					if eng != "block" {
+						continue
+					}
+					warm := e.Metrics().BlockDecodedEdges - before
+					cold := coldPush(name+"/cold", set, inU, weighted)
+					active := uint64(0)
+					for v := graph.VID(0); v < n; v++ {
+						if inU(v) {
+							active += uint64(set.pushDeg(v))
+						}
+					}
+					if warm > active || cold < active || (fname == "partial" && cold == active) {
+						t.Errorf("%s push: decoded %d edges over decoded blocks, %d over fresh ones; active rows hold %d",
+							name, warm, cold, active)
 					}
 				}
 			}
@@ -308,5 +367,56 @@ func compareRows(t *testing.T, name string, e *flash.Engine[rowProps], out *flas
 	}
 	if ids := e.IDs(out); !reflect.DeepEqual(ids, wantOut) && !(len(ids) == 0 && len(wantOut) == 0) {
 		t.Errorf("%s: output has %d targets, want %d", name, len(ids), len(wantOut))
+	}
+}
+
+// TestBlockSharedGraphRecordsRowsConcurrently runs two engines over one
+// shared block graph at once — a BFS and a weighted SSSP, each at w2 t2 with
+// the cache at one block per worker — so both meet blocks before their first
+// full decode and record and publish row offsets into the graph's one table
+// while the other reads rows through it. Both results must equal the CSR
+// runs; under -race a write to the table that is not published through the
+// block's atomic state is a reported race.
+func TestBlockSharedGraphRecordsRowsConcurrently(t *testing.T) {
+	g := graph.WithRandomWeights(graph.GenRMAT(2048, 2048*10, 13), 7)
+	bg := openXLBlock(t, g, 1<<10)
+	var oneBlock int64
+	for i := 0; i < bg.NumBlocks(graph.BlockOut); i++ {
+		dec, err := bg.ReadBlock(graph.BlockOut, i)
+		if err != nil {
+			t.Fatalf("ReadBlock(%d): %v", i, err)
+		}
+		oneBlock = max(oneBlock, dec.Bytes())
+	}
+	width := []flash.Option{flash.WithWorkers(2), flash.WithThreads(2)}
+	handle := flash.NewBlockGraphHandle(bg)
+	block := append([]flash.Option{flash.WithGraphHandle(handle), flash.WithBlockCacheBytes(2 * oneBlock)}, width...)
+
+	wantBFS, err := algo.BFS(g, 5, width...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSSSP, err := algo.SSSP(g, 9, width...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBFS []int32
+	var gotSSSP []float32
+	var bfsErr, ssspErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); gotBFS, bfsErr = algo.BFS(bg.Skeleton(), 5, block...) }()
+	go func() { defer wg.Done(); gotSSSP, ssspErr = algo.SSSP(bg.Skeleton(), 9, block...) }()
+	wg.Wait()
+	if bfsErr != nil || ssspErr != nil {
+		t.Fatalf("block runs: BFS %v, SSSP %v", bfsErr, ssspErr)
+	}
+	if !reflect.DeepEqual(gotBFS, wantBFS) {
+		t.Errorf("BFS over the shared block graph differs from the CSR")
+	}
+	for v := range wantSSSP {
+		if math.Float32bits(gotSSSP[v]) != math.Float32bits(wantSSSP[v]) {
+			t.Fatalf("SSSP dist[%d] = %v over the shared block graph, %v over the CSR", v, gotSSSP[v], wantSSSP[v])
+		}
 	}
 }
