@@ -1,11 +1,12 @@
 // Command flashvet is the module's invariant checker: a multichecker of the
-// custom analyzers in internal/lint, run the way `go vet` would be:
+// custom analyzers in internal/lint (hotalloc and commerr; -list prints
+// them), run the way `go vet` would be:
 //
 //	go run ./cmd/flashvet ./...
 //
 // It loads the packages matching the given patterns (default ./...) from
 // source against compiler export data, builds the module-wide call graph and
-// per-function dataflow summaries, applies every analyzer, audits every
+// per-function allocation summaries, applies every analyzer, audits every
 // //flash: marker, prints one line per finding, and exits non-zero if
 // anything was reported.
 //

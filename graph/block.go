@@ -329,7 +329,6 @@ func (bg *BlockGraph) readEncoded(d, idx int, enc []byte) ([]byte, error) {
 // usable.
 //
 //flash:hotpath
-//flash:blockowner the decode path fills the block it is handed
 func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte, error) {
 	enc, err := bg.readEncoded(d, idx, enc)
 	if err != nil {
@@ -356,7 +355,6 @@ func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte
 // vertex's row offset in data.
 //
 //flash:hotpath
-//flash:blockowner the decode path fills the block it is handed
 func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock, rec []uint32) error {
 	off := bg.dirOff(d)
 	first, end := int(mt.first), int(mt.first)+int(mt.nv)
@@ -450,9 +448,9 @@ func (bg *BlockGraph) decodeRow(data []byte, pos, v int, row []VID, wrow []float
 // EncodedBlock is one block's encoded bytes, read from the file and
 // CRC-verified, from which single rows are decoded (Row). It is filled only
 // for a block whose row offsets a cache's full decode in this BlockGraph
-// published,
-// so every row it serves comes from bytes the full validator accepted. The
-// zero value holds no block; its buffer is reused from fill to fill.
+// published, so every row it serves comes from bytes the full validator
+// accepted. The zero value holds no block; its buffer is reused from fill to
+// fill.
 type EncodedBlock struct {
 	bg      *BlockGraph
 	d       int
@@ -516,8 +514,6 @@ func (bg *BlockGraph) readRows(d, idx int, eb *EncodedBlock) error {
 // decodes each block exactly once. I/O or corruption errors panic — these
 // accessors mirror Graph's infallible signatures and a block file that fails
 // mid-scan is unusable anyway.
-//
-//flash:blockowner the MRU slot is the sanctioned one-block residency
 func (bg *BlockGraph) seqAdj(dir int, v VID) []VID {
 	d := bg.mapDir(dir)
 	bg.mu.Lock()
@@ -644,8 +640,6 @@ func padTo(buf []byte, align int) []byte {
 // payload extended with the new, 64-byte-aligned blocks. A single vertex
 // whose list exceeds the target gets an oversize block of its own; every
 // vertex's adjacency stays within one block.
-//
-//flash:deterministic
 func packBlocks(n, target int, payload []byte, adjOf func(VID) []VID, wOf func(VID) []float32) ([]blockMeta, []byte) {
 	var metas []blockMeta
 	if n == 0 {
@@ -701,8 +695,6 @@ func appendBlockTable(buf []byte, metas []blockMeta) []byte {
 
 // EncodeBlockFile serializes g into the FLASHBLK format with the given
 // target block size (<= 0 selects DefaultBlockSize).
-//
-//flash:deterministic
 func EncodeBlockFile(g *Graph, blockSize int) []byte {
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize

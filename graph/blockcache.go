@@ -135,8 +135,6 @@ func (bg *BlockGraph) popSpare() {
 // Close hands the cache's unpinned arenas to the block graph for the next
 // caches to adopt, keeping the open caches' budgets plus the spare within the
 // peak. The cache must not be used afterwards; a second Close does nothing.
-//
-//flash:blockowner closing ends the cache's residency authority
 func (c *BlockCache) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -297,8 +295,6 @@ func (c *BlockCache) countRows(eb *EncodedBlock) {
 // the read failed, or another thread of this worker decoded the same block
 // meanwhile, in which case its arenas are recycled and the resident block (or
 // nil) is returned instead.
-//
-//flash:blockowner the cache is the budget-bounded residency authority
 func (c *BlockCache) admit(d, idx int, dec *DecodedBlock, enc []byte, err error) *DecodedBlock {
 	c.encs = append(c.encs, enc)
 	if err == nil {
@@ -361,7 +357,6 @@ func (c *BlockCache) accountMiss(dir, d, idx int) {
 // iterate whatever the others hold.
 //
 //flash:amortized allocates only when no free arena fits the missed block
-//flash:blockowner the cache is the budget-bounded residency authority
 func (c *BlockCache) arena(edges int) *DecodedBlock {
 	need := arenaBytes(edges, c.bg.weighted)
 	b := c.takeFree(edges)
@@ -395,8 +390,6 @@ func (c *BlockCache) arena(edges int) *DecodedBlock {
 // tightly, or nil when none holds that many or the tightest would waste more
 // than it uses (block edge counts vary severalfold; an oversize hub's arena
 // must not be spent on an ordinary block).
-//
-//flash:blockowner
 func (c *BlockCache) takeFree(edges int) *DecodedBlock {
 	best := -1
 	for i, b := range c.free {
@@ -416,8 +409,6 @@ func (c *BlockCache) takeFree(edges int) *DecodedBlock {
 
 // recycle puts a block that is not (or no longer) resident on the free list;
 // its arenas stay counted in c.used.
-//
-//flash:blockowner
 func (c *BlockCache) recycle(b *DecodedBlock) {
 	debugPoison(b)
 	c.free = append(c.free, b)

@@ -22,8 +22,6 @@ const NoVertex = VID(^uint32(0))
 // Graph is an immutable directed graph in CSR form. For undirected inputs
 // each edge is stored in both directions (see Builder.Undirected), which is
 // the convention every algorithm in this repository assumes.
-//
-//flash:immutable
 type Graph struct {
 	n int // number of vertices
 	m int // number of directed edges stored

@@ -64,7 +64,6 @@ func (kw *KVWriter[V]) Init(c Codec[V]) { kw.codec = c }
 // Append encodes one record.
 //
 //flash:hotpath
-//flash:deterministic
 func (kw *KVWriter[V]) Append(vid uint32, v *V) {
 	if kw.buf == nil {
 		kw.buf = GetBuf()

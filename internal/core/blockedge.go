@@ -89,7 +89,6 @@ func blockIndex[V any](c *Ctx[V], dir int, v graph.VID) int {
 // calls.
 //
 //flash:hotpath
-//flash:blockowner the per-thread cursor keeps its block pinned until it moves on or the superstep ends
 func (c *Ctx[V]) row(dir int, v graph.VID) ([]graph.VID, []float32) {
 	cur := &c.blk[dir]
 	if blk := cur.blk; blk != nil && blk.Contains(v) {
@@ -137,7 +136,6 @@ func (cur *blockCursor) decodeRow(v graph.VID) ([]graph.VID, []float32) {
 // block pins that block just for its own loop.
 //
 //flash:hotpath
-//flash:blockowner a nested call pins its own block for the length of its loop
 func (c *Ctx[V]) iterate(dir int, v graph.VID, yield func(graph.VID, float32) bool) {
 	cur := &c.blk[dir]
 	var adj []graph.VID
@@ -249,8 +247,6 @@ func (w *worker[V]) planSparseBlocks(membership *members) {
 // noticed — drain into the worker's metric shard; parallelWorkers folds the
 // shards into the engine collector at the superstep barrier, so RunResult
 // and the bench suite see per-step-accurate totals.
-//
-//flash:blockowner
 func (w *worker[V]) flushBlockStats() {
 	if w.bcache == nil {
 		return

@@ -121,7 +121,6 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 // step that overflows a list (see listMax) scans the bitmap words instead.
 //
 //flash:hotpath
-//flash:deterministic
 func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R EdgeR[V], opts StepOpts) *Subset {
 	e.checkSubset(U)
 	if R == nil {
@@ -318,7 +317,6 @@ func (w *worker[V]) bindPushers(H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R Ed
 // tentative value into the thread's shard.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (p *pusher[V]) visit(l int) {
 	w, a := p.w, p.a
 	u := w.eng.place.GlobalID(w.id, l)
@@ -364,7 +362,6 @@ func (p *pusher[V]) visit(l int) {
 // it the step falls back to scanning the words.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) touchAcc(slot int, gid graph.VID) {
 	n := len(w.accList)
 	if n == cap(w.accList) {
@@ -382,7 +379,6 @@ func (w *worker[V]) touchAcc(slot int, gid graph.VID) {
 // the mirror table, and returns the number of partials shipped.
 //
 //flash:hotpath
-//flash:deterministic
 func (w *worker[V]) routeAcc(R EdgeR[V]) (int, error) {
 	e := w.eng
 	acc := &w.acc[0]
@@ -443,7 +439,6 @@ func (w *worker[V]) routeAcc(R EdgeR[V]) (int, error) {
 // Threads setting.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) mergeAcc(R EdgeR[V]) {
 	a0 := &w.acc[0]
 	w.parfor(a0.set.Cap(), func(lo, hi int) {
@@ -479,7 +474,6 @@ func (w *worker[V]) mergeAcc(R EdgeR[V]) {
 // callers may pass pointers into decode scratch or accumulators.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) foldPend(l int, val *V, R EdgeR[V]) {
 	if w.pendSet.TestAndSet(l) {
 		w.pendVal[l] = R(*val, w.pendVal[l])
@@ -559,7 +553,6 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 // It reports whether M ran.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) pull(adj []graph.VID, ws []float32, dv Vtx[V], fns *EdgeFuncs[V], C EdgeC[V], all bool) bool {
 	uf, f, um, m := fns.UF, fns.F, fns.UM, fns.M
 	applied := false
@@ -603,7 +596,6 @@ const (
 // returns it.
 //
 //flash:hotpath
-//flash:deterministic
 func (w *worker[V]) encodeFrame(words []uint64) []byte {
 	lo, hi := 0, len(words)
 	for lo < hi && words[lo] == 0 {
@@ -625,7 +617,6 @@ func (w *worker[V]) encodeFrame(words []uint64) []byte {
 // for the same members as a bitmap, byte for byte.
 //
 //flash:hotpath
-//flash:deterministic
 func (w *worker[V]) encodeMembers(m *members) []byte {
 	if m.bits != nil {
 		return w.encodeFrame(m.bits.Words())
@@ -646,7 +637,6 @@ func (w *worker[V]) encodeMembers(m *members) []byte {
 // O(min(|U|, span)) work.
 //
 //flash:hotpath
-//flash:deterministic
 func encodeFrontier(scratch []byte, words []uint64, lo, hi int) []byte {
 	denseSize := 5 + 8*(hi-lo)
 	cnt := 0
@@ -691,7 +681,6 @@ func encodeFrontier(scratch []byte, words []uint64, lo, hi int) []byte {
 // those of the list's bitmap.
 //
 //flash:hotpath
-//flash:deterministic
 func encodeFrontierList(scratch []byte, list []int32) []byte {
 	lo, hi := int(list[0])>>6, int(list[len(list)-1])>>6+1
 	denseSize := 5 + 8*(hi-lo)
@@ -785,8 +774,6 @@ func decodeFrontier(data []byte, words []uint64) error {
 // smaller for this worker's members.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(ship)
 func (w *worker[V]) broadcastFrontier(U *Subset) error {
 	e := w.eng
 	sstart := time.Now()
@@ -832,7 +819,6 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 // frame into the frontier bitmap, keeping the first decode error.
 //
 //flash:hotpath
-//flash:phase(ship)
 func (w *worker[V]) decodeFrontierFrame(_ int, data []byte) {
 	if err := decodeFrontier(data, w.frontier.Words()); err != nil && w.frontierErr == nil {
 		w.frontierErr = err

@@ -341,16 +341,16 @@ type worker[V any] struct {
 	// (partition.NewDegreeTable over st), set by the worker's first pull step
 	// (loadDegrees): the partition's shared table, or the worker's own under
 	// FullMirrors, whose st is not the partition's.
-	deg []uint64 //flash:slot-indexed
+	deg []uint64
 
 	// cur holds the current states (§IV-A) indexed by slot: one entry per
 	// resident vertex (local masters and mirrors), O(masters+mirrors)
 	// instead of O(|V|).
-	cur []V //flash:slot-indexed
+	cur []V
 
 	// next holds next states for local masters (by local index == slot); the
 	// step's output members mark which are populated.
-	next []V //flash:slot-indexed
+	next []V
 
 	// acc holds the sparse-kernel accumulators over the slot space (the
 	// push-target universe: every push target is a local master or mirror),
@@ -365,7 +365,7 @@ type worker[V any] struct {
 
 	// pend* accumulate partial updates arriving at this master (by local
 	// index) during the sparse exchange.
-	pendVal []V //flash:slot-indexed
+	pendVal []V
 	pendSet *bitset.Bitset
 
 	// accList and pendList record, in touch order, the slots acc[0].set and
@@ -427,7 +427,7 @@ type worker[V any] struct {
 
 // accShard is one thread's private phase-1 accumulator.
 type accShard[V any] struct {
-	val []V //flash:slot-indexed
+	val []V
 	set *bitset.Bitset
 }
 
@@ -766,7 +766,6 @@ func (p *workerPanic) Error() string {
 // shard. No transport retries a send, so an error here fails the round.
 //
 //flash:hotpath
-//flash:phase(ship,sync)
 func (w *worker[V]) send(to int, data []byte) error {
 	if err := w.eng.tr.Send(w.id, to, data); err != nil {
 		return err
@@ -882,7 +881,6 @@ func (w *worker[V]) parforT(total int, f func(t, lo, hi int)) {
 // needed.
 //
 //flash:hotpath
-//flash:phase(sync)
 func (w *worker[V]) publishNext(updated *members) {
 	if updated.bits == nil {
 		for _, l := range updated.list {
@@ -964,7 +962,6 @@ func (w *worker[V]) loadDegrees() {
 // run).
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) vtx(v graph.VID) Vtx[V] {
 	s := w.st.Slot(v)
 	d := w.deg[s]
@@ -980,7 +977,6 @@ func (w *worker[V]) vtx(v graph.VID) Vtx[V] {
 // local index (== slot) is known, or a working copy.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) vtxAt(v graph.VID, val *V) Vtx[V] {
 	return Vtx[V]{
 		ID:    v,

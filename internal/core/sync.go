@@ -41,8 +41,6 @@ func (e *Engine[V]) scopeFor(physical bool, noSync bool) syncScope {
 // deltas then stay small and the message bytes are deterministic.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(ship,sync)
 func (w *worker[V]) appendKV(to int, gid graph.VID, val *V) error {
 	kw := &w.outKV[to]
 	kw.Append(uint32(gid), val)
@@ -55,8 +53,6 @@ func (w *worker[V]) appendKV(to int, gid graph.VID, val *V) error {
 // flushAll sends every non-empty pending KV frame.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(ship,sync)
 func (w *worker[V]) flushAll() error {
 	for to := range w.outKV {
 		if w.outKV[to].Len() > 0 {
@@ -105,7 +101,6 @@ func (w *worker[V]) initKV() {
 // the bound sinks in w.kv, so a round allocates nothing.
 //
 //flash:hotpath
-//flash:phase(ship,sync)
 func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 	kv := &w.kv
 	kv.apply, kv.decode, kv.err = apply, 0, nil
@@ -125,7 +120,6 @@ func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 // into the round's sink, keeping the first decode error.
 //
 //flash:hotpath
-//flash:phase(ship,sync)
 func (w *worker[V]) decodeKVFrame(_ int, data []byte) {
 	kv := &w.kv
 	dstart := time.Now()
@@ -150,7 +144,6 @@ func (w *worker[V]) decodeKVFrame(_ int, data []byte) {
 // nothing ever read).
 //
 //flash:hotpath
-//flash:phase(sync)
 func (w *worker[V]) applyMirror(gid graph.VID, val *V) {
 	if slot, ok := w.st.Lookup(gid); ok {
 		w.cur[slot] = *val
@@ -165,7 +158,6 @@ func (w *worker[V]) applyMirror(gid graph.VID, val *V) {
 // round's reduction.
 //
 //flash:hotpath
-//flash:phase(compute)
 func (w *worker[V]) applyPartial(gid graph.VID, val *V) {
 	w.foldPend(w.eng.place.LocalIndex(gid), val, w.kv.foldR)
 }
@@ -183,8 +175,6 @@ func (w *worker[V]) applyPartial(gid graph.VID, val *V) {
 // sequential path, which walks either form.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(sync)
 func (w *worker[V]) syncMasters(updated *members, scope syncScope) error {
 	e := w.eng
 	if scope != scopeNone {
@@ -236,8 +226,6 @@ const debugSampleCap = 64
 // all masters costs the few boundary vertices, not every master.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(sync)
 func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 	e := w.eng
 	sstart := time.Now()
@@ -285,8 +273,6 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 // the sequential ship loop.
 //
 //flash:hotpath
-//flash:deterministic
-//flash:phase(sync)
 func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) error {
 	e := w.eng
 	sstart := time.Now()

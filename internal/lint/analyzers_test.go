@@ -12,14 +12,8 @@ func fixture(name string) string {
 	return filepath.Join("testdata", "src", name)
 }
 
-func TestHotAlloc(t *testing.T)   { linttest.Run(t, fixture("hotalloc"), lint.HotAlloc) }
-func TestPoolEscape(t *testing.T) { linttest.Run(t, fixture("poolescape"), lint.PoolEscape) }
-func TestCommErr(t *testing.T)    { linttest.Run(t, fixture("commerr"), lint.CommErr) }
-func TestDetOrder(t *testing.T)   { linttest.Run(t, fixture("detorder"), lint.DetOrder) }
-func TestSlotIndex(t *testing.T)  { linttest.Run(t, fixture("slotindex"), lint.SlotIndex) }
-func TestSharedMut(t *testing.T)  { linttest.Run(t, fixture("sharedmut"), lint.SharedMut) }
-func TestBlockRes(t *testing.T)   { linttest.Run(t, fixture("blockres"), lint.BlockRes) }
-func TestPhaseOrder(t *testing.T) { linttest.Run(t, fixture("phaseorder"), lint.PhaseOrder) }
+func TestHotAlloc(t *testing.T) { linttest.Run(t, fixture("hotalloc"), lint.HotAlloc) }
+func TestCommErr(t *testing.T)  { linttest.Run(t, fixture("commerr"), lint.CommErr) }
 
 // TestSelfCheck runs every analyzer over the whole module — _test.go files
 // included, under the flashdebug build tag so the debug-only code is checked

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the interprocedural layer under flashvet: a module-wide static
@@ -20,24 +18,18 @@ import (
 
 // A Func is one declared function or method in the analyzed module.
 type Func struct {
-	Key  string
 	Obj  types.Object
 	Decl *ast.FuncDecl
 	Pkg  *Package
 
-	// Calls holds one edge per (callee, position): every module function this
-	// one references — direct calls, method calls, and function values handed
-	// to higher-order code. References over-approximate calls, which is the
-	// safe direction for reachability contracts (detorder, phaseorder).
-	Calls []CallEdge
+	// Calls holds every module function this one references — direct calls,
+	// method calls, and function values handed to higher-order code — a
+	// superset of the calls CalleeOf resolves, which is all the bottom-up
+	// summary order needs.
+	Calls []*Func
 
 	// Sum is the bottom-up dataflow summary (see summary.go).
 	Sum Summary
-
-	// Phases holds the //flash:phase(...) legality set, nil when unannotated;
-	// phaseMask is its bitmask form (see phaseorder.go).
-	Phases    []string
-	phaseMask uint8
 
 	// tarjan scratch
 	index, lowlink int
@@ -52,26 +44,11 @@ func (f *Func) Name() string {
 	return f.Decl.Name.Name
 }
 
-// A CallEdge is one static reference from a function to a module function.
-type CallEdge struct {
-	To  *Func
-	Pos token.Pos
-}
-
 // Module is the interprocedural view over one RunAnalyzers invocation: every
 // loaded package, the module-wide call graph, and per-function summaries.
 type Module struct {
 	Pkgs  []*Package
 	Funcs map[string]*Func
-
-	// immutableTypes holds "pkgpath.TypeName" for every type declaration
-	// marked //flash:immutable (consumed by sharedmut).
-	immutableTypes map[string]bool
-
-	// memoized analyses shared by the per-package passes
-	detReach   map[*Func]bool // reachable from a //flash:deterministic root
-	phaseDiags []rawPhaseDiag
-	phaseOnce  bool
 }
 
 // FuncKey canonicalizes a function object to its cross-package identity, or
@@ -112,29 +89,21 @@ func FuncKey(obj types.Object) string {
 // BuildModule constructs the call graph and computes every summary bottom-up
 // over the SCC condensation.
 func BuildModule(pkgs []*Package) *Module {
-	mod := &Module{Pkgs: pkgs, Funcs: map[string]*Func{}, immutableTypes: map[string]bool{}}
-	// Pass 1: register declarations and immutable-marked types.
+	mod := &Module{Pkgs: pkgs, Funcs: map[string]*Func{}}
+	// Pass 1: register declarations.
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				switch d := decl.(type) {
-				case *ast.FuncDecl:
-					if d.Body == nil {
-						continue
-					}
-					obj := pkg.Info.Defs[d.Name]
-					key := FuncKey(obj)
-					if key == "" {
-						continue
-					}
-					f := &Func{Key: key, Obj: obj, Decl: d, Pkg: pkg}
-					if args, ok := MarkerArgs(d.Doc, "phase"); ok {
-						f.Phases = args
-					}
-					mod.Funcs[key] = f
-				case *ast.GenDecl:
-					mod.registerImmutable(pkg, d)
+				d, ok := decl.(*ast.FuncDecl)
+				if !ok || d.Body == nil {
+					continue
 				}
+				obj := pkg.Info.Defs[d.Name]
+				key := FuncKey(obj)
+				if key == "" {
+					continue
+				}
+				mod.Funcs[key] = &Func{Obj: obj, Decl: d, Pkg: pkg}
 			}
 		}
 	}
@@ -151,52 +120,13 @@ func BuildModule(pkgs []*Package) *Module {
 			for _, f := range scc {
 				old := f.Sum
 				f.Sum = computeSummary(mod, f)
-				if !old.equal(&f.Sum) {
+				if old != f.Sum {
 					changed = true
 				}
 			}
 		}
 	}
 	return mod
-}
-
-// registerImmutable records type specs whose doc or line comment carries
-// //flash:immutable.
-func (m *Module) registerImmutable(pkg *Package, d *ast.GenDecl) {
-	if d.Tok != token.TYPE {
-		return
-	}
-	for _, spec := range d.Specs {
-		ts, ok := spec.(*ast.TypeSpec)
-		if !ok {
-			continue
-		}
-		if commentGroupHasMarker(d.Doc, "immutable") ||
-			commentGroupHasMarker(ts.Doc, "immutable") ||
-			commentGroupHasMarker(ts.Comment, "immutable") {
-			m.immutableTypes[pkg.Types.Path()+"."+ts.Name.Name] = true
-		}
-	}
-}
-
-// IsImmutableType reports whether t (after pointer stripping) is a named type
-// marked //flash:immutable anywhere in the module.
-func (m *Module) IsImmutableType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Origin().Obj()
-	if obj.Pkg() == nil {
-		return false
-	}
-	return m.immutableTypes[obj.Pkg().Path()+"."+obj.Name()]
 }
 
 // FuncOf resolves a referenced object to its module declaration, folding
@@ -227,8 +157,8 @@ func (m *Module) CalleeOf(info *types.Info, call *ast.CallExpr) *Func {
 
 // collectEdges walks f's body and resolves every referenced function object
 // to a module declaration.
-func (m *Module) collectEdges(f *Func) []CallEdge {
-	var edges []CallEdge
+func (m *Module) collectEdges(f *Func) []*Func {
+	var edges []*Func
 	seen := map[*Func]bool{}
 	ast.Inspect(f.Decl.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -245,7 +175,7 @@ func (m *Module) collectEdges(f *Func) []CallEdge {
 		}
 		if !seen[target] {
 			seen[target] = true
-			edges = append(edges, CallEdge{To: target, Pos: id.Pos()})
+			edges = append(edges, target)
 		}
 		return true
 	})
@@ -269,8 +199,7 @@ func (m *Module) sccs() [][]*Func {
 		next++
 		stack = append(stack, f)
 		f.onStack = true
-		for _, e := range f.Calls {
-			w := e.To
+		for _, w := range f.Calls {
 			if w.index == 0 {
 				strongconnect(w)
 				if w.lowlink < f.lowlink {
@@ -315,43 +244,4 @@ func sortedKeys(m map[string]*Func) []string {
 		}
 	}
 	return keys
-}
-
-// HasFuncMarker reports whether f's doc comment carries //flash:<name>.
-func (f *Func) HasFuncMarker(name string) bool {
-	return commentGroupHasMarker(f.Decl.Doc, name)
-}
-
-// MarkerArgs finds //flash:<name> or //flash:<name>(a,b,...) in doc and
-// returns the parenthesized arguments (nil for the bare form).
-func MarkerArgs(doc *ast.CommentGroup, name string) ([]string, bool) {
-	if doc == nil {
-		return nil, false
-	}
-	for _, c := range doc.List {
-		body, ok := strings.CutPrefix(c.Text, "//flash:")
-		if !ok {
-			continue
-		}
-		body = strings.TrimSpace(body)
-		if body == name {
-			return nil, true
-		}
-		rest, ok := strings.CutPrefix(body, name+"(")
-		if !ok {
-			continue
-		}
-		rest, ok = strings.CutSuffix(strings.TrimSpace(rest), ")")
-		if !ok {
-			continue
-		}
-		var args []string
-		for _, a := range strings.Split(rest, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				args = append(args, a)
-			}
-		}
-		return args, true
-	}
-	return nil, false
 }

@@ -57,7 +57,7 @@ func runHotAlloc(pass *Pass) error {
 
 func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 	sized := sizedDestinations(pass, fn)
-	exempt := exemptCalls(pass, fn.Body)
+	exempt := coldCalls(pass.Info, fn.Body) // exemption covers the whole argument subtree
 
 	var stack []ast.Node
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -79,14 +79,6 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		}
 		return true
 	})
-}
-
-// exemptCalls collects the cold-path calls: fmt calls appearing as immediate
-// return-statement arguments (error construction for a failing superstep)
-// and panic calls (programming-error aborts). Exemption covers the whole
-// argument subtree.
-func exemptCalls(pass *Pass, body *ast.BlockStmt) map[*ast.CallExpr]bool {
-	return coldCalls(pass.Info, body)
 }
 
 // insideExempt reports whether the innermost enclosing call on the ancestor
@@ -112,7 +104,7 @@ func insideLoop(stack []ast.Node) bool {
 }
 
 func checkHotCall(pass *Pass, call *ast.CallExpr, sized map[string]bool) {
-	if isFmtCall(pass, call) {
+	if isPkgCall(pass.Info, call, "fmt") {
 		pass.Reportf(call.Pos(), "call into package fmt allocates in hot path (only allowed as a direct return argument)")
 		return
 	}
@@ -145,19 +137,6 @@ func checkHotCallee(pass *Pass, call *ast.CallExpr, inLoop bool) {
 	case inLoop && callee.Sum.AllocatesEver:
 		pass.Reportf(call.Pos(), "call to allocating %s inside a hot loop allocates per iteration; hoist it above the loop", callee.Name())
 	}
-}
-
-func isFmtCall(pass *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkg, ok := pass.Info.Uses[id].(*types.PkgName)
-	return ok && pkg.Imported().Path() == "fmt"
 }
 
 func calleeName(call *ast.CallExpr) string {

@@ -1,21 +1,15 @@
 // Package lint is flashvet's analyzer framework: a dependency-free skeleton
 // of golang.org/x/tools/go/analysis (Analyzer / Pass / Diagnostic) plus the
-// custom analyzers that machine-check the runtime invariants PRs 1–8
-// established in prose:
+// two custom analyzers that machine-check runtime invariants:
 //
-//	hotalloc   — no allocating constructs in //flash:hotpath functions
-//	poolescape — pooled frames may not escape their Drain handler
-//	commerr    — transport and Run errors must be checked or waived
-//	detorder   — no map iteration reachable from //flash:deterministic code
-//	slotindex  — //flash:slot-indexed state is never indexed by a raw gid
-//	sharedmut  — //flash:immutable types are written only while freshly built
-//	blockres   — decoded block memory never outlives its superstep scope
-//	phaseorder — //flash:phase call edges respect the superstep machine
+//	hotalloc — no allocating constructs in //flash:hotpath functions
+//	commerr  — transport, checkpoint-store and Run errors must be checked or waived
 //
-// Since flashvet v2 the checks are interprocedural: RunAnalyzers builds a
-// module-wide call graph with per-function dataflow summaries (callgraph.go,
-// summary.go) that every analyzer consults through Pass.Mod, so taint and
-// reachability survive function and package boundaries.
+// Each analyzer is kept by a mutation of production code that it alone
+// catches among the analyzers, the test suites and the allocation guards
+// (DESIGN.md §6). RunAnalyzers builds a module-wide call graph with
+// per-function allocation summaries (callgraph.go, summary.go), so hotalloc
+// sees an allocation one call or one package away from the hot path.
 //
 // Every finding can be waived at its line (or the line above) with one
 // marker, //flash:allow <analyzer> <reason>. AuditSuppressions rejects a
@@ -25,10 +19,6 @@
 // The framework mirrors go/analysis closely enough that the analyzers could
 // be ported to a real multichecker verbatim if x/tools ever becomes a
 // dependency; it exists because this module is intentionally stdlib-only.
-//
-// The paper's code generator statically analyzes property accesses to decide
-// what must be synchronized (§IV-B, Table II); this package applies the same
-// idea to the engine's own source.
 package lint
 
 import (
@@ -55,13 +45,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc,
-		PoolEscape,
 		CommErr,
-		DetOrder,
-		SlotIndex,
-		SharedMut,
-		BlockRes,
-		PhaseOrder,
 	}
 }
 
@@ -229,14 +213,9 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, []
 // knownMarkers are the //flash:<name> markers some analyzer reads; any other
 // name is a typo or a leftover that silently checks nothing.
 var knownMarkers = map[string]bool{
-	"allow":         true, // Pass.Reportf: //flash:allow <analyzer> <reason>
-	"hotpath":       true, // hotalloc roots
-	"amortized":     true, // hotalloc: a callee that allocates off the per-element path
-	"phase":         true, // phaseorder: //flash:phase(<phase>,...)
-	"deterministic": true, // detorder roots
-	"immutable":     true, // sharedmut types
-	"blockowner":    true, // blockres: may keep decoded block memory
-	"slot-indexed":  true, // slotindex fields
+	"allow":     true, // Pass.Reportf: //flash:allow <analyzer> <reason>
+	"hotpath":   true, // hotalloc roots
+	"amortized": true, // hotalloc: a callee that allocates off the per-element path
 }
 
 // AuditSuppressions scans every loaded file for //flash: markers that do not

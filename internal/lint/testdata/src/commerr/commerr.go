@@ -44,6 +44,14 @@ func bad(tr *Transport, e *Engine, fs *FileStore, ms *MemStore) {
 	defer fs.Save(nil)    // want `FileStore.Save error discarded by defer`
 }
 
+// drainKV is commerr's recorded true positive (DESIGN.md §6): a KV round
+// that drops Drain's error and reports only its decode error. No test, debug
+// assertion or allocation guard fails on it.
+func drainKV(tr *Transport, onFrame func(int, []byte), decodeErr error) error {
+	tr.Drain(0, onFrame) // want `Transport.Drain error discarded`
+	return decodeErr
+}
+
 func badResize(e *Engine, tr *Transport) {
 	e.Resize(8)      // want `Engine.Resize error discarded`
 	_ = tr.Resize(4) // want `Transport.Resize error assigned to _`

@@ -33,6 +33,23 @@ func hotBad(vids []VID, out []int) {
 	sink(len(acc)) // want `implicit interface boxing of int`
 }
 
+type slots struct{ idx []int }
+
+func (s *slots) Slot(v VID) int { return s.idx[v] }
+
+// visitBad is hotalloc's recorded true positive (DESIGN.md §6): a slot lookup
+// wrapped in a capturing closure inside the push kernel's edge loop. No test
+// or allocation guard fails on it, because the compiler keeps a closure that
+// is called at once on the stack; the analyzer reports the construct.
+//
+//flash:hotpath
+func visitBad(adj []VID, st *slots, cur []int) {
+	for _, d := range adj {
+		slotOf := func() int { return st.Slot(d) } // want `variable-capturing closure inside a loop`
+		cur[slotOf()]++
+	}
+}
+
 //flash:hotpath
 func hotGood(dst []byte, vids []VID) []byte {
 	buf := make([]int, 0, len(vids)) // sized: explicit capacity

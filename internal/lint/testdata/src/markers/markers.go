@@ -12,21 +12,8 @@ func hot() {}
 //flash:amortized allocates once per superstep, not per element
 func amortized() {}
 
-//flash:phase(compute)
-func compute() {}
-
-//flash:phase(sync,barrier)
-func exchange() {}
-
-//flash:deterministic
-func ordered() {}
-
-//flash:blockowner
-func owner() []byte { return nil }
-
-//flash:immutable
 type frozen struct {
-	cur []float64 //flash:slot-indexed
+	cur []float64
 }
 
 func waived() int {
@@ -48,9 +35,29 @@ func reasonless() int {
 func typo() {
 }
 
-// Retired markers read by nothing: the sharedmut sanctions, the slot-table
-// launder, the fresh-result claim and the commerr-only waiver.
+// Retired markers read by nothing: the markers of the deleted analyzers
+// (phaseorder, detorder, blockres, sharedmut, slotindex), the sharedmut
+// sanctions, the slot-table launder, the fresh-result claim and the
+// commerr-only waiver.
 //
+/* want `unknown marker //flash:phase` */ //flash:phase(compute)
+func compute() {
+}
+
+/* want `unknown marker //flash:deterministic` */ //flash:deterministic
+func ordered() {
+}
+
+/* want `unknown marker //flash:blockowner` */ //flash:blockowner
+func owner() []byte {
+	return nil
+}
+
+/* want `unknown marker //flash:immutable` */ //flash:immutable
+type shared struct {
+	cur []float64 /* want `unknown marker //flash:slot-indexed` */ //flash:slot-indexed
+}
+
 /* want `unknown marker //flash:mutator` */ //flash:mutator
 func rebuild(f *frozen) {
 	f.cur = nil

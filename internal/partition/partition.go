@@ -160,8 +160,6 @@ func (p *HashPlacement) GlobalID(w, local int) graph.VID {
 
 // Part is one worker's view of the partitioned graph. Parts are shared
 // read-only between every engine borrowing the same catalog partition.
-//
-//flash:immutable
 type Part struct {
 	Worker int
 	// Masters is the set of local master ids (global numbering).
@@ -194,8 +192,6 @@ type Part struct {
 
 // Partitioned bundles the adjacency source, placement, and per-worker parts.
 // It is complete when New returns and read-only from then on.
-//
-//flash:immutable
 type Partitioned struct {
 	G      Adjacency
 	Place  Placement

@@ -31,8 +31,6 @@ import (
 // (FullSlotTable marks every non-master a mirror), which keeps
 // virtual-edge-set algorithms — arbitrary cross-vertex reads — working
 // unchanged while preserving the uniform masters-then-sorted-mirrors shape.
-//
-//flash:immutable
 type SlotTable struct {
 	kind    uint8
 	worker  int
