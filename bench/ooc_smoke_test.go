@@ -60,7 +60,7 @@ func TestOOCCacheSmoke(t *testing.T) {
 			t.Errorf("%s: per-step read volume empty: dense=%d sparse=%d", name, o.BytesPerDenseStep, o.BytesPerSparseStep)
 		}
 		if o.BytesPerSparseStep >= o.BytesPerDenseStep {
-			t.Errorf("%s: sparse supersteps read %d B/step, dense %d B/step — residency planning should read less when the frontier is small",
+			t.Errorf("%s: sparse supersteps read %d B/step, dense %d B/step — a sparse step reads only its active sources' blocks, so should read less when the frontier is small",
 				name, o.BytesPerSparseStep, o.BytesPerDenseStep)
 		}
 		if o.ResidentBytes >= o.InMemBytes {

@@ -13,9 +13,9 @@
 // as the FLASHCKP checkpoint store:
 //
 //	magic     [8]byte "FLASHBLK"
-//	version   u16 (currently 1)
+//	version   u16 (currently 2)
 //	flags     u16 (bit0 weighted, bit1 directed)
-//	blockSize u32 (target encoded block size the writer used)
+//	blockSize u32 (target size of a block's rows the writer used)
 //	n, m      u64
 //	nameLen   u32
 //	degOutLen u32 | degOutCRC u32
@@ -28,34 +28,31 @@
 //	in  table: likewise
 //	padding to 64
 //	payload: blocks, each 64-byte aligned (mmap/pread friendly), offsets
-//	         relative to the payload start
+//	         relative to the payload start; a block's encLen bytes are
+//	         rows | nv × u32 row offsets, both under the block's crc
 //
 // Every vertex's adjacency lives entirely inside one block (a vertex whose
-// list exceeds the target size gets an oversize block of its own), so one
-// block read answers any Out(u)/In(v) query. Degree sections are uvarint
-// streams; block payloads encode each vertex's sorted neighbor list as an
-// absolute uvarint followed by uvarint gaps, then the raw float32 weights
-// when the graph is weighted. An undirected graph stores only the out
-// direction — its in-adjacency is identical by symmetry — halving the file
-// and letting one cached block serve both kernels.
+// list exceeds the target gets an oversize block of its own), so one block
+// read answers any Out(u)/In(v) query. Degree sections are uvarint streams.
+// A block's rows encode each vertex's sorted neighbor list as an absolute
+// uvarint followed by uvarint gaps, then the raw float32 weights when the
+// graph is weighted; the offsets after them give, block-relative, where each
+// covered vertex's row starts, so a sparse superstep that needs a few rows of
+// a block decodes just those (FlashGraph's per-vertex edge-list index). An
+// undirected graph stores only the out direction — its in-adjacency is
+// identical by symmetry — halving the file and letting one cached block serve
+// both kernels.
 //
 // The decoder validates everything before trusting it: magic, version, flag
 // bits, section lengths against the file size, degree sums against m, block
-// tables for contiguous vertex coverage and offset bounds, and a CRC32-C
-// (Castagnoli) per block at read time. A truncated, bit-flipped, or hostile
-// file fails loudly instead of decoding garbage topology.
-//
-// A sparse superstep needs a few rows of a block, not the block, so a block
-// that has been validated once can be read a row at a time. The first full
-// decode of a block in a block cache checks every framing, vid-bound and
-// byte-budget rule and records each covered vertex's byte offset inside the
-// block in a resident u32 table, one entry per vertex per stored direction
-// (counted in IndexBytes), published once per block behind an atomic state.
-// From then on a cache that does not hold the block may read its encoded
-// bytes — CRC-checked on every read — and decode only the rows it needs,
-// with the same loop and checks (BlockCache.GetRows, EncodedBlock.Row). A
-// block never decoded in full cannot be read by rows, so no row is served
-// from bytes the full validator has not accepted.
+// tables for contiguous vertex coverage, offset bounds and room for the row
+// offsets, and a CRC32-C (Castagnoli) per block at read time. A full block
+// decode requires each row to start exactly at its stored offset and the rows
+// to end exactly where the offsets begin; a single-row read requires the row
+// to end exactly at the next vertex's offset (or the end of the rows). So a
+// truncated, bit-flipped, or hostile file fails loudly instead of decoding
+// garbage topology, and a block the full decode accepts serves the same rows
+// either way.
 package graph
 
 import (
@@ -67,7 +64,6 @@ import (
 	"os"
 	"slices"
 	"sync"
-	"sync/atomic"
 )
 
 // Block directions for BlockGraph.ReadBlock and BlockCache.Get.
@@ -81,7 +77,7 @@ const DefaultBlockSize = 64 << 10
 
 const (
 	blkMagic     = "FLASHBLK"
-	blkVersion   = 1
+	blkVersion   = 2
 	blkHdrSize   = 72
 	blkAlign     = 64
 	blkEntrySize = 28
@@ -174,14 +170,6 @@ type BlockGraph struct {
 	blocks        [2][]blockMeta
 	payloadStart  int64
 
-	// rowOff[d][v] is the byte offset of v's row inside its block in stored
-	// direction d, recorded by the block's first successful full decode in a
-	// block cache (readBlock); rowState[d][idx] publishes block idx's
-	// entries, and a block's rows may be read (readRows) only once it reads
-	// rowsReady.
-	rowOff   [2][]uint32
-	rowState [2][]atomic.Uint32
-
 	mu   sync.Mutex
 	skel *Graph
 	seq  [2]*DecodedBlock // per-direction MRU for sequential scans
@@ -266,8 +254,7 @@ func (bg *BlockGraph) dirOff(d int) []int64 {
 // outright, valid for as long as it is referenced. Engine hot paths go
 // through a BlockCache instead, whose blocks live in recycled arenas and are
 // valid only between Get and Release. ReadBlock serves whole-graph scans
-// (partition construction) and leaves the row-offset table alone: only a
-// cache's full decode opens a block to row reads.
+// (partition construction).
 func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
 	d := bg.mapDir(dir)
 	if idx < 0 || idx >= len(bg.blocks[d]) {
@@ -279,7 +266,7 @@ func (bg *BlockGraph) ReadBlock(dir, idx int) (*DecodedBlock, error) {
 	}
 	b := &DecodedBlock{d: d, idx: idx}
 	b.alloc(int(bg.blocks[d][idx].edges), bg.weighted)
-	if err := bg.decodeBlock(d, bg.blocks[d][idx], enc, b, nil); err != nil {
+	if err := bg.decodeBlock(d, bg.blocks[d][idx], enc, b); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -292,13 +279,6 @@ func (b *DecodedBlock) alloc(edges int, weighted bool) {
 		b.ws = make([]float32, edges)
 	}
 }
-
-// Row-offset states of one block (BlockGraph.rowState).
-const (
-	rowsUnknown   = iota // never fully decoded: its rows may not be read
-	rowsRecording        // a full decode is recording its row offsets
-	rowsReady            // its row offsets are published: rows may be read
-)
 
 // readEncoded reads block d/idx's encoded bytes (both already validated)
 // into enc, grown if the block needs more than it has, and CRC-verifies them.
@@ -323,10 +303,8 @@ func (bg *BlockGraph) readEncoded(d, idx int, enc []byte) ([]byte, error) {
 // readBlock is a cache miss's read: it reads block d/idx (both already
 // validated) through the encoded-bytes buffer enc, CRC-verifies it, and
 // decodes it into b's arenas, which must hold the block's edge count. The
-// block's first successful decode here records and publishes its row
-// offsets. The buffer is returned for reuse, grown if the block needed more
-// than it had. On error b's contents are undefined but its arenas remain
-// usable.
+// buffer is returned for reuse, grown if the block needed more than it had.
+// On error b's contents are undefined but its arenas remain usable.
 //
 //flash:hotpath
 func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte, error) {
@@ -335,27 +313,37 @@ func (bg *BlockGraph) readBlock(d, idx int, b *DecodedBlock, enc []byte) ([]byte
 		return enc, err
 	}
 	b.d, b.idx = d, idx
-	mt := bg.blocks[d][idx]
-	st := &bg.rowState[d][idx]
-	if st.Load() != rowsUnknown || !st.CompareAndSwap(rowsUnknown, rowsRecording) {
-		return enc, bg.decodeBlock(d, mt, enc, b, nil)
-	}
-	err = bg.decodeBlock(d, mt, enc, b, bg.rowOff[d][mt.first:int(mt.first)+int(mt.nv)])
-	if err != nil {
-		st.Store(rowsUnknown)
-	} else {
-		st.Store(rowsReady)
-	}
-	return enc, err
+	return enc, bg.decodeBlock(d, bg.blocks[d][idx], enc, b)
 }
 
-// decodeBlock expands one verified block payload into CSR form inside b's
-// arenas (capacity at least mt.edges), validating varint framing, vid bounds,
-// and the exact byte budget. When rec is not nil it receives each covered
-// vertex's row offset in data.
+// splitBlock splits a block's encoded bytes into its rows and its nv u32 row
+// offsets; ok is false when the bytes cannot hold nv offsets.
 //
 //flash:hotpath
-func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock, rec []uint32) error {
+func splitBlock(data []byte, nv int) (rows, offs []byte, ok bool) {
+	end := len(data) - 4*nv
+	if end < 0 {
+		return nil, nil, false
+	}
+	return data[:end], data[end:], true
+}
+
+// rowOffset returns the i-th row offset of a block's offset bytes.
+//
+//flash:hotpath
+func rowOffset(offs []byte, i int) int { return int(binary.LittleEndian.Uint32(offs[4*i:])) }
+
+// decodeBlock expands one verified block's encoded bytes into CSR form inside
+// b's arenas (capacity at least mt.edges), validating varint framing, vid
+// bounds, that each row starts exactly at its stored offset, and that the
+// rows end exactly where the offsets begin.
+//
+//flash:hotpath
+func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBlock) error {
+	rows, offs, ok := splitBlock(data, int(mt.nv))
+	if !ok {
+		return fmt.Errorf("graph: block of %d bytes cannot hold %d row offsets", len(data), mt.nv)
+	}
 	off := bg.dirOff(d)
 	first, end := int(mt.first), int(mt.first)+int(mt.nv)
 	adj := b.adj[:mt.edges]
@@ -365,22 +353,22 @@ func (bg *BlockGraph) decodeBlock(d int, mt blockMeta, data []byte, b *DecodedBl
 	}
 	pos, k := 0, 0
 	for v := first; v < end; v++ {
-		deg := int(off[v+1] - off[v])
-		if rec != nil {
-			rec[v-first] = uint32(pos)
+		if rowOffset(offs, v-first) != pos {
+			return fmt.Errorf("graph: block row of vertex %d does not start at its offset", v)
 		}
+		deg := int(off[v+1] - off[v])
 		var wrow []float32
 		if ws != nil {
 			wrow = ws[k : k+deg]
 		}
 		var err error
-		if pos, err = bg.decodeRow(data, pos, v, adj[k:k+deg], wrow); err != nil {
+		if pos, err = bg.decodeRow(rows, pos, v, adj[k:k+deg], wrow); err != nil {
 			return err
 		}
 		k += deg
 	}
-	if pos != len(data) {
-		return fmt.Errorf("graph: %d trailing bytes in block", len(data)-pos)
+	if pos != len(rows) {
+		return fmt.Errorf("graph: %d trailing bytes in block rows", len(rows)-pos)
 	}
 	b.first = mt.first
 	b.nv = int(mt.nv)
@@ -446,19 +434,16 @@ func (bg *BlockGraph) decodeRow(data []byte, pos, v int, row []VID, wrow []float
 }
 
 // EncodedBlock is one block's encoded bytes, read from the file and
-// CRC-verified, from which single rows are decoded (Row). It is filled only
-// for a block whose row offsets a cache's full decode in this BlockGraph
-// published, so every row it serves comes from bytes the full validator
-// accepted. The zero value holds no block; its buffer is reused from fill to
-// fill.
+// CRC-verified, from which single rows are decoded (Row) at the offsets the
+// block carries. The zero value holds no block; its buffer is reused from
+// fill to fill.
 type EncodedBlock struct {
 	bg      *BlockGraph
 	d       int
 	first   VID
 	nv      int
 	data    []byte
-	offs    []uint32 // the block's published row offsets
-	decoded uint64   // edges Row decoded since the cache last counted them
+	decoded uint64 // edges Row decoded since the cache last counted them
 }
 
 // Contains reports whether v's row lives in the block eb holds.
@@ -469,7 +454,8 @@ func (eb *EncodedBlock) Contains(v VID) bool {
 // Row decodes v's row — v must lie in the block — into adj and, when the
 // graph is weighted, ws, both grown as needed, and returns them (ws nil when
 // unweighted). The decode is decodeBlock's loop with its vid and truncation
-// checks.
+// checks, from v's stored offset, and the row must end exactly at the next
+// vertex's offset (or at the end of the rows).
 //
 //flash:hotpath
 func (eb *EncodedBlock) Row(v VID, adj []VID, ws []float32) ([]VID, []float32, error) {
@@ -483,21 +469,28 @@ func (eb *EncodedBlock) Row(v VID, adj []VID, ws []float32) ([]VID, []float32, e
 		ws = nil
 	}
 	eb.decoded += uint64(deg)
-	_, err := bg.decodeRow(eb.data, int(eb.offs[v-eb.first]), int(v), adj, ws)
+	rows, offs, _ := splitBlock(eb.data, eb.nv) // the block table guarantees room
+	i := int(v - eb.first)
+	start, end := rowOffset(offs, i), len(rows)
+	if i+1 < eb.nv {
+		end = rowOffset(offs, i+1)
+	}
+	if end > len(rows) {
+		return adj, ws, fmt.Errorf("graph: block row of vertex %d ends past the block rows", v)
+	}
+	pos, err := bg.decodeRow(rows[:end], start, int(v), adj, ws)
+	if err == nil && pos != end {
+		return adj, ws, fmt.Errorf("graph: block row of vertex %d does not end at the next offset", v)
+	}
 	return adj, ws, err
 }
 
 // readRows reads block d/idx's encoded bytes into eb, CRC-verified, for Row.
-// It refuses a block that has not passed a cache's full decode in this
-// BlockGraph.
 // On error eb holds no block.
 //
 //flash:hotpath
 func (bg *BlockGraph) readRows(d, idx int, eb *EncodedBlock) error {
 	eb.nv = 0
-	if bg.rowState[d][idx].Load() != rowsReady {
-		return fmt.Errorf("graph: block %d/%d rows read before its first full decode", d, idx)
-	}
 	data, err := bg.readEncoded(d, idx, eb.data)
 	eb.data = data
 	if err != nil {
@@ -505,7 +498,6 @@ func (bg *BlockGraph) readRows(d, idx int, eb *EncodedBlock) error {
 	}
 	mt := bg.blocks[d][idx]
 	eb.bg, eb.d, eb.first, eb.nv = bg, d, mt.first, int(mt.nv)
-	eb.offs = bg.rowOff[d][mt.first : int(mt.first)+int(mt.nv)]
 	return nil
 }
 
@@ -584,9 +576,8 @@ func (bg *BlockGraph) EdgeBytes() uint64 {
 }
 
 // IndexBytes returns the resident footprint of the in-memory index: offset
-// arrays, block tables, and the row-offset tables with their block states.
-// Together with a cache budget this is what an out-of-core graph costs in
-// RAM.
+// arrays and block tables. Together with a cache budget this is what an
+// out-of-core graph costs in RAM.
 func (bg *BlockGraph) IndexBytes() uint64 {
 	total := uint64(cap(bg.outOff)) * 8
 	if bg.directed {
@@ -594,7 +585,6 @@ func (bg *BlockGraph) IndexBytes() uint64 {
 	}
 	for d := range bg.blocks {
 		total += uint64(cap(bg.blocks[d])) * blkEntrySize
-		total += uint64(cap(bg.rowOff[d]))*4 + uint64(cap(bg.rowState[d]))*4
 	}
 	return total
 }
@@ -636,10 +626,10 @@ func padTo(buf []byte, align int) []byte {
 }
 
 // packBlocks greedily packs vertices 0..n-1 into blocks of at least target
-// encoded bytes (except the last), returning the table entries and the
-// payload extended with the new, 64-byte-aligned blocks. A single vertex
-// whose list exceeds the target gets an oversize block of its own; every
-// vertex's adjacency stays within one block.
+// row bytes (except the last), each followed by its row offsets, returning
+// the table entries and the payload extended with the new, 64-byte-aligned
+// blocks. A single vertex whose list exceeds the target gets an oversize
+// block of its own; every vertex's adjacency stays within one block.
 func packBlocks(n, target int, payload []byte, adjOf func(VID) []VID, wOf func(VID) []float32) ([]blockMeta, []byte) {
 	var metas []blockMeta
 	if n == 0 {
@@ -647,7 +637,11 @@ func packBlocks(n, target int, payload []byte, adjOf func(VID) []VID, wOf func(V
 	}
 	payload = padTo(payload, blkAlign)
 	start, first, edges := len(payload), 0, 0
+	var rowOffs []uint32 // the open block's row offsets
 	seal := func(next int) {
+		for _, o := range rowOffs {
+			payload = binary.LittleEndian.AppendUint32(payload, o)
+		}
 		enc := payload[start:]
 		metas = append(metas, blockMeta{
 			first:  VID(first),
@@ -662,8 +656,9 @@ func packBlocks(n, target int, payload []byte, adjOf func(VID) []VID, wOf func(V
 		if len(payload)-start >= target && v > first {
 			seal(v)
 			payload = padTo(payload, blkAlign)
-			start, first, edges = len(payload), v, 0
+			start, first, edges, rowOffs = len(payload), v, 0, rowOffs[:0]
 		}
+		rowOffs = append(rowOffs, uint32(len(payload)-start))
 		adj := adjOf(VID(v))
 		payload = appendVertexAdj(payload, adj, wOf(VID(v)))
 		edges += len(adj)
@@ -859,7 +854,7 @@ func decodeDegreeOffsets(data []byte, n int, m uint64, what string) ([]int64, er
 
 // decodeBlockTable parses and validates one direction's block table: CRC,
 // contiguous vertex coverage, edge counts consistent with the offsets, and
-// aligned in-bounds payload ranges.
+// aligned in-bounds payload ranges with room for the row offsets.
 func decodeBlockTable(data []byte, nb, n int, off []int64, payloadLen uint64, what string) ([]blockMeta, error) {
 	if crc32.Checksum(data[:nb*blkEntrySize], blkCRCTable) != binary.LittleEndian.Uint32(data[nb*blkEntrySize:]) {
 		return nil, fmt.Errorf("graph: block file %s table crc mismatch", what)
@@ -885,7 +880,7 @@ func decodeBlockTable(data []byte, nb, n int, off []int64, payloadLen uint64, wh
 			return nil, fmt.Errorf("graph: block file %s table entry %d edge count %d != offset span %d", what, i, mt.edges, span)
 		}
 		if mt.off%blkAlign != 0 || mt.off < prevEnd || mt.encLen > blkMaxEnc ||
-			mt.off+uint64(mt.encLen) > payloadLen {
+			mt.off+uint64(mt.encLen) > payloadLen || uint64(mt.encLen) < 4*uint64(mt.nv) {
 			return nil, fmt.Errorf("graph: block file %s table entry %d has bad payload range", what, i)
 		}
 		prevEnd = mt.off + uint64(mt.encLen)
@@ -1013,12 +1008,6 @@ func OpenBlockReader(r io.ReaderAt, size int64) (*BlockGraph, error) {
 		inOff:        inOff,
 		blocks:       [2][]blockMeta{outMetas, inMetas},
 		payloadStart: payloadStart,
-	}
-	for d, metas := range bg.blocks {
-		if len(metas) > 0 {
-			bg.rowOff[d] = make([]uint32, n)
-			bg.rowState[d] = make([]atomic.Uint32, len(metas))
-		}
 	}
 	return bg, nil
 }

@@ -74,9 +74,10 @@ func FuzzDecodeBlockFile(f *testing.F) {
 	})
 }
 
-// payloadSeed is one FuzzDecodeBlockPayload input: a block payload, the
-// degree of each vertex it covers, the vid universe, and whether raw float32
-// weights follow each vertex's neighbors.
+// payloadSeed is one FuzzDecodeBlockPayload input: a block's encoded bytes
+// (rows, then one u32 row offset per vertex), the degree of each vertex it
+// covers, the vid universe, and whether raw float32 weights follow each
+// vertex's neighbors.
 type payloadSeed struct {
 	name     string
 	payload  []byte
@@ -85,44 +86,84 @@ type payloadSeed struct {
 	weighted bool
 }
 
+// encodeRows encodes one row per vertex as packBlocks does, returning the
+// rows and each row's offset in them.
+func encodeRows(adjs [][]VID, wss [][]float32) ([]byte, []uint32) {
+	var rows []byte
+	offs := make([]uint32, len(adjs))
+	for v, adj := range adjs {
+		offs[v] = uint32(len(rows))
+		var ws []float32
+		if wss != nil {
+			ws = wss[v]
+		}
+		rows = appendVertexAdj(rows, adj, ws)
+	}
+	return rows, offs
+}
+
+// withOffsets returns rows followed by the given row offsets: a block's
+// encoded bytes.
+func withOffsets(rows []byte, offs ...uint32) []byte {
+	out := bytes.Clone(rows)
+	for _, o := range offs {
+		out = binary.LittleEndian.AppendUint32(out, o)
+	}
+	return out
+}
+
 // payloadFuzzSeeds are the framings the two-byte fast path must not treat
 // differently from binary.Uvarint: overlong encodings, gaps of three, five
 // and ten bytes, a varint that overflows 64 bits, blocks with and without
-// weights, and a valid weighted block cut short at every offset of its tail.
+// weights, and a valid weighted block's rows cut short at every offset of
+// their tail; plus the hostile offset suffixes: an offset past the rows, a
+// row that does not end at the next offset, and bytes too short to hold the
+// offsets.
 func payloadFuzzSeeds() []payloadSeed {
-	valid := appendVertexAdj(nil, []VID{3, 4, 200, 20000, 20001}, nil)
-	valid = appendVertexAdj(valid, nil, nil)
-	valid = appendVertexAdj(valid, []VID{0, 70000}, nil)
-	validW := appendVertexAdj(nil, []VID{1, 130, 131}, []float32{0.5, -1, 3e9})
-	validW = appendVertexAdj(validW, []VID{9}, []float32{7})
+	rows, offs := encodeRows([][]VID{{3, 4, 200, 20000, 20001}, nil, {0, 70000}}, nil)
+	valid := withOffsets(rows, offs...)
+	rowsW, offsW := encodeRows([][]VID{{1, 130, 131}, {9}}, [][]float32{{0.5, -1, 3e9}, {7}})
+	validW := withOffsets(rowsW, offsW...)
 	seeds := []payloadSeed{
 		{"unweighted", valid, []byte{5, 0, 2}, 70001, false},
 		{"weighted", validW, []byte{3, 1}, 132, true},
-		{"overlong", []byte{0x05, 0x80, 0x00, 0x81, 0x00}, []byte{3}, 10, false},
-		{"overlong-first", []byte{0x80, 0x00, 0x01}, []byte{2}, 10, false},
-		{"varint-3byte", []byte{0x01, 0x80, 0x80, 0x01, 0x01}, []byte{3}, 1 << 20, false},
-		{"varint-5byte", []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x01}, []byte{3}, 1 << 20, false},
-		{"varint-10byte", []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01}, []byte{3}, 1 << 20, false},
-		{"overflow-64bit", []byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x01}, []byte{3}, 1 << 20, false},
-		{"vid-out-of-range", []byte{0x05, 0x7f, 0x01}, []byte{3}, 132, false},
-		{"trailing-byte", append(append([]byte(nil), valid...), 0x00), []byte{5, 0, 2}, 70001, false},
+		{"overlong", withOffsets([]byte{0x05, 0x80, 0x00, 0x81, 0x00}, 0), []byte{3}, 10, false},
+		{"overlong-first", withOffsets([]byte{0x80, 0x00, 0x01}, 0), []byte{2}, 10, false},
+		{"varint-3byte", withOffsets([]byte{0x01, 0x80, 0x80, 0x01, 0x01}, 0), []byte{3}, 1 << 20, false},
+		{"varint-5byte", withOffsets([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x01}, 0), []byte{3}, 1 << 20, false},
+		{"varint-10byte", withOffsets([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x01}, 0), []byte{3}, 1 << 20, false},
+		{"overflow-64bit", withOffsets([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0x01}, 0), []byte{3}, 1 << 20, false},
+		{"vid-out-of-range", withOffsets([]byte{0x05, 0x7f, 0x01}, 0), []byte{3}, 132, false},
+		{"trailing-byte", withOffsets(append(bytes.Clone(rows), 0x00), offs...), []byte{5, 0, 2}, 70001, false},
+		{"offset-past-rows", withOffsets(rowsW, 0, uint32(len(rowsW))+1), []byte{3, 1}, 132, true},
+		{"row-misses-next-offset", withOffsets(rows, offs[0], offs[1]-1, offs[2]), []byte{5, 0, 2}, 70001, false},
+		{"offsets-short", validW[len(validW)-7:], []byte{3, 1}, 132, true},
 	}
-	for cut := 1; cut < len(validW); cut++ {
-		seeds = append(seeds, payloadSeed{fmt.Sprintf("truncated-tail-%02d", cut), validW[:len(validW)-cut], []byte{3, 1}, 132, true})
+	for cut := 1; cut < len(rowsW); cut++ {
+		seeds = append(seeds, payloadSeed{fmt.Sprintf("truncated-tail-%02d", cut), withOffsets(rowsW[:len(rowsW)-cut], offsW...), []byte{3, 1}, 132, true})
 	}
 	return seeds
 }
 
-// refDecodePayload is the decoder the block format was specified by: one
+// refDecodePayload is the decoder the block format was specified by: the
+// last 4·len(degs) bytes are the row offsets, and before them one
 // binary.Uvarint per neighbor, an absolute value then gaps, raw weights after
-// each vertex, every byte consumed. decodeBlock must agree with it on every
-// input.
+// each vertex, each row starting at its offset and every row byte consumed.
+// decodeBlock must agree with it on every input.
 func refDecodePayload(data []byte, degs []int, n uint64, weighted bool) (adj []VID, ws []uint32, ok bool) {
+	end := len(data) - 4*len(degs)
+	if end < 0 {
+		return nil, nil, false
+	}
+	rows := data[:end]
 	pos := 0
-	for _, deg := range degs {
+	for v, deg := range degs {
+		if binary.LittleEndian.Uint32(data[end+4*v:]) != uint32(pos) {
+			return nil, nil, false
+		}
 		prev := uint64(0)
 		for i := 0; i < deg; i++ {
-			x, sz := binary.Uvarint(data[pos:])
+			x, sz := binary.Uvarint(rows[pos:])
 			if sz <= 0 {
 				return nil, nil, false
 			}
@@ -133,16 +174,16 @@ func refDecodePayload(data []byte, degs []int, n uint64, weighted bool) (adj []V
 			adj = append(adj, VID(prev))
 		}
 		if weighted {
-			if pos+4*deg > len(data) {
+			if pos+4*deg > len(rows) {
 				return nil, nil, false
 			}
 			for i := 0; i < deg; i++ {
-				ws = append(ws, binary.LittleEndian.Uint32(data[pos+4*i:]))
+				ws = append(ws, binary.LittleEndian.Uint32(rows[pos+4*i:]))
 			}
 			pos += 4 * deg
 		}
 	}
-	return adj, ws, pos == len(data)
+	return adj, ws, pos == len(rows)
 }
 
 // FuzzDecodeBlockPayload feeds hostile payload bytes straight to decodeBlock —
@@ -177,7 +218,7 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 		}
 
 		wantAdj, wantW, ok := refDecodePayload(payload, degs, uint64(n), weighted)
-		err := bg.decodeBlock(BlockOut, mt, payload, b, nil)
+		err := bg.decodeBlock(BlockOut, mt, payload, b)
 		if (err == nil) != ok {
 			t.Fatalf("decodeBlock err = %v, reference accepts = %v", err, ok)
 		}
@@ -204,11 +245,11 @@ func FuzzDecodeBlockPayload(f *testing.F) {
 }
 
 // FuzzDecodeBlockRows holds single-row reads to the full decode on hostile
-// payloads. When decodeBlock accepts a payload, every row read at the
-// offsets it recorded equals that vertex's row of the full decode. When it
-// rejects one, rows read at the offsets recorded before the failure and at
-// offsets derived from the input, past the payload's end included, never
-// panic, and a row read without error holds only in-range vids.
+// payloads, reading each row at the offset the payload stores. When
+// decodeBlock accepts a payload, every row read equals that vertex's row of
+// the full decode. When it rejects one whose bytes hold the offsets, row
+// reads — at offsets past the rows or mid-row included — never panic, and a
+// row read without error has the vertex's degree and only in-range vids.
 func FuzzDecodeBlockRows(f *testing.F) {
 	for _, s := range payloadFuzzSeeds() {
 		f.Add(s.payload, s.degs, s.n, s.weighted)
@@ -230,15 +271,20 @@ func FuzzDecodeBlockRows(f *testing.F) {
 		mt := blockMeta{nv: uint32(nv), edges: uint32(edges), encLen: uint32(len(payload))}
 		b := new(DecodedBlock)
 		b.alloc(edges, weighted)
-		rec := make([]uint32, nv)
-		err := bg.decodeBlock(BlockOut, mt, payload, b, rec)
-		eb := EncodedBlock{bg: bg, nv: nv, data: payload, offs: rec}
+		err := bg.decodeBlock(BlockOut, mt, payload, b)
+		if _, _, ok := splitBlock(payload, nv); !ok {
+			if err == nil {
+				t.Fatalf("decodeBlock accepted %d bytes for %d row offsets", len(payload), nv)
+			}
+			return // the block table refuses such a block before any row read
+		}
+		eb := EncodedBlock{bg: bg, nv: nv, data: payload}
 		var adj []VID
 		var ws []float32
-		if err == nil {
-			for v := VID(0); int(v) < nv; v++ {
-				var rerr error
-				adj, ws, rerr = eb.Row(v, adj, ws)
+		for v := VID(0); int(v) < nv; v++ {
+			var rerr error
+			adj, ws, rerr = eb.Row(v, adj, ws)
+			if err == nil {
 				wantAdj, wantW := b.Adj(v)
 				if rerr != nil || !equalVIDs(adj, wantAdj) || len(ws) != len(wantW) {
 					t.Fatalf("vertex %d: row %v (%d weights, err %v), full decode %v (%d weights)",
@@ -249,28 +295,17 @@ func FuzzDecodeBlockRows(f *testing.F) {
 						t.Fatalf("vertex %d weight %d = %#x, full decode %#x", v, i, math.Float32bits(ws[i]), math.Float32bits(wantW[i]))
 					}
 				}
+				continue
 			}
-			return
-		}
-		for pass := 0; pass < 2; pass++ {
-			if pass == 1 {
-				for v, b := range degBytes {
-					rec[v] = uint32(int(b) * (v + 1) % (len(payload) + 3))
-				}
+			if rerr != nil {
+				continue
 			}
-			for v := VID(0); int(v) < nv; v++ {
-				var rerr error
-				adj, ws, rerr = eb.Row(v, adj, ws)
-				if rerr != nil {
-					continue
-				}
-				if len(adj) != int(off[v+1]-off[v]) || (ws != nil) != weighted && len(adj) > 0 {
-					t.Fatalf("vertex %d: row of %d neighbors (weights %v), want %d (weights %v)", v, len(adj), ws != nil, off[v+1]-off[v], weighted)
-				}
-				for _, d := range adj {
-					if d >= VID(n) {
-						t.Fatalf("vertex %d: row holds vid %d >= n = %d", v, d, n)
-					}
+			if len(adj) != int(off[v+1]-off[v]) || (ws != nil) != weighted && len(adj) > 0 {
+				t.Fatalf("vertex %d: row of %d neighbors (weights %v), want %d (weights %v)", v, len(adj), ws != nil, off[v+1]-off[v], weighted)
+			}
+			for _, d := range adj {
+				if d >= VID(n) {
+					t.Fatalf("vertex %d: row holds vid %d >= n = %d", v, d, n)
 				}
 			}
 		}

@@ -2,11 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
-
-	"flash/internal/bitset"
 )
 
 // blockTestGraphs builds the directed×weighted matrix of small graphs used by
@@ -180,6 +181,86 @@ func TestBlockFileRejectsCorruption(t *testing.T) {
 	if _, err := bg2.ReadBlock(BlockOut, 0); err == nil {
 		t.Fatalf("bit-flipped block passed CRC")
 	}
+
+	// Row-offset damage under a recomputed CRC: the file opens, and both the
+	// full decode and the row reads of the damaged rows refuse the block.
+	mt := bg.blocks[BlockOut][0]
+	nv := int(mt.nv)
+	rowsLen := uint32(int(mt.encLen) - 4*nv)
+	if nv < 3 || g.OutDegree(0) == 0 {
+		t.Fatalf("block 0 covers %d vertices, vertex 0 has degree %d; want >= 3 and > 0", nv, g.OutDegree(0))
+	}
+	setOff := func(i int, o uint32) func(enc, entry []byte) {
+		return func(enc, _ []byte) { binary.LittleEndian.PutUint32(enc[int(rowsLen)+4*i:], o) }
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(enc, entry []byte)
+		rows   []VID // vertices whose row read must fail
+	}{
+		{"offset past the rows", setOff(nv-1, rowsLen+1), []VID{VID(nv - 2), VID(nv - 1)}},
+		{"row does not end at the next offset", func(enc, entry []byte) {
+			o := binary.LittleEndian.Uint32(enc[int(rowsLen)+4:])
+			setOff(1, o+1)(enc, entry)
+		}, []VID{0}},
+	} {
+		dbg, err := open(resealBlock(buf, bg, BlockOut, 0, tc.damage))
+		if err != nil {
+			t.Fatalf("%s: open: %v", tc.name, err)
+		}
+		if _, err := dbg.ReadBlock(BlockOut, 0); err == nil {
+			t.Fatalf("%s: full decode accepted the block", tc.name)
+		}
+		var eb EncodedBlock
+		if err := dbg.readRows(BlockOut, 0, &eb); err != nil {
+			t.Fatalf("%s: readRows: %v", tc.name, err)
+		}
+		for _, v := range tc.rows {
+			if _, _, err := eb.Row(v, nil, nil); err == nil {
+				t.Fatalf("%s: Row(%d) accepted", tc.name, v)
+			}
+		}
+	}
+	short := resealBlock(buf, bg, BlockOut, 0, func(_, entry []byte) {
+		binary.LittleEndian.PutUint32(entry[20:], uint32(4*nv-1))
+	})
+	if _, err := open(short); err == nil {
+		t.Fatalf("a block too short for its %d row offsets accepted", nv)
+	}
+}
+
+// resealBlock returns a copy of the image buf with damage applied to block
+// d/idx's encoded bytes and table entry, then the block's CRC and its table's
+// CRC recomputed, so only the decoder's structural checks can catch it.
+func resealBlock(buf []byte, bg *BlockGraph, d, idx int, damage func(enc, entry []byte)) []byte {
+	out := bytes.Clone(buf)
+	le := binary.LittleEndian
+	tab := blkHdrSize + int(le.Uint32(out[32:])+le.Uint32(out[36:])+le.Uint32(out[44:]))
+	if d == BlockIn {
+		tab += int(le.Uint32(out[52:]))*blkEntrySize + 4
+	}
+	nb := len(bg.blocks[d])
+	entry := out[tab+idx*blkEntrySize : tab+(idx+1)*blkEntrySize]
+	mt := bg.blocks[d][idx]
+	enc := out[bg.payloadStart+int64(mt.off) : bg.payloadStart+int64(mt.off)+int64(mt.encLen)]
+	damage(enc, entry)
+	le.PutUint32(entry[24:], crc32.Checksum(enc, blkCRCTable))
+	le.PutUint32(out[tab+nb*blkEntrySize:], crc32.Checksum(out[tab:tab+nb*blkEntrySize], blkCRCTable))
+	return out
+}
+
+// TestOpenBlockRefusesVersion1: a version-1 file, whose blocks carry no row
+// offsets (testdata/flashblk-v1.blk, a small directed weighted graph), is
+// refused with the version error.
+func TestOpenBlockRefusesVersion1(t *testing.T) {
+	bg, err := OpenBlockFile(filepath.Join("testdata", "flashblk-v1.blk"))
+	if err == nil {
+		bg.Close()
+		t.Fatalf("a version-1 block file opened")
+	}
+	if !strings.Contains(err.Error(), "unsupported block file version 1") {
+		t.Fatalf("version-1 block file: %v; want the unsupported-version error", err)
+	}
 }
 
 func TestSkeletonPanicsOnAdjacency(t *testing.T) {
@@ -338,17 +419,12 @@ func TestBlockCacheSparsePlan(t *testing.T) {
 	nb := bg.NumBlocks(BlockOut)
 	c := NewBlockCache(bg, 1<<20)
 
-	plan := bitset.New(nb)
-	plan.Set(0)
-	c.BeginSparse(plan, nil)
+	c.BeginSparse()
 	getRelease(t, c, BlockOut, 0)
 	getRelease(t, c, BlockOut, nb-1)
 	st := c.Stats()
 	if st.BytesSparse == 0 || st.BytesDense != 0 {
 		t.Fatalf("sparse byte accounting wrong: %+v", st)
-	}
-	if st.Unplanned != 1 {
-		t.Fatalf("unplanned = %d, want 1 (block %d was outside the plan)", st.Unplanned, nb-1)
 	}
 
 	d := c.TakeDelta()
@@ -401,13 +477,22 @@ func TestBlockGraphFootprint(t *testing.T) {
 		t.Fatalf("EdgeBytes = %d, want %d (undirected stores one direction)",
 			bg.EdgeBytes(), g.NumEdges()*4)
 	}
-	if bg.IndexBytes() == 0 {
-		t.Fatalf("IndexBytes = 0")
-	}
 	dg := WithRandomWeights(GenRandomDirected(100, 500, 2), 3)
-	dbg := openBlockBytes(t, dg, 0)
+	dbg := openBlockBytes(t, dg, 64)
 	if dbg.EdgeBytes() != uint64(dg.NumEdges())*8*2 {
 		t.Fatalf("directed weighted EdgeBytes = %d, want %d", dbg.EdgeBytes(), dg.NumEdges()*8*2)
+	}
+	// The index is the offset arrays and the block tables, nothing else: the
+	// row offsets live in the blocks.
+	for name, b := range map[string]*BlockGraph{"undirected": bg, "directed": dbg} {
+		dirs, blocks := 1, b.NumBlocks(BlockOut)
+		if b.Directed() {
+			dirs, blocks = 2, blocks+b.NumBlocks(BlockIn)
+		}
+		want := uint64(dirs*(b.NumVertices()+1)*8 + blocks*blkEntrySize)
+		if got := b.IndexBytes(); got != want {
+			t.Fatalf("%s IndexBytes = %d, want %d offset-array and block-table bytes", name, got, want)
+		}
 	}
 }
 
@@ -486,7 +571,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 	b.ResetTimer()
 	for it := 0; it < b.N; it++ {
 		for i, enc := range encs {
-			if err := bg.decodeBlock(BlockOut, bg.blocks[BlockOut][i], enc, dec, nil); err != nil {
+			if err := bg.decodeBlock(BlockOut, bg.blocks[BlockOut][i], enc, dec); err != nil {
 				b.Fatal(err)
 			}
 		}

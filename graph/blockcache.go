@@ -3,8 +3,6 @@ package graph
 import (
 	"fmt"
 	"sync"
-
-	"flash/internal/bitset"
 )
 
 // BlockCacheStats is a snapshot of cache activity counters.
@@ -21,11 +19,6 @@ type BlockCacheStats struct {
 	// was in when the miss happened.
 	BytesDense  uint64
 	BytesSparse uint64
-
-	// Unplanned counts sparse-mode misses on blocks outside the residency
-	// plan. The physical base edge set never produces these (every pushed
-	// source was planned); virtual edge sets composed with joins may.
-	Unplanned uint64
 }
 
 func (s BlockCacheStats) sub(o BlockCacheStats) BlockCacheStats {
@@ -36,7 +29,6 @@ func (s BlockCacheStats) sub(o BlockCacheStats) BlockCacheStats {
 		DecodedEdges: s.DecodedEdges - o.DecodedEdges,
 		BytesDense:   s.BytesDense - o.BytesDense,
 		BytesSparse:  s.BytesSparse - o.BytesSparse,
-		Unplanned:    s.Unplanned - o.Unplanned,
 	}
 }
 
@@ -69,11 +61,9 @@ type clockRef struct {
 //
 // The cache is bimodal, mirroring the engine's dense/sparse switch:
 // BeginDense marks the superstep as a sequential stream of every block the
-// worker's masters touch, BeginSparse installs the per-block
-// frontier-residency bitmaps so only blocks containing active sources are
-// expected — any other sparse read is counted as Unplanned. A sparse step
-// reads a source whose block is not resident through GetRows, which decodes
-// only the rows asked for and admits nothing.
+// worker's masters touch, BeginSparse as a push from a few active sources.
+// A sparse step reads a source whose block is not resident through GetRows,
+// which decodes only the rows asked for and admits nothing.
 type BlockCache struct {
 	bg     *BlockGraph
 	budget int64
@@ -87,7 +77,6 @@ type BlockCache struct {
 	encs  [][]byte        // idle encoded-block read buffers
 
 	sparse bool
-	plan   [2]*bitset.Bitset // residency plan by logical direction
 	closed bool
 
 	stats   BlockCacheStats
@@ -184,19 +173,16 @@ func (c *BlockCache) BeginDense() {
 	c.mu.Lock()
 	c.debugAssertUnpinned()
 	c.sparse = false
-	c.plan[BlockOut], c.plan[BlockIn] = nil, nil
 	c.mu.Unlock()
 }
 
-// BeginSparse switches accounting to sparse mode with the given per-block
-// frontier-residency plans (indexed by logical direction; either may be nil
-// to accept all reads in that direction). No block may be pinned across a
-// superstep boundary.
-func (c *BlockCache) BeginSparse(planOut, planIn *bitset.Bitset) {
+// BeginSparse switches accounting to sparse mode: the superstep pushes from
+// the active sources only. No block may be pinned across a superstep
+// boundary.
+func (c *BlockCache) BeginSparse() {
 	c.mu.Lock()
 	c.debugAssertUnpinned()
 	c.sparse = true
-	c.plan[BlockOut], c.plan[BlockIn] = planOut, planIn
 	c.mu.Unlock()
 }
 
@@ -213,16 +199,11 @@ func (c *BlockCache) Get(dir, idx int) (*DecodedBlock, error) {
 		return nil, fmt.Errorf("graph: block %d/%d out of range", d, idx)
 	}
 	c.mu.Lock()
-	slot := &c.slots[d][idx]
-	if slot.dec != nil {
-		slot.ref = true
-		slot.pins++
-		c.stats.Hits++
-		dec := slot.dec
+	if dec := c.pinResident(d, idx); dec != nil {
 		c.mu.Unlock()
 		return dec, nil
 	}
-	c.accountMiss(dir, d, idx)
+	c.accountMiss(d, idx)
 	dec := c.arena(int(c.bg.blocks[d][idx].edges))
 	var enc []byte
 	if n := len(c.encs); n > 0 {
@@ -239,14 +220,11 @@ func (c *BlockCache) Get(dir, idx int) (*DecodedBlock, error) {
 }
 
 // GetRows is Get for a sparse step's sources. A resident block is returned
-// pinned, as Get returns it (a hit). Otherwise, when the block has passed a
-// cache's full decode in this BlockGraph, GetRows reads its encoded bytes
-// into eb, CRC-verified, and returns nil: a miss whose decoding is left to
-// the rows the caller reads through eb.Row, and which admits nothing; eb
-// keeps its read buffer, taken from the cache's idle ones, until
-// ReleaseRows. A block never decoded in full takes Get's miss path, which
-// validates it, records its row offsets and admits it. Rows eb decoded from
-// its previous block are counted first.
+// pinned, as Get returns it (a hit). Otherwise GetRows reads the block's
+// encoded bytes into eb, CRC-verified, and returns nil: a miss whose decoding
+// is left to the rows the caller reads through eb.Row, and which admits
+// nothing; eb keeps its read buffer, taken from the cache's idle ones, until
+// ReleaseRows. Rows eb decoded from its previous block are counted first.
 //
 //flash:hotpath
 func (c *BlockCache) GetRows(dir, idx int, eb *EncodedBlock) (*DecodedBlock, error) {
@@ -256,11 +234,11 @@ func (c *BlockCache) GetRows(dir, idx int, eb *EncodedBlock) (*DecodedBlock, err
 	}
 	c.mu.Lock()
 	c.countRows(eb)
-	if c.slots[d][idx].dec != nil || c.bg.rowState[d][idx].Load() != rowsReady {
+	if dec := c.pinResident(d, idx); dec != nil {
 		c.mu.Unlock()
-		return c.Get(dir, idx)
+		return dec, nil
 	}
-	c.accountMiss(dir, d, idx)
+	c.accountMiss(d, idx)
 	if n := len(c.encs); eb.data == nil && n > 0 {
 		eb.data, c.encs = c.encs[n-1], c.encs[:n-1]
 	}
@@ -282,6 +260,21 @@ func (c *BlockCache) ReleaseRows(eb *EncodedBlock) {
 	}
 	c.mu.Unlock()
 	eb.data, eb.nv = nil, 0
+}
+
+// pinResident pins and returns, under c.mu, block d/idx when it is resident
+// (a hit), else returns nil.
+//
+//flash:hotpath
+func (c *BlockCache) pinResident(d, idx int) *DecodedBlock {
+	slot := &c.slots[d][idx]
+	if slot.dec == nil {
+		return nil
+	}
+	slot.ref = true
+	slot.pins++
+	c.stats.Hits++
+	return slot.dec
 }
 
 // countRows moves, under c.mu, the edges eb's rows decoded into the stats.
@@ -330,16 +323,12 @@ func (c *BlockCache) Release(b *DecodedBlock) {
 	c.mu.Unlock()
 }
 
-// accountMiss records a miss under c.mu: bytes by scheduling mode, and
-// whether a sparse read was outside the residency plan.
-func (c *BlockCache) accountMiss(dir, d, idx int) {
+// accountMiss records a miss under c.mu, its bytes by scheduling mode.
+func (c *BlockCache) accountMiss(d, idx int) {
 	c.stats.Misses++
 	enc := uint64(c.bg.blocks[d][idx].encLen)
 	if c.sparse {
 		c.stats.BytesSparse += enc
-		if p := c.plan[dir]; p != nil && !p.Test(idx) {
-			c.stats.Unplanned++
-		}
 	} else {
 		c.stats.BytesDense += enc
 	}

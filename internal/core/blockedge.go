@@ -10,12 +10,10 @@
 //     which under range placement is a sequential stream over the worker's
 //     partition of the block file — each block is read once per superstep no
 //     matter how small the cache is.
-//   - Sparse supersteps push only from active sources, so before phase 1 the
-//     worker computes the per-block frontier-residency bitmap (which blocks
-//     contain at least one active source) and hands it to the cache as the
-//     step's plan; only those blocks are read. A source whose block is not
-//     resident is read as a row: the thread's cursor keeps the block's
-//     encoded bytes and decodes just the active sources' rows from them,
+//   - Sparse supersteps push only from active sources, so only their blocks
+//     are read. A source whose block is not resident is read as a row: the
+//     thread's cursor keeps the block's encoded bytes and decodes just the
+//     active sources' rows from them at the offsets the block carries,
 //     admitting nothing to the cache (M-Flash's selective read of a sparse
 //     block, FlashGraph's per-vertex edge-list request).
 package core
@@ -207,17 +205,9 @@ func (w *worker[V]) beginDenseBlocks() {
 	}
 }
 
-// planSparseBlocks builds the per-block frontier-residency bitmap for a
-// sparse superstep — the blocks (both directions) containing at least one
-// active source — and installs it as the cache's plan. With the physical base
-// edge set every push-phase read is in the plan by construction (each active
-// source's out-block is marked); the cache's Unplanned counter asserts this.
-// Derived and virtual edge sets may read beyond the plan (e.g. a two-hop join
-// reading another source's block), which is counted, not an error. The
-// threads' cursors switch to sparse rows until flushBlockStats.
-//
-//flash:hotpath
-func (w *worker[V]) planSparseBlocks(membership *members) {
+// beginSparseBlocks switches the worker's cache to sparse accounting and
+// its threads' cursors to sparse rows until flushBlockStats.
+func (w *worker[V]) beginSparseBlocks() {
 	if w.bcache == nil {
 		return
 	}
@@ -226,17 +216,7 @@ func (w *worker[V]) planSparseBlocks(membership *members) {
 			w.ctxs[t].blk[dir].sparse = true
 		}
 	}
-	bg := w.eng.bg
-	place := w.eng.place
-	w.resOut.Reset()
-	w.resIn.Reset()
-	membership.each(func(l int) bool {
-		gid := place.GlobalID(w.id, l)
-		w.resOut.Set(bg.OutBlockOf(gid))
-		w.resIn.Set(bg.InBlockOf(gid))
-		return true
-	})
-	w.bcache.BeginSparse(w.resOut, w.resIn)
+	w.bcache.BeginSparse()
 }
 
 // flushBlockStats ends the worker's out-of-core superstep: every thread's

@@ -74,12 +74,11 @@ func runPushBFS(e *Engine[bfsProps], h EdgeSet[bfsProps], root graph.VID) []int3
 // reads must leave the outer loop's row alone — and a push SSSP over the
 // weighted block graph, with the cache at one block per worker, are
 // byte-identical to the same runs over the CSR at w1/w2 × t1/t2. The first
-// run over the file meets every block before its first full decode; the
-// later ones read validated blocks as rows.
+// run over the file reads every block before any full decode of it.
 //
-// Mechanism: a push over all of V through empty caches decodes every block
-// whole; then one push step from a frontier over those validated
-// blocks, none of them resident, decodes exactly the active sources'
+// Mechanism: a push over all of V through empty caches decodes every stored
+// edge exactly once and admits nothing; then one push step from a frontier
+// through another engine's empty caches decodes exactly the active sources'
 // out-degrees, admits nothing, and counts no hit.
 func TestSparseRowReads(t *testing.T) {
 	g := graph.WithRandomWeights(graph.GenRandomDirected(1500, 12000, 41), 9)
@@ -138,18 +137,21 @@ func TestSparseRowReads(t *testing.T) {
 	}
 
 	t.Run("decodes-active-rows", func(t *testing.T) {
-		// A push over all of V through one engine's caches decodes every
-		// out-block in full; a second engine over the same file starts with
-		// empty caches, so each of its reads meets a validated block that is
-		// not resident.
+		// Every source of a push over all of V is a row read: each out-row
+		// is decoded once, by the one thread that pushes from it.
 		fresh := openRowsBlock(t, g)
 		cfg := Config{Workers: 2, Threads: 2, Shared: NewSharedBlockGraph(fresh), BlockCacheBytes: 2 * oneBlock}
 		noop := Weighted(nil, func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val })
 		keep := func(t, cur bfsProps) bfsProps { return cur }
 		first := mustEngine(t, cfg.Shared.Graph(), cfg)
 		first.EdgeMapSparse(first.All(), first.E(), noop, nil, keep, StepOpts{})
-		if got := first.met.BlockDecodedEdges; got < uint64(g.NumEdges()) {
-			t.Fatalf("a push over all of V through empty caches decoded %d edges, want at least all %d", got, g.NumEdges())
+		if got := first.met.BlockDecodedEdges; got != uint64(g.NumEdges()) {
+			t.Fatalf("a push over all of V through empty caches decoded %d edges, want exactly all %d", got, g.NumEdges())
+		}
+		for _, w := range first.workers {
+			if n := w.bcache.Bytes(); n != 0 {
+				t.Fatalf("worker %d's cache holds %d bytes after a push over all of V", w.id, n)
+			}
 		}
 		e := mustEngine(t, cfg.Shared.Graph(), cfg)
 		var ids []graph.VID
@@ -160,7 +162,7 @@ func TestSparseRowReads(t *testing.T) {
 		}
 		e.EdgeMapSparse(e.FromIDs(ids...), e.E(), noop, nil, keep, StepOpts{})
 		if got := e.met.BlockDecodedEdges; got != want {
-			t.Fatalf("a sparse step over validated blocks decoded %d edges, want the active sources' %d", got, want)
+			t.Fatalf("a sparse step through empty caches decoded %d edges, want the active sources' %d", got, want)
 		}
 		if e.met.BlockHits != 0 || e.met.BlockMisses == 0 {
 			t.Fatalf("sparse row reads counted %d hits, %d misses", e.met.BlockHits, e.met.BlockMisses)

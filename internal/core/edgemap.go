@@ -139,10 +139,10 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
 		return e.parallelWorkers(func(w *worker[V]) error {
 			membership := &U.local[w.id]
-			// Out-of-core: plan the sparse superstep's block working set from
-			// the frontier before any edge is touched, and flush the cache
-			// counters into the metric shard however the step ends.
-			w.planSparseBlocks(membership)
+			// Out-of-core: switch the cache and cursors to sparse reads before
+			// any edge is touched, and flush the cache counters into the
+			// metric shard however the step ends.
+			w.beginSparseBlocks()
 			defer w.flushBlockStats()
 
 			// Phase 1: push along out-edges, accumulating per-target partials

@@ -406,10 +406,6 @@ type worker[V any] struct {
 	// without an out-of-core backend. Per-worker so the block-read hot path
 	// never contends across workers.
 	bcache *graph.BlockCache
-	// resOut/resIn are the per-block frontier-residency scratch bitmaps a
-	// sparse superstep plans its block reads with (capacity: block count per
-	// direction).
-	resOut, resIn *bitset.Bitset
 
 	met *metrics.Collector
 
@@ -543,8 +539,6 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 			budget = 1
 		}
 		w.bcache = graph.NewBlockCache(bg, budget)
-		w.resOut = bitset.New(bg.NumBlocks(graph.BlockOut))
-		w.resIn = bitset.New(bg.NumBlocks(graph.BlockIn))
 	}
 	for to := range w.outKV {
 		w.outKV[to].Init(e.codec)
