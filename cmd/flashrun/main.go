@@ -21,6 +21,7 @@ import (
 	"flash"
 	"flash/algo"
 	"flash/graph"
+	"flash/internal/serve"
 	"flash/metrics"
 )
 
@@ -28,7 +29,7 @@ func main() {
 	var (
 		algoName = flag.String("algo", "bfs", "algorithm to run")
 		input    = flag.String("input", "", "edge-list file (overrides -gen)")
-		gen      = flag.String("gen", "rmat", "generator: rmat, grid, web, er, path, cycle, star, tree")
+		gen      = flag.String("gen", "rmat", "generator: rmat, grid, web, er, path, cycle, star, tree, randdir")
 		n        = flag.Int("n", 10000, "vertices for the generator")
 		m        = flag.Int("m", 80000, "edges for the generator")
 		rows     = flag.Int("rows", 100, "grid rows")
@@ -56,7 +57,8 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := buildGraph(*input, *gen, *n, *m, *rows, *cols, *seed, *directed)
+	g, err := serve.BuildGraph(serve.GraphSpec{Path: *input, Gen: *gen, N: *n, M: *m,
+		Rows: *rows, Cols: *cols, Seed: *seed, Directed: *directed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "flashrun:", err)
 		os.Exit(1)
@@ -125,32 +127,6 @@ func main() {
 	bd := col.Breakdown()
 	fmt.Printf("breakdown: computation %.0f%%, communication %.0f%%, serialization %.0f%%, other %.0f%%\n",
 		bd[metrics.Compute]*100, bd[metrics.Communication]*100, bd[metrics.Serialization]*100, bd[metrics.Other]*100)
-}
-
-func buildGraph(input, gen string, n, m, rows, cols int, seed int64, directed bool) (*graph.Graph, error) {
-	if input != "" {
-		return graph.LoadEdgeListFile(input, graph.LoadOptions{Directed: directed})
-	}
-	switch gen {
-	case "rmat":
-		return graph.GenRMAT(n, m, seed), nil
-	case "grid":
-		return graph.GenGrid(rows, cols, 0, seed), nil
-	case "web":
-		return graph.GenWeb(n, m/n+1, 32, seed), nil
-	case "er":
-		return graph.GenErdosRenyi(n, m, seed), nil
-	case "path":
-		return graph.GenPath(n), nil
-	case "cycle":
-		return graph.GenCycle(n), nil
-	case "star":
-		return graph.GenStar(n), nil
-	case "tree":
-		return graph.GenTree(n, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown generator %q", gen)
-	}
 }
 
 func runAlgo(name string, g *graph.Graph, root graph.VID, k, iters int, seed int64, opts []flash.Option) (string, error) {

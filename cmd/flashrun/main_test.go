@@ -1,8 +1,6 @@
 package main
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -10,39 +8,6 @@ import (
 	"flash/graph"
 	"flash/metrics"
 )
-
-func TestBuildGraphGenerators(t *testing.T) {
-	for _, gen := range []string{"rmat", "grid", "web", "er", "path", "cycle", "star", "tree"} {
-		g, err := buildGraph("", gen, 100, 300, 10, 10, 1, false)
-		if err != nil {
-			t.Fatalf("%s: %v", gen, err)
-		}
-		if g.NumVertices() == 0 {
-			t.Fatalf("%s: empty graph", gen)
-		}
-	}
-	if _, err := buildGraph("", "nope", 10, 10, 1, 1, 1, false); err == nil {
-		t.Fatal("unknown generator accepted")
-	}
-}
-
-func TestBuildGraphFromFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.txt")
-	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	g, err := buildGraph(path, "", 0, 0, 0, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 3 {
-		t.Fatalf("n=%d", g.NumVertices())
-	}
-	if _, err := buildGraph(filepath.Join(dir, "missing.txt"), "", 0, 0, 0, 0, 0, false); err == nil {
-		t.Fatal("missing file accepted")
-	}
-}
 
 func TestRunAlgoAll(t *testing.T) {
 	g := graph.GenErdosRenyi(80, 320, 3)

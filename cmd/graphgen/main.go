@@ -14,12 +14,13 @@ import (
 
 	"flash/bench"
 	"flash/graph"
+	"flash/internal/serve"
 )
 
 func main() {
 	var (
 		dataset = flag.String("dataset", "", "paper dataset analog: OR, TW, US, EU, UK, SK")
-		gen     = flag.String("gen", "rmat", "generator when -dataset is empty")
+		gen     = flag.String("gen", "rmat", "generator when -dataset is empty: rmat, grid, web, er, path, cycle, star, tree, randdir")
 		n       = flag.Int("n", 10000, "vertices")
 		m       = flag.Int("m", 80000, "edges")
 		rows    = flag.Int("rows", 100, "grid rows")
@@ -40,17 +41,10 @@ func main() {
 		}
 		g = d.Build(*scale)
 	} else {
-		switch *gen {
-		case "rmat":
-			g = graph.GenRMAT(*n, *m, *seed)
-		case "grid":
-			g = graph.GenGrid(*rows, *cols, 0, *seed)
-		case "web":
-			g = graph.GenWeb(*n, *m / *n + 1, 32, *seed)
-		case "er":
-			g = graph.GenErdosRenyi(*n, *m, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown generator %q\n", *gen)
+		var err error
+		g, err = serve.BuildGraph(serve.GraphSpec{Gen: *gen, N: *n, M: *m, Rows: *rows, Cols: *cols, Seed: *seed})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "graphgen:", err)
 			os.Exit(1)
 		}
 	}

@@ -64,6 +64,8 @@ import (
 	"os"
 	"slices"
 	"sync"
+
+	"flash/internal/atomicfile"
 )
 
 // Block directions for BlockGraph.ReadBlock and BlockCache.Get.
@@ -755,32 +757,10 @@ func EncodeBlockFile(g *Graph, blockSize int) []byte {
 	return append(file, payload...)
 }
 
-// WriteBlockFile encodes g and writes it atomically: temp file in the target
-// directory, sync, rename — a crash mid-write never leaves a torn file
-// visible (the FLASHCKP FileStore discipline).
+// WriteBlockFile encodes g and writes it atomically (atomicfile.Write): a
+// crash mid-write never leaves a torn file visible.
 func WriteBlockFile(g *Graph, path string, blockSize int) error {
-	buf := EncodeBlockFile(g, blockSize)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("graph: block file write: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("graph: block file write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("graph: block file write: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("graph: block file write: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := atomicfile.Write(path, EncodeBlockFile(g, blockSize)); err != nil {
 		return fmt.Errorf("graph: block file write: %w", err)
 	}
 	return nil

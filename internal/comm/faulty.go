@@ -41,11 +41,6 @@ type FaultPlan struct {
 	// Corrupts scripts single-bit payload flips (seeded position) on the
 	// given edge, exercising the receive-side integrity/decode hardening.
 	Corrupts []FrameCorrupt
-	// CorruptProb is the per-frame probability that a cross-worker payload
-	// gets one seeded bit flip before delivery.
-	CorruptProb float64
-	// MaxCorrupts caps the probabilistic corruptions (0 = unlimited).
-	MaxCorrupts int
 }
 
 // WorkerStall scripts worker Worker sleeping Delay inside EndRound of round
@@ -177,29 +172,20 @@ func (f *Faulty) killLocked(from int, r uint32) error {
 	return nil
 }
 
-// corruptLocked applies a scripted or probabilistic single-bit flip to data.
+// corruptLocked applies the first matching scripted single-bit flip to data.
 func (f *Faulty) corruptLocked(from, to int, r uint32, data []byte) {
 	if len(data) == 0 {
 		return
 	}
-	hit := false
 	for i, c := range f.corrupts {
 		if c.From == from && c.To == to && r >= c.Round {
 			f.corrupts = append(f.corrupts[:i], f.corrupts[i+1:]...)
-			hit = true
-			break
+			rng := f.rng[from]
+			data[rng.Intn(len(data))] ^= 1 << rng.Intn(8)
+			f.counts.Corrupts++
+			return
 		}
 	}
-	if !hit && f.plan.CorruptProb > 0 &&
-		(f.plan.MaxCorrupts == 0 || f.counts.Corrupts < f.plan.MaxCorrupts) {
-		hit = f.rng[from].Float64() < f.plan.CorruptProb
-	}
-	if !hit {
-		return
-	}
-	rng := f.rng[from]
-	data[rng.Intn(len(data))] ^= 1 << rng.Intn(8)
-	f.counts.Corrupts++
 }
 
 func (f *Faulty) Send(from, to int, data []byte) error {

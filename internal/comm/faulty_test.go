@@ -3,6 +3,8 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -82,28 +84,67 @@ func TestFaultyCrashIsOneShot(t *testing.T) {
 	}
 }
 
+// TestFaultyDeterministicPerSeed replays one plan twice under the same
+// seed: the seeded delays fire identically, and the scripted corrupt flips
+// the same bit of the same frame.
 func TestFaultyDeterministicPerSeed(t *testing.T) {
-	run := func(seed int64) FaultCounts {
-		tr := NewFaulty(NewMem(2), FaultPlan{Seed: seed, CorruptProb: 0.3, DelayProb: 0.3})
+	run := func(seed int64) (FaultCounts, []string) {
+		tr := NewFaulty(NewMem(2), FaultPlan{Seed: seed, DelayProb: 0.3,
+			Corrupts: []FrameCorrupt{{From: 0, To: 1, Round: 3}}})
+		var got []string
 		for r := 0; r < 10; r++ {
 			for i := 0; i < 20; i++ {
-				tr.Send(0, 1, []byte(fmt.Sprintf("%d", i)))
-				tr.Send(1, 0, []byte(fmt.Sprintf("%d", i)))
+				tr.Send(0, 1, []byte(fmt.Sprintf("frame %02d", i)))
+				tr.Send(1, 0, []byte(fmt.Sprintf("frame %02d", i)))
 			}
 			tr.EndRound(0)
 			tr.EndRound(1)
 			tr.Drain(0, func(int, []byte) {})
-			tr.Drain(1, func(int, []byte) {})
+			tr.Drain(1, func(_ int, data []byte) { got = append(got, string(data)) })
 		}
-		return tr.Counts()
+		return tr.Counts(), got
 	}
-	a, b := run(42), run(42)
+	a, gotA := run(42)
+	b, gotB := run(42)
 	if a != b {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
-	if a.Corrupts == 0 || a.Delays == 0 {
-		t.Fatalf("seed 42 injected nothing: %+v", a)
+	if a.Corrupts != 1 || a.Delays == 0 {
+		t.Fatalf("seed 42 injected %+v, want one corrupt and some delays", a)
 	}
+	// The flip turns one sent frame into one that was never sent, a single
+	// bit away.
+	count := map[string]int{}
+	for _, s := range gotA {
+		count[s]++
+	}
+	for i := 0; i < 20; i++ {
+		count[fmt.Sprintf("frame %02d", i)] -= 10
+	}
+	var lost, extra string
+	for s, c := range count {
+		switch c {
+		case -1:
+			lost = s
+		case 1:
+			extra = s
+		}
+	}
+	if len(lost) != len(extra) || bitsApart(lost, extra) != 1 {
+		t.Fatalf("the scripted corrupt turned %q into %q, want a one-bit flip", lost, extra)
+	}
+	if !slices.Equal(gotA, gotB) {
+		t.Fatal("same seed delivered different frames")
+	}
+}
+
+// bitsApart counts the bits in which two equal-length strings differ.
+func bitsApart(a, b string) int {
+	n := 0
+	for i := range a {
+		n += bits.OnesCount8(a[i] ^ b[i])
+	}
+	return n
 }
 
 func TestFaultyExchangeStaysCorrect(t *testing.T) {

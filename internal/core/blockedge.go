@@ -224,8 +224,8 @@ func (w *worker[V]) beginSparseBlocks() {
 // across a superstep boundary, and a step that failed mid-iteration leaves
 // no depth behind), and the cache's counter delta plus the cursors' hit
 // counts — a hit is a vertex served from a resident block, wherever it was
-// noticed — drain into the worker's metric shard; parallelWorkers folds the
-// shards into the engine collector at the superstep barrier, so RunResult
+// noticed — drain into the worker's record; parallelWorkers folds the
+// records into the engine collector at the superstep barrier, so RunResult
 // and the bench suite see per-step-accurate totals.
 func (w *worker[V]) flushBlockStats() {
 	if w.bcache == nil {
@@ -243,6 +243,11 @@ func (w *worker[V]) flushBlockStats() {
 			cur.blk, cur.depth, cur.hits, cur.sparse = nil, 0, 0, false
 		}
 	}
-	d := w.bcache.TakeDelta()
-	w.met.AddBlockCache(d.Hits+hits, d.Misses, d.Evictions, d.BytesDense, d.BytesSparse, d.DecodedEdges)
+	d, r := w.bcache.TakeDelta(), w.rec
+	r.BlockHits += d.Hits + hits
+	r.BlockMisses += d.Misses
+	r.BlockEvictions += d.Evictions
+	r.BlockDecodedEdges += d.DecodedEdges
+	r.BlockBytesDense += d.BytesDense
+	r.BlockBytesSparse += d.BytesSparse
 }

@@ -269,20 +269,20 @@ func (e *Engine[V]) execStep(frontier int, exec func(out *Subset) error) *Subset
 // round, and its error comes back.
 func (e *Engine[V]) recoverFrom(err error) error {
 	e.recoveries++
-	e.met.AddRecoveries(1)
+	rec := metrics.Record{Counters: metrics.Counters{Recoveries: 1}}
 	start := time.Now()
 	// A lost worker's own goroutine returns its KillError, which
 	// parallelWorkers reports as the root cause; peers only saw a stall.
 	var ke *comm.KillError
 	if errors.As(err, &ke) {
-		e.met.AddRestarts(1)
+		rec.Restarts = 1
 	}
 	if err = e.swapMembership(e.cfg.Workers); err == nil {
 		err = e.restoreCheckpoint()
 	}
 	spent := time.Since(start)
-	e.met.Add(metrics.Other, spent)
-	e.met.AddRecoveryTime(spent)
+	rec.Durations[metrics.Other], rec.RecoveryTime = spent, spent
+	e.met.Fold(&rec)
 	return err
 }
 
@@ -463,8 +463,7 @@ func (e *Engine[V]) saveCheckpoint(img *CheckpointImage) error {
 	}
 	e.imgRecs = len(e.log)
 	e.stepsSince = 0
-	e.met.AddCheckpoints(1)
-	e.met.AddCheckpointBytes(total)
+	e.met.Fold(&metrics.Record{Counters: metrics.Counters{Checkpoints: 1, CheckpointBytes: total}})
 	return nil
 }
 
@@ -505,6 +504,6 @@ func (e *Engine[V]) restoreImage(img *CheckpointImage) error {
 		gid := graph.VID(i)
 		e.workers[e.place.Owner(gid)].cur[e.place.LocalIndex(gid)] = masters[i]
 	}
-	e.met.AddMigratedBytes(rehomed)
+	e.met.Fold(&metrics.Record{Counters: metrics.Counters{MigratedBytes: rehomed}})
 	return e.resyncMirrors()
 }

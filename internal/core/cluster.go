@@ -154,8 +154,7 @@ func (e *Engine[V]) shareStepOutput(out *Subset) error {
 			frameErr = err
 		}
 	})
-	e.met.Merge(w.met)
-	w.met.Reset()
+	e.met.Fold(w.rec)
 	if drainErr != nil {
 		return drainErr
 	}
@@ -250,8 +249,7 @@ func (e *Engine[V]) allgather() []V {
 			vals[gid] = *val
 			got++
 		})
-		e.met.Merge(w.met)
-		w.met.Reset()
+		e.met.Fold(w.rec)
 		if drainErr != nil {
 			e.fail(drainErr)
 		}

@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"flash/internal/atomicfile"
 	"flash/internal/comm"
 )
 
@@ -157,7 +158,7 @@ func (s *WorkerStore) saveImage(img *CheckpointImage) error {
 	if err := s.log.Sync(); err != nil {
 		return fmt.Errorf("core: worker store: sync log: %w", err)
 	}
-	if err := writeFileAtomic(s.ckptPath(img.Seq), EncodeCheckpointFile(img)); err != nil {
+	if err := atomicfile.Write(s.ckptPath(img.Seq), EncodeCheckpointFile(img)); err != nil {
 		return fmt.Errorf("core: worker store: write image: %w", err)
 	}
 	seqs := s.ckptSeqs()

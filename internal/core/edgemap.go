@@ -133,7 +133,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
 	if e.bg != nil {
-		e.met.AddBlockSteps(0, 1)
+		e.met.Fold(&metrics.Record{Counters: metrics.Counters{BlockStepsSparse: 1}})
 	}
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
@@ -202,7 +202,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 				w.mergeAcc(R)
 			}
 			w.bindPushers(nil, EdgeFuncs[V]{}, nil, nil)
-			w.met.Add(metrics.Compute, time.Since(cstart))
+			w.rec.Durations[metrics.Compute] += time.Since(cstart)
 
 			// Phase 2: route partials to target masters (exchange round 1).
 			// The master region of the slot space folds locally (slot ==
@@ -212,8 +212,8 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 			// tight. Both walks leave the accumulator empty.
 			sstart := time.Now()
 			msgs, sendErr := w.routeAcc(R)
-			w.met.Add(metrics.Serialization, time.Since(sstart))
-			w.met.AddTraffic(uint64(msgs), 0)
+			w.rec.Durations[metrics.Serialization] += time.Since(sstart)
+			w.rec.Messages += uint64(msgs)
 			if sendErr != nil {
 				return sendErr
 			}
@@ -264,7 +264,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 				})
 				w.pendList, w.pendOver = w.pendList[:0], false
 			}
-			w.met.Add(metrics.Compute, time.Since(cstart))
+			w.rec.Durations[metrics.Compute] += time.Since(cstart)
 
 			// Exchange round 2: broadcast finals to mirrors.
 			if scope != scopeNone {
@@ -505,7 +505,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 		panic("core: virtual edge sets require Config.FullMirrors (communication beyond neighborhood)")
 	}
 	if e.bg != nil {
-		e.met.AddBlockSteps(1, 0)
+		e.met.Fold(&metrics.Record{Counters: metrics.Counters{BlockStepsDense: 1}})
 	}
 	src, dir := rowSource(H, graph.BlockIn)
 	all := U.Size() == e.g.NumVertices()
@@ -537,7 +537,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 				}
 			})
 			w.publishNext(o)
-			w.met.Add(metrics.Compute, time.Since(cstart))
+			w.rec.Durations[metrics.Compute] += time.Since(cstart)
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}
@@ -793,13 +793,13 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 			payload := comm.GetBufN(len(w.fenc))
 			copy(payload, w.fenc)
 			if err := w.send(to, payload); err != nil {
-				w.met.Add(metrics.Serialization, time.Since(sstart))
+				w.rec.Durations[metrics.Serialization] += time.Since(sstart)
 				return err
 			}
 		}
-		w.met.AddTraffic(uint64(e.cfg.Workers-1), 0)
+		w.rec.Messages += uint64(e.cfg.Workers - 1)
 	}
-	w.met.Add(metrics.Serialization, time.Since(sstart))
+	w.rec.Durations[metrics.Serialization] += time.Since(sstart)
 	if err := e.tr.EndRound(w.id); err != nil {
 		return err
 	}
@@ -808,7 +808,7 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 	drainErr := e.tr.Drain(w.id, w.onFrontier)
 	frameErr := w.frontierErr
 	w.frontierErr = nil
-	w.met.Add(metrics.Communication, time.Since(cstart))
+	w.rec.Durations[metrics.Communication] += time.Since(cstart)
 	if drainErr != nil {
 		return drainErr
 	}

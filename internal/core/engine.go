@@ -407,7 +407,9 @@ type worker[V any] struct {
 	// never contends across workers.
 	bcache *graph.BlockCache
 
-	met *metrics.Collector
+	// rec is the worker's counts for the current superstep, written only by
+	// its own goroutine and folded into the engine collector at the barrier.
+	rec *metrics.Record
 
 	// ctxs holds one Ctx per parfor thread (index = parforT's chunk index t;
 	// driver-side and sequential code uses ctxs[0]): a Ctx carries the
@@ -507,10 +509,10 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 	}
 	if e.resident >= 0 && wi != e.resident {
 		// Cluster shell: the worker's state lives in a peer process. Only the
-		// shared placement metadata (and a metrics shard, for the merge loop)
+		// shared placement metadata (and an empty record, for the fold loop)
 		// is kept; every state slice stays nil so any accidental local use
 		// fails loudly instead of silently diverging from the real owner.
-		w := &worker[V]{id: wi, eng: e, part: part.Parts[wi], st: st, met: metrics.New()}
+		w := &worker[V]{id: wi, eng: e, part: part.Parts[wi], st: st, rec: new(metrics.Record)}
 		w.initCtxs()
 		return w
 	}
@@ -528,7 +530,7 @@ func (e *Engine[V]) newWorker(wi int) *worker[V] {
 		pendList: make([]int32, 0, listMax(place.LocalCount(wi))),
 		frontier: bitset.New(n),
 		outKV:    make([]comm.KVWriter[V], workers),
-		met:      metrics.New(),
+		rec:      new(metrics.Record),
 	}
 	// Shard 0 serves the sequential push path and the fold target of
 	// mergeAcc; the per-thread shards 1.. are lazy (ensureAccShards).
@@ -648,7 +650,8 @@ func (e *Engine[V]) Close() error {
 }
 
 // parallelWorkers runs f once per worker concurrently and waits; it then
-// folds worker metric shards into the engine collector. The calling
+// folds each worker's record into the engine collector, one record per
+// (superstep, worker). The calling
 // goroutine runs the first worker's share itself and spawns a goroutine for
 // each other one: it is already running, while a spawned goroutine waits for
 // an idle vCPU to pick it up, and a peer blocked in the first exchange round
@@ -688,8 +691,7 @@ func (e *Engine[V]) parallelWorkers(f func(w *worker[V]) error) error {
 	}
 	e.wg.Wait()
 	for _, w := range e.workers {
-		e.met.Merge(w.met)
-		w.met.Reset()
+		e.met.Fold(w.rec)
 	}
 	var first, secondary error
 	for wi, err := range e.errs {
@@ -756,15 +758,15 @@ func (p *workerPanic) Error() string {
 	return fmt.Sprintf("core: worker %d panicked: %v\n%s", p.worker, p.value, p.stack)
 }
 
-// send ships one frame and counts its payload bytes into the worker's metric
-// shard. No transport retries a send, so an error here fails the round.
+// send ships one frame and counts its payload bytes into the worker's
+// record. No transport retries a send, so an error here fails the round.
 //
 //flash:hotpath
 func (w *worker[V]) send(to int, data []byte) error {
 	if err := w.eng.tr.Send(w.id, to, data); err != nil {
 		return err
 	}
-	w.met.AddTraffic(0, uint64(len(data)))
+	w.rec.Bytes += uint64(len(data))
 	return nil
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"flash/graph"
 	"flash/internal/partition"
+	"flash/metrics"
 )
 
 // Resize changes the engine's worker count to n at the current superstep
@@ -57,9 +58,10 @@ func (e *Engine[V]) Resize(n int) error {
 		e.failed = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
 		return e.failed
 	}
-	e.met.AddResizes(1) // at the swap: a re-run after a failed restore does not resize again
+	// Counted once the swap is done, restored or not: a re-run after a
+	// failed restore does not resize again.
 	err := e.restoreImage(img)
-	e.met.AddResizeTime(time.Since(start))
+	e.met.Fold(&metrics.Record{Counters: metrics.Counters{Resizes: 1, ResizeTime: time.Since(start)}})
 	if err != nil {
 		err = fmt.Errorf("core: resize to %d workers failed: %w", n, err)
 		if e.running {

@@ -17,6 +17,8 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+
+	"flash/internal/atomicfile"
 )
 
 // CheckpointImage is one consistent snapshot, fully encoded: Sections[i]
@@ -181,35 +183,10 @@ func NewFileStore(path string) (*FileStore, error) {
 
 // Save atomically replaces the stored image.
 func (s *FileStore) Save(img *CheckpointImage) error {
-	if err := writeFileAtomic(s.path, EncodeCheckpointFile(img)); err != nil {
+	if err := atomicfile.Write(s.path, EncodeCheckpointFile(img)); err != nil {
 		return fmt.Errorf("core: checkpoint save: %w", err)
 	}
 	return nil
-}
-
-// writeFileAtomic replaces path with buf through a synced temp file in the
-// same directory and a rename, so path always holds a complete old or new
-// file. The temp file is removed on any failure.
-func writeFileAtomic(path string, buf []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(buf)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // Load reads and verifies the stored image; nil when no file exists yet.

@@ -108,8 +108,8 @@ func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 	drainErr := w.eng.tr.Drain(w.id, kv.onFrame)
 	decode, decodeErr := kv.decode, kv.err
 	kv.apply, kv.err = nil, nil
-	w.met.Add(metrics.Communication, time.Since(start)-decode)
-	w.met.Add(metrics.Serialization, decode)
+	w.rec.Durations[metrics.Communication] += time.Since(start) - decode
+	w.rec.Durations[metrics.Serialization] += decode
 	if drainErr != nil {
 		return drainErr
 	}
@@ -261,8 +261,8 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 	} else {
 		updated.each(ship)
 	}
-	w.met.Add(metrics.Serialization, time.Since(sstart))
-	w.met.AddTraffic(uint64(msgs), 0)
+	w.rec.Durations[metrics.Serialization] += time.Since(sstart)
+	w.rec.Messages += uint64(msgs)
 	return sendErr
 }
 
@@ -318,7 +318,7 @@ func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) 
 	for t := range w.encMsgs {
 		msgs += w.encMsgs[t]
 	}
-	w.met.Add(metrics.Serialization, time.Since(sstart))
-	w.met.AddTraffic(uint64(msgs), 0)
+	w.rec.Durations[metrics.Serialization] += time.Since(sstart)
+	w.rec.Messages += uint64(msgs)
 	return sendErr
 }

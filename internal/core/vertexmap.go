@@ -46,7 +46,7 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 				}
 				o.add(l)
 			})
-			w.met.Add(metrics.Compute, time.Since(cstart))
+			w.rec.Durations[metrics.Compute] += time.Since(cstart)
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}
@@ -88,7 +88,7 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			if M != nil {
 				w.publishNext(o)
 			}
-			w.met.Add(metrics.Compute, time.Since(cstart))
+			w.rec.Durations[metrics.Compute] += time.Since(cstart)
 			if scope != scopeNone {
 				return w.syncMasters(o, scope)
 			}

@@ -170,8 +170,9 @@ func (c *Catalog) Bytes() (graphBytes, sharedBytes uint64) {
 	return graphBytes, sharedBytes
 }
 
-// BuildGraph materializes a GraphSpec, mirroring flashrun's generator set.
-// Exported so tests can rebuild the exact graph a server loaded.
+// BuildGraph materializes a GraphSpec: the one generator table, which the
+// catalog, flashrun and graphgen all build through. Exported so tests can
+// rebuild the exact graph a server loaded.
 func BuildGraph(spec GraphSpec) (*graph.Graph, error) {
 	var g *graph.Graph
 	switch {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -142,6 +143,32 @@ func TestCatalogLifecycle(t *testing.T) {
 	}
 	if _, err := cat.Get("a"); !errors.As(err, &ug) {
 		t.Fatalf("Get after evict: %v", err)
+	}
+}
+
+func TestBuildGraphGenerators(t *testing.T) {
+	for _, gen := range []string{"rmat", "grid", "web", "er", "path", "cycle", "star", "tree", "randdir"} {
+		g, err := BuildGraph(GraphSpec{Gen: gen, N: 100, M: 300, Rows: 10, Cols: 10, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", gen, err)
+		}
+		if g.NumVertices() == 0 {
+			t.Fatalf("%s: empty graph", gen)
+		}
+	}
+}
+
+func TestBuildGraphFromFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.txt")
+	if err := os.WriteFile(path, []byte("0 1\n1 2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := BuildGraph(GraphSpec{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 3 {
+		t.Fatalf("n=%d", g.NumVertices())
 	}
 }
 

@@ -93,62 +93,14 @@ var ErrServerClosed = errors.New("serve: server closed")
 // HTTPStatus maps a service error to its HTTP status code; unknown errors
 // are internal.
 func HTTPStatus(err error) int {
-	var (
-		re  *RequestError
-		ug  *UnknownGraphError
-		ua  *UnknownAlgoError
-		uj  *UnknownJobError
-		qf  *QueueFullError
-		qe  *QuotaError
-		dup *DuplicateGraphError
-	)
-	switch {
-	case errors.As(err, &re), errors.As(err, &ua):
-		return http.StatusBadRequest
-	case errors.As(err, &ug), errors.As(err, &uj):
-		return http.StatusNotFound
-	case errors.As(err, &qf), errors.As(err, &qe):
-		return http.StatusTooManyRequests
-	case errors.As(err, &dup):
-		return http.StatusConflict
-	case errors.Is(err, ErrServerClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
+	status, _ := classify(err)
+	return status
 }
 
 // ErrorCode returns the stable machine-readable code clients switch on.
 func ErrorCode(err error) string {
-	var (
-		re  *RequestError
-		ug  *UnknownGraphError
-		ua  *UnknownAlgoError
-		uj  *UnknownJobError
-		qf  *QueueFullError
-		qe  *QuotaError
-		dup *DuplicateGraphError
-	)
-	switch {
-	case errors.As(err, &re):
-		return "bad_request"
-	case errors.As(err, &ua):
-		return "unknown_algo"
-	case errors.As(err, &ug):
-		return "unknown_graph"
-	case errors.As(err, &uj):
-		return "unknown_job"
-	case errors.As(err, &qf):
-		return "queue_full"
-	case errors.As(err, &qe):
-		return "quota_exceeded"
-	case errors.As(err, &dup):
-		return "duplicate_graph"
-	case errors.Is(err, ErrServerClosed):
-		return "server_closed"
-	default:
-		return "internal"
-	}
+	_, body := classify(err)
+	return body.Code
 }
 
 // errorBody is the JSON error envelope: the code plus the typed error's
@@ -168,29 +120,41 @@ type errorBody struct {
 
 // errorEnvelope builds the JSON body for err.
 func errorEnvelope(err error) errorBody {
-	body := errorBody{Code: ErrorCode(err), Message: err.Error()}
-	var re *RequestError
-	var ug *UnknownGraphError
-	var ua *UnknownAlgoError
-	var uj *UnknownJobError
-	var qf *QueueFullError
-	var qe *QuotaError
-	var dup *DuplicateGraphError
+	_, body := classify(err)
+	body.Message = err.Error()
+	return body
+}
+
+// classify is the one mapping from a service error to its HTTP status and
+// envelope (code and typed fields; the message is errorEnvelope's).
+func classify(err error) (int, errorBody) {
+	var (
+		re  *RequestError
+		ug  *UnknownGraphError
+		ua  *UnknownAlgoError
+		uj  *UnknownJobError
+		qf  *QueueFullError
+		qe  *QuotaError
+		dup *DuplicateGraphError
+	)
 	switch {
 	case errors.As(err, &re):
-		body.Field, body.Reason = re.Field, re.Reason
-	case errors.As(err, &ug):
-		body.Graph = ug.Graph
+		return http.StatusBadRequest, errorBody{Code: "bad_request", Field: re.Field, Reason: re.Reason}
 	case errors.As(err, &ua):
-		body.Algo = ua.Algo
+		return http.StatusBadRequest, errorBody{Code: "unknown_algo", Algo: ua.Algo}
+	case errors.As(err, &ug):
+		return http.StatusNotFound, errorBody{Code: "unknown_graph", Graph: ug.Graph}
 	case errors.As(err, &uj):
-		body.Job = uj.ID
+		return http.StatusNotFound, errorBody{Code: "unknown_job", Job: uj.ID}
 	case errors.As(err, &qf):
-		body.Depth = qf.Depth
+		return http.StatusTooManyRequests, errorBody{Code: "queue_full", Depth: qf.Depth}
 	case errors.As(err, &qe):
-		body.Tenant, body.Limit = qe.Tenant, qe.Limit
+		return http.StatusTooManyRequests, errorBody{Code: "quota_exceeded", Tenant: qe.Tenant, Limit: qe.Limit}
 	case errors.As(err, &dup):
-		body.Graph = dup.Graph
+		return http.StatusConflict, errorBody{Code: "duplicate_graph", Graph: dup.Graph}
+	case errors.Is(err, ErrServerClosed):
+		return http.StatusServiceUnavailable, errorBody{Code: "server_closed"}
+	default:
+		return http.StatusInternalServerError, errorBody{Code: "internal"}
 	}
-	return body
 }

@@ -37,8 +37,8 @@ func (c Category) String() string {
 	return fmt.Sprintf("category(%d)", int(c))
 }
 
-// Counters is the plain counter set of a run. It is embedded in Collector, so
-// every counter is a field of the collector too, and it is what a finished
+// Counters is the plain counter set of a run. It is embedded in Record and
+// Collector, so every counter is a field of both, and it is what a finished
 // run hands back (flash.RunResult).
 type Counters struct {
 	Supersteps int
@@ -104,9 +104,18 @@ func (c *Counters) add(o Counters) {
 	c.BlockStepsSparse += o.BlockStepsSparse
 }
 
-// Collector accumulates measurements for one run. Worker threads record into
-// private shards; Merge folds shards together. The zero value is unusable;
-// call New.
+// Record is one unit of counting: the time per category and the counters
+// of one worker over one superstep, or of one driver-side event (a
+// checkpoint, a recovery, a resize). Its owner adds to the fields directly,
+// without a lock, and hands it to Collector.Fold.
+type Record struct {
+	Durations [numCategories]time.Duration
+	Counters
+}
+
+// Collector accumulates measurements for one run: the fold of every record
+// handed to it, plus the superstep trace. The zero value is unusable; call
+// New.
 type Collector struct {
 	mu        sync.Mutex
 	durations [numCategories]time.Duration
@@ -125,99 +134,16 @@ func (col *Collector) Add(c Category, d time.Duration) {
 	col.mu.Unlock()
 }
 
-// Time runs f and records its wall time under c.
-func (col *Collector) Time(c Category, f func()) {
-	start := time.Now()
-	f()
-	col.Add(c, time.Since(start))
-}
-
-// AddTraffic records message and byte counts.
-func (col *Collector) AddTraffic(messages, bytes uint64) {
+// Fold adds r into the collector and zeroes r, so its owner can fill it
+// again.
+func (col *Collector) Fold(r *Record) {
 	col.mu.Lock()
-	col.Messages += messages
-	col.Bytes += bytes
+	for c, d := range r.Durations {
+		col.durations[c] += d
+	}
+	col.Counters.add(r.Counters)
 	col.mu.Unlock()
-}
-
-// AddRecoveries records n checkpoint restores.
-func (col *Collector) AddRecoveries(n uint64) {
-	col.mu.Lock()
-	col.Recoveries += n
-	col.mu.Unlock()
-}
-
-// AddCheckpoints records n checkpoint snapshots.
-func (col *Collector) AddCheckpoints(n uint64) {
-	col.mu.Lock()
-	col.Checkpoints += n
-	col.mu.Unlock()
-}
-
-// AddRestarts records n recoveries from a permanent worker loss.
-func (col *Collector) AddRestarts(n uint64) {
-	col.mu.Lock()
-	col.Restarts += n
-	col.mu.Unlock()
-}
-
-// AddCheckpointBytes records n bytes of encoded checkpoint payload.
-func (col *Collector) AddCheckpointBytes(n uint64) {
-	col.mu.Lock()
-	col.CheckpointBytes += n
-	col.mu.Unlock()
-}
-
-// AddRecoveryTime records wall time spent recovering from a failure.
-func (col *Collector) AddRecoveryTime(d time.Duration) {
-	col.mu.Lock()
-	col.RecoveryTime += d
-	col.mu.Unlock()
-}
-
-// AddResizes records n completed membership changes.
-func (col *Collector) AddResizes(n uint64) {
-	col.mu.Lock()
-	col.Resizes += n
-	col.mu.Unlock()
-}
-
-// AddMigratedBytes records n bytes of master state re-homed by a cross-width
-// restore.
-func (col *Collector) AddMigratedBytes(n uint64) {
-	col.mu.Lock()
-	col.MigratedBytes += n
-	col.mu.Unlock()
-}
-
-// AddResizeTime records wall time a run spent paused at a resize barrier.
-func (col *Collector) AddResizeTime(d time.Duration) {
-	col.mu.Lock()
-	col.ResizeTime += d
-	col.mu.Unlock()
-}
-
-// AddBlockCache records out-of-core block cache activity: hits, misses,
-// evictions, encoded bytes read from disk by scheduling mode, and edges
-// decoded.
-func (col *Collector) AddBlockCache(hits, misses, evictions, bytesDense, bytesSparse, decoded uint64) {
-	col.mu.Lock()
-	col.BlockHits += hits
-	col.BlockMisses += misses
-	col.BlockEvictions += evictions
-	col.BlockDecodedEdges += decoded
-	col.BlockBytesDense += bytesDense
-	col.BlockBytesSparse += bytesSparse
-	col.mu.Unlock()
-}
-
-// AddBlockSteps records EdgeMap supersteps executed against the block
-// backend, by scheduling mode.
-func (col *Collector) AddBlockSteps(dense, sparse uint64) {
-	col.mu.Lock()
-	col.BlockStepsDense += dense
-	col.BlockStepsSparse += sparse
-	col.mu.Unlock()
+	*r = Record{}
 }
 
 // Step records one superstep with the given entering frontier size.
@@ -263,31 +189,6 @@ func (col *Collector) Breakdown() [4]float64 {
 		out[i] = float64(d) / float64(total)
 	}
 	return out
-}
-
-// Merge folds other into col.
-func (col *Collector) Merge(other *Collector) {
-	other.mu.Lock()
-	durs, counters := other.durations, other.Counters
-	frontier := append([]int(nil), other.Frontier...)
-	other.mu.Unlock()
-
-	col.mu.Lock()
-	for i := range durs {
-		col.durations[i] += durs[i]
-	}
-	col.Counters.add(counters)
-	col.Frontier = append(col.Frontier, frontier...)
-	col.mu.Unlock()
-}
-
-// Reset clears all measurements.
-func (col *Collector) Reset() {
-	col.mu.Lock()
-	col.durations = [numCategories]time.Duration{}
-	col.Counters = Counters{}
-	col.Frontier = col.Frontier[:0]
-	col.mu.Unlock()
 }
 
 // String formats the collector as a one-line report.
