@@ -112,8 +112,29 @@ func TestTableI(t *testing.T) {
 			t.Fatalf("table I missing %q:\n%s", want, out)
 		}
 	}
-	// Productivity shape: FLASH's BFS must be among the shortest.
 	t.Log("\n" + out)
+
+	// Every FLASH driver is a sequence of VertexMap/EdgeMap statements, so a
+	// cell of 3 or fewer logical lines means the counter saw a wrapper, not
+	// the driver. BFS and BC are pinned to a hand count under the rule in
+	// DESIGN.md §1: BFS is its signature and wrapped return (2) plus
+	// bfsProgram's signature and 7 statements; BC is its signature plus the
+	// wrapped literal's 8 statements, the recursive level closure counting
+	// as the one statement that assigns it.
+	counts, err := tableICounts()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tableIRows {
+		if c := counts[row.Algo][Flash]; c <= 3 {
+			t.Errorf("FLASH %s counts %d logical lines, want > 3", row.Algo, c)
+		}
+	}
+	for algo, want := range map[string]int{"BFS": 10, "BC": 9} {
+		if got := counts[algo][Flash]; got != want {
+			t.Errorf("FLASH %s counts %d logical lines, hand count %d", algo, got, want)
+		}
+	}
 }
 
 func TestFiguresRun(t *testing.T) {

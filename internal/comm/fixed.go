@@ -15,9 +15,9 @@ import (
 // (little-endian fixed width, declaration order, no padding), so the two
 // codecs interoperate and tests can cross-check them.
 //
-// When V's memory layout is its wire encoding (flat: see isFlat), a slice of
-// values encodes and decodes as one byte copy through AppendValues and
-// DecodeValues.
+// When V's memory layout is its wire encoding (flat: see isFlat), a value
+// encodes and decodes as one byte copy, and so does a slice of values
+// through AppendValues and DecodeValues.
 type FixedCodec[V any] struct {
 	fields []fixedField
 	wire   int  // total encoded size
@@ -145,6 +145,9 @@ func (c *FixedCodec[V]) WireSize() int { return c.wire }
 
 //flash:hotpath
 func (c *FixedCodec[V]) Append(dst []byte, v *V) []byte {
+	if c.flat {
+		return append(dst, unsafe.Slice((*byte)(unsafe.Pointer(v)), c.wire)...)
+	}
 	p := unsafe.Pointer(v)
 	for i := range c.fields {
 		f := &c.fields[i]
@@ -177,6 +180,9 @@ func (c *FixedCodec[V]) Append(dst []byte, v *V) []byte {
 func (c *FixedCodec[V]) Decode(src []byte, v *V) (int, error) {
 	if len(src) < c.wire {
 		return 0, errShort
+	}
+	if c.flat {
+		return copy(unsafe.Slice((*byte)(unsafe.Pointer(v)), c.wire), src), nil
 	}
 	p := unsafe.Pointer(v)
 	off := 0

@@ -3,20 +3,26 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 )
 
 // KV frame wire format
 //
-// A KV frame is a run of (vid, value) records:
+// A KV frame is a run of (key, value) records:
 //
-//	record := vid-delta (zigzag uvarint) | value (Codec encoding)
+//	record := key-delta (zigzag uvarint) | value (Codec encoding)
 //
-// The vid is delta-encoded against the previous record's vid of the same
+// The key is delta-encoded against the previous record's key of the same
 // frame, starting from 0, with the signed difference zigzag-mapped to a
-// uvarint. The engine routes vids in ascending order, so consecutive deltas
-// are small and positive and most vids cost one byte instead of four. Every
+// uvarint. The engine routes keys in ascending order, so consecutive deltas
+// are small and positive and most keys cost one byte instead of four. Every
 // frame restarts at base 0 and is therefore self-contained: frames may be
 // dropped or reordered (chaos transport) without corrupting neighbors.
+//
+// What a key means is the round's: in a necessary-scope mirror sync it is
+// the mirror's slot on the receiving worker (DecodeSlots stores the value
+// there); in a broadcast-scope sync, a push-accumulation round and the
+// cluster gather it is the vertex's global id.
 
 // zigzag maps a signed delta to an unsigned value with small absolute values
 // staying small: 0,-1,1,-2,2 ... -> 0,1,2,3,4 ...
@@ -56,10 +62,16 @@ type KVWriter[V any] struct {
 	codec Codec[V]
 	buf   []byte
 	prev  uint32
+	flat  int // a flat FixedCodec's value size, else 0
 }
 
 // Init binds the writer to a codec.
-func (kw *KVWriter[V]) Init(c Codec[V]) { kw.codec = c }
+func (kw *KVWriter[V]) Init(c Codec[V]) {
+	kw.codec, kw.flat = c, 0
+	if fc, ok := c.(*FixedCodec[V]); ok && fc.flat {
+		kw.flat = fc.wire
+	}
+}
 
 // Append encodes one record.
 //
@@ -69,9 +81,13 @@ func (kw *KVWriter[V]) Append(vid uint32, v *V) {
 		kw.buf = GetBuf()
 		kw.prev = 0
 	}
-	kw.buf = AppendVIDDelta(kw.buf, kw.prev, vid)
+	buf := AppendVIDDelta(kw.buf, kw.prev, vid)
 	kw.prev = vid
-	kw.buf = kw.codec.Append(kw.buf, v)
+	if kw.flat > 0 {
+		kw.buf = append(buf, unsafe.Slice((*byte)(unsafe.Pointer(v)), kw.flat)...)
+	} else {
+		kw.buf = kw.codec.Append(buf, v)
+	}
 }
 
 // Len returns the encoded size of the pending frame.
@@ -157,3 +173,45 @@ func (r *KVReader[V]) fail(what string, err error) (uint32, *V, bool) {
 
 // Err returns the error that stopped Next early, or nil after a clean frame.
 func (r *KVReader[V]) Err() error { return r.err }
+
+// DecodeSlots decodes one slot-keyed KV frame, storing each record's value
+// at dst[key]. A key outside [lo, len(dst)), a bad delta or a bad value stops
+// the decode with ErrCorrupt; no slot outside [lo, len(dst)) is ever written.
+// A flat FixedCodec value is stored as one copy; any other codec decodes in
+// place, so a value that fails to decode may leave its slot partly written.
+//
+//flash:hotpath
+func DecodeSlots[V any](c Codec[V], data []byte, dst []V, lo int) error {
+	size, raw := 0, []byte(nil)
+	if fc, ok := c.(*FixedCodec[V]); ok && fc.flat {
+		size, raw = fc.wire, valueBytes(dst)
+	}
+	key := int64(0)
+	for off := 0; off < len(data); {
+		u, k := uint64(data[off]), 1
+		if u >= 0x80 {
+			if u, k = binary.Uvarint(data[off:]); k <= 0 {
+				return fmt.Errorf("%w: kv frame key at offset %d: %v", ErrCorrupt, off, errShort)
+			}
+		}
+		// key >= 0 and |delta| < 2^63: an overflowing sum wraps negative.
+		if key += unzigzag(u); key < int64(lo) || key >= int64(len(dst)) {
+			return fmt.Errorf("%w: kv frame key %d at offset %d outside slots [%d, %d)", ErrCorrupt, key, off, lo, len(dst))
+		}
+		off += k
+		if size > 0 {
+			if len(data)-off < size {
+				return fmt.Errorf("%w: kv frame value at offset %d: %v", ErrCorrupt, off, errShort)
+			}
+			copy(raw[int(key)*size:], data[off:off+size])
+			off += size
+			continue
+		}
+		n, err := c.Decode(data[off:], &dst[key])
+		if err != nil {
+			return fmt.Errorf("%w: kv frame value at offset %d: %v", ErrCorrupt, off, err)
+		}
+		off += n
+	}
+	return nil
+}

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -127,4 +128,66 @@ func FuzzKVRoundTrip(f *testing.F) {
 		}
 		PutBuf(scribble)
 	})
+}
+
+// FuzzDecodeSlots feeds arbitrary frames to the slot-keyed decoder over a
+// flat and a padded type: DecodeSlots must store exactly what KVReader plus
+// a store at dst[key] stores, fail (with ErrCorrupt) exactly when that
+// reference meets a corrupt record or a key outside [lo, len(dst)), never
+// panic, and never write a slot below lo or past len(dst).
+func FuzzDecodeSlots(f *testing.F) {
+	flat, padded := fixedCodec[nested](f), fixedCodec[bcShaped](f)
+	frame := func(keys ...uint32) []byte {
+		var kw KVWriter[nested]
+		kw.Init(flat)
+		for _, k := range keys {
+			kw.Append(k, &nested{A: int32(k), F: uint64(k) << 40})
+		}
+		return kw.Take()
+	}
+	valid := frame(4, 5, 9)
+	f.Add(valid, uint8(4), uint8(10))
+	f.Add(frame(3, 5), uint8(4), uint8(10))             // a key below the mirror range
+	f.Add(frame(4, 10), uint8(4), uint8(10))            // a key past SlotCount
+	overflow := binary.AppendUvarint(frame(5), 1<<64-2) // delta +MaxInt64 after key 5
+	f.Add(append(overflow, valid[1:33]...), uint8(0), uint8(10))
+	f.Add(valid[:len(valid)-1], uint8(4), uint8(10)) // a truncated value
+	f.Add([]byte{}, uint8(4), uint8(10))             // an empty frame
+	f.Fuzz(func(t *testing.T, data []byte, lo, n uint8) {
+		fuzzSlots(t, flat, data, int(lo), int(n))
+		fuzzSlots(t, padded, data, int(lo), int(n))
+	})
+}
+
+func fuzzSlots[V any](t *testing.T, c Codec[V], data []byte, lo, n int) {
+	lo = min(lo, n)
+	wire, _ := FixedSize(c)
+	poison := bytes.Repeat([]byte{0xa5}, (n+2)*wire)
+	backing, want := make([]V, n+2), make([]V, n+2)
+	DecodeValues(c, poison, backing)
+	DecodeValues(c, poison, want)
+	err := DecodeSlots(c, data, backing[:n], lo)
+
+	var r KVReader[V]
+	r.Init(c)
+	r.Reset(data)
+	var werr error
+	for {
+		key, v, ok := r.Next()
+		if !ok {
+			werr = r.Err()
+			break
+		}
+		if int(key) < lo || int(key) >= n {
+			werr = ErrCorrupt
+			break
+		}
+		want[key] = *v
+	}
+	if (err == nil) != (werr == nil) || err != nil && !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DecodeSlots: %v; KVReader and store: %v", err, werr)
+	}
+	if !bytes.Equal(AppendValues(c, nil, backing), AppendValues(c, nil, want)) {
+		t.Fatalf("DecodeSlots stored slots other than the reference's (lo %d, %d slots, err %v)", lo, n, err)
+	}
 }

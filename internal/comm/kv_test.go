@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -74,6 +75,40 @@ func TestKVWriterFrameSelfContained(t *testing.T) {
 	// frames survive reordering and retry (chaos transport) independently.
 	if !bytes.Equal(f1, f2) {
 		t.Fatalf("frames differ after Take reset: %x vs %x", f1, f2)
+	}
+}
+
+// TestKVWriterFlatMatchesReflect pins KVWriter's one-copy path for a flat
+// type to the per-field encoding: the same records through the FixedCodec
+// and through ReflectCodec give the same frame, and it decodes back.
+func TestKVWriterFlatMatchesReflect(t *testing.T) {
+	var v nested
+	v.A, v.In.B, v.In.D, v.E, v.F = -7, 9, [4]int8{-1, 2, -3, 4}, [3]float32{0.5, -2, 8}, 1<<63|3
+	keys := []uint32{0, 3, 4, 200, 1 << 20}
+	frame := func(c Codec[nested]) []byte {
+		var kw KVWriter[nested]
+		kw.Init(c)
+		for i, k := range keys {
+			w := v
+			w.A += int32(i)
+			kw.Append(k, &w)
+		}
+		return kw.Take()
+	}
+	flat, ref := frame(fixedCodec[nested](t)), frame(NewReflectCodec[nested]())
+	if !bytes.Equal(flat, ref) {
+		t.Fatalf("flat frame\n%x\nwant per-field\n%x", flat, ref)
+	}
+	i := 0
+	if err := DecodeKV(Codec[nested](fixedCodec[nested](t)), flat, func(k uint32, got *nested) {
+		want := v
+		want.A += int32(i)
+		if k != keys[i] || *got != want {
+			t.Fatalf("record %d: (%d, %+v), want (%d, %+v)", i, k, *got, keys[i], want)
+		}
+		i++
+	}); err != nil || i != len(keys) {
+		t.Fatalf("decoded %d of %d records, err %v", i, len(keys), err)
 	}
 }
 
@@ -216,5 +251,48 @@ func TestFixedCodecShortBuffer(t *testing.T) {
 	var back kvVal
 	if _, err := fc.Decode(enc[:len(enc)-1], &back); err == nil {
 		t.Fatal("short buffer not detected")
+	}
+}
+
+// TestDecodeSlotsRejects pins the slot-keyed decoder's contract on a flat
+// type: a valid frame lands at its keys, and a key below the mirror range, a
+// key past the slot count, an overflowing delta and a truncated value are
+// each ErrCorrupt with no write outside [lo, len(dst)).
+func TestDecodeSlotsRejects(t *testing.T) {
+	c := fixedCodec[nested](t)
+	frame := func(keys ...uint32) []byte {
+		var kw KVWriter[nested]
+		kw.Init(c)
+		for _, k := range keys {
+			kw.Append(k, &nested{A: int32(k)})
+		}
+		return kw.Take()
+	}
+	dst := make([]nested, 12)
+	if err := DecodeSlots(c, frame(4, 5, 9), dst[:10], 4); err != nil {
+		t.Fatal(err)
+	}
+	for i := range dst {
+		if want := map[int]int32{4: 4, 5: 5, 9: 9}[i]; dst[i].A != want {
+			t.Fatalf("slot %d holds %d, want %d", i, dst[i].A, want)
+		}
+	}
+	valid := frame(4)
+	hostile := map[string][]byte{
+		"below":     frame(3),
+		"past":      frame(4, 10),
+		"overflow":  append(binary.AppendUvarint(frame(5), 1<<64-2), valid[1:]...),
+		"truncated": valid[:len(valid)-1],
+	}
+	for name, data := range hostile {
+		dst := make([]nested, 12)
+		if err := DecodeSlots(c, data, dst[:10], 4); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err %v, want ErrCorrupt", name, err)
+		}
+		for i := range dst {
+			if (i < 4 || i >= 10) && dst[i] != (nested{}) {
+				t.Fatalf("%s: slot %d outside [4, 10) written", name, i)
+			}
+		}
 	}
 }

@@ -78,6 +78,9 @@ func checkValues[V any](t *testing.T, name string, c Codec[V], wantFlat bool, vs
 	if wire, ok := FixedSize(c); ok && len(enc) != len(vs)*wire {
 		t.Fatalf("%s: %d bytes for %d values of %d", name, len(enc), len(vs), wire)
 	}
+	if ref := encodeEach(Codec[V](NewReflectCodec[V]()), nil, vs); fixed && !bytes.Equal(enc, ref) {
+		t.Fatalf("%s: fixed encoding\n%x\nwant ReflectCodec's\n%x", name, enc, ref)
+	}
 
 	// Round trip, with trailing bytes the decode must leave alone.
 	back := make([]V, len(vs))

@@ -224,7 +224,7 @@ func (e *Engine[V]) allgather() []V {
 			gid := e.place.GlobalID(e.resident, l)
 			for to := 0; to < e.cfg.Workers && sendErr == nil; to++ {
 				if to != e.resident {
-					sendErr = w.appendKV(to, gid, &w.cur[l])
+					sendErr = w.appendKV(to, uint32(gid), &w.cur[l])
 				}
 			}
 		}
@@ -239,7 +239,7 @@ func (e *Engine[V]) allgather() []V {
 		}
 		got := 0
 		var badErr error
-		drainErr := w.drainKV(func(gid graph.VID, val *V) {
+		drainErr := w.drainKV(w.kv.gidFrame, func(gid graph.VID, val *V) {
 			if int(gid) >= n {
 				if badErr == nil {
 					badErr = fmt.Errorf("core: cluster gather received vertex %d of %d", gid, n)

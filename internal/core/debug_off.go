@@ -6,6 +6,8 @@ package core
 // coherence check and the superstep-boundary check compile away.
 const debugChecks = false
 
-func (w *worker[V]) debugCheckMirrorSamples([]debugSample) {}
+func (w *worker[V]) debugCheckMirrorSamples([]int) {}
+
+func (w *worker[V]) debugSampleSlots([]byte) {}
 
 func (e *Engine[V]) debugCheckBoundary(*Subset) {}

@@ -22,7 +22,7 @@ const debugChecks = true
 // only their mirror slots (a master's owner never receives its own gid), and
 // syncMasters is the last statement of every phase closure, so no master
 // mutates again until parallelWorkers joins.
-func (w *worker[V]) debugCheckMirrorSamples(samples []debugSample) {
+func (w *worker[V]) debugCheckMirrorSamples(slots []int) {
 	e := w.eng
 	if e.resident >= 0 {
 		// Cluster mode: the masters live in peer processes, so there is no
@@ -30,20 +30,40 @@ func (w *worker[V]) debugCheckMirrorSamples(samples []debugSample) {
 		return
 	}
 	var mine, theirs []byte
-	for _, s := range samples {
-		owner := e.place.Owner(s.gid)
+	for _, slot := range slots {
+		gid := w.st.GID(slot)
+		owner := e.place.Owner(gid)
 		if owner == w.id {
-			panic(fmt.Sprintf("flashdebug: worker %d received its own master %d in a sync round", w.id, s.gid))
+			panic(fmt.Sprintf("flashdebug: worker %d received its own master %d in a sync round", w.id, gid))
 		}
 		peer := e.workers[owner]
-		mine = e.codec.Append(mine[:0], &w.cur[s.slot])
-		theirs = e.codec.Append(theirs[:0], &peer.cur[peer.st.Slot(s.gid)])
+		mine = e.codec.Append(mine[:0], &w.cur[slot])
+		theirs = e.codec.Append(theirs[:0], &peer.cur[peer.st.Slot(gid)])
 		if !bytes.Equal(mine, theirs) {
 			panic(fmt.Sprintf(
 				"flashdebug: mirror incoherent after sync: vertex %d on worker %d (slot %d) encodes %x, master on worker %d encodes %x",
-				s.gid, w.id, s.slot, mine, owner, theirs))
+				gid, w.id, slot, mine, owner, theirs))
 		}
 	}
+}
+
+// debugSampleSlots records, up to the sample cap, the mirrors a slot-keyed
+// sync frame wrote, for debugCheckMirrorSamples: decodeSlotFrame stores the
+// records without a callback, so the frame is read a second time here.
+//
+//flash:hotpath
+func (w *worker[V]) debugSampleSlots(data []byte) {
+	r := &w.kv.r
+	r.Reset(data)
+	for n := len(w.kv.samples); n < cap(w.kv.samples); n++ {
+		slot, _, ok := r.Next()
+		if !ok {
+			break
+		}
+		w.kv.samples = w.kv.samples[:n+1]
+		w.kv.samples[n] = int(slot)
+	}
+	r.Reset(nil)
 }
 
 // debugCheckBoundary asserts the invariants of the two subset forms at a

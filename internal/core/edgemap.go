@@ -224,7 +224,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 				return err
 			}
 			w.kv.foldR = R
-			err := w.drainKV(w.kv.foldSink)
+			err := w.drainKV(w.kv.gidFrame, w.kv.foldSink)
 			w.kv.foldR = nil
 			if err != nil {
 				return err
@@ -394,7 +394,7 @@ func (w *worker[V]) routeAcc(R EdgeR[V]) (int, error) {
 				w.foldPend(ds, &acc.val[ds], R)
 				continue
 			}
-			if sendErr = w.appendKV(e.place.Owner(gid), gid, &acc.val[ds]); sendErr != nil {
+			if sendErr = w.appendKV(e.place.Owner(gid), uint32(gid), &acc.val[ds]); sendErr != nil {
 				break
 			}
 			msgs++
@@ -420,7 +420,7 @@ func (w *worker[V]) routeAcc(R EdgeR[V]) (int, error) {
 		if !acc.set.Test(ds) {
 			return true
 		}
-		if sendErr = w.appendKV(e.place.Owner(gid), gid, &acc.val[ds]); sendErr != nil {
+		if sendErr = w.appendKV(e.place.Owner(gid), uint32(gid), &acc.val[ds]); sendErr != nil {
 			return false
 		}
 		msgs++

@@ -55,8 +55,8 @@ func TestRunResultCounts(t *testing.T) {
 	g := graph.GenRMAT(2048, 16384, 5)
 	bg := openRowsBlock(t, g)
 	want := map[string]RunResult{
-		"csr": {Supersteps: 22, Messages: 19849, Bytes: 418352, Checkpoints: 8, CheckpointBytes: 615184},
-		"block": {Supersteps: 22, Messages: 19849, Bytes: 418352, Checkpoints: 8, CheckpointBytes: 615184,
+		"csr": {Supersteps: 22, Messages: 19849, Bytes: 418363, Checkpoints: 8, CheckpointBytes: 615184},
+		"block": {Supersteps: 22, Messages: 19849, Bytes: 418363, Checkpoints: 8, CheckpointBytes: 615184,
 			BlockHits: 14227, BlockMisses: 294, BlockEvictions: 241, BlockDecodedEdges: 214885,
 			BlockBytesDense: 314986, BlockBytesSparse: 67013, BlockStepsDense: 7, BlockStepsSparse: 8},
 	}

@@ -35,15 +35,17 @@ func (e *Engine[V]) scopeFor(physical bool, noSync bool) syncScope {
 	}
 }
 
-// appendKV encodes (gid, *val) into the KV frame for `to`, flushing eagerly
-// when BatchBytes is exceeded so transfer overlaps remaining work. Callers
-// must append in ascending gid order per destination — the frame's vid
-// deltas then stay small and the message bytes are deterministic.
+// appendKV encodes (key, *val) into the KV frame for `to`, flushing eagerly
+// when BatchBytes is exceeded so transfer overlaps remaining work. The key is
+// the receiver's slot in a necessary-scope sync and the gid in every other
+// round. Callers must append in ascending key order per destination — the
+// frame's key deltas then stay small and the message bytes are
+// deterministic.
 //
 //flash:hotpath
-func (w *worker[V]) appendKV(to int, gid graph.VID, val *V) error {
+func (w *worker[V]) appendKV(to int, key uint32, val *V) error {
 	kw := &w.outKV[to]
-	kw.Append(uint32(gid), val)
+	kw.Append(key, val)
 	if bb := w.eng.cfg.BatchBytes; bb > 0 && kw.Len() >= bb {
 		return w.send(to, kw.Take())
 	}
@@ -64,48 +66,52 @@ func (w *worker[V]) flushAll() error {
 	return nil
 }
 
-// kvDrain is a worker's KV-round decode state. The Drain handler and the
-// two record sinks — a synced master value into its mirror slot, a pushed
-// partial folded into its pending master — are method values bound once in
+// kvDrain is a worker's KV-round decode state. The Drain handlers (gid-keyed
+// records into the round's sink, slot-keyed sync records into their slots)
+// and the record sinks (a synced master value into its mirror slot, a pushed
+// partial folded into its pending master) are method values bound once in
 // initKV; apply, foldR, decode and err describe the round in flight.
 type kvDrain[V any] struct {
 	r                  comm.KVReader[V]
-	onFrame            func(from int, data []byte)
+	gidFrame           func(from int, data []byte)
+	slotFrame          func(from int, data []byte)
 	syncSink, foldSink func(gid graph.VID, val *V)
 	apply              func(gid graph.VID, val *V)
 	foldR              EdgeR[V]
 	decode             time.Duration
 	err                error
-	samples            []debugSample // flashdebug: mirrors the sync round wrote
+	samples            []int // flashdebug: mirror slots the sync round wrote
 }
 
 // initKV binds the worker's drain handlers — a KV round's and the frontier
 // round's — and record sinks.
 func (w *worker[V]) initKV() {
 	w.kv.r.Init(w.eng.codec)
-	w.kv.onFrame = w.decodeKVFrame
+	w.kv.gidFrame = w.decodeKVFrame
+	w.kv.slotFrame = w.decodeSlotFrame
 	w.onFrontier = w.decodeFrontierFrame
 	w.kv.syncSink = w.applyMirror
 	w.kv.foldSink = w.applyPartial
 	if debugChecks {
-		w.kv.samples = make([]debugSample, 0, debugSampleCap)
+		w.kv.samples = make([]int, 0, debugSampleCap)
 	}
 }
 
-// drainKV completes the current exchange round, decoding (gid, value) pairs
-// and handing them to apply. Wall time waiting on peers is recorded as
-// communication; decode time as serialization. A truncated or corrupt frame
-// is a superstep failure, not a panic: the remaining frames are still
-// drained to keep the round consistent, and the first decode error is
-// returned alongside transport failures (stall, abort). The kernels pass
-// the bound sinks in w.kv, so a round allocates nothing.
+// drainKV completes the current exchange round, decoding every frame with
+// onFrame (kv.gidFrame hands each (gid, value) pair to apply). Wall time
+// waiting on peers is recorded as communication; decode time as
+// serialization. A truncated or corrupt frame is a superstep failure, not a
+// panic: the remaining frames are still drained to keep the round
+// consistent, and the first decode error is returned alongside transport
+// failures (stall, abort). The kernels pass the handlers and sinks bound in
+// w.kv, so a round allocates nothing.
 //
 //flash:hotpath
-func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
+func (w *worker[V]) drainKV(onFrame func(from int, data []byte), apply func(gid graph.VID, val *V)) error {
 	kv := &w.kv
 	kv.apply, kv.decode, kv.err = apply, 0, nil
 	start := time.Now()
-	drainErr := w.eng.tr.Drain(w.id, kv.onFrame)
+	drainErr := w.eng.tr.Drain(w.id, onFrame)
 	decode, decodeErr := kv.decode, kv.err
 	kv.apply, kv.err = nil, nil
 	w.rec.Durations[metrics.Communication] += time.Since(start) - decode
@@ -116,8 +122,8 @@ func (w *worker[V]) drainKV(apply func(gid graph.VID, val *V)) error {
 	return decodeErr
 }
 
-// decodeKVFrame is drainKV's Drain handler: it decodes one frame's records
-// into the round's sink, keeping the first decode error.
+// decodeKVFrame is drainKV's gid-keyed Drain handler: it decodes one
+// frame's records into the round's sink, keeping the first decode error.
 //
 //flash:hotpath
 func (w *worker[V]) decodeKVFrame(_ int, data []byte) {
@@ -138,6 +144,24 @@ func (w *worker[V]) decodeKVFrame(_ int, data []byte) {
 	kv.decode += time.Since(dstart)
 }
 
+// decodeSlotFrame is drainKV's Drain handler in a necessary-scope sync: a
+// record's key is the mirror's slot on this worker, so its value lands in
+// cur[slot] without a lookup. A key outside the mirror slots is a corrupt
+// frame, never a write.
+//
+//flash:hotpath
+func (w *worker[V]) decodeSlotFrame(_ int, data []byte) {
+	kv := &w.kv
+	dstart := time.Now()
+	if err := comm.DecodeSlots(w.eng.codec, data, w.cur, w.st.MasterCount()); err != nil && kv.err == nil {
+		kv.err = err
+	}
+	if debugChecks {
+		w.debugSampleSlots(data)
+	}
+	kv.decode += time.Since(dstart)
+}
+
 // applyMirror stores a synced master value into its mirror slot. Broadcast
 // scopes can deliver masters this worker does not mirror; non-resident
 // updates are dropped (the old full-size layout stored them in entries
@@ -149,7 +173,7 @@ func (w *worker[V]) applyMirror(gid graph.VID, val *V) {
 		w.cur[slot] = *val
 		if n := len(w.kv.samples); debugChecks && n < cap(w.kv.samples) {
 			w.kv.samples = w.kv.samples[:n+1]
-			w.kv.samples[n] = debugSample{gid: gid, slot: slot}
+			w.kv.samples[n] = slot
 		}
 	}
 }
@@ -197,7 +221,11 @@ func (w *worker[V]) syncMasters(updated *members, scope syncScope) error {
 	if debugChecks {
 		w.kv.samples = w.kv.samples[:0]
 	}
-	if err := w.drainKV(w.kv.syncSink); err != nil {
+	onFrame := w.kv.gidFrame
+	if scope == scopeNecessary {
+		onFrame = w.kv.slotFrame
+	}
+	if err := w.drainKV(onFrame, w.kv.syncSink); err != nil {
 		return err
 	}
 	if debugChecks {
@@ -206,24 +234,18 @@ func (w *worker[V]) syncMasters(updated *members, scope syncScope) error {
 	return nil
 }
 
-// debugSample is one (gid, mirror slot) pair recorded during the sync drain
-// for the flashdebug coherence spot check; see debugCheckMirrorSamples.
-type debugSample struct {
-	gid  graph.VID
-	slot int
-}
-
 // debugSampleCap bounds how many just-synced mirrors each worker re-verifies
 // per round under flashdebug.
 const debugSampleCap = 64
 
 // encodeSyncSeq is the single-threaded encode: one ascending pass over the
 // updated masters, streaming into the per-destination frames (with eager
-// BatchBytes flushing). A necessary-mirror sync walks the smaller of the
-// updated set and the part's mirrored masters, testing membership in the
-// other: both visit the updated masters that have a mirror in ascending
-// order, so the frames are the same bytes either way, and a VertexMap over
-// all masters costs the few boundary vertices, not every master.
+// BatchBytes flushing). A necessary-mirror sync keys a record by the
+// mirror's slot on the receiver and walks the smaller of the updated set and
+// the (master, mirror holder) pairs, the latter per destination, testing
+// membership in the other: each destination gets the same records in the
+// same order either way, and a VertexMap over all masters costs the few
+// boundary vertices, not every master.
 //
 //flash:hotpath
 func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
@@ -232,8 +254,8 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 	msgs := 0
 	var sendErr error
 	ship := func(l int) bool {
-		gid := e.place.GlobalID(w.id, l)
 		if scope == scopeBroadcast {
+			gid := uint32(e.place.GlobalID(w.id, l))
 			for to := 0; to < e.cfg.Workers; to++ {
 				if to != w.id {
 					if sendErr = w.appendKV(to, gid, &w.cur[l]); sendErr != nil {
@@ -243,8 +265,9 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 				}
 			}
 		} else {
-			for _, to := range w.part.MirrorWorkers(l) {
-				if sendErr = w.appendKV(int(to), gid, &w.cur[l]); sendErr != nil {
+			slots := w.part.MirrorSlots(l)
+			for i, to := range w.part.MirrorWorkers(l) {
+				if sendErr = w.appendKV(int(to), uint32(slots[i]), &w.cur[l]); sendErr != nil {
 					return false
 				}
 				msgs++
@@ -252,10 +275,17 @@ func (w *worker[V]) encodeSyncSeq(updated *members, scope syncScope) error {
 		}
 		return true
 	}
-	if mirrored := w.part.Mirrored(); scope == scopeNecessary && len(mirrored) < updated.size() {
-		for _, l := range mirrored {
-			if updated.has(int(l)) && !ship(int(l)) {
-				break
+	if scope == scopeNecessary && w.part.MirrorEntries() < updated.size() {
+	walk:
+		for to := 0; to < e.cfg.Workers; to++ {
+			locals, slots := w.part.MirroredOn(to)
+			for i, l := range locals {
+				if updated.has(int(l)) {
+					if sendErr = w.appendKV(to, uint32(slots[i]), &w.cur[l]); sendErr != nil {
+						break walk
+					}
+					msgs++
+				}
 			}
 		}
 	} else {
@@ -286,17 +316,18 @@ func (w *worker[V]) encodeSyncParallel(updated *bitset.Bitset, scope syncScope) 
 			for word != 0 {
 				l := base + bits.TrailingZeros64(word)
 				word &= word - 1
-				gid := e.place.GlobalID(w.id, l)
 				if scope == scopeBroadcast {
+					gid := uint32(e.place.GlobalID(w.id, l))
 					for to := 0; to < e.cfg.Workers; to++ {
 						if to != w.id {
-							kws[to].Append(uint32(gid), &w.cur[l])
+							kws[to].Append(gid, &w.cur[l])
 							msgs++
 						}
 					}
 				} else {
-					for _, to := range w.part.MirrorWorkers(l) {
-						kws[to].Append(uint32(gid), &w.cur[l])
+					slots := w.part.MirrorSlots(l)
+					for i, to := range w.part.MirrorWorkers(l) {
+						kws[to].Append(uint32(slots[i]), &w.cur[l])
 						msgs++
 					}
 				}

@@ -27,11 +27,12 @@ func (r *frameRecorder) Send(from, to int, data []byte) error {
 }
 
 // TestMirroredSyncWalkFrames pins the necessary-mirror sync to a reference
-// walk over every master: whichever of the updated set and the mirrored
-// masters encodeSyncSeq walks, each (sender, receiver) pair must carry the
-// same bytes as frames built by visiting every local master in ascending
-// order and shipping the updated ones to every worker MirrorWorkers lists.
-// The VertexMap over All walks the mirrored masters; the one over a few ids
+// walk over every master: whichever of the updated set and the per-destination
+// mirrored masters encodeSyncSeq walks, each (sender, receiver) pair must
+// carry the same bytes as frames built by visiting every local master in
+// ascending order and shipping the updated ones to every worker
+// MirrorWorkers lists, keyed by the mirror's slot there (MirrorSlots). The
+// VertexMap over All walks the mirrored masters; the one over a few ids
 // walks the updated set.
 func TestMirroredSyncWalkFrames(t *testing.T) {
 	graphs := map[string]*graph.Graph{
@@ -66,8 +67,9 @@ func TestMirroredSyncWalkFrames(t *testing.T) {
 									continue
 								}
 								v := val(gid)
-								for _, to := range part.MirrorWorkers(l) {
-									kws[to].Append(uint32(gid), &v)
+								slots := part.MirrorSlots(l)
+								for i, to := range part.MirrorWorkers(l) {
+									kws[to].Append(uint32(slots[i]), &v)
 								}
 							}
 							for to := range kws {

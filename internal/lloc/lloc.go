@@ -32,7 +32,10 @@ type FileReport struct {
 // function. Only statements inside function bodies are counted: one line
 // per statement, plus one for each function signature, matching the paper's
 // "core functions only" methodology (type and variable declarations outside
-// functions — the data-structure definitions — are excluded).
+// functions — the data-structure definitions — are excluded). A function
+// literal counts as part of the statement that holds it, with one exception
+// (see body): a function whose body only returns a call that hands on a
+// function literal is counted by that literal's statements.
 func CountFile(path string) (FileReport, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
@@ -54,12 +57,32 @@ func CountSource(path string, src []byte) (FileReport, error) {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		c := 1 + countStmts(fn.Body.List) // signature + body statements
+		c := 1 + countStmts(body(fn.Body)) // signature + body statements
 		rep.Funcs = append(rep.Funcs, FuncCount{Name: fn.Name.Name, Lines: c})
 		rep.Total += c
 	}
 	sort.Slice(rep.Funcs, func(i, j int) bool { return rep.Funcs[i].Name < rep.Funcs[j].Name })
 	return rep, nil
+}
+
+// body returns the statements counted as a function's body: its own, or,
+// when it only returns a call that takes a function literal — a driver
+// wrapped as `return run(g, opts, func(e …) {…})` — the literal's, so a
+// wrapped driver counts the same as the driver written out unwrapped.
+func body(b *ast.BlockStmt) []ast.Stmt {
+	if len(b.List) != 1 {
+		return b.List
+	}
+	if ret, ok := b.List[0].(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
+		if call, ok := ret.Results[0].(*ast.CallExpr); ok {
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok {
+					return lit.Body.List
+				}
+			}
+		}
+	}
+	return b.List
 }
 
 // countStmts counts logical statements, descending into blocks: a compound

@@ -80,3 +80,54 @@ func TestCountRealAlgorithm(t *testing.T) {
 		t.Fatalf("BFS LLoC = %d out of plausible range", rep.Total)
 	}
 }
+
+// TestWrappedDriverCountsAsUnwrapped pins the wrapper rule: a driver whose
+// body only returns a call handing on a function literal counts the
+// literal's statements, the same as the driver written out unwrapped, while
+// a literal anywhere else stays part of the statement that holds it.
+func TestWrappedDriverCountsAsUnwrapped(t *testing.T) {
+	src := []byte(`package x
+
+func Unwrapped(g int) (int, error) {
+	u := g + 1
+	for u > 0 {
+		u = step(u, func(v int) int { return v - 1 })
+	}
+	return u, nil
+}
+
+func Wrapped(g int) (int, error) {
+	return run(g, func(e int) (int, error) {
+		u := e + 1
+		for u > 0 {
+			u = step(u, func(v int) int { return v - 1 })
+		}
+		return u, nil
+	})
+}
+
+func NotAWrapper(g int) (int, error) {
+	f := func(e int) (int, error) {
+		u := e + 1
+		return u, nil
+	}
+	return f(g)
+}
+`)
+	rep, err := CountSource("x.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int{}
+	for _, fc := range rep.Funcs {
+		got[fc.Name] = fc.Lines
+	}
+	// sig + assign + for + assign + return = 5; the step literal is part of
+	// its assignment in both.
+	if got["Unwrapped"] != 5 || got["Wrapped"] != 5 {
+		t.Fatalf("Unwrapped = %d, Wrapped = %d, want 5 and 5", got["Unwrapped"], got["Wrapped"])
+	}
+	if got["NotAWrapper"] != 3 {
+		t.Fatalf("NotAWrapper = %d, want 3 (sig + assign + return)", got["NotAWrapper"])
+	}
+}

@@ -8,11 +8,12 @@ import (
 	"flash/graph"
 )
 
-// TestMirrorTableMatchesInversion pins the CSR necessary-mirror table to the
-// per-master lists it replaces: inverting every worker's mirror set, in
+// TestMirrorTableMatchesInversion pins the CSR necessary-mirror tables to the
+// per-master lists they replace: inverting every worker's mirror set, in
 // ascending worker order, must give each master exactly the workers
-// MirrorWorkers lists, and Mirrored must list exactly the masters whose list
-// is non-empty, ascending.
+// MirrorWorkers lists, with the mirror's slot on each in MirrorSlots, and
+// MirroredOn(to) must list, ascending, exactly the masters mirrored on to
+// with those same slots.
 func TestMirrorTableMatchesInversion(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"grid": graph.GenGrid(40, 30, 0, 1),
@@ -39,19 +40,42 @@ func TestMirrorTableMatchesInversion(t *testing.T) {
 							return true
 						})
 					}
+					entries := 0
 					for w, part := range p.Parts {
-						var mirrored []int32
+						wantOn := make([][2][]int32, m)
 						for l, ws := range want[w] {
 							if got := part.MirrorWorkers(l); !slices.Equal(got, ws) {
 								t.Fatalf("worker %d master %d: MirrorWorkers = %v, want %v", w, l, got, ws)
 							}
-							if len(ws) > 0 {
-								mirrored = append(mirrored, int32(l))
+							for i, to := range ws {
+								slot := p.Parts[to].Slots.Slot(place.GlobalID(w, l))
+								if got := part.MirrorSlots(l)[i]; int(got) != slot {
+									t.Fatalf("worker %d master %d: slot on worker %d = %d, want %d", w, l, to, got, slot)
+								}
+								wantOn[to][0] = append(wantOn[to][0], int32(l))
+								wantOn[to][1] = append(wantOn[to][1], int32(slot))
+							}
+							entries += len(ws)
+						}
+						for to := range wantOn {
+							locals, slots := part.MirroredOn(to)
+							if !slices.Equal(locals, wantOn[to][0]) || !slices.Equal(slots, wantOn[to][1]) {
+								t.Fatalf("worker %d: MirroredOn(%d) lists %d masters, want %d", w, to, len(locals), len(wantOn[to][0]))
+							}
+							if !slices.IsSorted(slots) {
+								t.Fatalf("worker %d: slots on worker %d not ascending", w, to)
 							}
 						}
-						if !slices.Equal(part.Mirrored(), mirrored) {
-							t.Fatalf("worker %d: Mirrored lists %d masters, want %d", w, len(part.Mirrored()), len(mirrored))
-						}
+					}
+					total := 0
+					for _, part := range p.Parts {
+						total += part.MirrorEntries()
+					}
+					if total != entries {
+						t.Fatalf("MirrorEntries sum to %d, want %d", total, entries)
+					}
+					if err := p.CheckInvariants(); err != nil {
+						t.Fatal(err)
 					}
 				})
 			}

@@ -171,11 +171,13 @@ type Part struct {
 
 	// mirrorOff and mirrorIDs are the necessary-mirror table (§IV-C) as a
 	// CSR over local indices: the workers holding a mirror of local master l
-	// are mirrorIDs[mirrorOff[l]:mirrorOff[l+1]], ascending. mirrored lists,
-	// ascending, the local masters with at least one such worker.
-	mirrorOff []int32
-	mirrorIDs []int32
-	mirrored  []int32
+	// are mirrorIDs[mirrorOff[l]:mirrorOff[l+1]], ascending, and
+	// mirrorSlots, parallel to mirrorIDs, holds the mirror's slot on each.
+	// sendOff, sendLocal and sendSlot are the same entries as a CSR over
+	// destination workers: the local masters mirrored on worker to and their
+	// slots there are sendLocal/sendSlot[sendOff[to]:sendOff[to+1]].
+	mirrorOff, mirrorIDs, mirrorSlots []int32
+	sendOff, sendLocal, sendSlot      []int32
 
 	// Slots is the worker's compact state layout: local masters first
 	// (slot == local index), then mirrors sorted by global id. Property
@@ -214,56 +216,55 @@ func New(g Adjacency, place Placement) *Partitioned {
 			g:         g,
 			Mirrors:   bitset.New(n),
 			mirrorOff: make([]int32, place.LocalCount(w)+1),
+			sendOff:   make([]int32, m+1),
 		}
 	}
 	// Pass 1: every worker mirrors each remote endpoint of its masters'
 	// edges (both directions: pull mode reads in-neighbors, push mode reads
 	// local state and writes out-neighbors, whose current value is also read
 	// by F/C/M predicates). A newly mirrored vertex counts one more holder
-	// for its master, into mirrorOff[l+1] of the owner's part.
+	// for its master and one more entry for its holder, into mirrorOff[l+1]
+	// and sendOff[w+1] of the owner's part.
 	for v := 0; v < n; v++ {
 		w := place.Owner(graph.VID(v))
 		part := p.Parts[w]
 		for _, u := range g.OutNeighbors(graph.VID(v)) {
 			if ow := place.Owner(u); ow != w && !part.Mirrors.TestAndSet(int(u)) {
 				p.Parts[ow].mirrorOff[place.LocalIndex(u)+1]++
+				p.Parts[ow].sendOff[w+1]++
 			}
 		}
 		for _, u := range g.InNeighbors(graph.VID(v)) {
 			if ow := place.Owner(u); ow != w && !part.Mirrors.TestAndSet(int(u)) {
 				p.Parts[ow].mirrorOff[place.LocalIndex(u)+1]++
+				p.Parts[ow].sendOff[w+1]++
 			}
 		}
 	}
-	// Pass 2: invert to per-master mirror-worker lists, a CSR finished in
-	// two steps from pass 1's counts: prefix-sum, then fill in ascending
-	// worker order — every list comes out ascending — using mirrorOff[l+1]
-	// as master l's cursor, which leaves it at its final value.
-	for w := 0; w < m; w++ {
-		off, masters := p.Parts[w].mirrorOff, 0
-		for _, c := range off[1:] {
-			if c > 0 {
-				masters++
-			}
-		}
-		// Shifted prefix sum: off[l+1] becomes the start of master l's list,
-		// where the fill below begins; filling advances it to the end.
-		mirrored := make([]int32, 0, masters)
-		sum := int32(0)
-		for l := 1; l < len(off); l++ {
-			if off[l] > 0 {
-				mirrored = append(mirrored, int32(l-1))
-			}
-			off[l], sum = sum, sum+off[l]
-		}
-		p.Parts[w].mirrored = mirrored
-		p.Parts[w].mirrorIDs = make([]int32, sum)
+	// Pass 2: invert to per-master and per-destination lists, two CSRs
+	// finished from pass 1's counts by shifted prefix sums, then a fill in
+	// ascending worker, then gid, order that advances off[k+1] as list k's
+	// cursor. The fill gives each mirror its slot (masters first, then
+	// mirrors by gid) and, since both placements number an owner's masters in
+	// gid order, leaves every list ascending.
+	for _, part := range p.Parts {
+		entries := shiftedPrefix(part.mirrorOff)
+		shiftedPrefix(part.sendOff)
+		part.mirrorIDs = make([]int32, entries)
+		part.mirrorSlots = make([]int32, entries)
+		part.sendLocal = make([]int32, entries)
+		part.sendSlot = make([]int32, entries)
 	}
 	for w := 0; w < m; w++ {
+		slot := int32(place.LocalCount(w))
 		p.Parts[w].Mirrors.Range(func(v int) bool {
-			ow, li := place.Owner(graph.VID(v)), place.LocalIndex(graph.VID(v))
-			p.Parts[ow].mirrorIDs[p.Parts[ow].mirrorOff[li+1]] = int32(w)
-			p.Parts[ow].mirrorOff[li+1]++
+			op, li := p.Parts[place.Owner(graph.VID(v))], place.LocalIndex(graph.VID(v))
+			i, k := op.mirrorOff[li+1], op.sendOff[w+1]
+			op.mirrorIDs[i], op.mirrorSlots[i] = int32(w), slot
+			op.sendLocal[k], op.sendSlot[k] = int32(li), slot
+			op.mirrorOff[li+1]++
+			op.sendOff[w+1]++
+			slot++
 			return true
 		})
 	}
@@ -304,30 +305,56 @@ func (p *Part) Degrees() []uint64 {
 	return *p.deg.Load()
 }
 
+// shiftedPrefix turns per-list counts at off[1:] into the shifted prefix sum
+// off[k+1] = start of list k (off[0] stays 0) and returns the total.
+func shiftedPrefix(off []int32) int32 {
+	sum := int32(0)
+	for k := 1; k < len(off); k++ {
+		off[k], sum = sum, sum+off[k]
+	}
+	return sum
+}
+
 // MirrorWorkers returns, ascending, the workers that hold a mirror of the
 // local master with local index l ("necessary mirrors", §IV-C).
 func (p *Part) MirrorWorkers(l int) []int32 {
 	return p.mirrorIDs[p.mirrorOff[l]:p.mirrorOff[l+1]]
 }
 
-// Mirrored returns, ascending, the local indices of the masters that have at
-// least one mirror: the only masters a necessary-mirror sync can ship.
-func (p *Part) Mirrored() []int32 { return p.mirrored }
+// MirrorSlots returns, parallel to MirrorWorkers(l), the slot the mirror of
+// local master l occupies on each of those workers.
+func (p *Part) MirrorSlots(l int) []int32 {
+	return p.mirrorSlots[p.mirrorOff[l]:p.mirrorOff[l+1]]
+}
+
+// MirroredOn returns the local masters mirrored on worker to, ascending, and
+// parallel to them their slots there: the only masters a necessary-mirror
+// sync ships to that worker.
+func (p *Part) MirroredOn(to int) (locals, slots []int32) {
+	lo, hi := p.sendOff[to], p.sendOff[to+1]
+	return p.sendLocal[lo:hi], p.sendSlot[lo:hi]
+}
+
+// MirrorEntries returns the number of (master, mirror holder) pairs: the
+// records a necessary-mirror sync of every master sends.
+func (p *Part) MirrorEntries() int { return len(p.mirrorIDs) }
 
 // Workers returns the number of workers.
 func (p *Partitioned) Workers() int { return p.Place.Workers() }
 
 // SharedBytes returns the resident footprint of the partition's derived
-// structures: per-worker mirror bitsets, mirror-worker tables, slot-table
-// auxiliaries, and the degree tables built so far. This is the memory a graph
-// catalog pays once per (graph, placement) no matter how many concurrent jobs
-// share the partition — the counterpart of Engine.StateBytes, which is paid
-// per job.
+// structures: per-worker mirror bitsets, the mirror tables (per master and
+// per destination, with the holders' slots), slot-table auxiliaries, and the
+// degree tables built so far. This is the memory a graph catalog pays once
+// per (graph, placement) no matter how many concurrent jobs share the
+// partition — the counterpart of Engine.StateBytes, which is paid per job.
 func (p *Partitioned) SharedBytes() uint64 {
 	var total uint64
 	for _, part := range p.Parts {
 		total += uint64(len(part.Mirrors.Words())) * 8
-		total += uint64(cap(part.mirrorOff)+cap(part.mirrorIDs)+cap(part.mirrored)) * 4
+		for _, a := range [][]int32{part.mirrorOff, part.mirrorIDs, part.mirrorSlots, part.sendOff, part.sendLocal, part.sendSlot} {
+			total += uint64(cap(a)) * 4
+		}
 		total += part.Slots.AuxBytes()
 		if deg := part.deg.Load(); deg != nil {
 			total += uint64(cap(*deg)) * 8
@@ -378,14 +405,18 @@ func (p *Partitioned) CheckInvariants() error {
 				return false
 			}
 			li := p.Place.LocalIndex(graph.VID(v))
-			found := false
-			for _, mw := range p.Parts[ow].MirrorWorkers(li) {
+			slot := -1
+			for i, mw := range p.Parts[ow].MirrorWorkers(li) {
 				if int(mw) == w {
-					found = true
+					slot = int(p.Parts[ow].MirrorSlots(li)[i])
 				}
 			}
-			if !found {
+			if slot < 0 {
 				err = fmt.Errorf("mirror list of master %d missing worker %d", v, w)
+				return false
+			}
+			if want := part.Slots.Slot(graph.VID(v)); slot != want {
+				err = fmt.Errorf("master %d records slot %d on worker %d, its slot there is %d", v, slot, w, want)
 				return false
 			}
 			return true

@@ -2,7 +2,7 @@ package partition
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 
 	"flash/graph"
 	"flash/internal/bitset"
@@ -179,8 +179,9 @@ func (s *SlotTable) GID(slot int) graph.VID {
 	}
 	idx := slot - s.masters
 	// The word holding the (idx+1)-th mirror is the one whose prefix rank
-	// last stays <= idx.
-	wi := sort.Search(len(s.rank), func(i int) bool { return int(s.rank[i]) > idx }) - 1
+	// last stays <= idx: the one before the first rank > idx.
+	wi, _ := slices.BinarySearch(s.rank, int32(idx+1))
+	wi--
 	word := s.words[wi]
 	for k := idx - int(s.rank[wi]); k > 0; k-- {
 		word &= word - 1
