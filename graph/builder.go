@@ -108,21 +108,15 @@ func (b *Builder) Build() *Graph {
 
 	g := &Graph{n: b.n, m: len(edges), directed: b.directed, name: b.name}
 	g.outOff = make([]int64, b.n+1)
-	g.inOff = make([]int64, b.n+1)
 	g.outAdj = make([]VID, len(edges))
-	g.inAdj = make([]VID, len(edges))
 	if b.weighted {
 		g.outW = make([]float32, len(edges))
-		g.inW = make([]float32, len(edges))
 	}
-
 	for _, e := range edges {
 		g.outOff[e.u+1]++
-		g.inOff[e.v+1]++
 	}
 	for i := 0; i < b.n; i++ {
 		g.outOff[i+1] += g.outOff[i]
-		g.inOff[i+1] += g.inOff[i]
 	}
 	// Fill out-adjacency in sorted order directly.
 	pos := make([]int64, b.n)
@@ -134,6 +128,23 @@ func (b *Builder) Build() *Graph {
 			g.outW[p] = e.w
 		}
 		pos[e.u]++
+	}
+	if !b.directed {
+		// Symmetrized edges make every in-row the out-row of the same vertex,
+		// self-loops and multi-edges included: store one adjacency.
+		g.inOff, g.inAdj, g.inW = g.outOff, g.outAdj, g.outW
+		return g
+	}
+	g.inOff = make([]int64, b.n+1)
+	g.inAdj = make([]VID, len(edges))
+	if b.weighted {
+		g.inW = make([]float32, len(edges))
+	}
+	for _, e := range edges {
+		g.inOff[e.v+1]++
+	}
+	for i := 0; i < b.n; i++ {
+		g.inOff[i+1] += g.inOff[i]
 	}
 	// Fill in-adjacency; since edges are sorted by (u,v), filling by v keeps
 	// each in-list sorted by source.

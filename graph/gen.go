@@ -206,7 +206,8 @@ func GenTree(n int, seed int64) *Graph {
 
 // WithRandomWeights returns a weighted copy of g with uniform weights in
 // (0, 1], mirroring the paper's "random weights are added" setup for
-// unweighted inputs. Both directions of an undirected edge get equal weight.
+// unweighted inputs. Both directions of an undirected edge get equal weight,
+// so an undirected copy stores one adjacency, like g.
 func WithRandomWeights(g *Graph, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(g.n).Directed(true).Weighted(true).Name(g.name + "-w")
@@ -225,7 +226,11 @@ func WithRandomWeights(g *Graph, seed int64) *Graph {
 		b.AddEdgeW(u, v, w)
 		return true
 	})
+	// Built directed: g.Edges comes sorted, which the sort passes in one scan.
 	wg := b.Build()
 	wg.directed = g.directed
+	if !g.directed {
+		wg.inOff, wg.inAdj, wg.inW = wg.outOff, wg.outAdj, wg.outW
+	}
 	return wg
 }

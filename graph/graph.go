@@ -20,8 +20,9 @@ type VID uint32
 const NoVertex = VID(^uint32(0))
 
 // Graph is an immutable directed graph in CSR form. For undirected inputs
-// each edge is stored in both directions (see Builder.Undirected), which is
-// the convention every algorithm in this repository assumes.
+// each edge is stored in both directions (see Builder.Directed), which is
+// the convention every algorithm in this repository assumes; the in-arrays
+// of such a graph are its out-arrays, so its adjacency is held once.
 type Graph struct {
 	n int // number of vertices
 	m int // number of directed edges stored
@@ -155,15 +156,21 @@ func (g *Graph) Edges(f func(u, v VID, w float32) bool) {
 }
 
 // MemBytes returns the resident footprint of the CSR arrays (offsets,
-// adjacency, and weights for both directions). A graph catalog serving many
-// concurrent jobs over one immutable topology pays this once; per-job engine
-// state is accounted separately by the engines.
+// adjacency, and weights for both directions, an in-array that aliases its
+// out-array once). A graph catalog serving many concurrent jobs over one
+// immutable topology pays this once; per-job engine state is accounted
+// separately by the engines.
 func (g *Graph) MemBytes() uint64 {
-	var total uint64
-	total += uint64(cap(g.outOff)+cap(g.inOff)) * 8
-	total += uint64(cap(g.outAdj)+cap(g.inAdj)) * 4
-	total += uint64(cap(g.outW)+cap(g.inW)) * 4
-	return total
+	return pairBytes(g.outOff, g.inOff, 8) + pairBytes(g.outAdj, g.inAdj, 4) + pairBytes(g.outW, g.inW, 4)
+}
+
+// pairBytes is the footprint of an out-array and its in-array of size-byte
+// elements, once when both share one backing array.
+func pairBytes[T any](out, in []T, size uint64) uint64 {
+	if cap(out) > 0 && cap(in) > 0 && &out[:1][0] == &in[:1][0] {
+		return uint64(cap(out)) * size
+	}
+	return uint64(cap(out)+cap(in)) * size
 }
 
 // MaxOutDegree returns the largest out-degree and a vertex achieving it.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -352,5 +354,88 @@ func TestLoadEdgeListMaxVertices(t *testing.T) {
 	g, err := LoadEdgeList(strings.NewReader("0 99\n"), LoadOptions{MaxVertices: 100})
 	if err != nil || g.NumVertices() != 100 {
 		t.Fatalf("g=%v err=%v", g, err)
+	}
+}
+
+// TestUndirectedStoresOneAdjacency checks that an undirected graph's in-rows
+// are its out-rows, in one backing array per CSR array, self-loops and
+// multi-edges included; that a directed graph keeps distinct, correct
+// in-rows; and that MemBytes counts a shared array once, a block skeleton's
+// aliased offsets too.
+func TestUndirectedStoresOneAdjacency(t *testing.T) {
+	add := func(b *Builder) *Graph {
+		for _, e := range []struct {
+			u, v VID
+			w    float32
+		}{{0, 1, 3}, {1, 0, 2}, {0, 1, 1}, {2, 2, 5}, {2, 2, 4}, {3, 1, 7}, {1, 4, 6}} {
+			b.AddEdgeW(e.u, e.v, e.w)
+		}
+		return b.Build()
+	}
+	newB := func(directed bool) *Builder {
+		return NewBuilder(6).Directed(directed).Weighted(true).Dedup(false).KeepSelfLoops(true)
+	}
+	shares := func(a, b []VID) bool { return &a[:1][0] == &b[:1][0] }
+
+	u := add(newB(false))
+	if !shares(u.inAdj, u.outAdj) || &u.inOff[0] != &u.outOff[0] || &u.inW[0] != &u.outW[0] {
+		t.Fatal("undirected graph holds a second adjacency")
+	}
+	for v := VID(0); v < 6; v++ {
+		var want []string
+		for i, s := range u.OutNeighbors(v) {
+			want = append(want, fmt.Sprint(s, ":", u.OutWeights(v)[i]))
+		}
+		// The in-row, rebuilt from the out-rows of every vertex.
+		var got []string
+		for s := VID(0); s < 6; s++ {
+			for i, d := range u.OutNeighbors(s) {
+				if d == v {
+					got = append(got, fmt.Sprint(s, ":", u.OutWeights(s)[i]))
+				}
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("vertex %d: in-edges %v, out-row %v", v, got, want)
+		}
+	}
+	if want := uint64(7*8 + u.NumEdges()*8); u.MemBytes() != want {
+		t.Fatalf("undirected MemBytes %d, want %d", u.MemBytes(), want)
+	}
+
+	d := add(newB(true))
+	if shares(d.inAdj, d.outAdj) {
+		t.Fatal("directed graph shares its in-rows with its out-rows")
+	}
+	for v := VID(0); v < 6; v++ {
+		var got, want []string
+		for i, s := range d.InNeighbors(v) {
+			got = append(got, fmt.Sprint(s, ":", d.InWeights(v)[i]))
+		}
+		for s := VID(0); s < 6; s++ {
+			for i, x := range d.OutNeighbors(s) {
+				if x == v {
+					want = append(want, fmt.Sprint(s, ":", d.OutWeights(s)[i]))
+				}
+			}
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("directed vertex %d: in-row %v, want %v", v, got, want)
+		}
+	}
+	if want := uint64(2 * (7*8 + d.NumEdges()*8)); d.MemBytes() != want {
+		t.Fatalf("directed MemBytes %d, want %d", d.MemBytes(), want)
+	}
+
+	if w := WithRandomWeights(GenRMAT(256, 1024, 1), 2); !shares(w.inAdj, w.outAdj) {
+		t.Fatal("a weighted copy of an undirected graph holds a second adjacency")
+	}
+	buf := EncodeBlockFile(GenRMAT(256, 1024, 1), 512)
+	bg, err := OpenBlockReader(bytes.NewReader(buf), int64(len(buf)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := bg.Skeleton().MemBytes(), uint64(257*8); got != want {
+		t.Fatalf("skeleton MemBytes %d, want %d (offsets once)", got, want)
 	}
 }

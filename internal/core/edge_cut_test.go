@@ -39,13 +39,13 @@ func TestDegreeTableMatchesGraph(t *testing.T) {
 					e.EdgeMapDense(e.All(), e.E(), Weighted(nil,
 						func(s, d Vtx[bfsProps], _ float32) bfsProps { return *d.Val }), nil, StepOpts{NoSync: true})
 					for _, w := range e.workers {
-						if len(w.deg) != w.st.SlotCount() {
-							t.Fatalf("worker %d: %d degree entries for %d slots", w.id, len(w.deg), w.st.SlotCount())
+						if len(w.view.Deg) != w.st.SlotCount() {
+							t.Fatalf("worker %d: %d degree entries for %d slots", w.id, len(w.view.Deg), w.st.SlotCount())
 						}
-						for slot := range w.deg {
+						for slot := range w.view.Deg {
 							v := w.st.GID(slot)
 							out, in := csr.OutDegree(v), csr.InDegree(v)
-							if got := w.deg[slot]; got != uint64(out)<<32|uint64(in) {
+							if got := w.view.Deg[slot]; got != uint64(out)<<32|uint64(in) {
 								t.Fatalf("worker %d slot %d (vertex %d): table %d/%d, graph %d/%d",
 									w.id, slot, v, got>>32, uint32(got), out, in)
 							}

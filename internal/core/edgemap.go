@@ -99,7 +99,7 @@ func (e *Engine[V]) isDense(U *Subset, H EdgeSet[V]) bool {
 	for _, w := range e.workers {
 		w := w
 		U.local[w.id].each(func(l int) bool {
-			sum += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
+			sum += H.OutDegreeHint(&w.ctxs[0], w.st.GID(l))
 			return sum <= budget
 		})
 		if sum > budget {
@@ -166,7 +166,7 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 				floor := w.st.SlotCount()
 				work := 0
 				membership.each(func(l int) bool {
-					work += H.OutDegreeHint(&w.ctxs[0], e.place.GlobalID(w.id, l))
+					work += H.OutDegreeHint(&w.ctxs[0], w.st.GID(l))
 					return work < floor
 				})
 				parallel = work >= floor
@@ -319,7 +319,7 @@ func (w *worker[V]) bindPushers(H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], R Ed
 //flash:hotpath
 func (p *pusher[V]) visit(l int) {
 	w, a := p.w, p.a
-	u := w.eng.place.GlobalID(w.id, l)
+	u := w.st.GID(l)
 	uv := w.vtxAt(u, &w.cur[l])
 	adj, ws := p.c.rowOf(p.H, p.src, p.dir, u)
 	C, R := p.C, p.R
@@ -523,14 +523,24 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 			o := &out.local[w.id]
 			outBits := o.bitmap()
 			cstart := time.Now()
-			w.loadDegrees()
-			w.parforT(e.place.LocalCount(w.id), func(t, lo, hi int) {
+			w.loadView()
+			// E's in-rows come from the view, as slots, where it has rows;
+			// every other row is read as gids.
+			view := w.view
+			slots := src == rowsCSR && dir == graph.BlockIn && view.Off != nil
+			w.parforT(w.st.MasterCount(), func(t, lo, hi int) {
 				c := &w.ctxs[t]
 				for l := lo; l < hi; l++ {
-					gid := e.place.GlobalID(w.id, l)
-					adj, ws := c.rowOf(H, src, dir, gid)
+					gid := w.st.GID(l)
+					var adj []graph.VID
+					var ws []float32
+					if slots {
+						adj, ws = view.Src[view.Off[l]:view.Off[l+1]], c.G.InWeights(gid)
+					} else {
+						adj, ws = c.rowOf(H, src, dir, gid)
+					}
 					c.work = w.cur[l]
-					if w.pull(adj, ws, w.vtxAt(gid, &c.work), &fns, C, all) {
+					if w.pull(adj, ws, slots, w.vtxAt(gid, &c.work), &fns, C, all) {
 						w.next[l] = c.work
 						outBits.Set(l)
 					}
@@ -546,24 +556,37 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 	})
 }
 
-// pull runs the pull kernel over one target's in-row. Before each edge it
-// checks C on the target's working value, whose Val M's results overwrite,
-// and stops at the first failure; then it skips a source outside the
-// frontier (no test when U is all of V), then one failing F, and applies M.
-// It reports whether M ran.
+// pull runs the pull kernel over one target's in-row, whose entries are the
+// sources' slots (slots, a pull-view row) or their gids; either way the
+// frontier test and the source's Vtx.ID read the gid, and its state and
+// degrees are read at its slot. Before each edge it checks C on the target's
+// working value, whose Val M's results overwrite, and stops at the first
+// failure; then it skips a source outside the frontier (no test when U is
+// all of V), then one failing F, and applies M. It reports whether M ran.
 //
 //flash:hotpath
-func (w *worker[V]) pull(adj []graph.VID, ws []float32, dv Vtx[V], fns *EdgeFuncs[V], C EdgeC[V], all bool) bool {
+func (w *worker[V]) pull(adj []graph.VID, ws []float32, slots bool, dv Vtx[V], fns *EdgeFuncs[V], C EdgeC[V], all bool) bool {
 	uf, f, um, m := fns.UF, fns.F, fns.UM, fns.M
+	// Locals: a store through dv.Val could alias w's fields, so reading them
+	// per edge would reload them after every M.
+	st, deg, gids, cur, front := w.st, w.view.Deg, w.view.GIDs, w.cur, w.frontier.Words()
 	applied := false
-	for i, s := range adj {
+	for i, x := range adj {
 		if C != nil && !C(dv) {
 			break
 		}
-		if !all && !w.frontier.Test(int(s)) {
+		s, slot := x, int(x)
+		if slots {
+			s = gids[slot]
+		}
+		if !all && front[s>>6]&(1<<(s&63)) == 0 {
 			continue
 		}
-		sv := w.vtx(s)
+		if !slots {
+			slot = st.Slot(s)
+		}
+		d := deg[slot]
+		sv := Vtx[V]{ID: s, Deg: uint32(d >> 32), InDeg: uint32(d), Val: &cur[slot]}
 		var wt float32
 		if ws != nil {
 			wt = ws[i]
@@ -779,7 +802,7 @@ func (w *worker[V]) broadcastFrontier(U *Subset) error {
 	sstart := time.Now()
 	w.frontier.Reset()
 	U.local[w.id].each(func(l int) bool {
-		w.frontier.Set(int(e.place.GlobalID(w.id, l)))
+		w.frontier.Set(int(w.st.GID(l)))
 		return true
 	})
 	words := w.frontier.Words()

@@ -337,11 +337,11 @@ type worker[V any] struct {
 	// resident and SlotCount == |V|.
 	st *partition.SlotTable
 
-	// deg holds each resident vertex's OutDegree<<32 | InDegree by slot
-	// (partition.NewDegreeTable over st), set by the worker's first pull step
-	// (loadDegrees): the partition's shared table, or the worker's own under
-	// FullMirrors, whose st is not the partition's.
-	deg []uint64
+	// view is the pull kernel's layout over st (partition.PullView), bound by
+	// the worker's first pull step (loadView): the partition's shared view,
+	// or under FullMirrors, whose st is not the partition's, the worker's own
+	// degree table with no rows.
+	view *partition.PullView
 
 	// cur holds the current states (§IV-A) indexed by slot: one entry per
 	// resident vertex (local masters and mirrors), O(masters+mirrors)
@@ -938,39 +938,21 @@ func (w *worker[V]) forEachMember(membership *members, count int, f func(t, l in
 	})
 }
 
-// loadDegrees sets w.deg on the worker's first pull step, the only reader.
+// loadView sets w.view on the worker's first pull step, the only reader.
 //
-//flash:amortized builds the table once per partition (per worker under FullMirrors)
-func (w *worker[V]) loadDegrees() {
+//flash:amortized builds the view once per partition (per worker under FullMirrors)
+func (w *worker[V]) loadView() {
 	switch {
-	case w.deg != nil:
+	case w.view != nil:
 	case w.eng.cfg.FullMirrors:
-		w.deg = partition.NewDegreeTable(w.eng.g, w.st)
+		w.view = &partition.PullView{Deg: partition.NewDegreeTable(w.eng.g, w.st)}
 	default:
-		w.deg = w.part.Degrees()
+		w.view = w.part.PullView()
 	}
 }
 
-// vtx builds the callback view for v using this worker's current states.
-// v must be resident (a local master or mirror). It is the pull kernel's
-// per-edge source view, so both degrees come from the slot it resolves
-// anyway rather than from the graph's offsets at v (loadDegrees must have
-// run).
-//
-//flash:hotpath
-func (w *worker[V]) vtx(v graph.VID) Vtx[V] {
-	s := w.st.Slot(v)
-	d := w.deg[s]
-	return Vtx[V]{
-		ID:    v,
-		Deg:   uint32(d >> 32),
-		InDeg: uint32(d),
-		Val:   &w.cur[s],
-	}
-}
-
-// vtxAt is like vtx but points Val at val: a master's own state when its
-// local index (== slot) is known, or a working copy.
+// vtxAt builds the callback view of v with Val pointing at val: a master's
+// own state when its local index (== slot) is known, or a working copy.
 //
 //flash:hotpath
 func (w *worker[V]) vtxAt(v graph.VID, val *V) Vtx[V] {
@@ -1038,8 +1020,8 @@ func (e *Engine[V]) StateBytes() uint64 {
 		total += bitsetBytes(w.pendSet) + bitsetBytes(w.frontier)
 		total += uint64(cap(w.accList))*8 + uint64(cap(w.pendList))*4
 		total += w.st.AuxBytes()
-		if e.cfg.FullMirrors {
-			total += uint64(cap(w.deg)) * 8 // the worker's own; otherwise the partition's
+		if e.cfg.FullMirrors && w.view != nil {
+			total += uint64(cap(w.view.Deg)) * 8 // the worker's own; otherwise the partition's
 		}
 	}
 	return total

@@ -36,7 +36,7 @@ func (e *Engine[V]) VertexMap(U *Subset, F func(Vtx[V]) bool, M func(Vtx[V]) V, 
 			o.shapeLike(membership)
 			cstart := time.Now()
 			w.forEachMember(membership, U.Size(), func(_, l int) {
-				gid := e.place.GlobalID(w.id, l)
+				gid := w.st.GID(l)
 				v := w.vtxAt(gid, &w.cur[l])
 				if F != nil && !F(v) {
 					return
@@ -75,7 +75,7 @@ func (e *Engine[V]) VertexMapC(U *Subset, F func(c *Ctx[V], v Vtx[V]) bool, M fu
 			cstart := time.Now()
 			w.forEachMember(membership, U.Size(), func(t, l int) {
 				c := &w.ctxs[t]
-				gid := e.place.GlobalID(w.id, l)
+				gid := w.st.GID(l)
 				v := w.vtxAt(gid, &w.cur[l])
 				if F != nil && !F(c, v) {
 					return

@@ -146,49 +146,55 @@ func TestEdgeRangeStarHubAlone(t *testing.T) {
 	}
 }
 
-// TestDegreeTableBuiltOnFirstUse checks that a part holds no degree table
-// until a pull step asks for one — so a partition only ever pushed over pays
-// nothing for it — and that SharedBytes counts the table once built.
+// TestDegreeTableBuiltOnFirstUse checks that a part holds no pull view (its
+// degree table, slot→gid map and slot rows) until a pull step asks for one —
+// so a partition only ever pushed over pays nothing for it — and that
+// SharedBytes counts the view once built: 8 B of degrees and 4 B of gid per
+// slot, 4 B of row offset per master (plus one) and 4 B per master in-edge.
 func TestDegreeTableBuiltOnFirstUse(t *testing.T) {
 	g := graph.GenRMAT(2048, 16384, 1)
 	p := New(g, NewEdgeRange(g, 2))
 	before := p.SharedBytes()
 	for _, part := range p.Parts {
-		if part.deg.Load() != nil {
-			t.Fatalf("worker %d built its degree table before any use", part.Worker)
+		if part.view.Load() != nil {
+			t.Fatalf("worker %d built its pull view before any use", part.Worker)
 		}
 	}
-	var slots uint64
+	var want uint64
 	for _, part := range p.Parts {
-		deg := part.Degrees()
-		if len(deg) != part.Slots.SlotCount() || &part.Degrees()[0] != &deg[0] {
-			t.Fatalf("worker %d: %d entries for %d slots, or a second build", part.Worker, len(deg), part.Slots.SlotCount())
+		v := part.PullView()
+		if len(v.Deg) != part.Slots.SlotCount() || part.PullView() != v {
+			t.Fatalf("worker %d: %d entries for %d slots, or a second build", part.Worker, len(v.Deg), part.Slots.SlotCount())
 		}
-		slots += uint64(len(deg))
+		inEdges := 0
+		for l := 0; l < part.Slots.MasterCount(); l++ {
+			inEdges += g.InDegree(part.Slots.GID(l))
+		}
+		want += 12*uint64(part.Slots.SlotCount()) + 4*uint64(part.Slots.MasterCount()+1) + 4*uint64(inEdges)
 	}
-	if got := p.SharedBytes() - before; got != 8*slots {
-		t.Fatalf("SharedBytes grew by %d, want %d for %d slots", got, 8*slots, slots)
+	if got := p.SharedBytes() - before; got != want {
+		t.Fatalf("SharedBytes grew by %d, want %d", got, want)
 	}
 }
 
 // TestDegreesConcurrentFirstUse has engines sharing a partition ask for a
-// part's table at once: one build, the same table for every caller.
+// part's pull view at once: one build, the same view for every caller.
 func TestDegreesConcurrentFirstUse(t *testing.T) {
 	g := graph.GenRMAT(1024, 8192, 3)
 	part := New(g, NewEdgeRange(g, 2)).Parts[1]
-	got := make([][]uint64, 8)
+	got := make([]*PullView, 8)
 	var wg sync.WaitGroup
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = part.Degrees()
+			got[i] = part.PullView()
 		}()
 	}
 	wg.Wait()
 	for i := range got {
-		if &got[i][0] != &got[0][0] {
-			t.Fatalf("caller %d got a table of its own", i)
+		if got[i] != got[0] {
+			t.Fatalf("caller %d got a view of its own", i)
 		}
 	}
 }

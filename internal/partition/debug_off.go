@@ -10,3 +10,6 @@ const DebugAssertions = false
 
 // assertResident is a no-op in release builds; it compiles away entirely.
 func (s *SlotTable) assertResident(graph.VID) {}
+
+// assertPullView is a no-op in release builds.
+func assertPullView(*PullView, *SlotTable, *graph.Graph) {}

@@ -23,3 +23,18 @@ func (s *SlotTable) assertResident(v graph.VID) {
 			v, s.worker))
 	}
 }
+
+// assertPullView panics unless every row entry of v is a slot of st whose
+// gid in v.GIDs is the CSR's in-neighbor at that position and maps back to
+// the entry through st.
+func assertPullView(v *PullView, st *SlotTable, g *graph.Graph) {
+	for l := 0; l < st.MasterCount(); l++ {
+		for i, u := range g.InNeighbors(v.GIDs[l]) {
+			x := int(v.Src[int(v.Off[l])+i])
+			if x >= st.SlotCount() || v.GIDs[x] != u || st.Slot(u) != x {
+				panic(fmt.Sprintf("partition: pull view of worker %d: in-edge %d of master %d holds slot %d of %d for source %d",
+					st.worker, i, l, x, st.SlotCount(), u))
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -184,12 +185,30 @@ type Part struct {
 	// arrays indexed by slot are O(masters + mirrors) instead of O(|V|).
 	Slots *SlotTable
 
-	// deg is the degree table over Slots (NewDegreeTable), built from g by
-	// the first Degrees call: only pull steps read it, so a partition that
-	// never runs one (BFS on a grid) does not hold it.
-	g       Adjacency
-	degOnce sync.Once
-	deg     atomic.Pointer[[]uint64]
+	// view is the pull view over Slots (newPullView), built from g by the
+	// first PullView call: only pull steps read it, so a partition that never
+	// runs one (BFS on a grid) does not hold it.
+	g        Adjacency
+	viewOnce sync.Once
+	view     atomic.Pointer[PullView]
+}
+
+// PullView is one worker's pull-kernel layout over its slot table: the local
+// graph of §IV-A, whose in-rows name their sources by slot, so a dense step
+// reads a source's state, degrees and gid at one index without translating
+// ids. It is shared by every engine borrowing the partition and must not be
+// written.
+type PullView struct {
+	// Deg holds each slot's OutDegree<<32 | InDegree (NewDegreeTable).
+	Deg []uint64
+	// GIDs maps every slot to its global id, and master l's in-neighbors,
+	// each stored as its slot, are Src[Off[l]:Off[l+1]], in the graph's
+	// in-row order (so the graph's InWeights stay aligned). The three are
+	// nil unless the adjacency is an in-memory CSR: a block graph's rows are
+	// read from its cache as gids.
+	GIDs []graph.VID
+	Off  []int32
+	Src  []graph.VID
 }
 
 // Partitioned bundles the adjacency source, placement, and per-worker parts.
@@ -294,15 +313,45 @@ func NewDegreeTable(g Adjacency, st *SlotTable) []uint64 {
 	return deg
 }
 
-// Degrees returns the part's degree table (NewDegreeTable over Slots),
-// building it on the first call; concurrent first calls share one build. It
-// is shared by every engine borrowing the partition and must not be written.
-func (p *Part) Degrees() []uint64 {
-	p.degOnce.Do(func() {
-		deg := NewDegreeTable(p.g, p.Slots)
-		p.deg.Store(&deg)
+// PullView returns the part's pull view, building it on the first call;
+// concurrent first calls share one build.
+func (p *Part) PullView() *PullView {
+	p.viewOnce.Do(func() { p.view.Store(newPullView(p.g, p.Slots)) })
+	return p.view.Load()
+}
+
+// newPullView builds st's pull view over g. A worker whose masters hold more
+// in-edges than an int32 offset counts keeps no rows.
+func newPullView(g Adjacency, st *SlotTable) *PullView {
+	v := &PullView{Deg: NewDegreeTable(g, st)}
+	cg, ok := g.(*graph.Graph)
+	if !ok {
+		return v
+	}
+	masters := st.MasterCount()
+	gids, off := make([]graph.VID, st.SlotCount()), make([]int32, masters+1)
+	for l := 0; l < masters; l++ {
+		gids[l] = st.GID(l)
+		edges := int64(off[l]) + int64(cg.InDegree(gids[l]))
+		if edges > math.MaxInt32 {
+			return v
+		}
+		off[l+1] = int32(edges)
+	}
+	st.RangeMirrors(func(slot int, gid graph.VID) bool {
+		gids[slot] = gid
+		return true
 	})
-	return *p.deg.Load()
+	src := make([]graph.VID, off[masters])
+	for l := 0; l < masters; l++ {
+		row := src[off[l]:off[l+1]]
+		for i, u := range cg.InNeighbors(gids[l]) {
+			row[i] = graph.VID(st.Slot(u))
+		}
+	}
+	v.GIDs, v.Off, v.Src = gids, off, src
+	assertPullView(v, st, cg) // no-op unless built with -tags flashdebug
+	return v
 }
 
 // shiftedPrefix turns per-list counts at off[1:] into the shifted prefix sum
@@ -345,7 +394,7 @@ func (p *Partitioned) Workers() int { return p.Place.Workers() }
 // SharedBytes returns the resident footprint of the partition's derived
 // structures: per-worker mirror bitsets, the mirror tables (per master and
 // per destination, with the holders' slots), slot-table auxiliaries, and the
-// degree tables built so far. This is the memory a graph catalog pays once
+// pull views built so far. This is the memory a graph catalog pays once
 // per (graph, placement) no matter how many concurrent jobs share the
 // partition — the counterpart of Engine.StateBytes, which is paid per job.
 func (p *Partitioned) SharedBytes() uint64 {
@@ -356,8 +405,8 @@ func (p *Partitioned) SharedBytes() uint64 {
 			total += uint64(cap(a)) * 4
 		}
 		total += part.Slots.AuxBytes()
-		if deg := part.deg.Load(); deg != nil {
-			total += uint64(cap(*deg)) * 8
+		if v := part.view.Load(); v != nil {
+			total += uint64(cap(v.Deg))*8 + uint64(cap(v.GIDs)+cap(v.Off)+cap(v.Src))*4
 		}
 	}
 	return total

@@ -165,17 +165,22 @@ func (s *SlotTable) Lookup(v graph.VID) (int, bool) {
 
 // GID is the inverse of Slot. Master slots resolve by placement arithmetic;
 // mirror slots rank-select into the mirror bitmap (O(log words), so hot loops
-// over mirrors should use RangeMirrors instead).
+// over mirrors should use RangeMirrors instead). A range placement's master
+// resolves inline, as an offset.
 func (s *SlotTable) GID(slot int) graph.VID {
+	if slot < s.masters && s.kind == kindRange {
+		return graph.VID(s.mlo + slot)
+	}
+	return s.gid(slot)
+}
+
+// gid is GID past the inline case.
+func (s *SlotTable) gid(slot int) graph.VID {
 	if slot < s.masters {
-		switch s.kind {
-		case kindRange:
-			return graph.VID(s.mlo + slot)
-		case kindHash:
+		if s.kind == kindHash {
 			return graph.VID(slot*s.mod + s.worker)
-		default:
-			return s.place.GlobalID(s.worker, slot)
 		}
+		return s.place.GlobalID(s.worker, slot)
 	}
 	idx := slot - s.masters
 	// The word holding the (idx+1)-th mirror is the one whose prefix rank
