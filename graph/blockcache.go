@@ -60,10 +60,12 @@ type clockRef struct {
 // and the free list alike.
 //
 // The cache is bimodal, mirroring the engine's dense/sparse switch:
-// BeginDense marks the superstep as a sequential stream of every block the
-// worker's masters touch, BeginSparse as a push from a few active sources.
-// A sparse step reads a source whose block is not resident through GetRows,
-// which decodes only the rows asked for and admits nothing.
+// BeginDense marks the superstep as a sequential pass over the blocks the
+// worker's masters touch, BeginSparse as a push from a few active sources;
+// the mode only files a miss's bytes under BytesDense or BytesSparse. The
+// engine reads in three ways: a pull without C decodes whole blocks through
+// Get; a pull with C and a push read a vertex whose block is not resident
+// through GetRows, which decodes only the rows asked for and admits nothing.
 type BlockCache struct {
 	bg     *BlockGraph
 	budget int64

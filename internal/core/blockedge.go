@@ -9,13 +9,17 @@
 //   - Dense supersteps pull over every local master in ascending gid order,
 //     which under range placement is a sequential stream over the worker's
 //     partition of the block file — each block is read once per superstep no
-//     matter how small the cache is.
+//     matter how small the cache is. A pull without C reads every row, so it
+//     decodes whole blocks through the cache. A pull with C reads only the
+//     rows of the targets that pass it, as row reads (below).
 //   - Sparse supersteps push only from active sources, so only their blocks
-//     are read. A source whose block is not resident is read as a row: the
-//     thread's cursor keeps the block's encoded bytes and decodes just the
-//     active sources' rows from them at the offsets the block carries,
-//     admitting nothing to the cache (M-Flash's selective read of a sparse
-//     block, FlashGraph's per-vertex edge-list request).
+//     are read.
+//
+// A row read serves a vertex whose block is not resident: the thread's
+// cursor keeps the block's encoded bytes and decodes just the rows asked for
+// at the offsets the block carries, admitting nothing to the cache (M-Flash's
+// selective read of a sparse block, FlashGraph's per-vertex edge-list
+// request).
 package core
 
 import (
@@ -42,14 +46,15 @@ type blockCursor struct {
 	depth int
 	hits  uint64 // vertices served from blk without going to the cache
 
-	// sparse is set for a sparse superstep: a vertex whose block is not
-	// resident is then read from enc, the encoded block the cursor last read
-	// (GetRows), into adj/ws — the cursor's own row buffer, apart from the
-	// Ctx's rowAdj/rowW, which rowOf fills for derived sets through iterate.
-	sparse bool
-	enc    graph.EncodedBlock
-	adj    []graph.VID
-	ws     []float32
+	// rows is set for a superstep that reads rows (a push, or a pull with
+	// C): a vertex whose block is not resident is then read from enc, the
+	// encoded block the cursor last read (GetRows), into adj/ws — the
+	// cursor's own row buffer, apart from the Ctx's rowAdj/rowW, which rowOf
+	// fills for derived sets through iterate.
+	rows bool
+	enc  graph.EncodedBlock
+	adj  []graph.VID
+	ws   []float32
 }
 
 // getBlock fetches a pinned decoded block through the worker's cache; an I/O
@@ -79,8 +84,8 @@ func blockIndex[V any](c *Ctx[V], dir int, v graph.VID) int {
 // row returns v's adjacency in the given direction from the thread's cursor,
 // moving the cursor to v's block first when it is elsewhere. The slices alias
 // the pinned block, so they are valid until the cursor moves again or the
-// superstep ends. In a sparse step a block that is not resident is not
-// pinned: its encoded bytes stay on the cursor, shared by the next vertices
+// superstep ends. In a step that reads rows a block that is not resident is
+// not pinned: its encoded bytes stay on the cursor, shared by the next vertices
 // in it, and the slices alias the cursor's row buffer, valid until the
 // cursor's next row. Only a caller with no loop running over the cursor
 // (depth 0) may move it or decode a row; iterate sees to that for nested
@@ -93,14 +98,14 @@ func (c *Ctx[V]) row(dir int, v graph.VID) ([]graph.VID, []float32) {
 		cur.hits++
 		return blk.Adj(v)
 	}
-	if cur.sparse && cur.enc.Contains(v) {
+	if cur.rows && cur.enc.Contains(v) {
 		return cur.decodeRow(v)
 	}
 	if cur.blk != nil {
 		c.w.bcache.Release(cur.blk)
 		cur.blk = nil
 	}
-	if !cur.sparse {
+	if !cur.rows {
 		cur.blk = getBlock(c, dir, v)
 		return cur.blk.Adj(v)
 	}
@@ -197,26 +202,24 @@ func (e *Engine[V]) topo() partition.Adjacency {
 	return e.g
 }
 
-// beginDenseBlocks switches the worker's cache to dense accounting: the pull
-// kernel is about to stream every block its masters' in-edges live in.
-func (w *worker[V]) beginDenseBlocks() {
-	if w.bcache != nil {
-		w.bcache.BeginDense()
-	}
-}
-
-// beginSparseBlocks switches the worker's cache to sparse accounting and
-// its threads' cursors to sparse rows until flushBlockStats.
-func (w *worker[V]) beginSparseBlocks() {
+// beginBlocks starts the worker's out-of-core superstep: the cache files its
+// misses' bytes under the sparse or the dense count, and the threads'
+// cursors read rows (GetRows) or whole blocks (Get) until flushBlockStats.
+// The two are apart: a pull with C is a dense step that reads rows.
+func (w *worker[V]) beginBlocks(sparse, rows bool) {
 	if w.bcache == nil {
 		return
 	}
 	for t := range w.ctxs {
 		for dir := range w.ctxs[t].blk {
-			w.ctxs[t].blk[dir].sparse = true
+			w.ctxs[t].blk[dir].rows = rows
 		}
 	}
-	w.bcache.BeginSparse()
+	if sparse {
+		w.bcache.BeginSparse()
+	} else {
+		w.bcache.BeginDense()
+	}
 }
 
 // flushBlockStats ends the worker's out-of-core superstep: every thread's
@@ -240,7 +243,7 @@ func (w *worker[V]) flushBlockStats() {
 			}
 			w.bcache.ReleaseRows(&cur.enc)
 			hits += cur.hits
-			cur.blk, cur.depth, cur.hits, cur.sparse = nil, 0, 0, false
+			cur.blk, cur.depth, cur.hits, cur.rows = nil, 0, 0, false
 		}
 	}
 	d, r := w.bcache.TakeDelta(), w.rec

@@ -139,10 +139,10 @@ func (e *Engine[V]) EdgeMapSparse(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C E
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
 		return e.parallelWorkers(func(w *worker[V]) error {
 			membership := &U.local[w.id]
-			// Out-of-core: switch the cache and cursors to sparse reads before
-			// any edge is touched, and flush the cache counters into the
-			// metric shard however the step ends.
-			w.beginSparseBlocks()
+			// Out-of-core: switch the cache to sparse accounting and the
+			// cursors to row reads before any edge is touched, and flush the
+			// cache counters into the metric shard however the step ends.
+			w.beginBlocks(true, true)
 			defer w.flushBlockStats()
 
 			// Phase 1: push along out-edges, accumulating per-target partials
@@ -495,6 +495,11 @@ func (w *worker[V]) foldPend(l int, val *V, R EdgeR[V]) {
 // synchronizes updated masters. One value-exchange round plus the frontier
 // round.
 //
+// C is first checked here, on each target before its row is read: a target
+// that fails it is skipped with no row read and no pull. Out-of-core, a pull
+// with C therefore reads only the rows of the targets that pass, by rows; a
+// pull without C needs every row and streams whole blocks.
+//
 //flash:hotpath
 func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C EdgeC[V], opts StepOpts) *Subset {
 	e.checkSubset(U)
@@ -512,9 +517,10 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 	return e.execStep(U.Size(), func(out *Subset) error {
 		scope := e.scopeFor(H.Physical(), opts.NoSync)
 		return e.parallelWorkers(func(w *worker[V]) error {
-			// Out-of-core: the pull phase streams every block the worker's
-			// masters touch; switch the cache to dense (sequential) accounting.
-			w.beginDenseBlocks()
+			// Out-of-core: the pull phase visits every block the worker's
+			// masters touch, so the cache takes dense accounting; the cursors
+			// read rows when C can skip targets, whole blocks otherwise.
+			w.beginBlocks(false, C != nil)
 			defer w.flushBlockStats()
 			if err := w.broadcastFrontier(U); err != nil {
 				return err
@@ -532,6 +538,11 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 				c := &w.ctxs[t]
 				for l := lo; l < hi; l++ {
 					gid := w.st.GID(l)
+					c.work = w.cur[l]
+					dv := w.vtxAt(gid, &c.work)
+					if C != nil && !C(dv) {
+						continue
+					}
 					var adj []graph.VID
 					var ws []float32
 					if slots {
@@ -539,8 +550,7 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 					} else {
 						adj, ws = c.rowOf(H, src, dir, gid)
 					}
-					c.work = w.cur[l]
-					if w.pull(adj, ws, slots, w.vtxAt(gid, &c.work), &fns, C, all) {
+					if w.pull(adj, ws, slots, dv, &fns, C, all) {
 						w.next[l] = c.work
 						outBits.Set(l)
 					}
@@ -559,10 +569,12 @@ func (e *Engine[V]) EdgeMapDense(U *Subset, H EdgeSet[V], fns EdgeFuncs[V], C Ed
 // pull runs the pull kernel over one target's in-row, whose entries are the
 // sources' slots (slots, a pull-view row) or their gids; either way the
 // frontier test and the source's Vtx.ID read the gid, and its state and
-// degrees are read at its slot. Before each edge it checks C on the target's
-// working value, whose Val M's results overwrite, and stops at the first
-// failure; then it skips a source outside the frontier (no test when U is
-// all of V), then one failing F, and applies M. It reports whether M ran.
+// degrees are read at its slot. The target passed C before its row was read
+// (EdgeMapDense); per edge pull skips a source outside the frontier (no test
+// when U is all of V), then one failing F, and applies M to the target's
+// working value, whose Val M's results overwrite. Only M changes that value,
+// so C is checked again after each M, and the row stops at the first
+// failure. It reports whether M ran.
 //
 //flash:hotpath
 func (w *worker[V]) pull(adj []graph.VID, ws []float32, slots bool, dv Vtx[V], fns *EdgeFuncs[V], C EdgeC[V], all bool) bool {
@@ -572,9 +584,6 @@ func (w *worker[V]) pull(adj []graph.VID, ws []float32, slots bool, dv Vtx[V], f
 	st, deg, gids, cur, front := w.st, w.view.Deg, w.view.GIDs, w.cur, w.frontier.Words()
 	applied := false
 	for i, x := range adj {
-		if C != nil && !C(dv) {
-			break
-		}
 		s, slot := x, int(x)
 		if slots {
 			s = gids[slot]
@@ -604,6 +613,9 @@ func (w *worker[V]) pull(adj []graph.VID, ws []float32, slots bool, dv Vtx[V], f
 			*dv.Val = m(sv, dv, wt)
 		}
 		applied = true
+		if C != nil && !C(dv) {
+			break
+		}
 	}
 	return applied
 }

@@ -12,6 +12,7 @@ import (
 	"flash"
 	"flash/algo"
 	"flash/graph"
+	"flash/metrics"
 )
 
 // rowProps records what the per-edge callbacks saw: in pull mode how many
@@ -49,8 +50,11 @@ type rowSet struct {
 // with the same per-edge contract: in pull mode C before each edge and a
 // stop at the first failure, then the frontier, then F, then M; in push mode
 // a target failing C or F is skipped. M must never run on a target whose C
-// is false. Under -tags flashdebug a row slice read after its block was
-// released reads the arena poison.
+// is false. Every pull also runs without C, taking M on each edge the
+// frontier and F let through: over the block graph that pull reads whole
+// blocks, which the one-block cache must recycle, where a pull with C reads
+// rows. Under -tags flashdebug a row slice read after its block was released
+// reads the arena poison.
 //
 // A block graph's push step reads each non-resident source as a single row,
 // so it decodes at most the active sources' rows (a source whose block an
@@ -166,7 +170,8 @@ func TestBlockRowSourcesKeepEdgeContract(t *testing.T) {
 			for fname, inU := range frontiers {
 				for _, weighted := range []bool{true, false} {
 					name := fmt.Sprintf("%s/%s/%s/weighted=%v", eng, set.name, fname, weighted)
-					checkPullRows(t, name, e, set, inU, weighted)
+					checkPullRows(t, name, e, set, inU, weighted, true)
+					checkPullRows(t, name, e, set, inU, weighted, false)
 					if set.out == nil {
 						continue
 					}
@@ -220,15 +225,19 @@ func rowFrontier(e *flash.Engine[rowProps], inU func(graph.VID) bool) *flash.Ver
 
 func rowGuard(s, d graph.VID) bool { return (s+d)%3 != 0 }
 
-// checkPullRows runs one forced pull step and compares every vertex's value
-// and the output set against the serial walk of set.in.
-func checkPullRows(t *testing.T, name string, e *flash.Engine[rowProps], set rowSet, inU func(graph.VID) bool, weighted bool) {
+// checkPullRows runs one forced pull step, with C or without, and compares
+// every vertex's value and the output set against the serial walk of set.in.
+func checkPullRows(t *testing.T, name string, e *flash.Engine[rowProps], set rowSet, inU func(graph.VID) bool, weighted, withC bool) {
 	t.Helper()
 	resetRows(e)
 	var late atomic.Int64
 	C := func(d flash.Vertex[rowProps]) bool { return d.Val.Blocked == 0 && d.Val.Count < pullCap }
+	if !withC {
+		name += "/no-C"
+		C = nil
+	}
 	M := func(s, d flash.Vertex[rowProps], w float32) rowProps {
-		if d.Val.Blocked != 0 || d.Val.Count >= pullCap {
+		if C != nil && !C(d) {
 			late.Add(1)
 		}
 		nv := *d.Val
@@ -257,7 +266,7 @@ func checkPullRows(t *testing.T, name string, e *flash.Engine[rowProps], set row
 		v := rowProps{Blocked: int32(d % 7 / 6), Last: -1}
 		adj, ws := set.in(d)
 		for i, s := range adj {
-			if v.Blocked != 0 || v.Count >= pullCap {
+			if withC && (v.Blocked != 0 || v.Count >= pullCap) {
 				break
 			}
 			if !inU(s) || !rowGuard(s, d) {
@@ -406,6 +415,139 @@ func TestBlockSharedGraphReadsRowsConcurrently(t *testing.T) {
 	for v := range wantSSSP {
 		if math.Float32bits(gotSSSP[v]) != math.Float32bits(wantSSSP[v]) {
 			t.Fatalf("SSSP dist[%d] = %v over the shared block graph, %v over the CSR", v, gotSSSP[v], wantSSSP[v])
+		}
+	}
+}
+
+// TestBlockDensePullReadsPassingRows covers pull steps over a block graph,
+// which read rows when they have a C and whole blocks when they have none.
+//
+// Mechanism, at w1/w2 × t1/t2 on a fresh engine whose caches are big enough
+// for every block: a pull over all of V with C decodes exactly the in-rows of
+// the targets that pass C and counts no hit; it admits nothing, so a second
+// such pull decodes them all again. A pull without C decodes every in-edge,
+// in whole blocks that stay resident, so a second one decodes nothing. Every
+// pull is a dense step and files its misses' bytes as dense.
+//
+// Results: BFS (whose pulls have a C), CC, SSSP and PageRank (whose pulls
+// have none) over the block graph, with the cache at one block per worker,
+// are byte-identical to the same runs over the CSR.
+func TestBlockDensePullReadsPassingRows(t *testing.T) {
+	g := graph.WithRandomWeights(graph.GenRandomDirected(1500, 12000, 43), 7)
+	bg := openXLBlock(t, g, 1<<10)
+	var oneBlock int64
+	for _, dir := range []int{graph.BlockIn, graph.BlockOut} {
+		for i := 0; i < bg.NumBlocks(dir); i++ {
+			dec, err := bg.ReadBlock(dir, i)
+			if err != nil {
+				t.Fatalf("ReadBlock(%d, %d): %v", dir, i, err)
+			}
+			oneBlock = max(oneBlock, dec.Bytes())
+		}
+	}
+	passes := func(d flash.Vertex[rowProps]) bool { return d.ID%3 == 0 && d.Val.Count == 0 }
+	passRows := uint64(0)
+	for v := graph.VID(0); int(v) < g.NumVertices(); v += 3 {
+		passRows += uint64(g.InDegree(v))
+	}
+	M := func(s, d flash.Vertex[rowProps]) rowProps { return rowProps{Count: d.Val.Count + 1} }
+
+	for _, workers := range []int{1, 2} {
+		for _, threads := range []int{1, 2} {
+			t.Run(fmt.Sprintf("w%dt%d", workers, threads), func(t *testing.T) {
+				width := []flash.Option{flash.WithWorkers(workers), flash.WithThreads(threads)}
+				handle := flash.WithGraphHandle(flash.NewBlockGraphHandle(bg))
+
+				// pulls runs two pulls over all of V on a fresh engine and
+				// returns the engine's counters after each.
+				pulls := func(C func(d flash.Vertex[rowProps]) bool) [2]metrics.Counters {
+					e, err := flash.NewEngine[rowProps](bg.Skeleton(),
+						append([]flash.Option{handle, flash.WithBlockCacheBytes(1 << 30)}, width...)...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer e.Close()
+					var got [2]metrics.Counters
+					for i := range got {
+						e.VertexMap(e.All(), nil, func(v flash.Vertex[rowProps]) rowProps { return rowProps{} })
+						e.EdgeMapDense(e.All(), e.E(), nil, M, C)
+						got[i] = e.Metrics().Counters
+					}
+					return got
+				}
+				rows := pulls(passes)
+				if c := rows[1]; c.BlockDecodedEdges != 2*passRows || c.BlockHits != 0 {
+					t.Errorf("two pulls with C decoded %d edges and counted %d hits; the passing targets' in-rows hold %d",
+						c.BlockDecodedEdges, c.BlockHits, passRows)
+				}
+				if c := rows[1]; c.BlockStepsDense != 2 || c.BlockBytesDense == 0 || c.BlockBytesSparse != 0 {
+					t.Errorf("two pulls with C counted %d dense steps, %d dense and %d sparse bytes",
+						c.BlockStepsDense, c.BlockBytesDense, c.BlockBytesSparse)
+				}
+				whole := pulls(nil)
+				if c := whole[0]; c.BlockDecodedEdges < uint64(g.NumEdges()) || c.BlockStepsDense != 1 ||
+					c.BlockBytesDense == 0 || c.BlockBytesSparse != 0 {
+					t.Errorf("a pull without C decoded %d edges of %d, counted %d dense steps, %d dense and %d sparse bytes",
+						c.BlockDecodedEdges, g.NumEdges(), c.BlockStepsDense, c.BlockBytesDense, c.BlockBytesSparse)
+				}
+				if first, c := whole[0], whole[1]; c.BlockDecodedEdges != first.BlockDecodedEdges || c.BlockHits == first.BlockHits {
+					t.Errorf("a second pull without C decoded %d edges and counted %d hits: its blocks were not resident",
+						c.BlockDecodedEdges-first.BlockDecodedEdges, c.BlockHits-first.BlockHits)
+				}
+
+				block := append([]flash.Option{handle, flash.WithBlockCacheBytes(int64(workers) * oneBlock)}, width...)
+				sk := bg.Skeleton()
+				for _, root := range []graph.VID{0, 700} {
+					want, err := algo.BFS(g, root, width...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := algo.BFS(sk, root, block...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("BFS from %d over blocks differs from the CSR", root)
+					}
+				}
+				wantCC, err := algo.CC(g, width...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotCC, err := algo.CC(sk, block...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(gotCC, wantCC) {
+					t.Errorf("CC over blocks differs from the CSR")
+				}
+				wantSSSP, err := algo.SSSP(g, 9, width...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotSSSP, err := algo.SSSP(sk, 9, block...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range wantSSSP {
+					if math.Float32bits(gotSSSP[v]) != math.Float32bits(wantSSSP[v]) {
+						t.Fatalf("SSSP dist[%d] = %v over blocks, %v over the CSR", v, gotSSSP[v], wantSSSP[v])
+					}
+				}
+				wantPR, err := algo.PageRank(g, 5, 0, width...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotPR, err := algo.PageRank(sk, 5, 0, block...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range wantPR {
+					if math.Float64bits(gotPR[v]) != math.Float64bits(wantPR[v]) {
+						t.Fatalf("PageRank[%d] = %v over blocks, %v over the CSR", v, gotPR[v], wantPR[v])
+					}
+				}
+			})
 		}
 	}
 }
